@@ -11,16 +11,16 @@ integer fast path for groups of exponent <= 2 (where F is a +-1 matrix).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
 from .config import guard_dense, guard_n
-from .cyclotomic import Cyclotomic, ZERO
+from .cyclotomic import ZERO, Cyclotomic, power_rows
 from .errors import InvalidInputError
 from .groups import AbelianGroup, GroupElement, make_group
 from .sparse import SparseTensor
@@ -80,12 +80,12 @@ class CayleyGraph:
         """A with A[beta, alpha] = 1 iff beta - alpha in S."""
         g = self.group
         guard_dense(g.order * len(self.gens), "adjacency matrix")
-        entries = {}
+        num = {}
         for alpha in g.elements():
             ia = g.index(alpha)
             for theta in self.gens.elements:
-                entries[(g.index(g.add(alpha, theta)), ia)] = 1
-        return SparseTensor((g.order, g.order), 1, entries)
+                num[(g.index(g.add(alpha, theta)), ia)] = 1
+        return SparseTensor._raw((g.order, g.order), 1, num)
 
     def edge_count(self) -> int:
         if not self.gens.symmetric:
@@ -178,13 +178,15 @@ def fourier_matrix(group: AbelianGroup) -> SparseTensor:
     """F with F[alpha, mu] = tau_mu(alpha); F F* = N I."""
     g = group
     guard_dense(g.order**2, "Fourier matrix")
+    M = g.exponent
+    zeta = power_rows(M, 1, M)
     elems = list(g.elements())
-    entries = {}
-    for mu in elems:
-        im = g.index(mu)
-        for alpha in elems:
-            entries[(g.index(alpha), im)] = g.char_value(mu, alpha)
-    return SparseTensor((g.order, g.order), 1, entries)
+    num = {
+        (g.index(alpha), g.index(mu)): zeta[g.char_exponent(mu, alpha)]
+        for mu in elems
+        for alpha in elems
+    }
+    return SparseTensor._raw((g.order, g.order), 1, num, 1, M)
 
 
 def conjugate_by_fourier(group: AbelianGroup, mx: SparseTensor) -> SparseTensor:
@@ -207,12 +209,8 @@ def _conjugate_hadamard_int(group: AbelianGroup, mx: SparseTensor) -> SparseTens
     integer linear algebra; done in numpy int64 with an overflow bound check,
     then divided by N exactly."""
     N = group.order
-    rat = mx.rational_entries()
-    den = 1
-    for v in rat.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    max_num = max((abs(int(v * den)) for v in rat.values()), default=0)
-    # |(F* M F)_{ij}| <= N^2 * max entry; keep comfortably inside int64
+    max_num = max((abs(v) for v in mx.numerators.values()), default=0)
+    # |(F* M F)_{ij}| <= N^2 * max numerator; keep comfortably inside int64
     if max_num * N * N >= 2**62:
         guard_dense(N**3, "exact Fourier conjugation fallback")
         F = fourier_matrix(group)
@@ -224,13 +222,11 @@ def _conjugate_hadamard_int(group: AbelianGroup, mx: SparseTensor) -> SparseTens
         for alpha in elems:
             F[group.index(alpha), im] = 1 if group.char_exponent(mu, alpha) == 0 else -1
     M = np.zeros((N, N), dtype=np.int64)
-    for (i, j), v in rat.items():
-        M[i, j] = int(v * den)
+    for (i, j), v in mx.numerators.items():
+        M[i, j] = v
     C = F.T @ M @ F  # F is symmetric and real here, F* = F^T = F
-    entries = {}
-    for i, j in zip(*np.nonzero(C)):
-        entries[(int(i), int(j))] = Fraction(int(C[i, j]), N * den)
-    return SparseTensor((N, N), 1, entries)
+    num = {(int(i), int(j)): int(C[i, j]) for i, j in zip(*np.nonzero(C))}
+    return SparseTensor._raw((N, N), 1, num, N * mx.den)
 
 
 # -- graph families ------------------------------------------------------------------
@@ -321,19 +317,19 @@ def cartesian_adjacency(graphs) -> SparseTensor:
     for s in sizes:
         total *= s
     guard_dense(total * sum(len(gr.gens) for gr in graphs), "cartesian adjacency")
-    entries = {}
-    adjs = [gr.adjacency() for gr in graphs]
+    num = {}
+    adjs = [gr.adjacency() for gr in graphs]  # 0/1 matrices, denominator 1
     for i, adj in enumerate(adjs):
         before = sizes[:i]
         after = sizes[i + 1:]
         for rest_b in itertools.product(*(range(s) for s in before)):
             for rest_a in itertools.product(*(range(s) for s in after)):
-                for (r, c), v in adj.entries.items():
+                for (r, c), v in adj.numerators.items():
                     row = _flatten(rest_b + (r,) + rest_a, sizes)
                     col = _flatten(rest_b + (c,) + rest_a, sizes)
                     key = (row, col)
-                    entries[key] = entries.get(key, ZERO) + v
-    return SparseTensor((total, total), 1, entries)
+                    num[key] = num.get(key, 0) + v
+    return SparseTensor._raw((total, total), 1, num)
 
 
 def _flatten(coords, sizes):
@@ -349,7 +345,7 @@ def perm_matrix(perm) -> SparseTensor:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise InvalidInputError("permutation must be a bijection of 0..n-1")
-    return SparseTensor((n, n), 1, {(perm[i], i): 1 for i in range(n)})
+    return SparseTensor._raw((n, n), 1, {(perm[i], i): 1 for i in range(n)})
 
 
 def is_automorphism(graph: CayleyGraph, perm) -> bool:
@@ -386,8 +382,9 @@ def wreath_rep(v_list, w) -> SparseTensor:
     """The product-action matrix of (v_1, ..., v_n; w) on (C^m)^(x n).
 
     Entries are tilde-u[b, a] = sum_sigma prod_i u[b_{sigma(i)}, sigma(i); a_i, i]
-    with u[b, j; a, i] = (v_i)[b, a] * delta_{j, w(i)}.  For permutation
-    matrices v_i this is the permutation matrix of
+    with u[b, j; a, i] = (v_i)[b, a] * delta_{j, w(i)}.  Only sigma = w
+    survives the delta, so this is v_1 x .. x v_n with output slot i moved to
+    slot w(i).  For permutation matrices v_i it is the permutation matrix of
     (x_1, .., x_n) -> slot w(i) receives v_i x_i.
     """
     v_list = [v if isinstance(v, SparseTensor) else SparseTensor.from_matrix(v) for v in v_list]
@@ -402,28 +399,15 @@ def wreath_rep(v_list, w) -> SparseTensor:
     if sorted(w) != list(range(n)):
         raise InvalidInputError("w must be a permutation of 0..n-1")
     guard_dense(m ** (2 * n), "wreath representation matrix")
-    acc: dict[tuple, Cyclotomic] = {}
-    for sigma in itertools.permutations(range(n)):
-        if any(sigma[i] != w[i] for i in range(n)):
-            # delta_{sigma(i), w(i)} kills every other term
-            continue
-        # term: b_{sigma(i)} indexed by (v_i)[., a_i]
-        for choices in itertools.product(*(v.entries.items() for v in v_list)):
-            val = None
-            b = [0] * n
-            a = [0] * n
-            for i, ((bi, ai), vv) in enumerate(choices):
-                b[sigma[i]] = bi
-                a[i] = ai
-                val = vv if val is None else val * vv
-            key = tuple(b) + tuple(a)
-            acc[key] = acc.get(key, ZERO) + val
-    flat = {}
-    for key, v in acc.items():
-        row = _flatten(key[:n], [m] * n)
-        col = _flatten(key[n:], [m] * n)
-        flat[(row, col)] = v
-    return SparseTensor((m**n, m**n), 1, flat)
+    t = functools.reduce(SparseTensor.tensor, v_list)
+    dims = [m] * n
+    num = {}
+    for idx, v in t.numerators.items():
+        b = [0] * n
+        for i in range(n):
+            b[w[i]] = idx[i]
+        num[(_flatten(b, dims), _flatten(idx[n:], dims))] = v
+    return SparseTensor._raw((m**n, m**n), 1, num, t.den, t.level)
 
 
 def product_action_perm(v_perms, w, m: int):

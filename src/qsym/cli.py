@@ -3,7 +3,8 @@
 Subcommands: spectrum, fourier-check, intertwiner, partition (eval|check),
 verify.  JSON goes to stdout; diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 invalid input or exceeded size guard.  Size guards
-honor QSYM_MAX_N and QSYM_MAX_DENSE.
+honor QSYM_MAX_N, QSYM_MAX_DENSE and QSYM_MAX_SPARSE; a value that is not a
+non-negative integer is invalid input.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .functors import evaluate_partlin, functor_T
 from .groups import make_group
 from .intertwiners import EigenprojectionBasis, hat_block_intertwiner, project
 from .partitions import Partition
-from .verify import run_suite, suite_fourier_check
+from .verify import parse_params, run_suite, suite_fourier_check
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -64,8 +65,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_fourier_check(args) -> int:
     name, _, rest = args.family.partition(":")
-    params = tuple(int(x) for x in rest.replace(":", ",").split(",") if x.strip())
-    rep = suite_fourier_check(name, *params)
+    rep = suite_fourier_check(name, *parse_params(rest))
     _emit_report(rep, args.json)
     return rep.exit_code()
 
@@ -161,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spectral and diagrammatic calculus for Cayley "
         "graphs of finite abelian groups.",
         epilog="Size guards: QSYM_MAX_N (default 4096) caps group order, "
-        "QSYM_MAX_DENSE (default 10^6) caps dense enumerations.",
+        "QSYM_MAX_DENSE (default 10^6) caps dense enumerations, "
+        "QSYM_MAX_SPARSE (default 10^7) caps stored tensor nonzeros.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -7,7 +7,7 @@ explicit limits where an operation takes one.
 
 import os
 
-from .errors import SizeGuardError
+from .errors import InvalidInputError, SizeGuardError
 
 #: Largest group order accepted for dense matrix work (QSYM_MAX_N).
 DEFAULT_MAX_N = 4096
@@ -17,16 +17,30 @@ DEFAULT_MAX_DENSE = 10**6
 DEFAULT_MAX_SPARSE = 10**7
 
 
+def _cap(name, default):
+    """The non-negative integer in environment variable ``name``, or the default."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise InvalidInputError(f"{name} must be a non-negative integer, got {raw!r}")
+    return value
+
+
 def max_n():
-    return int(os.environ.get("QSYM_MAX_N", DEFAULT_MAX_N))
+    return _cap("QSYM_MAX_N", DEFAULT_MAX_N)
 
 
 def max_dense():
-    return int(os.environ.get("QSYM_MAX_DENSE", DEFAULT_MAX_DENSE))
+    return _cap("QSYM_MAX_DENSE", DEFAULT_MAX_DENSE)
 
 
 def max_sparse():
-    return int(os.environ.get("QSYM_MAX_SPARSE", DEFAULT_MAX_SPARSE))
+    return _cap("QSYM_MAX_SPARSE", DEFAULT_MAX_SPARSE)
 
 
 def guard_dense(count, what):

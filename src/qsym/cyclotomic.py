@@ -7,6 +7,11 @@ unique, so equality at a common level is plain tuple comparison.  Values at
 different levels are compared (and hashed) through a minimal-level canonical
 form computed by exact linear algebra over the subfield bases.
 
+``SparseTensor`` does not store ``Cyclotomic`` values: it keeps integer
+numerators over one shared denominator at one level and works on them with
+the integer helpers ``power_rows`` and ``recombine`` below.  A numerator at
+level L is a plain int when phi(L) = 1 and a tuple of phi(L) ints otherwise.
+
 Floating point only ever appears as a display/diagnostic channel
 (:meth:`Cyclotomic.to_complex`); all arithmetic is exact.
 """
@@ -24,6 +29,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     if m < 1:
         raise InvalidInputError(f"euler_phi needs m >= 1, got {m}")
@@ -98,6 +104,46 @@ def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
                 row[i] -= carry * poly[i]
         rows.append(tuple(row))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def power_rows(level: int, step: int, count: int) -> tuple:
+    """Numerators of zeta_level^(step*j) at ``level``, for j < count.
+
+    Row j is an int when phi(level) = 1 and a tuple of phi(level) ints
+    otherwise.  ``power_rows(L, 1, n)`` reduces a power series of length n
+    into Q(zeta_L); ``power_rows(L, L // K, phi(K))`` lifts level K into L;
+    ``power_rows(L, L - 1, phi(L))`` is complex conjugation.
+    """
+    rows = _reduction_rows(level)
+    out = tuple(rows[(step * j) % level] for j in range(count))
+    return tuple(r[0] for r in out) if euler_phi(level) == 1 else out
+
+
+def recombine(num: dict, rows) -> dict:
+    """Map every numerator v of ``num`` to sum_j v[j] * rows[j].
+
+    An int v counts as the one-term series (v,); ``rows`` comes from
+    :func:`power_rows` and fixes the target level and numerator form.
+    """
+    if isinstance(rows[0], int):
+        return {
+            k: v * rows[0] if isinstance(v, int) else sum(c * r for c, r in zip(v, rows))
+            for k, v in num.items()
+        }
+    width = len(rows[0])
+    terms = [tuple((i, r) for i, r in enumerate(row) if r) for row in rows]
+    out = {}
+    for k, v in num.items():
+        if isinstance(v, int):
+            v = (v,)
+        acc = [0] * width
+        for j, c in enumerate(v):
+            if c:
+                for i, r in terms[j]:
+                    acc[i] += c * r
+        out[k] = tuple(acc)
+    return out
 
 
 class Cyclotomic:

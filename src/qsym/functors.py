@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .config import guard_sparse
 from .errors import InvalidInputError
@@ -35,12 +35,11 @@ def functor_T(p: Partition, N: int) -> SparseTensor:
     guard_sparse(N**nb, f"functor tensor for {p} at N={N}")
     k, l = p.k, p.l
     assign = p.assign
-    entries = {}
+    num = {}
     for values in itertools.product(range(N), repeat=nb):
         point_vals = tuple(values[b] for b in assign)
-        idx = point_vals[k:] + point_vals[:k]  # outputs (lower) first
-        entries[idx] = 1
-    return SparseTensor((N,) * (l + k), l, entries)
+        num[point_vals[k:] + point_vals[:k]] = 1  # outputs (lower) first
+    return SparseTensor._raw((N,) * (l + k), l, num)
 
 
 def sign_sigma(indices) -> int:
@@ -62,22 +61,28 @@ def functor_T_deformed(p: Partition, N: int) -> SparseTensor:
         )
     base = functor_T(p, N)
     l = p.l
-    entries = {}
-    for idx, v in base.entries.items():
-        out, inn = idx[:l], idx[l:]
-        s = sign_sigma(inn) * sign_sigma(out)
-        entries[idx] = v if s == 1 else -v
-    return SparseTensor(base.shape, l, entries)
+    num = {
+        idx: sign_sigma(idx[l:]) * sign_sigma(idx[:l]) for idx in base.numerators
+    }
+    return SparseTensor._raw(base.shape, l, num)
 
 
 def evaluate_partlin(e: PartLin, N: int, deformed: bool = False) -> SparseTensor:
-    """Evaluate a formal combination at loop parameter n := N."""
+    """Evaluate a formal combination at loop parameter n := N.
+
+    Every term is summed into one numerator dict over the common
+    denominator of the coefficients."""
     e = PartLin.coerce(e)
-    out = SparseTensor.zeros((N,) * (e.l + e.k), e.l)
-    for part, coeff in e.terms.items():
+    coeffs = [(part, Fraction(coeff(N))) for part, coeff in e.terms.items()]
+    den = lcm(1, *(c.denominator for _, c in coeffs))
+    acc = {}
+    get = acc.get
+    for part, c in coeffs:
         t = functor_T_deformed(part, N) if deformed else functor_T(part, N)
-        out = out + t.scale(coeff(N))
-    return out
+        weight = c.numerator * (den // c.denominator)
+        for idx, v in t.numerators.items():
+            acc[idx] = get(idx, 0) + v * weight
+    return SparseTensor._raw((N,) * (e.l + e.k), e.l, acc, den)
 
 
 # -- fast exact zero test for (undeformed) evaluations -------------------------
@@ -172,21 +177,15 @@ def antisymmetrizer(k: int, n: int, deformed: bool = False) -> SparseTensor:
     if k < 0 or n < 1:
         raise InvalidInputError(f"antisymmetrizer needs k >= 0, n >= 1")
     if k == 0:
-        return SparseTensor((), 0, {(): 1})
+        return SparseTensor._raw((), 0, {(): 1})
     guard_sparse(comb(n, k) * factorial(k) ** 2, f"antisymmetrizer k={k}, n={n}")
-    kfact = factorial(k)
-    inv = Fraction(1, kfact)
-    entries = {}
+    num = {}
     for subset in itertools.combinations(range(n), k):
         arrangements = list(itertools.permutations(subset))
         for out in arrangements:
             for inn in arrangements:
-                if deformed:
-                    entries[out + inn] = inv
-                else:
-                    rel = _relative_sign(inn, out)
-                    entries[out + inn] = inv * rel
-    return SparseTensor((n,) * (2 * k), k, entries)
+                num[out + inn] = 1 if deformed else _relative_sign(inn, out)
+    return SparseTensor._raw((n,) * (2 * k), k, num, factorial(k))
 
 
 def _relative_sign(src, dst) -> int:
@@ -199,15 +198,13 @@ def antisym_coisometry(k: int, n: int, deformed: bool = False) -> SparseTensor:
     """W with one output leg indexed by increasing k-tuples: A = k! W* W and
     W W* = (1/k!) I, which together certify rank(A) = C(n, k)."""
     if k == 0:
-        return SparseTensor((1,), 1, {(0,): 1})
+        return SparseTensor._raw((1,), 1, {(0,): 1})
     subsets = list(itertools.combinations(range(n), k))
-    inv = Fraction(1, factorial(k))
-    entries = {}
+    num = {}
     for r, subset in enumerate(subsets):
         for arr in itertools.permutations(subset):
-            val = inv if deformed else inv * _relative_sign(arr, subset)
-            entries[(r,) + arr] = val
-    return SparseTensor((len(subsets),) + (n,) * k, 1, entries)
+            num[(r,) + arr] = 1 if deformed else _relative_sign(arr, subset)
+    return SparseTensor._raw((len(subsets),) + (n,) * k, 1, num, factorial(k))
 
 
 def permanent_direct(rows) -> Fraction:

@@ -15,11 +15,12 @@ scale factors stated explicitly where identities are asserted.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .cayley import SpectralDecomposition
 from .config import guard_sparse
-from .cyclotomic import Cyclotomic
+from .cyclotomic import power_rows, recombine
 from .errors import InvalidInputError
 from .groups import AbelianGroup, GroupElement
 from .sparse import SparseTensor
@@ -58,23 +59,27 @@ class EigenprojectionBasis:
             labels.extend(spec.items[i][1])
         return cls(spec.graph.group, labels)
 
-    def u_matrix(self) -> dict:
-        """U as {(row, alpha_index): conj(tau_mu(alpha))}."""
+    def u_tensor(self) -> SparseTensor:
+        """U with U[row, alpha_index] = conj(tau_mu(alpha)), built from the
+        character exponents: conj(tau_mu(alpha)) = zeta_M^(-e)."""
         g = self.group
-        out = {}
-        for r, mu in enumerate(self.labels):
-            for alpha in g.elements():
-                out[(r, g.index(alpha))] = g.char_value(mu, alpha).conj()
-        return out
+        M = g.exponent
+        zeta = power_rows(M, 1, M)
+        elems = list(g.elements())
+        num = {
+            (r, g.index(alpha)): zeta[-g.char_exponent(mu, alpha) % M]
+            for r, mu in enumerate(self.labels)
+            for alpha in elems
+        }
+        return SparseTensor._raw((len(self.labels), g.order), 1, num, 1, M)
 
-    def u_star_matrix(self) -> dict:
+    def u_matrix(self) -> Mapping:
+        """U as {(row, alpha_index): conj(tau_mu(alpha))}."""
+        return self.u_tensor().entries
+
+    def u_star_matrix(self) -> Mapping:
         """U* as {(alpha_index, row): tau_mu(alpha)}."""
-        g = self.group
-        out = {}
-        for r, mu in enumerate(self.labels):
-            for alpha in g.elements():
-                out[(g.index(alpha), r)] = g.char_value(mu, alpha)
-        return out
+        return self.u_tensor().adjoint().entries
 
 
 def hat_block_intertwiner(group: AbelianGroup, k: int, l: int) -> SparseTensor:
@@ -86,9 +91,10 @@ def hat_block_intertwiner(group: AbelianGroup, k: int, l: int) -> SparseTensor:
     N = g.order
     free = max(k + l - 1, 0)
     guard_sparse(N**free, f"hat block intertwiner k={k}, l={l}, N={N}")
-    value = Fraction(N) ** (1 - l)
+    # the value N^(1-l) as numerator / denominator
+    value, den = (1, N ** (l - 1)) if l >= 1 else (N, 1)
     elems = list(g.elements())
-    entries = {}
+    num = {}
     if l >= 1:
         # choose inputs and all but the last output freely
         for mus in itertools.product(elems, repeat=k):
@@ -98,22 +104,25 @@ def hat_block_intertwiner(group: AbelianGroup, k: int, l: int) -> SparseTensor:
                 idx = tuple(g.index(nu) for nu in nus) + (g.index(last),) + tuple(
                     g.index(mu) for mu in mus
                 )
-                entries[idx] = value
+                num[idx] = value
     else:
         for mus in itertools.product(elems, repeat=k):
             if g.sum(mus).is_zero():
-                entries[tuple(g.index(mu) for mu in mus)] = value
-    return SparseTensor((N,) * (l + k), l, entries)
+                num[tuple(g.index(mu) for mu in mus)] = value
+    return SparseTensor._raw((N,) * (l + k), l, num, den)
 
 
 def brute_hat_intertwiner(group: AbelianGroup, t: SparseTensor) -> SparseTensor:
     """(F^-1)^(x l) . T . F^(x k) by explicit leg-wise contraction; the
     independent oracle for the closed form.
 
-    The contraction runs in the group algebra Q[x]/(x^M - 1): every Fourier
-    coefficient is a root of unity, so multiplying by it is an index shift,
-    and the single reduction into Q(zeta_M) happens entrywise at the end.
+    The contraction runs in the group algebra Z[x]/(x^M - 1) on the integer
+    numerators of t: every Fourier coefficient is a root of unity, so
+    multiplying by it is an index shift, and the single reduction into
+    Q(zeta_M) happens entrywise at the end.
     """
+    if not t.all_rational():
+        raise InvalidInputError("brute hat intertwiner needs a rational tensor")
     g = group
     N = g.order
     M = g.exponent
@@ -121,20 +130,19 @@ def brute_hat_intertwiner(group: AbelianGroup, t: SparseTensor) -> SparseTensor:
     exp_of = [[g.char_exponent(mu, alpha) for alpha in elems] for mu in elems]
     zero = [0] * M
 
-    def encode(value: Cyclotomic):
+    cur = {}
+    for idx, v in t.numerators.items():
         vec = list(zero)
-        q = value.as_fraction()
-        vec[0] = int(q) if q.denominator == 1 else q
-        return vec
-
-    cur = {idx: encode(v) for idx, v in t.entries.items()}
+        vec[0] = v
+        cur[idx] = vec
     l, k = t.out_axes, t.in_axes
-    for leg in range(l, l + k):  # input legs: multiply by tau_mu(alpha)
+    # input legs multiply by tau_mu(alpha), output legs by conj tau_nu(beta)
+    for leg, sign in [(leg, 1) for leg in range(l, l + k)] + [(leg, -1) for leg in range(l)]:
         nxt = {}
         for idx, vec in cur.items():
             alpha = idx[leg]
             for mu in range(N):
-                e = exp_of[mu][alpha]
+                e = sign * exp_of[mu][alpha]
                 key = idx[:leg] + (mu,) + idx[leg + 1:]
                 acc = nxt.get(key)
                 if acc is None:
@@ -144,39 +152,8 @@ def brute_hat_intertwiner(group: AbelianGroup, t: SparseTensor) -> SparseTensor:
                     if c:
                         acc[(j + e) % M] += c
         cur = nxt
-    for leg in range(l):  # output legs: multiply by conj tau_nu(beta), scale 1/N
-        nxt = {}
-        for idx, vec in cur.items():
-            beta = idx[leg]
-            for nu in range(N):
-                e = exp_of[nu][beta]
-                key = idx[:leg] + (nu,) + idx[leg + 1:]
-                acc = nxt.get(key)
-                if acc is None:
-                    acc = list(zero)
-                    nxt[key] = acc
-                for j, c in enumerate(vec):
-                    if c:
-                        acc[(j - e) % M] += c
-        cur = nxt
-    scale = Fraction(1, N**l)
-    from .cyclotomic import _reduction_rows, euler_phi
-
-    rows = _reduction_rows(M)
-    phi = euler_phi(M)
-    entries = {}
-    for idx, vec in cur.items():
-        coeffs = [Fraction(0)] * phi
-        for j, c in enumerate(vec):
-            if c:
-                row = rows[j]
-                for i in range(phi):
-                    if row[i]:
-                        coeffs[i] += c * row[i]
-        val = Cyclotomic(M, [c * scale for c in coeffs])
-        if not val.is_zero():
-            entries[idx] = val
-    return SparseTensor(t.shape, t.out_axes, entries)
+    num = recombine(cur, power_rows(M, 1, M))
+    return SparseTensor._raw(t.shape, t.out_axes, num, t.den * N**l, M)
 
 
 def project(
@@ -205,9 +182,8 @@ def project(
     if t.out_axes:
         if basis_out is None:
             raise InvalidInputError("output legs present but no output basis given")
-        u = basis_out.u_matrix()  # (row, beta) -> conj tau
-        scale = Fraction(1, N)
-        u_scaled = {k: v * scale for k, v in u.items()}
+        # (row, beta) -> conj tau / N
+        u_scaled = basis_out.u_tensor().scale(Fraction(1, N)).entries
         for leg in range(t.out_axes):
             out = out.transform_out_leg(leg, u_scaled, len(basis_out))
     return out
@@ -275,7 +251,7 @@ class HammingOperators:
                     entries[
                         (self.idx(b1, j1), self.idx(b2, j2), self.idx(a1, i1), self.idx(a2, i2))
                     ] = 1
-        return SparseTensor((d,) * 4, 2, entries)
+        return SparseTensor._raw((d,) * 4, 2, entries)
 
     def merge(self) -> SparseTensor:
         """[R]^{b j}_{a1 i1, a2 i2} = [i1 = i2 = j][a1 + a2 = b mod m]."""
@@ -287,7 +263,7 @@ class HammingOperators:
             b = (a1 + a2) % m
             if b:
                 entries[(self.idx(b, i1), self.idx(a1, i1), self.idx(a2, i2))] = 1
-        return SparseTensor((d,) * 3, 1, entries)
+        return SparseTensor._raw((d,) * 3, 1, entries)
 
     def connecter(self) -> SparseTensor:
         m = self.m

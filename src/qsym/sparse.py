@@ -5,42 +5,215 @@ index tuple (output indices first, then input indices) and absent keys are
 zero.  ``shape`` lists the axis dimensions in the same order and ``out_axes``
 records how many leading axes are outputs, which fixes how composition
 contracts.  All arithmetic is exact; equality is entrywise.
+
+Storage is one layout per tensor: a level L, a denominator ``den > 0`` and
+a dict of integer numerators, so the entry at ``idx`` is
+``numerators[idx] / den`` in Q(zeta_L).  A numerator is a plain int when L = 1
+and a tuple of phi(L) power-basis coefficients otherwise.  Every operation
+leaves the layout normalised: no zero numerators, gcd(den, numerators) = 1,
+and L = 1 whenever every entry is rational.  Power-basis coordinates are
+unique at a fixed level, so two normalised tensors at the same level are
+equal exactly when their denominators and numerator dicts are.
+``Cyclotomic`` values appear only at the boundary: ``__getitem__``,
+``entries``, ``trace`` and JSON.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm, prod
+from types import MappingProxyType
 
 from .config import guard_sparse
-from .cyclotomic import Cyclotomic, cyc
+from .cyclotomic import ZERO, Cyclotomic, euler_phi, power_rows, recombine
 from .errors import InvalidInputError
 
 
-def _value(x) -> Cyclotomic:
-    return x if isinstance(x, Cyclotomic) else cyc(x)
+class _Layout:
+    """Normalised (level, den, numerators), handed to ``SparseTensor``
+    without the index checks of public construction."""
+
+    __slots__ = ("level", "den", "num")
+
+    def __init__(self, level: int, den: int, num: dict):
+        self.level, self.den, self.num = _normalise(level, den, num)
+
+    def __len__(self):
+        return len(self.num)
+
+
+def _normalise(level: int, den: int, num: dict):
+    """Drop zeros, collapse all-rational numerators to level 1, and divide
+    out gcd(den, numerators); ``num`` is modified in place."""
+    if euler_phi(level) == 1:
+        level = 1
+    if level == 1:
+        dead = [k for k, v in num.items() if not v]
+    else:
+        dead = [k for k, v in num.items() if not any(v)]
+    for k in dead:
+        del num[k]
+    if level > 1 and not any(any(v[1:]) for v in num.values()):
+        level, num = 1, {k: v[0] for k, v in num.items()}
+    if not num:
+        return 1, 1, num
+    if den != 1:
+        g = den
+        for v in num.values():
+            g = gcd(g, v) if level == 1 else gcd(g, *v)
+            if g == 1:
+                break
+        if g != 1:
+            den //= g
+            if level == 1:
+                num = {k: v // g for k, v in num.items()}
+            else:
+                num = {k: tuple(c // g for c in v) for k, v in num.items()}
+    return level, den, num
+
+
+def _scalar_parts(x):
+    """(level, coefficients) of an int, Fraction or Cyclotomic."""
+    if isinstance(x, Cyclotomic):
+        return x.level, x.coeffs
+    if isinstance(x, (int, Fraction)):
+        return 1, (x,)
+    raise TypeError(f"cannot coerce {type(x).__name__} to Cyclotomic")
+
+
+def _layout_of_values(values: dict) -> _Layout:
+    """The layout of {key: int | Fraction | Cyclotomic}."""
+    parts = {k: _scalar_parts(v) for k, v in values.items()}
+    level = lcm(1, *(lv for lv, _ in parts.values()))
+    den = lcm(1, *(c.denominator for _, cs in parts.values() for c in cs))
+    by_level = {}
+    for k, (lv, cs) in parts.items():
+        ints = tuple(c.numerator * (den // c.denominator) for c in cs)
+        by_level.setdefault(lv, {})[k] = ints[0] if lv == 1 else ints
+    num = {}
+    for lv, group in by_level.items():
+        num.update(_lift(group, lv, level))
+    return _Layout(level, den, num)
+
+
+def _lift(num: dict, src: int, dst: int) -> dict:
+    """Numerators at level ``src`` re-expressed at ``dst``, a multiple of src."""
+    if src == dst:
+        return num
+    return recombine(num, power_rows(dst, dst // src, euler_phi(src)))
+
+
+def _operands(a: "SparseTensor", b: "SparseTensor"):
+    """(level, na, nb) for a product of a and b: an irrational side is lifted
+    to the common level, a rational side keeps its int numerators."""
+    level = lcm(a.level, b.level)
+    na = a._num if a.level == 1 else _lift(a._num, a.level, level)
+    nb = b._num if b.level == 1 else _lift(b._num, b.level, level)
+    return level, na, nb
+
+
+def _products(pairs, level: int, rat_a: bool, rat_b: bool) -> dict:
+    """Sum the products v * w over ``pairs`` of (key, v, w) into
+    {key: numerator at level}; ``rat_a``/``rat_b`` say whether the v/w are
+    ints (rational) or power-basis tuples.  Products of two tuples are summed
+    as unreduced convolutions and reduced once per key."""
+    acc = {}
+    get = acc.get
+    if rat_a and rat_b:
+        for key, v, w in pairs:
+            acc[key] = get(key, 0) + v * w
+        return acc
+    if rat_a or rat_b:
+        for key, v, w in pairs:
+            if rat_a:
+                v, w = w, v
+            s = get(key)
+            if s is None:
+                acc[key] = [c * w for c in v]
+            else:
+                for i, c in enumerate(v):
+                    if c:
+                        s[i] += c * w
+        return {k: tuple(s) for k, s in acc.items()}
+    phi = euler_phi(level)
+    width = 2 * phi - 1
+    for key, v, w in pairs:
+        s = get(key)
+        if s is None:
+            s = acc[key] = [0] * width
+        for i, x in enumerate(v):
+            if x:
+                for j, y in enumerate(w):
+                    if y:
+                        s[i + j] += x * y
+    return recombine(acc, power_rows(level, 1, width))
+
+
+class _Entries(Mapping):
+    """Read-only {index: Cyclotomic} view of a tensor.  ``len``, ``in`` and
+    key iteration read the index set only; values are boxed on access and
+    never kept."""
+
+    __slots__ = ("_t",)
+
+    def __init__(self, t: "SparseTensor"):
+        self._t = t
+
+    def __len__(self):
+        return len(self._t._num)
+
+    def __iter__(self):
+        return iter(self._t._num)
+
+    def __contains__(self, idx):
+        return idx in self._t._num
+
+    def __getitem__(self, idx):
+        return self._t._box(self._t._num[idx])
+
+    def __repr__(self):
+        return f"<entries of {self._t!r}>"
 
 
 class SparseTensor:
-    __slots__ = ("shape", "out_axes", "entries")
+    __slots__ = ("shape", "out_axes", "level", "den", "_num")
 
     def __init__(self, shape, out_axes: int, entries=None):
-        shape = tuple(int(d) for d in shape)
+        if isinstance(entries, _Layout):
+            shape = tuple(shape)
+            layout = entries
+        else:
+            shape = tuple(int(d) for d in shape)
+            entries = entries or {}
+            nd = len(shape)
+            values = {}
+            for idx, val in entries.items():
+                idx = tuple(idx)
+                if len(idx) != nd:
+                    raise InvalidInputError(f"index {idx} out of bounds for shape {shape}")
+                for i, d in zip(idx, shape):
+                    if not 0 <= i < d:
+                        raise InvalidInputError(
+                            f"index {idx} out of bounds for shape {shape}"
+                        )
+                values[idx] = val
+            layout = _layout_of_values(values)
         if not 0 <= out_axes <= len(shape):
             raise InvalidInputError(f"out_axes {out_axes} out of range for {shape}")
-        store = {}
-        for idx, val in (entries or {}).items():
-            idx = tuple(idx)
-            if len(idx) != len(shape) or any(
-                not 0 <= i < d for i, d in zip(idx, shape)
-            ):
-                raise InvalidInputError(f"index {idx} out of bounds for shape {shape}")
-            val = _value(val)
-            if not val.is_zero():
-                store[idx] = val
-        guard_sparse(len(store), "tensor construction")
+        guard_sparse(len(layout.num), "tensor construction")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "out_axes", out_axes)
-        object.__setattr__(self, "entries", store)
+        object.__setattr__(self, "level", layout.level)
+        object.__setattr__(self, "den", layout.den)
+        object.__setattr__(self, "_num", layout.num)
+
+    @classmethod
+    def _raw(cls, shape, out_axes: int, num: dict, den: int = 1, level: int = 1):
+        """Trusted construction from numerators (taken over and normalised);
+        indices are not checked."""
+        return cls(shape, out_axes, _Layout(level, den, num))
 
     def __setattr__(self, *a):
         raise AttributeError("SparseTensor instances are immutable")
@@ -59,16 +232,31 @@ class SparseTensor:
     def in_shape(self):
         return self.shape[self.out_axes:]
 
+    @property
+    def numerators(self):
+        """Read-only {index: int | tuple of phi(level) ints}; the entry is the
+        numerator over ``den`` in Q(zeta_level)."""
+        return MappingProxyType(self._num)
+
+    @property
+    def entries(self) -> Mapping:
+        """Read-only {index: Cyclotomic} view of the nonzero entries."""
+        return _Entries(self)
+
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self._num)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._num
+
+    def _box(self, v) -> Cyclotomic:
+        if self.level == 1:
+            return Cyclotomic(1, (Fraction(v, self.den),))
+        return Cyclotomic(self.level, [Fraction(c, self.den) for c in v])
 
     def __getitem__(self, idx):
-        from .cyclotomic import ZERO
-
-        return self.entries.get(tuple(idx), ZERO)
+        v = self._num.get(tuple(idx))
+        return ZERO if v is None else self._box(v)
 
     # -- constructors ----------------------------------------------------------------
 
@@ -80,17 +268,8 @@ class SparseTensor:
     def identity(cls, dims) -> "SparseTensor":
         """Identity operator on a tensor product of legs with the given dims."""
         dims = tuple(dims)
-        entries = {}
-
-        def rec(prefix):
-            if len(prefix) == len(dims):
-                entries[tuple(prefix) + tuple(prefix)] = 1
-                return
-            for i in range(dims[len(prefix)]):
-                rec(prefix + [i])
-
-        rec([])
-        return cls(dims + dims, len(dims), entries)
+        num = {p + p: 1 for p in itertools.product(*(range(d) for d in dims))}
+        return cls._raw(dims + dims, len(dims), num)
 
     @classmethod
     def from_matrix(cls, rows) -> "SparseTensor":
@@ -102,9 +281,7 @@ class SparseTensor:
             if len(row) != nc:
                 raise InvalidInputError("ragged matrix")
             for j, v in enumerate(row):
-                v = _value(v)
-                if not v.is_zero():
-                    entries[(i, j)] = v
+                entries[(i, j)] = v
         return cls((nr, nc), 1, entries)
 
     # -- linear operations --------------------------------------------------------------
@@ -118,27 +295,44 @@ class SparseTensor:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        entries = dict(self.entries)
-        for idx, v in other.entries.items():
-            s = entries.get(idx)
-            entries[idx] = v if s is None else s + v
-        return SparseTensor(self.shape, self.out_axes, entries)
+        guard_sparse(min(self.nnz() + other.nnz(), prod(self.shape)), "tensor sum")
+        level = lcm(self.level, other.level)
+        a, b = _lift(self._num, self.level, level), _lift(other._num, other.level, level)
+        den = lcm(self.den, other.den)
+        ma, mb = den // self.den, den // other.den
+        if level == 1:
+            acc = {k: v * ma for k, v in a.items()}
+            get = acc.get
+            for k, w in b.items():
+                acc[k] = get(k, 0) + w * mb
+        else:
+            acc = {k: tuple(c * ma for c in v) for k, v in a.items()}
+            for k, w in b.items():
+                s = acc.get(k)
+                acc[k] = (tuple(c * mb for c in w) if s is None
+                          else tuple(x + y * mb for x, y in zip(s, w)))
+        return SparseTensor._raw(self.shape, self.out_axes, acc, den, level)
 
     def __neg__(self):
-        return SparseTensor(
-            self.shape, self.out_axes, {i: -v for i, v in self.entries.items()}
-        )
+        if self.level == 1:
+            num = {k: -v for k, v in self._num.items()}
+        else:
+            num = {k: tuple(-c for c in v) for k, v in self._num.items()}
+        return SparseTensor._raw(self.shape, self.out_axes, num, self.den, self.level)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, factor) -> "SparseTensor":
-        factor = _value(factor)
-        if factor.is_zero():
+        f = _layout_of_values({(): factor})
+        if not f.num:
             return SparseTensor.zeros(self.shape, self.out_axes)
-        return SparseTensor(
-            self.shape, self.out_axes, {i: v * factor for i, v in self.entries.items()}
-        )
+        level = lcm(self.level, f.level)
+        a = self._num if self.level == 1 else _lift(self._num, self.level, level)
+        w = f.num[()] if f.level == 1 else _lift(f.num, f.level, level)[()]
+        num = _products(((k, v, w) for k, v in a.items()), level,
+                        self.level == 1, f.level == 1)
+        return SparseTensor._raw(self.shape, self.out_axes, num, self.den * f.den, level)
 
     __mul__ = scale
     __rmul__ = scale
@@ -152,24 +346,25 @@ class SparseTensor:
                 f"cannot compose: input shape {self.in_shape} vs "
                 f"output shape {other.out_shape}"
             )
-        k = self.out_axes
-        by_mid = {}
-        for idx, v in other.entries.items():
-            mid = idx[: other.out_axes]
-            by_mid.setdefault(mid, []).append((idx[other.out_axes:], v))
-        acc = {}
-        for idx, v in self.entries.items():
-            mid = idx[k:]
-            hits = by_mid.get(mid)
-            if not hits:
-                continue
-            out = idx[:k]
-            for tail, w in hits:
-                key = out + tail
-                prod = v * w
-                s = acc.get(key)
-                acc[key] = prod if s is None else s + prod
-        return SparseTensor(self.out_shape + other.in_shape, k, acc)
+        level, a, b = _operands(self, other)
+        k, ko = self.out_axes, other.out_axes
+        left, right = {}, {}
+        for idx, v in a.items():
+            left.setdefault(idx[k:], []).append((idx[:k], v))
+        for idx, w in b.items():
+            right.setdefault(idx[:ko], []).append((idx[ko:], w))
+        joined = [(outs, right[mid]) for mid, outs in left.items() if mid in right]
+        shape = self.out_shape + other.in_shape
+        products = sum(len(outs) * len(tails) for outs, tails in joined)
+        guard_sparse(min(products, prod(shape)), "composition")
+        pairs = (
+            (out + tail, v, w)
+            for outs, tails in joined
+            for out, v in outs
+            for tail, w in tails
+        )
+        num = _products(pairs, level, self.level == 1, other.level == 1)
+        return SparseTensor._raw(shape, k, num, self.den * other.den, level)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -177,84 +372,92 @@ class SparseTensor:
     def tensor(self, other: "SparseTensor") -> "SparseTensor":
         """Horizontal juxtaposition: outputs then outputs, inputs then inputs."""
         guard_sparse(self.nnz() * other.nnz(), "tensor product")
+        level, a, b = _operands(self, other)
         k1, k2 = self.out_axes, other.out_axes
-        entries = {}
-        for i1, v1 in self.entries.items():
-            o1, in1 = i1[:k1], i1[k1:]
-            for i2, v2 in other.entries.items():
-                o2, in2 = i2[:k2], i2[k2:]
-                entries[o1 + o2 + in1 + in2] = v1 * v2
-        return SparseTensor(
+        right = [(i2[:k2], i2[k2:], w) for i2, w in b.items()]
+        pairs = (
+            (i1[:k1] + o2 + i1[k1:] + in2, v, w)
+            for i1, v in a.items()
+            for o2, in2, w in right
+        )
+        num = _products(pairs, level, self.level == 1, other.level == 1)
+        return SparseTensor._raw(
             self.out_shape + other.out_shape + self.in_shape + other.in_shape,
-            k1 + k2,
-            entries,
+            k1 + k2, num, self.den * other.den, level,
         )
 
     def adjoint(self) -> "SparseTensor":
         """Conjugate transpose: swap leg roles and conjugate entries."""
-        k = self.out_axes
-        entries = {
-            idx[k:] + idx[:k]: v.conj() for idx, v in self.entries.items()
-        }
-        return SparseTensor(self.in_shape + self.out_shape, self.in_axes, entries)
+        k, level = self.out_axes, self.level
+        num = self._num
+        if level > 1:
+            num = recombine(num, power_rows(level, level - 1, euler_phi(level)))
+        num = {idx[k:] + idx[:k]: v for idx, v in num.items()}
+        return SparseTensor._raw(self.in_shape + self.out_shape, self.in_axes, num,
+                                 self.den, level)
 
-    def transform_in_leg(self, leg: int, matrix: dict, new_dim: int) -> "SparseTensor":
+    def _transform_leg(self, axis: int, matrix, new_dim: int, key_pos: int):
+        """new[.., x ,..] = sum_y old[.., y ,..] * m(y, x), where the matrix
+        key holds x at ``key_pos`` and y at the other position."""
+        m = matrix._t if isinstance(matrix, _Entries) else _matrix_tensor(matrix)
+        if len(m.shape) != 2:
+            raise InvalidInputError("a leg transform needs a two-index matrix")
+        level, a, mnum = _operands(self, m)
+        fan = {}
+        for key, w in mnum.items():
+            x, y = key[key_pos], key[1 - key_pos]
+            if not 0 <= x < new_dim:
+                raise InvalidInputError(f"matrix index {x} out of range for dim {new_dim}")
+            fan.setdefault(y, []).append((x, w))
+        shape = self.shape[:axis] + (new_dim,) + self.shape[axis + 1:]
+        products = sum(len(fan.get(idx[axis], ())) for idx in a)
+        guard_sparse(min(products, prod(shape)), "leg transform")
+        pairs = (
+            (idx[:axis] + (x,) + idx[axis + 1:], v, w)
+            for idx, v in a.items()
+            for x, w in fan.get(idx[axis], ())
+        )
+        num = _products(pairs, level, self.level == 1, m.level == 1)
+        return SparseTensor._raw(shape, self.out_axes, num, self.den * m.den, level)
+
+    def transform_in_leg(self, leg: int, matrix, new_dim: int) -> "SparseTensor":
         """Substitute input leg ``leg`` (0-based among inputs) through
         ``matrix``: new[.., mu ,..] = sum_alpha old[.., alpha ,..] * matrix[alpha, mu]."""
-        axis = self.out_axes + leg
-        cols = {}
-        for (a, m), v in matrix.items():
-            cols.setdefault(a, []).append((m, _value(v)))
-        acc = {}
-        for idx, v in self.entries.items():
-            for m, w in cols.get(idx[axis], ()):
-                key = idx[:axis] + (m,) + idx[axis + 1:]
-                prod = v * w
-                s = acc.get(key)
-                acc[key] = prod if s is None else s + prod
-        shape = list(self.shape)
-        shape[axis] = new_dim
-        return SparseTensor(shape, self.out_axes, acc)
+        return self._transform_leg(self.out_axes + leg, matrix, new_dim, 1)
 
-    def transform_out_leg(self, leg: int, matrix: dict, new_dim: int) -> "SparseTensor":
+    def transform_out_leg(self, leg: int, matrix, new_dim: int) -> "SparseTensor":
         """Substitute output leg ``leg``: new[.., nu ,..] = sum_beta
         matrix[nu, beta] * old[.., beta ,..]."""
-        axis = leg
-        rows = {}
-        for (n, b), v in matrix.items():
-            rows.setdefault(b, []).append((n, _value(v)))
-        acc = {}
-        for idx, v in self.entries.items():
-            for n, w in rows.get(idx[axis], ()):
-                key = idx[:axis] + (n,) + idx[axis + 1:]
-                prod = v * w
-                s = acc.get(key)
-                acc[key] = prod if s is None else s + prod
-        shape = list(self.shape)
-        shape[axis] = new_dim
-        return SparseTensor(shape, self.out_axes, acc)
+        return self._transform_leg(leg, matrix, new_dim, 0)
 
     def trace(self) -> Cyclotomic:
         """Sum of diagonal entries (square operator only)."""
         if self.out_shape != self.in_shape:
             raise InvalidInputError("trace needs matching input/output shapes")
-        from .cyclotomic import ZERO
-
-        total = ZERO
-        for idx, v in self.entries.items():
-            if idx[: self.out_axes] == idx[self.out_axes:]:
-                total = total + v
-        return total
+        k = self.out_axes
+        diag = [v for idx, v in self._num.items() if idx[:k] == idx[k:]]
+        if not diag:
+            return ZERO
+        if self.level == 1:
+            return self._box(sum(diag))
+        return self._box([sum(cs) for cs in zip(*diag)])
 
     # -- comparison and export -------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, SparseTensor):
             return NotImplemented
-        return (
-            self.shape == other.shape
-            and self.out_axes == other.out_axes
-            and self.entries == other.entries
+        if self.shape != other.shape or self.out_axes != other.out_axes:
+            return False
+        if self.level == other.level:
+            return self.den == other.den and self._num == other._num
+        level = lcm(self.level, other.level)
+        a, b = _lift(self._num, self.level, level), _lift(other._num, other.level, level)
+        if a.keys() != b.keys():
+            return False
+        da, db = self.den, other.den
+        return all(
+            all(x * db == y * da for x, y in zip(v, b[k])) for k, v in a.items()
         )
 
     def __hash__(self):
@@ -271,8 +474,8 @@ class SparseTensor:
             "shape": list(self.shape),
             "out_axes": self.out_axes,
             "entries": [
-                {"idx": list(idx), "value": self.entries[idx].to_json()}
-                for idx in sorted(self.entries)
+                {"idx": list(idx), "value": self._box(self._num[idx]).to_json()}
+                for idx in sorted(self._num)
             ],
         }
 
@@ -288,7 +491,19 @@ class SparseTensor:
         )
 
     def all_rational(self) -> bool:
-        return all(v.is_rational() for v in self.entries.values())
+        return self.level == 1
 
     def rational_entries(self) -> dict[tuple, Fraction]:
-        return {i: v.as_fraction() for i, v in self.entries.items()}
+        if self.level != 1:
+            raise InvalidInputError(f"tensor of level {self.level} is not rational")
+        return {i: Fraction(v, self.den) for i, v in self._num.items()}
+
+
+def _matrix_tensor(matrix) -> SparseTensor:
+    """A {(x, y): scalar} dict as a two-axis tensor (negative keys rejected)."""
+    keys = list(matrix)
+    shape = (
+        1 + max((key[0] for key in keys), default=0),
+        1 + max((key[1] for key in keys), default=0),
+    )
+    return SparseTensor(shape, 1, matrix)

@@ -584,51 +584,65 @@ def suite_fourier_check(name: str, *params) -> VerificationReport:
 
 # -- suite selection ---------------------------------------------------------------------
 
+def parse_params(text: str) -> tuple[int, ...]:
+    """Integer parameters separated by ',' or ':', e.g. '2,3' -> (2, 3)."""
+    try:
+        return tuple(int(x) for x in text.replace(":", ",").split(",") if x.strip())
+    except ValueError:
+        raise InvalidInputError(f"parameters must be integers, got {text!r}") from None
+
+
+def _suite_all() -> VerificationReport:
+    total = VerificationReport("all")
+    for sub in (
+        suite_hypercube(3),
+        suite_hypercube(6),
+        suite_halved(4),
+        suite_halved(5),
+        suite_folded(4),
+        suite_hamming(2, 3),
+        suite_complete(4),
+        suite_eqthat(),
+        suite_functoriality(),
+        suite_wreath(2, 3),
+        suite_eigenspace_invariance(),
+        suite_antisymmetrizers(),
+        lemma_suite(),
+    ):
+        total.extend(sub)
+    return total
+
+
+# suite name -> (suite function name, number of parameters it takes); the
+# function is looked up when the suite runs, so wrappers installed on this
+# module's functions apply
+_SUITES = {
+    "all": ("_suite_all", 0),
+    "lemmas": ("lemma_suite", 0),
+    "hypercube": ("suite_hypercube", 1),
+    "halved": ("suite_halved", 1),
+    "folded": ("suite_folded", 1),
+    "hamming": ("suite_hamming", 2),
+    "complete": ("suite_complete", 1),
+    "wreath": ("suite_wreath", 2),
+    "eqthat": ("suite_eqthat", 0),
+    "functoriality": ("suite_functoriality", 0),
+    "eigenspace": ("suite_eigenspace_invariance", 0),
+    "antisym": ("suite_antisymmetrizers", 0),
+}
+
+
 def run_suite(spec_str: str) -> VerificationReport:
     """Resolve a suite name like 'all', 'lemmas', 'hypercube:3', or
     'hamming:2,3' to its report."""
     name, _, rest = spec_str.partition(":")
     name = name.strip().lower()
-    params = tuple(int(x) for x in rest.replace(":", ",").split(",") if x.strip())
-    if name == "all":
-        total = VerificationReport("all")
-        for sub in (
-            suite_hypercube(3),
-            suite_hypercube(6),
-            suite_halved(4),
-            suite_halved(5),
-            suite_folded(4),
-            suite_hamming(2, 3),
-            suite_complete(4),
-            suite_eqthat(),
-            suite_functoriality(),
-            suite_wreath(2, 3),
-            suite_eigenspace_invariance(),
-            suite_antisymmetrizers(),
-            lemma_suite(),
-        ):
-            total.extend(sub)
-        return total
-    if name == "lemmas":
-        return lemma_suite()
-    if name == "hypercube":
-        return suite_hypercube(*params)
-    if name == "halved":
-        return suite_halved(*params)
-    if name == "folded":
-        return suite_folded(*params)
-    if name == "hamming":
-        return suite_hamming(*params)
-    if name == "complete":
-        return suite_complete(*params)
-    if name == "wreath":
-        return suite_wreath(*params)
-    if name == "eqthat":
-        return suite_eqthat()
-    if name == "functoriality":
-        return suite_functoriality()
-    if name == "eigenspace":
-        return suite_eigenspace_invariance()
-    if name == "antisym":
-        return suite_antisymmetrizers()
-    raise InvalidInputError(f"unknown suite {spec_str!r}")
+    params = parse_params(rest)
+    if name not in _SUITES:
+        raise InvalidInputError(f"unknown suite {spec_str!r}")
+    suite, arity = _SUITES[name]
+    if len(params) != arity:
+        raise InvalidInputError(
+            f"suite {name!r} needs {arity} parameter(s), got {len(params)}"
+        )
+    return globals()[suite](*params)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qsym.cli import main
 
 
@@ -189,3 +191,27 @@ def test_size_guard_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "spectrum", "--family", "hypercube:3")
     assert code == 2
     assert "QSYM_MAX_N" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+def test_malformed_size_guard_env_exit_code(capsys, monkeypatch, value):
+    monkeypatch.setenv("QSYM_MAX_N", value)
+    code, _, err = run_cli(capsys, "spectrum", "--family", "hypercube:3")
+    assert code == 2
+    assert "QSYM_MAX_N must be a non-negative integer" in err
+
+
+@pytest.mark.parametrize("suite", ["hypercube", "hamming:2", "hypercube:3,4",
+                                   "eqthat:3", "halved:x"])
+def test_verify_wrong_parameters_exit_code(capsys, suite):
+    code, _, err = run_cli(capsys, "verify", suite)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_help_names_every_size_guard(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    for var in ("QSYM_MAX_N", "QSYM_MAX_DENSE", "QSYM_MAX_SPARSE"):
+        assert var in out
