@@ -2,7 +2,8 @@
 
 Subcommands: spectrum, fourier-check, intertwiner, partition (eval|check),
 verify.  JSON goes to stdout; diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 invalid input or exceeded size guard.  Size guards
+1 verification failure, 2 invalid input or exceeded size guard, 3 internal
+error (an unexpected exception, reported in one line).  Size guards
 honor QSYM_MAX_N, QSYM_MAX_DENSE and QSYM_MAX_SPARSE; a value that is not a
 non-negative integer is invalid input.
 """
@@ -20,7 +21,7 @@ from .cayley import (
     spectrum,
 )
 from .dsl import eval_text, load_fixture_file
-from .errors import InvalidInputError, ParseError, QsymError, SizeGuardError
+from .errors import InvalidInputError, QsymError
 from .functors import evaluate_partlin, functor_T
 from .groups import make_group
 from .intertwiners import EigenprojectionBasis, hat_block_intertwiner, project
@@ -30,6 +31,7 @@ from .verify import parse_params, run_suite, suite_fourier_check
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _graph_from_args(args):
@@ -222,15 +224,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, ParseError, SizeGuardError) as exc:
+    except (QsymError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except QsymError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    except Exception as exc:  # a bug, not a verdict: keep it apart from exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

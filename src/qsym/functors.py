@@ -60,11 +60,34 @@ def functor_T_deformed(p: Partition, N: int) -> SparseTensor:
             f"deformed functor needs even block sizes, got {p}"
         )
     base = functor_T(p, N)
-    l = p.l
-    num = {
-        idx: sign_sigma(idx[l:]) * sign_sigma(idx[:l]) for idx in base.numerators
-    }
-    return SparseTensor._raw(base.shape, l, num)
+    pairs = _odd_block_pairs(p)
+    num = {}
+    for idx in base.numerators:
+        s = 1
+        for x, y in pairs:
+            if idx[x] > idx[y]:
+                s = -s
+        num[idx] = s
+    return SparseTensor._raw(base.shape, p.l, num)
+
+
+def _odd_block_pairs(p: Partition) -> list[tuple[int, int]]:
+    """Index positions (x, y) of the ordered block pairs (B, C) that have an
+    odd number of point pairs in one row with B's point left of C's.
+
+    Points of one block carry one value and ties are no inversions, so the
+    sign sigma_i sigma_j of an index of T_p is -1 to the number of these
+    pairs with idx[x] > idx[y]: the O(points^2) count is done once per call.
+    """
+    position, parity, start = {}, {}, 0
+    for row in (p.assign[p.k:], p.assign[: p.k]):  # index order: lower row first
+        for i, b in enumerate(row):
+            position.setdefault(b, start + i)
+            for c in row[i + 1:]:
+                if c != b:
+                    parity[b, c] = parity.get((b, c), 0) ^ 1
+        start += len(row)
+    return [(position[b], position[c]) for (b, c), odd in parity.items() if odd]
 
 
 def evaluate_partlin(e: PartLin, N: int, deformed: bool = False) -> SparseTensor:

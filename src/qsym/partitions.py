@@ -16,9 +16,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import InvalidInputError
-from .polyq import PolyQ, N_POLY
+from .polyq import PolyQ
 
 
 class Partition:
@@ -40,6 +41,15 @@ class Partition:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "assign", _canonical(assign))
+
+    @classmethod
+    def _raw(cls, k: int, l: int, assign: tuple) -> "Partition":
+        """Trusted construction from an assignment already in canonical form."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "assign", assign)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("Partition values are immutable")
@@ -256,54 +266,77 @@ def compose_partitions(q: Partition, p: Partition) -> tuple[Partition, int]:
     """q after p: glue p's lower row to q's upper row.
 
     Returns the composed partition in P(p.k, q.l) together with the number of
-    closed middle-row loops (components meeting neither outer row).
+    closed middle-row loops (components meeting neither outer row).  This is
+    the general route; ``compose`` relabels instead when a factor is a
+    permutation partition.
     """
     if p.l != q.k:
         raise InvalidInputError(
             f"arity mismatch: cannot compose P({q.k},{q.l}) after P({p.k},{p.l})"
         )
-    k, l, m = p.k, p.l, q.l
-    # node ids: p upper 0..k-1, middle k..k+l-1, q lower k+l..k+l+m-1
-    total = k + l + m
-    parent = list(range(total))
+    assign, loops = _glue(q.assign, p.assign, p.k, p.l, p.n_blocks)
+    return Partition._raw(p.k, q.l, assign), loops
 
-    def find(x):
+
+def _glue(qa, pa, k: int, l: int, offset: int) -> tuple[tuple, int]:
+    """Canonical assignment and loop count of q after p, from their
+    assignments, p's shape (k, l) and p's block count ``offset``.
+
+    Union-find over blocks: p's block b is node b, q's block b is node
+    offset + b, and middle point j joins p's block of lower point j to q's
+    block of upper point j.  A component that reaches no outer point is a
+    loop.
+    """
+    parent = list(range(offset + max(qa, default=-1) + 1))
+    components = len(parent)
+    for j in range(l):
+        x, y = pa[k + j], offset + qa[j]
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    first_of_block = {}
-    for pos, b in enumerate(p.assign):  # positions 0..k+l-1 map to same node ids
-        if b in first_of_block:
-            union(pos, first_of_block[b])
-        else:
-            first_of_block[b] = pos
-    first_of_block = {}
-    for pos, b in enumerate(q.assign):
-        node = k + pos  # q upper i -> k+i, q lower j -> k+l+j
-        if b in first_of_block:
-            union(node, first_of_block[b])
-        else:
-            first_of_block[b] = node
-
-    externals = list(range(k)) + list(range(k + l, total))
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            parent[x] = y
+            components -= 1
     roots = {}
     assign = []
-    for node in externals:
-        r = find(node)
-        if r not in roots:
-            roots[r] = len(roots)
-        assign.append(roots[r])
-    external_roots = set(roots)
-    middle_roots = {find(node) for node in range(k, k + l)}
-    loops = len(middle_roots - external_roots)
-    return Partition(k, m, assign), loops
+    for node in pa[:k] + tuple(offset + b for b in qa[l:]):
+        while parent[node] != node:
+            node = parent[node]
+        assign.append(roots.setdefault(node, len(roots)))
+    return tuple(assign), components - len(roots)
+
+
+def permutation_of(part: Partition):
+    """For a permutation partition (one upper and one lower point in every
+    block) the tuple sigma that joins lower point j to upper point sigma[j];
+    None for every other partition."""
+    k = part.k
+    sigma = part.assign[k:]
+    if part.l != k or part.assign[:k] != tuple(range(k)) or set(sigma) != set(range(k)):
+        return None
+    return sigma
+
+
+def _take_after(sigma, m: int) -> tuple:
+    """Points of q (shape (len(sigma), m)) that q after sigma reads: upper
+    point i is q's upper point j with sigma[j] = i, the lower row is q's."""
+    inverse = [0] * len(sigma)
+    for j, i in enumerate(sigma):
+        inverse[i] = j
+    return tuple(inverse) + tuple(range(len(sigma), len(sigma) + m))
+
+
+def _take_before(k: int, sigma) -> tuple:
+    """Points of p (shape (k, len(sigma))) that sigma after p reads: the
+    upper row is p's, lower point j is p's lower point sigma[j]."""
+    return tuple(range(k)) + tuple(k + i for i in sigma)
+
+
+def _relabel(assign, take) -> tuple:
+    """Canonical form of the assignment whose point i is ``assign[take[i]]``."""
+    remap = {}
+    return tuple([remap.setdefault(assign[t], len(remap)) for t in take])
 
 
 class PartLin:
@@ -449,21 +482,62 @@ class PartLin:
 
 
 def compose(q, p) -> PartLin:
-    """q after p, bilinearly, with a factor n per closed loop."""
+    """q after p, bilinearly, with a factor n per closed loop.
+
+    Each factor's coefficients are cleared to integers over one denominator,
+    and the products are summed per output partition and power of n before
+    one PolyQ per output is built.  A pair with a permutation factor is
+    composed by relabelling (decided once per term), any other by gluing.
+    """
     q, p = PartLin.coerce(q), PartLin.coerce(p)
     if p.l != q.k:
         raise InvalidInputError(
             f"arity mismatch: cannot compose shapes ({q.k},{q.l}) after ({p.k},{p.l})"
         )
-    terms = {}
-    for qp, qc in q.terms.items():
-        for pp, pc in p.terms.items():
-            r, loops = compose_partitions(qp, pp)
-            c = qc * pc
-            if loops:
-                c = c * N_POLY**loops
-            terms[r] = terms.get(r, PolyQ()) + c
-    return PartLin(p.k, q.l, terms)
+    k, l, m = p.k, p.l, q.l
+    q_den, q_terms = _integer_terms(q)
+    p_den, p_terms = _integer_terms(p)
+    p_rows = []
+    for part, coeff in p_terms:
+        sigma = permutation_of(part)
+        take = None if sigma is None else _take_after(sigma, m)
+        p_rows.append((part.assign, part.n_blocks, take, coeff))
+    acc = {}
+    for part, q_coeff in q_terms:
+        qa = part.assign
+        sigma = permutation_of(part)
+        q_take = None if sigma is None else _take_before(k, sigma)
+        for pa, offset, p_take, p_coeff in p_rows:
+            if p_take is not None:
+                r, loops = _relabel(qa, p_take), 0
+            elif q_take is not None:
+                r, loops = _relabel(pa, q_take), 0
+            else:
+                r, loops = _glue(qa, pa, k, l, offset)
+            sums = acc.get(r)
+            if sums is None:
+                sums = acc[r] = {}
+            for dq, x in q_coeff:
+                for dp, y in p_coeff:
+                    d = dq + dp + loops
+                    sums[d] = sums.get(d, 0) + x * y
+    den = q_den * p_den
+    return PartLin(k, m, {
+        Partition._raw(k, m, r): PolyQ(
+            [Fraction(sums.get(d, 0), den) for d in range(max(sums) + 1)])
+        for r, sums in acc.items()
+    })
+
+
+def _integer_terms(x: PartLin):
+    """(D, [(partition, [(power of n, integer coefficient)])]) with every
+    coefficient of x equal to its integers over D."""
+    den = lcm(1, *(c.denominator for coeff in x.terms.values() for c in coeff.coeffs))
+    return den, [
+        (part, [(d, c.numerator * (den // c.denominator))
+                for d, c in enumerate(coeff.coeffs) if c])
+        for part, coeff in x.terms.items()
+    ]
 
 
 def tensor(a, b) -> PartLin:

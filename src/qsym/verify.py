@@ -233,11 +233,13 @@ def _folded_v2_basis(gr: CayleyGraph):
 
 
 def _pairable(*index_pairs) -> bool:
-    counts = {}
+    """Whether every index occurs an even number of times (indices are
+    non-negative ints): the parity mask of the occurrences is zero."""
+    mask = 0
     for p in index_pairs:
         for v in p:
-            counts[v] = counts.get(v, 0) + 1
-    return all(c % 2 == 0 for c in counts.values())
+            mask ^= 1 << v
+    return mask == 0
 
 
 def _folded_fork_check(rep: VerificationReport, gr: CayleyGraph):

@@ -215,3 +215,16 @@ def test_help_names_every_size_guard(capsys):
     out = capsys.readouterr().out
     for var in ("QSYM_MAX_N", "QSYM_MAX_DENSE", "QSYM_MAX_SPARSE"):
         assert var in out
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    import qsym.cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(qsym.cli, "cmd_verify", broken)
+    code, out, err = run_cli(capsys, "verify", "lemmas")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"

@@ -68,6 +68,26 @@ def test_deformed_cup_ties():
         assert t[(j, j)] == 1
 
 
+def test_deformed_signs_match_sign_sigma():
+    """The block-pair sign equals sigma of each row, on random even-block
+    partitions."""
+    rng = random.Random(7)
+    for _ in range(40):
+        k = rng.randint(0, 4)
+        l = rng.choice([x for x in range(5) if (k + x) % 2 == 0 and k + x])
+        points = list(range(k + l))
+        rng.shuffle(points)
+        assign = [0] * (k + l)
+        for i in range(0, k + l, 2):  # pairs, some merged into blocks of 4 or 6
+            b = rng.randint(0, i // 2)
+            assign[points[i]] = assign[points[i + 1]] = b
+        p = Partition(k, l, assign)
+        t = functor_T_deformed(p, 3)
+        expected = {idx: sign_sigma(idx[l:]) * sign_sigma(idx[:l])
+                    for idx in functor_T(p, 3).numerators}
+        assert dict(t.numerators) == expected, p
+
+
 def test_deformed_rejects_odd_blocks():
     with pytest.raises(InvalidInputError):
         functor_T_deformed(Partition.merge(), 2)

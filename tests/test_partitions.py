@@ -5,19 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsym.errors import InvalidInputError
+from qsym.functors import evaluate_partlin, partlin_evaluates_to_zero
 from qsym.partitions import (
     IdentityReport,
     Partition,
     PartLin,
     antisym2,
+    antisym_row,
     antisymmetrize,
     compose,
     compose_partitions,
     make_partition,
+    permutation_of,
     two_point_swap,
     verify_identity,
 )
-from qsym.polyq import N_POLY
+from qsym.polyq import N_POLY, PolyQ
 
 
 def test_make_partition_examples():
@@ -192,7 +195,7 @@ def test_partlin_json():
 
 def random_partition(draw, k, l):
     npts = k + l
-    assign = [0]
+    assign = [0] if npts else []
     for _ in range(npts - 1):
         assign.append(draw(st.integers(0, max(assign) + 1)))
     return Partition(k, l, assign)
@@ -221,3 +224,152 @@ def test_adjoint_involution(p):
 @settings(max_examples=60, deadline=None)
 def test_tensor_associative(p, q):
     assert p.tensor(q).tensor(p) == p.tensor(q.tensor(p))
+
+
+# -- fast composition routes against their oracles -------------------------------
+#
+# ``compose`` relabels when a factor is a permutation partition and sums
+# integer coefficients; the oracles are the union-find ``compose_partitions``
+# and a term-by-term sum of PolyQ products.
+
+
+@st.composite
+def permutation_partitions(draw, k):
+    """Permutation partitions of P(k,k), which ``partitions_kl`` almost never
+    draws: lower point j is joined to upper point sigma[j]."""
+    sigma = draw(st.permutations(range(k)))
+    return Partition(k, k, tuple(range(k)) + tuple(sigma))
+
+
+def _is_permutation(p):
+    return p.k == p.l and all(
+        sum(pos < p.k for pos in b) == 1 and sum(pos >= p.k for pos in b) == 1
+        for b in p.blocks()
+    )
+
+
+def test_permutation_of_examples():
+    assert permutation_of(Partition.identity(3)) == (0, 1, 2)
+    assert permutation_of(Partition.crossing()) == (1, 0)
+    assert permutation_of(Partition.identity(0)) == ()
+    for p in (Partition.block(2, 2), Partition.cap(), Partition.parse("P(2,2){1 2 | 1' 2'}")):
+        assert permutation_of(p) is None
+
+
+@given(st.integers(0, 3).flatmap(lambda k: st.one_of(
+    partitions_kl(k, k), permutation_partitions(k))))
+@settings(max_examples=80, deadline=None)
+def test_permutation_of_detects_permutations(p):
+    sigma = permutation_of(p)
+    assert (sigma is not None) == _is_permutation(p)
+    if sigma is not None:
+        assert Partition(p.k, p.k, tuple(range(p.k)) + sigma) == p
+
+
+@st.composite
+def permutation_then_any(draw):
+    k, m = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    return draw(partitions_kl(k, m)), draw(permutation_partitions(k))
+
+
+@st.composite
+def any_then_permutation(draw):
+    k, l = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    return draw(permutation_partitions(l)), draw(partitions_kl(k, l))
+
+
+@given(st.one_of(permutation_then_any(), any_then_permutation()))
+@settings(max_examples=200, deadline=None)
+def test_relabelled_composition_matches_union_find(pair):
+    """With a permutation factor ``compose`` relabels; the partition and the
+    loop count (the power of n) match the union-find route."""
+    q, p = pair
+    r, loops = compose_partitions(q, p)
+    assert compose(q, p) == PartLin.of(r, N_POLY**loops)
+
+
+@st.composite
+def polys(draw, max_degree=2):
+    """Small PolyQ values with fractional coefficients; zero is likely, so
+    sums cancel."""
+    coeffs = draw(st.lists(
+        st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4, 6])),
+        max_size=max_degree + 1))
+    return PolyQ(coeffs)
+
+
+@st.composite
+def partlins(draw, k, l, max_terms=4):
+    """PartLins of shape (k,l) whose terms mix random and (when k == l)
+    permutation partitions."""
+    kinds = [partitions_kl(k, l)]
+    if k == l:
+        kinds.append(permutation_partitions(k))
+    terms = draw(st.lists(st.tuples(st.one_of(*kinds), polys()), max_size=max_terms))
+    out = PartLin.zero(k, l)
+    for part, coeff in terms:
+        out = out + PartLin.of(part, coeff)
+    return out
+
+
+def reference_compose(q: PartLin, p: PartLin) -> PartLin:
+    """Term-by-term PolyQ products with a factor n per loop, glued by
+    union-find."""
+    terms = {}
+    for qp, qc in q.terms.items():
+        for pp, pc in p.terms.items():
+            r, loops = compose_partitions(qp, pp)
+            terms[r] = terms.get(r, PolyQ()) + qc * pc * N_POLY**loops
+    return PartLin(p.k, q.l, terms)
+
+
+@st.composite
+def composable_partlins(draw):
+    k, l, m = draw(st.integers(0, 3)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    if draw(st.booleans()):  # square factors make permutation terms likely
+        k = m = l
+    return draw(partlins(l, m)), draw(partlins(k, l))
+
+
+@given(composable_partlins())
+@settings(max_examples=200, deadline=None)
+def test_integer_compose_matches_polyq_reference(pair):
+    q, p = pair
+    fast, slow = compose(q, p), reference_compose(q, p)
+    assert fast == slow
+    assert fast.to_json() == slow.to_json()
+    assert all(type(c) is Fraction for coeff in fast.terms.values() for c in coeff.coeffs)
+
+
+def test_compose_with_loops_and_permutations_matches_reference():
+    # two loops, a crossing on either side, and fractional weights
+    cup_cup = PartLin.of(Partition.parse("P(0,4){1' 2' | 3' 4'}"), Fraction(1, 3))
+    cap_cap = PartLin.of(Partition.parse("P(4,0){1 4 | 2 3}"), N_POLY + Fraction(1, 2))
+    swaps = antisym_row(2)
+    for q, p in [(cap_cap, cup_cup), (cap_cap, compose(swaps, cup_cup)),
+                 (compose(cap_cap, swaps), cup_cup)]:
+        assert compose(q, p) == reference_compose(q, p)
+    assert compose(cap_cap, cup_cup) == PartLin.of(
+        Partition.identity(0), (N_POLY + Fraction(1, 2)) * N_POLY * Fraction(1, 3))
+
+
+@st.composite
+def small_composable_partlins(draw):
+    k, l, m = draw(st.integers(0, 2)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    return draw(partlins(l, m, max_terms=3)), draw(partlins(k, l, max_terms=3))
+
+
+@given(small_composable_partlins(), st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_formal_tensor_and_kernel_routes_agree(pair, N, data):
+    """Formal ``compose``, composition of the functor tensors and the kernel
+    zero test give one answer at small N."""
+    q, p = pair
+    c = compose(q, p)
+    tensor = evaluate_partlin(q, N) @ evaluate_partlin(p, N)
+    assert evaluate_partlin(c, N) == tensor
+    # c with its coefficients fixed at N: formally different when c has
+    # powers of n, yet equal at N; or any other combination of the shape
+    at_N = PartLin(c.k, c.l, {part: coeff(N) for part, coeff in c.terms.items()})
+    d = data.draw(st.one_of(st.just(at_N), partlins(c.k, c.l, max_terms=3)))
+    assert partlin_evaluates_to_zero(c - d, N) == (evaluate_partlin(d, N) == tensor)
