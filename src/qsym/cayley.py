@@ -4,9 +4,12 @@ The characters of the underlying group diagonalize the adjacency matrix of any
 of its Cayley graphs: the character labelled mu is an eigenvector with exact
 eigenvalue sum_{theta in S} tau_mu(-theta).  Spectra are therefore computed by
 character sums and grouped by exact cyclotomic equality, never by floating
-point.  The Fourier matrix F (columns = characters) satisfies F F* = N I, and
-conjugation by F is available both as an exact generic routine and as an
-integer fast path for groups of exponent <= 2 (where F is a +-1 matrix).
+point.  The Fourier matrix F (columns = characters) satisfies F F* = N I.
+``fourier_transform_legs`` is the one exact kernel for transforming every leg
+of a rational tensor by F: it runs in the group algebra Z[x]/(x^M - 1) on
+integer arrays, one cyclic factor at a time.  Conjugation by F uses it for
+rational matrices, an integer +-1 fast path for groups of exponent <= 2, and
+the generic product F* Mx F / N for irrational matrices.
 """
 
 from __future__ import annotations
@@ -180,13 +183,73 @@ def fourier_matrix(group: AbelianGroup) -> SparseTensor:
     guard_dense(g.order**2, "Fourier matrix")
     M = g.exponent
     zeta = power_rows(M, 1, M)
-    elems = list(g.elements())
-    num = {
-        (g.index(alpha), g.index(mu)): zeta[g.char_exponent(mu, alpha)]
-        for mu in elems
-        for alpha in elems
-    }
+    pos = np.arange(g.order)
+    exps = g.char_exponents(pos[None, :], pos[:, None]).ravel().tolist()
+    num = dict(zip(itertools.product(range(g.order), repeat=2), (zeta[e] for e in exps)))
     return SparseTensor._raw((g.order, g.order), 1, num, 1, M)
+
+
+def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor:
+    """(F^-1)^(x l) . t . F^(x k) for a rational t with l output and k input
+    legs, each of dimension N: input legs go through F, output legs through
+    F^-1 = F* / N.
+
+    Every Fourier coefficient is a root of unity zeta_M^e, so the work runs on
+    a dense integer array over the group algebra Z[x]/(x^M - 1), where
+    multiplying by zeta_M^e shifts the last axis by e.  F is the tensor product
+    of its cyclic factors' transforms, so each leg is split into one axis per
+    factor and contracted one factor at a time, as a multidimensional DFT is,
+    through an (m, m, M, M) shift kernel.  The result is reduced into Q(zeta_M)
+    once, at the end.  The array holds int64 when a bound shows that no sum
+    can overflow, and Python ints otherwise.
+    """
+    if not t.all_rational():
+        raise InvalidInputError("Fourier transform of legs needs a rational tensor")
+    g = group
+    N, M, orders = g.order, g.exponent, g.orders
+    if any(d != N for d in t.shape):
+        raise InvalidInputError("tensor legs must all have the group order as dimension")
+    legs = len(t.shape)
+    guard_dense(N**legs * M, "group-algebra Fourier transform")
+    rows = np.array(power_rows(M, 1, M), dtype=np.int64)  # (M,), or (M, phi(M))
+    # Every coefficient of the transformed array is a signed sum of at most
+    # N^legs numerators; reduction multiplies that by at most the largest
+    # row norm of the reduction rows.
+    max_num = max(map(abs, t.numerators.values()), default=0)
+    row_norm = int(np.abs(rows.reshape(M, -1)).sum(axis=1).max())
+    dtype = np.int64 if max_num * N**legs * row_norm < 2**62 else object
+
+    arr = np.zeros((N,) * legs + (M,), dtype=dtype)
+    for idx, v in t.numerators.items():
+        arr[idx + (0,)] = v
+    arr = arr.reshape(orders * legs + (M,))  # one axis per leg and cyclic factor
+    kernels = {}
+    for leg in range(legs):
+        sign = -1 if leg < t.out_axes else 1
+        for i, m in enumerate(orders):
+            kernel = kernels.get((m, sign))
+            if kernel is None:
+                kernel = kernels[(m, sign)] = _shift_kernel(m, sign * (M // m), M, dtype)
+            ax = leg * len(orders) + i
+            arr = np.moveaxis(np.tensordot(arr, kernel, axes=([ax, -1], [0, 2])), -2, ax)
+
+    reduced = arr.reshape(N**legs, M) @ rows.astype(dtype)
+    nonzero = reduced != 0
+    if nonzero.ndim == 2:
+        nonzero = nonzero.any(axis=1)
+    idx = map(tuple, np.argwhere(nonzero.reshape((N,) * legs)).tolist())
+    values = reduced[nonzero].tolist()
+    num = dict(zip(idx, values if reduced.ndim == 1 else map(tuple, values)))
+    return SparseTensor._raw(t.shape, t.out_axes, num, t.den * N**t.out_axes, M)
+
+
+def _shift_kernel(m: int, step: int, M: int, dtype) -> np.ndarray:
+    """K[a, b, j, j'] = [j' = j + step*a*b mod M]: multiplication by
+    zeta_M^(step*a*b) on Z[x]/(x^M - 1), for every pair of digits a, b < m."""
+    a, b, j = np.ogrid[:m, :m, :M]
+    kernel = np.zeros((m, m, M, M), dtype=dtype)
+    kernel[a, b, j, (j + step * a * b) % M] = 1
+    return kernel
 
 
 def conjugate_by_fourier(group: AbelianGroup, mx: SparseTensor) -> SparseTensor:
@@ -197,8 +260,10 @@ def conjugate_by_fourier(group: AbelianGroup, mx: SparseTensor) -> SparseTensor:
         raise InvalidInputError(
             f"matrix shape {mx.shape} does not match group order {N}"
         )
-    if g.exponent <= 2 and mx.all_rational():
-        return _conjugate_hadamard_int(g, mx)
+    if mx.all_rational():
+        if g.exponent <= 2:
+            return _conjugate_hadamard_int(g, mx)
+        return fourier_transform_legs(g, mx)
     guard_dense(N**3, "generic Fourier conjugation")
     F = fourier_matrix(g)
     return (F.adjoint() @ mx @ F).scale(Fraction(1, N))

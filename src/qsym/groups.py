@@ -9,6 +9,11 @@ character labels: the character labelled mu evaluates as
 with M = lcm(m_i), so every character value is a single root of unity in
 Q(zeta_M).  The primitive-root choice gamma_i = zeta_M^(M/m_i) is fixed once
 and for all.
+
+Besides ``GroupElement`` arithmetic, a group does the same arithmetic on
+positions in its enumeration, vectorised over numpy integer arrays
+(``index_sum``, ``index_neg``, ``char_exponents``); the Fourier layer builds
+its indices and characters from those.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, prod
+
+import numpy as np
 
 from .cyclotomic import Cyclotomic
 from .errors import InvalidInputError
@@ -112,15 +119,6 @@ class AbelianGroup:
         self._check(a)
         return GroupElement(tuple((-x) % m for x, m in zip(a.coords, self.orders)))
 
-    def sub(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.add(a, self.neg(b))
-
-    def sum(self, elems) -> GroupElement:
-        total = self.zero()
-        for e in elems:
-            total = self.add(total, e)
-        return total
-
     def elements(self):
         """All N elements, lexicographic with the last coordinate fastest."""
         for coords in itertools.product(*(range(m) for m in self.orders)):
@@ -166,6 +164,44 @@ class AbelianGroup:
         e = 0
         for m, x, y in zip(self.orders, mu.coords, alpha.coords):
             e += (M // m) * x * y
+        return e % M
+
+    # -- arithmetic on positions ---------------------------------------------------
+
+    def _digits(self, idx) -> list:
+        """Coordinates of the elements at positions ``idx`` (an integer
+        array), one array per cyclic factor."""
+        idx = np.asarray(idx, dtype=np.int64)
+        digits = []
+        for m in reversed(self.orders):
+            digits.append(idx % m)
+            idx = idx // m
+        return digits[::-1]
+
+    def _position(self, digits):
+        idx = 0
+        for d, m in zip(digits, self.orders):
+            idx = idx * m + d
+        return idx
+
+    def index_sum(self, a, b):
+        """Positions of alpha + beta for arrays of positions ``a`` and ``b``
+        (broadcast together; every position must lie in 0..N-1)."""
+        return self._position(
+            [(x + y) % m for x, y, m in zip(self._digits(a), self._digits(b), self.orders)]
+        )
+
+    def index_neg(self, a):
+        """Positions of -alpha for an array of positions ``a``."""
+        return self._position([(-x) % m for x, m in zip(self._digits(a), self.orders)])
+
+    def char_exponents(self, mu, alpha):
+        """Exponents e with tau_mu(alpha) = zeta_M^e, for arrays of positions
+        ``mu`` and ``alpha`` (broadcast together)."""
+        M = self.exponent
+        e = 0
+        for m, x, y in zip(self.orders, self._digits(mu), self._digits(alpha)):
+            e = e + (M // m) * x * y
         return e % M
 
     # -- misc -------------------------------------------------------------------

@@ -14,13 +14,16 @@ scale factors stated explicitly where identities are asserted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .cayley import SpectralDecomposition
+import numpy as np
+
+from .cayley import SpectralDecomposition, fourier_transform_legs
 from .config import guard_sparse
-from .cyclotomic import power_rows, recombine
+from .cyclotomic import power_rows
 from .errors import InvalidInputError
 from .groups import AbelianGroup, GroupElement
 from .sparse import SparseTensor
@@ -65,13 +68,13 @@ class EigenprojectionBasis:
         g = self.group
         M = g.exponent
         zeta = power_rows(M, 1, M)
-        elems = list(g.elements())
-        num = {
-            (r, g.index(alpha)): zeta[-g.char_exponent(mu, alpha) % M]
-            for r, mu in enumerate(self.labels)
-            for alpha in elems
-        }
-        return SparseTensor._raw((len(self.labels), g.order), 1, num, 1, M)
+        rows = np.array([g.index(mu) for mu in self.labels], dtype=np.int64)
+        exps = g.char_exponents(rows[:, None], np.arange(g.order)[None, :])
+        num = dict(zip(
+            itertools.product(range(len(rows)), range(g.order)),
+            (zeta[-e % M] for e in exps.ravel().tolist()),
+        ))
+        return SparseTensor._raw((len(rows), g.order), 1, num, 1, M)
 
     def u_matrix(self) -> Mapping:
         """U as {(row, alpha_index): conj(tau_mu(alpha))}."""
@@ -89,71 +92,33 @@ def hat_block_intertwiner(group: AbelianGroup, k: int, l: int) -> SparseTensor:
         raise InvalidInputError(f"block intertwiner needs k+l >= 1, got ({k},{l})")
     g = group
     N = g.order
-    free = max(k + l - 1, 0)
+    free = k + l - 1
     guard_sparse(N**free, f"hat block intertwiner k={k}, l={l}, N={N}")
     # the value N^(1-l) as numerator / denominator
     value, den = (1, N ** (l - 1)) if l >= 1 else (N, 1)
-    elems = list(g.elements())
-    num = {}
+    # All legs but one run over every position; sum mu = sum nu fixes the
+    # last output leg, or the last input leg when there is no output.
+    legs = list(np.indices((N,) * free).reshape(free, N**free))
+    n_out = max(l - 1, 0)
+    zero = np.zeros(N**free, dtype=np.int64)
+    s_out = functools.reduce(g.index_sum, legs[:n_out], zero)
+    s_in = functools.reduce(g.index_sum, legs[n_out:], zero)
     if l >= 1:
-        # choose inputs and all but the last output freely
-        for mus in itertools.product(elems, repeat=k):
-            s_in = g.sum(mus)
-            for nus in itertools.product(elems, repeat=l - 1):
-                last = g.sub(s_in, g.sum(nus)) if nus else s_in
-                idx = tuple(g.index(nu) for nu in nus) + (g.index(last),) + tuple(
-                    g.index(mu) for mu in mus
-                )
-                num[idx] = value
+        legs.insert(n_out, g.index_sum(s_in, g.index_neg(s_out)))
     else:
-        for mus in itertools.product(elems, repeat=k):
-            if g.sum(mus).is_zero():
-                num[tuple(g.index(mu) for mu in mus)] = value
+        legs.append(g.index_neg(s_in))
+    num = dict.fromkeys(map(tuple, np.stack(legs, axis=1).tolist()), value)
     return SparseTensor._raw((N,) * (l + k), l, num, den)
 
 
 def brute_hat_intertwiner(group: AbelianGroup, t: SparseTensor) -> SparseTensor:
     """(F^-1)^(x l) . T . F^(x k) by explicit leg-wise contraction; the
-    independent oracle for the closed form.
-
-    The contraction runs in the group algebra Z[x]/(x^M - 1) on the integer
-    numerators of t: every Fourier coefficient is a root of unity, so
-    multiplying by it is an index shift, and the single reduction into
-    Q(zeta_M) happens entrywise at the end.
-    """
+    independent oracle for the closed form.  The contraction is
+    :func:`qsym.cayley.fourier_transform_legs`, the exact group-algebra
+    kernel that conjugation by F also uses for rational matrices."""
     if not t.all_rational():
         raise InvalidInputError("brute hat intertwiner needs a rational tensor")
-    g = group
-    N = g.order
-    M = g.exponent
-    elems = list(g.elements())
-    exp_of = [[g.char_exponent(mu, alpha) for alpha in elems] for mu in elems]
-    zero = [0] * M
-
-    cur = {}
-    for idx, v in t.numerators.items():
-        vec = list(zero)
-        vec[0] = v
-        cur[idx] = vec
-    l, k = t.out_axes, t.in_axes
-    # input legs multiply by tau_mu(alpha), output legs by conj tau_nu(beta)
-    for leg, sign in [(leg, 1) for leg in range(l, l + k)] + [(leg, -1) for leg in range(l)]:
-        nxt = {}
-        for idx, vec in cur.items():
-            alpha = idx[leg]
-            for mu in range(N):
-                e = sign * exp_of[mu][alpha]
-                key = idx[:leg] + (mu,) + idx[leg + 1:]
-                acc = nxt.get(key)
-                if acc is None:
-                    acc = list(zero)
-                    nxt[key] = acc
-                for j, c in enumerate(vec):
-                    if c:
-                        acc[(j + e) % M] += c
-        cur = nxt
-    num = recombine(cur, power_rows(M, 1, M))
-    return SparseTensor._raw(t.shape, t.out_axes, num, t.den * N**l, M)
+    return fourier_transform_legs(group, t)
 
 
 def project(

@@ -18,6 +18,8 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from .cayley import (
     CayleyGraph,
     cartesian_adjacency,
@@ -31,6 +33,7 @@ from .cayley import (
     translation_perm,
     wreath_rep,
 )
+from .cyclotomic import power_rows
 from .errors import InvalidInputError
 from .functors import (
     antisym_coisometry,
@@ -99,11 +102,14 @@ def _check_eigenbasis(rep: VerificationReport, gr: CayleyGraph, sample=32):
         subject = f"A tau_mu = lambda_mu tau_mu on {sample} sampled labels"
     else:
         subject = "A tau_mu = lambda_mu tau_mu for every label"
+    M = g.exponent
+    zeta = power_rows(M, 1, M)
+    positions = np.arange(g.order)
     ok = True
     for mu in labels:
-        col = SparseTensor(
-            (g.order,), 1,
-            {(g.index(al),): g.char_value(mu, al) for al in g.elements()},
+        exps = g.char_exponents(g.index(mu), positions).tolist()
+        col = SparseTensor._raw(
+            (g.order,), 1, {(al,): zeta[e] for al, e in enumerate(exps)}, 1, M
         )
         if a @ col != col.scale(eigenvalue(g, gr.gens, mu)):
             ok = False

@@ -177,13 +177,21 @@ def test_conjugation_diagonalizes(orders, name, args):
 
 
 def test_fast_and_generic_conjugation_agree():
-    gr = family_graph("hypercube", 3)
-    g = gr.group
-    a = gr.adjacency()
-    fast = conjugate_by_fourier(g, a)
-    F = fourier_matrix(g)
-    generic = (F.adjoint() @ a @ F).scale(Fraction(1, g.order))
-    assert fast == generic
+    # exponent 2 takes the +-1 integer path, the others the group-algebra kernel
+    graphs = [
+        family_graph("hypercube", 3),
+        family_graph("hamming", 2, 3),
+        family_graph("hamming", 2, 4),
+        build_cayley(make_group([4, 2]), [[1, 0], [3, 0], [0, 1]]),
+    ]
+    for gr in graphs:
+        g = gr.group
+        a = gr.adjacency()
+        fast = conjugate_by_fourier(g, a)
+        F = fourier_matrix(g)
+        generic = (F.adjoint() @ a @ F).scale(Fraction(1, g.order))
+        assert fast == generic
+        assert fast.to_json() == generic.to_json()
 
 
 def test_q3_degree_major_diagonal():

@@ -1,6 +1,10 @@
 import itertools
+from math import prod
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qsym.cyclotomic import Cyclotomic
 from qsym.errors import InvalidInputError
@@ -102,3 +106,29 @@ def test_char_value_checks_membership():
     bad = make_group([3, 3]).element([2, 2])
     with pytest.raises(InvalidInputError):
         g.char_value(bad, g.zero())
+
+
+@st.composite
+def small_orders(draw, max_order=12):
+    """Cyclic orders of a group of order <= max_order, one to three factors."""
+    orders = [draw(st.integers(1, max_order))]
+    while len(orders) < 3 and draw(st.booleans()):
+        orders.append(draw(st.integers(1, max_order // prod(orders))))
+    return orders
+
+
+@given(small_orders())
+def test_position_arithmetic_matches_element_arithmetic(orders):
+    g = make_group(orders)
+    pos = np.arange(g.order)
+    sums = g.index_sum(pos[:, None], pos[None, :])
+    exps = g.char_exponents(pos[:, None], pos[None, :])
+    negs = g.index_neg(pos)
+    assert sums.shape == exps.shape == (g.order, g.order)
+    for a in g.elements():
+        ia = g.index(a)
+        assert negs[ia] == g.index(g.neg(a))
+        for b in g.elements():
+            ib = g.index(b)
+            assert sums[ia, ib] == g.index(g.add(a, b))
+            assert exps[ia, ib] == g.char_exponent(a, b)

@@ -1,16 +1,22 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qsym.cayley import (
+    conjugate_by_fourier,
     coordinate_perm,
     family_graph,
+    fourier_matrix,
+    fourier_transform_legs,
     perm_matrix,
     spectrum,
 )
-from qsym.errors import InvalidInputError
+from qsym.errors import InvalidInputError, SizeGuardError
 from qsym.functors import functor_T
 from qsym.groups import make_group
 from qsym.intertwiners import (
@@ -58,6 +64,88 @@ def test_hat_block_matches_brute_conjugation(orders, kl):
     k, l = kl
     t = functor_T(Partition.block(k, l), g.order)
     assert hat_block_intertwiner(g, k, l) == brute_hat_intertwiner(g, t)
+
+
+@st.composite
+def small_orders(draw, max_order=9):
+    """Cyclic orders of a group of order <= max_order, one to three factors."""
+    orders = [draw(st.integers(1, max_order))]
+    while len(orders) < 3 and draw(st.booleans()):
+        orders.append(draw(st.integers(1, max_order // prod(orders))))
+    return orders
+
+
+@given(small_orders(), st.sampled_from(
+    [(k, l) for k in range(4) for l in range(4) if 1 <= k + l <= 3]))
+def test_hat_block_matches_brute_on_random_groups(orders, kl):
+    g = make_group(orders)
+    k, l = kl
+    t = functor_T(Partition.block(k, l), g.order)
+    assert hat_block_intertwiner(g, k, l) == brute_hat_intertwiner(g, t)
+
+
+@st.composite
+def rational_tensors(draw):
+    """A group of order <= 9 and a rational tensor with 0-3 legs of dimension
+    N, possibly empty; numerators are small or far past the int64 range."""
+    g = make_group(draw(small_orders()))
+    legs = draw(st.integers(0, 3))
+    cells = list(itertools.product(range(g.order), repeat=legs))
+    keys = draw(st.lists(st.sampled_from(cells), unique=True, max_size=6))
+    size = draw(st.sampled_from([5, 2**70]))
+    entries = {
+        idx: Fraction(draw(st.integers(-size, size)), draw(st.integers(1, 4)))
+        for idx in keys
+    }
+    return g, SparseTensor((g.order,) * legs, draw(st.integers(0, legs)), entries)
+
+
+def _legwise_fourier(g, t):
+    """The SparseTensor route: input legs through F, output legs through F*/N."""
+    F = fourier_matrix(g)
+    f_inv = F.adjoint().scale(Fraction(1, g.order))
+    for leg in range(t.in_axes):
+        t = t.transform_in_leg(leg, F.entries, g.order)
+    for leg in range(t.out_axes):
+        t = t.transform_out_leg(leg, f_inv.entries, g.order)
+    return t
+
+
+@given(rational_tensors())
+def test_fourier_kernel_matches_leg_transforms(case):
+    g, t = case
+    expected = _legwise_fourier(g, t)
+    got = fourier_transform_legs(g, t)
+    assert got == expected
+    assert got.to_json() == expected.to_json()
+    if t.shape == (g.order, g.order) and t.out_axes == 1:
+        assert conjugate_by_fourier(g, t) == expected
+
+
+def test_fourier_kernel_sums_past_int64():
+    # each numerator fits in int64, their sum 2^63 does not
+    g = make_group([2])
+    t = SparseTensor((2,), 0, {(0,): 2**62, (1,): 2**62})
+    assert fourier_transform_legs(g, t).entries == {(0,): 2**63}
+
+
+def test_brute_hat_guards_its_dense_array(monkeypatch):
+    g = make_group([3, 3])
+    t = functor_T(Partition.block(2, 1), g.order)
+    # N^(k+l) * M = 9^3 * 3 entries in Z[x]/(x^3 - 1)
+    monkeypatch.setenv("QSYM_MAX_DENSE", str(9**3 * 3 - 1))
+    with pytest.raises(SizeGuardError, match="group-algebra Fourier transform"):
+        brute_hat_intertwiner(g, t)
+    monkeypatch.setenv("QSYM_MAX_DENSE", str(9**3 * 3))
+    assert brute_hat_intertwiner(g, t) == hat_block_intertwiner(g, 2, 1)
+
+
+def test_brute_hat_rejects_irrational_and_misshaped_tensors():
+    g = make_group([3])
+    with pytest.raises(InvalidInputError, match="rational"):
+        brute_hat_intertwiner(g, fourier_matrix(g))
+    with pytest.raises(InvalidInputError, match="group order"):
+        brute_hat_intertwiner(g, SparseTensor.identity((2,)))
 
 
 def test_projection_full_space_is_conjugation():
