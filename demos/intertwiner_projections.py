@@ -15,7 +15,7 @@ from qsym import (
     brute_hat_intertwiner,
     family_graph,
     functor_T,
-    hamming_R_operators,
+    HammingOperators,
     hat_block_intertwiner,
     make_group,
     project,
@@ -69,7 +69,7 @@ print()
 
 # ---------------------------------------------------------------------------
 print("=== Hamming degree-one operators ===")
-ops = hamming_R_operators(3, 2)
+ops = HammingOperators(3, 2)
 named = ops.all_named()
 s = named["AAbb"] + named["aBaB"] + named["aBBa"]
 print("AAbb . aBaB == 0:", (named["AAbb"] @ named["aBaB"]).is_zero())

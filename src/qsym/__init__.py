@@ -5,7 +5,7 @@ functors, and verification suites for the operator identities they satisfy.
 """
 
 from .cyclotomic import Cyclotomic, cyc, euler_phi
-from .groups import AbelianGroup, GroupElement, char_value, make_group
+from .groups import AbelianGroup, GroupElement, make_group
 from .polyq import PolyQ, N_POLY
 from .partitions import (
     Partition,
@@ -14,7 +14,6 @@ from .partitions import (
     antisymmetrize,
     compose,
     compose_partitions,
-    make_partition,
     tensor,
     two_point_swap,
     verify_identity,
@@ -51,7 +50,7 @@ from .intertwiners import (
     EigenprojectionBasis,
     brute_hat_intertwiner,
     check_intertwiner,
-    hamming_R_operators,
+    HammingOperators,
     hat_block_intertwiner,
     project,
 )

@@ -317,6 +317,9 @@ def family(name: str, *params) -> tuple[AbelianGroup, GeneratingSet]:
         ]
     elif name == "folded":
         (n,) = _ints(params, 1, name)
+        if n < 2:
+            # at n = 1 the all-ones generator coincides with epsilon_1
+            raise InvalidInputError(f"family 'folded' needs n >= 2, got {n}")
         g = make_group([2] * n)
         gens = [g.epsilon(i) for i in range(n)] + [g.element([1] * n)]
     elif name == "hamming":

@@ -129,10 +129,17 @@ class Bin(Node):
     rhs: Node
 
 
+# Deepest expression the parser accepts, counting brackets, call arguments
+# and each operator of a chain (a chain is a left-deep tree): deeper input is
+# a ParseError instead of a RecursionError in the parser or the evaluator.
+MAX_DEPTH = 100
+
+
 class Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -152,28 +159,46 @@ class Parser:
     def at_end(self) -> bool:
         return self.peek().kind == "eof"
 
+    def deeper(self, t: Token) -> int:
+        """Enter one more level at token t; return the level before."""
+        depth = self.depth
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                             t.line, t.col)
+        return depth
+
     # expression grammar --------------------------------------------------------
 
     def parse_expr(self) -> Node:
+        depth = self.deeper(self.peek())
         node = self.parse_oxterm()
         while self.peek().text in ("+", "-"):
             t = self.next()
+            self.deeper(t)
             rhs = self.parse_oxterm()
             node = Bin(t.line, t.col, "add" if t.text == "+" else "sub", node, rhs)
+        self.depth = depth
         return node
 
     def parse_oxterm(self) -> Node:
+        depth = self.depth
         node = self.parse_prod()
         while self.peek().text == "ox":
             t = self.next()
+            self.deeper(t)
             node = Bin(t.line, t.col, "tensor", node, self.parse_prod())
+        self.depth = depth
         return node
 
     def parse_prod(self) -> Node:
+        depth = self.depth
         node = self.parse_unary()
         while self.peek().text == "*":
             t = self.next()
+            self.deeper(t)
             node = Bin(t.line, t.col, "compose", node, self.parse_unary())
+        self.depth = depth
         return node
 
     def parse_unary(self) -> Node:
@@ -252,6 +277,7 @@ class Parser:
         return t
 
     def parse_poly_sum(self) -> PolyQ:
+        depth = self.deeper(self.peek())
         neg = False
         if self.peek().text == "-":
             self.next()
@@ -263,6 +289,7 @@ class Parser:
             t = self.next()
             rhs = self.parse_poly_prod()
             node = node + rhs if t.text == "+" else node - rhs
+        self.depth = depth
         return node
 
     def parse_poly_prod(self) -> PolyQ:
@@ -290,6 +317,7 @@ class Parser:
             self.expect(")")
             return node
         if t.text == "-":
+            self.deeper(t)
             return -self.parse_poly_atom()
         raise ParseError(f"bad polynomial token {t.text!r}", t.line, t.col)
 

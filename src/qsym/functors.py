@@ -249,7 +249,9 @@ def permanent_via_wedge(rows) -> Fraction:
 
     W M^(x n) W* is 1x1 since the n-th power is one-dimensional; with the
     normalization W W* = (1/n!) I the permanent equals n! squared times that
-    single entry divided by n!, i.e. n! * (W M^(x n) W*)[0,0].
+    single entry divided by n!, i.e. n! * (W M^(x n) W*)[0,0].  The entries
+    of the deformed coisometry W are contracted against products of M's
+    entries on integer numerators, without building M^(x n).
     """
     n = len(rows)
     if n > 6:
@@ -257,17 +259,20 @@ def permanent_via_wedge(rows) -> Fraction:
     if any(len(r) != n for r in rows):
         raise InvalidInputError("matrix must be square")
     M = [[Fraction(v) for v in r] for r in rows]
-    inv2 = Fraction(1, factorial(n) ** 2)
-    total = Fraction(0)
-    for sigma in itertools.permutations(range(n)):
-        for pi in itertools.permutations(range(n)):
-            prod = Fraction(1)
+    d = lcm(1, *(v.denominator for r in M for v in r))
+    M = [[v.numerator * (d // v.denominator) for v in r] for r in M]
+    w = antisym_coisometry(n, n, deformed=True)
+    legs = [(idx[1:], c) for idx, c in w.numerators.items()]
+    total = 0
+    for out, c_out in legs:
+        for inn, c_in in legs:
+            prod = c_out * c_in
             for a in range(n):
-                prod *= M[sigma[a]][pi[a]]
+                prod *= M[out[a]][inn[a]]
                 if not prod:
                     break
             total += prod
-    return factorial(n) * inv2 * total
+    return Fraction(factorial(n) * total, w.den**2 * d**n)
 
 
 def random_partition(rng, k: int, l: int) -> Partition:

@@ -236,7 +236,3 @@ class AbelianGroup:
 def make_group(orders) -> AbelianGroup:
     """Build Z_{m_1} x ... x Z_{m_n}; rejects empty or non-positive orders."""
     return AbelianGroup(orders)
-
-
-def char_value(group: AbelianGroup, mu: GroupElement, alpha: GroupElement) -> Cyclotomic:
-    return group.char_value(mu, alpha)

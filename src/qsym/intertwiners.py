@@ -191,13 +191,12 @@ class HammingOperators:
     means a + b = 0 mod m).
     """
 
-    def __init__(self, m: int, n: int, aabb_strict: bool = True):
+    def __init__(self, m: int, n: int):
         if m < 2 or n < 1:
             raise InvalidInputError("Hamming operators need m >= 2, n >= 1")
         self.m, self.n = m, n
         self.dim = (m - 1) * n
         guard_sparse(self.dim**4, f"Hamming operators m={m}, n={n}")
-        self.aabb_strict = aabb_strict
         self._labels = [(a, i) for a in range(1, m) for i in range(n)]
         self._index = {lab: x for x, lab in enumerate(self._labels)}
 
@@ -261,22 +260,13 @@ class HammingOperators:
 
     def aabb_capital(self) -> SparseTensor:
         """All four cyclic values equal with vanishing sums; the i,j pattern
-        follows the two-block reading (i1 = i2 != j1 = j2) by default, or the
-        relaxed reading without the inequality when aabb_strict is False."""
+        follows the two-block reading (i1 = i2 != j1 = j2)."""
         m = self.m
-        if self.aabb_strict:
-            return self._tensor2(
-                lambda a1, i1, a2, i2, b1, j1, b2, j2: a1 == a2 == b1 == b2
-                and (a1 + a2) % m == 0
-                and (b1 + b2) % m == 0
-                and i1 == i2 != j1 == j2
-            )
         return self._tensor2(
             lambda a1, i1, a2, i2, b1, j1, b2, j2: a1 == a2 == b1 == b2
             and (a1 + a2) % m == 0
             and (b1 + b2) % m == 0
-            and i1 == i2
-            and j1 == j2
+            and i1 == i2 != j1 == j2
         )
 
     def all_named(self) -> dict[str, SparseTensor]:
@@ -288,7 +278,3 @@ class HammingOperators:
             "aBBa": self.abba(),
             "AABB": self.aabb_capital(),
         }
-
-
-def hamming_R_operators(m: int, n: int, aabb_strict: bool = True) -> HammingOperators:
-    return HammingOperators(m, n, aabb_strict)

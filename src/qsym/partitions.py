@@ -258,10 +258,6 @@ def _point_position(p, k, l):
     raise InvalidInputError(f"bad point label {p!r}")
 
 
-def make_partition(k: int, l: int, blocks) -> Partition:
-    return Partition.from_blocks(k, l, blocks)
-
-
 def compose_partitions(q: Partition, p: Partition) -> tuple[Partition, int]:
     """q after p: glue p's lower row to q's upper row.
 

@@ -47,7 +47,7 @@ from .groups import make_group
 from .intertwiners import (
     EigenprojectionBasis,
     brute_hat_intertwiner,
-    hamming_R_operators,
+    HammingOperators,
     hat_block_intertwiner,
     project,
 )
@@ -82,7 +82,7 @@ def suite_hypercube(n: int) -> VerificationReport:
         if v != expect:
             ok = False
     rep.add("diagonal-values", "entries are n - 2 deg with binomial multiplicities",
-            "pass" if ok and all(counts[k] == comb(n, k) for k in counts) else "fail")
+            "pass" if ok and counts == {k: comb(n, k) for k in range(n + 1)} else "fail")
     if n == 3:
         order = g.degree_major_elements()
         diag = [d[(g.index(mu), g.index(mu))].as_fraction() for mu in order]
@@ -139,27 +139,32 @@ def suite_halved(n: int, block_check: bool = True) -> VerificationReport:
     )
     rep.add("degeneracy", "lambda_d = lambda_{n+1-d}", "pass" if paired else "fail")
     if block_check and n in (4, 5):
-        _halved_block_check(rep, gr)
+        _halved_block_check(rep, n)
     return rep
 
 
-def _halved_block_check(rep: VerificationReport, gr: CayleyGraph):
+def halved_top_block(n: int) -> tuple[SparseTensor, list[tuple[int, ...]], int]:
+    """Project the one-block tensor b_{n+1} onto the joined degree-(1, n)
+    eigenspace of the halved cube; return the projection, the label
+    coordinates in basis order and the group order N."""
+    gr = family_graph("halved", n)
+    g = gr.group
+    labs = next(ls for _, ls in spectrum(gr).items if any(m.degree == 1 for m in ls))
+    labels = sorted(labs, key=lambda m: (m.degree, g.index(m)))
+    basis = EigenprojectionBasis(g, labels)
+    proj = project(functor_T(Partition.block(n + 1, 0), g.order), None, basis)
+    return proj, [mu.coords for mu in labels], g.order
+
+
+def _halved_block_check(rep: VerificationReport, n: int):
     """Projected top block vs the permutation indicator on the joined
     degree-(1, n) eigenspace.  True at even n; at odd n the index sums also
     vanish on non-permutation tuples, so the stated form cannot hold."""
-    g = gr.group
-    n = g.rank
-    spec = spectrum(gr)
-    idx = next(
-        i for i, (_, labs) in enumerate(spec.items) if any(m.degree == 1 for m in labs)
-    )
-    labels = sorted(spec.items[idx][1], key=lambda m: (m.degree, g.index(m)))
-    basis = EigenprojectionBasis(g, labels)
-    proj = project(functor_T(Partition.block(n + 1, 0), g.order), None, basis)
+    proj, _, order = halved_top_block(n)
     expected = SparseTensor(
-        (len(labels),) * (n + 1),
+        (n + 1,) * (n + 1),
         0,
-        {perm: g.order for perm in itertools.permutations(range(n + 1))},
+        {perm: order for perm in itertools.permutations(range(n + 1))},
     )
     if proj == expected:
         rep.add("top-block", "projected block = N * permutation indicator", "pass")
@@ -205,7 +210,16 @@ def suite_folded(n: int, heavy: bool = True) -> VerificationReport:
             pattern_ok = False
     rep.add("eigenspace-pattern", "labels join as degrees {2i-1, 2i}",
             "pass" if pattern_ok else "fail")
-    # the simplified closed form n - 4*ceil(d/2) sits one below the direct sum
+    _folded_closed_form_check(rep, n)
+    if heavy and n in (4, 6):
+        _folded_fork_check(rep, gr)
+        _folded_pairing_tensor_check(rep, n + 1)
+    return rep
+
+
+def _folded_closed_form_check(rep: VerificationReport, n: int):
+    """The simplified closed form n - 4*ceil(d/2) against the direct sum; a
+    finding when they differ (it sits one below the sum at every degree)."""
     divergence = [
         d for d in range(n + 1)
         if folded_eigenvalue_formula(n, d) != n - 4 * ((d + 1) // 2)
@@ -213,14 +227,10 @@ def suite_folded(n: int, heavy: bool = True) -> VerificationReport:
     rep.add(
         "closed-form",
         "one-line form n - 4*ceil(d/2) vs the direct character sum",
-        "finding",
+        "finding" if divergence else "pass",
         f"direct sum gives n + 1 - 4*ceil(d/2); they differ by 1 at every "
-        f"degree ({len(divergence)} of {n + 1})",
+        f"degree ({len(divergence)} of {n + 1})" if divergence else "",
     )
-    if heavy and n in (4, 6):
-        _folded_fork_check(rep, gr)
-        _folded_pairing_tensor_check(rep, n + 1)
-    return rep
 
 
 def _folded_v2_basis(gr: CayleyGraph):
@@ -349,7 +359,7 @@ def suite_hamming(n: int, m: int, operators: bool = True) -> VerificationReport:
 
 
 def _hamming_operator_checks(rep: VerificationReport, n: int, m: int):
-    ops = hamming_R_operators(m, n)
+    ops = HammingOperators(m, n)
     named = ops.all_named()
     aabb, abab, abba, aabb_cap = (
         named["AAbb"], named["aBaB"], named["aBBa"], named["AABB"],
@@ -531,7 +541,7 @@ def suite_antisymmetrizers(n_max: int = 6, seed: int = 99) -> VerificationReport
 
     ok = True
     detail = ""
-    for n in range(2, n_max + 1):
+    for n in range(1, n_max + 1):
         for k in range(0, n + 1):
             for deformed in (False, True):
                 a = antisymmetrizer(k, n, deformed)
@@ -583,10 +593,7 @@ def suite_fourier_check(name: str, *params) -> VerificationReport:
     rep.add("matches-spectrum", "diagonal equals the character sums",
             "pass" if ok else "fail")
     if name == "folded":
-        n = g.rank
-        rep.add("closed-form", "one-line eigenvalue form differs from the "
-                "direct sum by 1", "finding",
-                f"direct sum gives n + 1 - 4*ceil(d/2) for n = {n}")
+        _folded_closed_form_check(rep, g.rank)
     return rep
 
 

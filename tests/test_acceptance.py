@@ -1,7 +1,10 @@
 """Acceptance criteria, one test per criterion (exact arithmetic throughout).
 
-Each test prints a single PASS line when it holds.  Two stated identities
-are false as written, and their tests assert the exact refutation instead:
+Each test prints a single PASS line when it holds.  Most tests sweep their
+parameters over the ``qsym.verify`` suites and assert the suites' verdicts,
+so each check has one implementation.  Two stated identities are false as
+written, and their tests assert the exact refutation instead, each against
+an independent route kept in this file:
 
 * 09b: the halved-cube top-block projection equals the permutation
   indicator only for even n.  At n = 5 it is N x [labels sum to zero], on
@@ -16,58 +19,31 @@ are false as written, and their tests assert the exact refutation instead:
 """
 
 import itertools
-import random
 import time
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
 
 import numpy as np
 
-from qsym.cayley import (
-    cartesian_adjacency,
-    conjugate_by_fourier,
-    coordinate_perm,
-    eigenvalue,
-    family_graph,
-    perm_matrix,
-    product_action_perm,
-    spectrum,
-    translation_perm,
-    wreath_rep,
-)
-from qsym.functors import (
-    antisym_coisometry,
-    antisymmetrizer,
-    evaluate_partlin,
-    functor_T,
-    permanent_direct,
-    permanent_via_wedge,
-    random_partition,
-)
-from qsym.groups import make_group
-from qsym.intertwiners import (
-    EigenprojectionBasis,
-    brute_hat_intertwiner,
-    hamming_R_operators,
-    hat_block_intertwiner,
-    project,
-)
+from qsym.cayley import family_graph, spectrum
+from qsym.functors import functor_T
+from qsym.intertwiners import EigenprojectionBasis, HammingOperators, project
 from qsym.lemmas import lemma_suite, load_all_fixtures
-from qsym.partitions import (
-    Partition,
-    PartLin,
-    antisymmetrize,
-    compose_partitions,
-)
+from qsym.partitions import Partition, PartLin, antisymmetrize
 from qsym.polyq import N_POLY
 from qsym.sparse import SparseTensor
 from qsym.verify import (
-    _pairable,
-    folded_eigenvalue_formula,
-    halved_eigenvalue_formula,
-    six_pairing_combination,
-    GROUPS_UP_TO_9,
+    halved_top_block,
+    suite_antisymmetrizers,
+    suite_complete,
+    suite_eigenspace_invariance,
+    suite_eqthat,
+    suite_folded,
+    suite_functoriality,
+    suite_halved,
+    suite_hamming,
+    suite_hypercube,
+    suite_wreath,
 )
 
 
@@ -75,17 +51,19 @@ def ok(name):
     print(f"ACCEPTANCE {name}: PASS")
 
 
+def verdicts(rep):
+    return {r.check_id: r.verdict for r in rep.results}
+
+
+HYPERCUBE_CHECKS = ("diagonal", "diagonal-values", "eigenbasis")
+
+
 # -- 1: Q3 diagonalization ------------------------------------------------------
 
 def test_acceptance_01_q3_diagonalization():
     start = time.monotonic()
-    gr = family_graph("hypercube", 3)
-    g = gr.group
-    d = conjugate_by_fourier(g, gr.adjacency())
-    assert all(r == c for r, c in d.entries)
-    order = g.degree_major_elements()
-    diag = [d[(g.index(mu), g.index(mu))].as_fraction() for mu in order]
-    assert diag == [3, 1, 1, 1, -1, -1, -1, -3]
+    v = verdicts(suite_hypercube(3))
+    assert v == dict.fromkeys(HYPERCUBE_CHECKS + ("degree-major-display",), "pass"), v
     elapsed = time.monotonic() - start
     assert elapsed < 0.1, f"took {elapsed:.3f}s"
     ok("01 cube diagonalization in degree-major order")
@@ -96,16 +74,9 @@ def test_acceptance_01_q3_diagonalization():
 def test_acceptance_02_hypercube_diagonal_general():
     start = time.monotonic()
     for n in range(1, 9):
-        gr = family_graph("hypercube", n)
-        g = gr.group
-        d = conjugate_by_fourier(g, gr.adjacency())
-        assert all(r == c for r, c in d.entries)
-        counts = {}
-        for mu in g.elements():
-            v = d[(g.index(mu), g.index(mu))]
-            assert v == n - 2 * mu.degree
-            counts[mu.degree] = counts.get(mu.degree, 0) + 1
-        assert counts == {k: comb(n, k) for k in range(n + 1)}
+        v = verdicts(suite_hypercube(n))
+        v.pop("degree-major-display", None)
+        assert v == dict.fromkeys(HYPERCUBE_CHECKS, "pass"), (n, v)
     elapsed = time.monotonic() - start
     assert elapsed < 5, f"took {elapsed:.3f}s"
     ok("02 hypercube diagonal n-2k with binomial multiplicities, n <= 8")
@@ -115,40 +86,22 @@ def test_acceptance_02_hypercube_diagonal_general():
 
 def test_acceptance_03_halved_cube_spectrum():
     for n in range(2, 9):
-        gr = family_graph("halved", n)
-        g = gr.group
-        for mu in g.elements():
-            assert eigenvalue(g, gr.gens, mu) == halved_eigenvalue_formula(n, mu.degree)
-        for d in range(1, n + 1):
-            assert halved_eigenvalue_formula(n, d) == halved_eigenvalue_formula(n, n + 1 - d)
+        v = verdicts(suite_halved(n, block_check=False))
+        assert v == {"eigenvalue-formula": "pass", "degeneracy": "pass"}, (n, v)
     ok("03 halved-cube eigenvalues ((2d-n-1)^2-n-1)/2 with d <-> n+1-d")
 
 
 # -- 4: folded cube ----------------------------------------------------------------
 
 def test_acceptance_04_folded_cube_spectrum():
-    finding = None
     for n in range(2, 9):
-        gr = family_graph("folded", n)
-        g = gr.group
-        for mu in g.elements():
-            assert eigenvalue(g, gr.gens, mu) == folded_eigenvalue_formula(n, mu.degree)
-        for d in range(1, n // 2 + 1):
-            assert folded_eigenvalue_formula(n, 2 * d - 1) == folded_eigenvalue_formula(n, 2 * d)
-        for _, labs in spectrum(gr).items:
-            degs = sorted({mu.degree for mu in labs})
-            assert degs in ([0], [n]) or (
-                len(degs) == 2 and degs[0] % 2 == 1 and degs[1] == degs[0] + 1
-            ), f"eigenspace degrees {degs} at n={n}"
+        rep = suite_folded(n, heavy=False)
         # the one-line simplification differs from the direct sum by exactly 1
-        if any(folded_eigenvalue_formula(n, d) != n - 4 * ((d + 1) // 2)
-               for d in range(n + 1)):
-            finding = (
-                "direct sum n - 2d + (-1)^d equals n + 1 - 4*ceil(d/2), one "
-                "above the quoted n - 4*ceil(d/2)"
-            )
-    assert finding is not None
-    print(f"ACCEPTANCE 04 finding: {finding}")
+        assert verdicts(rep) == {
+            "eigenvalue-formula": "pass", "degeneracy": "pass",
+            "eigenspace-pattern": "pass", "closed-form": "finding",
+        }, (n, verdicts(rep))
+    print(f"ACCEPTANCE 04 finding: {rep.results[-1].detail}")
     ok("04 folded-cube eigenvalues, pairing, and eigenspace label pattern")
 
 
@@ -157,16 +110,10 @@ def test_acceptance_04_folded_cube_spectrum():
 def test_acceptance_05_hamming_and_complete():
     for n in range(1, 5):
         for m in range(2, 6):
-            gr = family_graph("hamming", n, m)
-            g = gr.group
-            for mu in g.elements():
-                assert eigenvalue(g, gr.gens, mu) == m * mu.zeros - n
-            assert len(spectrum(gr).items) == n + 1
+            v = verdicts(suite_hamming(n, m, operators=False))
+            assert v == {"eigenvalue-formula": "pass", "distinct-count": "pass"}, (n, m, v)
     for m in range(2, 6):
-        spec = spectrum(family_graph("complete", m))
-        assert [(lam.as_fraction(), len(ls)) for lam, ls in spec.items] == [
-            (m - 1, 1), (-1, m - 1)
-        ]
+        assert verdicts(suite_complete(m)) == {"spectrum": "pass"}, m
     ok("05 Hamming m*l-n spectra and complete-graph spectra")
 
 
@@ -174,15 +121,8 @@ def test_acceptance_05_hamming_and_complete():
 
 def test_acceptance_06_block_intertwiner_oracle():
     start = time.monotonic()
-    for orders in GROUPS_UP_TO_9:
-        g = make_group(orders)
-        for k in range(0, 5):
-            for l in range(0, 5 - k):
-                if not 1 <= k + l <= 4:
-                    continue
-                closed = hat_block_intertwiner(g, k, l)
-                brute = brute_hat_intertwiner(g, functor_T(Partition.block(k, l), g.order))
-                assert closed == brute, (orders, k, l)
+    rep = suite_eqthat()
+    assert verdicts(rep) == {"closed-form": "pass"}, rep.results
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"took {elapsed:.3f}s"
     ok("06 closed-form transformed block intertwiner == brute conjugation")
@@ -191,22 +131,8 @@ def test_acceptance_06_block_intertwiner_oracle():
 # -- 7: functoriality ------------------------------------------------------------------
 
 def test_acceptance_07_functoriality():
-    rng = random.Random(20240817)
-    checked = 0
-    while checked < 200:
-        k, l, m = rng.randint(0, 3), rng.randint(1, 3), rng.randint(0, 3)
-        if k + l + m > 8 or k + l == 0 or l + m == 0:
-            continue
-        n_val = rng.randint(4, 7)
-        p = random_partition(rng, k, l)
-        q = random_partition(rng, l, m)
-        if n_val ** p.n_blocks > 2 * 10**5 or n_val ** q.n_blocks > 2 * 10**5:
-            continue
-        r, loops = compose_partitions(q, p)
-        assert functor_T(q, n_val) @ functor_T(p, n_val) == functor_T(r, n_val).scale(
-            Fraction(n_val**loops)
-        )
-        checked += 1
+    rep = suite_functoriality()
+    assert verdicts(rep) == {"compose": "pass"}, rep.results
     ok("07 functoriality on 200 random composable pairs")
 
 
@@ -239,20 +165,6 @@ def test_acceptance_08_projected_intertwiner():
 
 # -- 9: halved-cube top block -----------------------------------------------------------
 
-def _halved_block_projection(n):
-    """Project the one-block tensor b_{n+1} onto the joined degree-(1, n)
-    eigenspace of the halved cube; also return the label coordinates in basis
-    order and the group order N."""
-    gr = family_graph("halved", n)
-    g = gr.group
-    spec = spectrum(gr)
-    labs = next(ls for _, ls in spec.items if any(mu.degree == 1 for mu in ls))
-    labels = sorted(labs, key=lambda mu: (mu.degree, g.index(mu)))
-    basis = EigenprojectionBasis(g, labels)
-    proj = project(functor_T(Partition.block(n + 1, 0), g.order), None, basis)
-    return proj, [mu.coords for mu in labels], g.order
-
-
 def _permutation_indicator(n, order):
     return SparseTensor(
         (n + 1,) * (n + 1),
@@ -273,9 +185,11 @@ def _zero_sum_tuples(coords):
 
 
 def test_acceptance_09a_halved_block_check_n4():
-    proj, coords, order = _halved_block_projection(4)
+    proj, coords, order = halved_top_block(4)
     assert len(_zero_sum_tuples(coords)) == 120
     assert proj == _permutation_indicator(4, order)
+    v = verdicts(suite_halved(4))
+    assert v == {"eigenvalue-formula": "pass", "degeneracy": "pass", "top-block": "pass"}, v
     ok("09a halved-cube top block = N x permutation indicator at n=4")
 
 
@@ -286,7 +200,7 @@ def test_acceptance_09b_halved_block_check_n5():
     # a tuple sums to zero exactly when its multiplicity vector mod 2 is
     # all-even or all-ones.
     n = 5
-    proj, coords, order = _halved_block_projection(n)
+    proj, coords, order = halved_top_block(n)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     assert sorted(coords) == sorted(units + [(1,) * n])
     zero_sum = _zero_sum_tuples(coords)
@@ -313,6 +227,8 @@ def test_acceptance_09b_halved_block_check_n5():
     extra = set(proj.entries) - set(perms.entries)
     assert extra == {t for t in zero_sum if len(set(t)) < n + 1}
     assert len(extra) == 2256 and (0, 0, 1, 1, 2, 2) in extra
+    v = verdicts(suite_halved(n))
+    assert v == {"eigenvalue-formula": "pass", "degeneracy": "pass", "top-block": "fail"}, v
     ok("09b refutation confirmed at n=5: top block = N x [labels sum to zero] "
        "on 2976 = 720 + 1800 + 450 + 6 tuples, not N x permutation indicator "
        "(e.g. (0, 0, 1, 1, 2, 2) has three doubled labels)")
@@ -321,35 +237,14 @@ def test_acceptance_09b_halved_block_check_n5():
 # -- 10: folded-cube pairing identities ---------------------------------------------------
 
 def test_acceptance_10_folded_pairing_identities():
-    for size in (5, 7):
-        t = evaluate_partlin(six_pairing_combination(), size, deformed=True).scale(
-            Fraction(16)
-        )
-        entries = {}
-        for quads in itertools.product(itertools.permutations(range(size), 2), repeat=4):
-            if _pairable(*quads):
-                entries[tuple(x for q in quads for x in q)] = 1
-        assert t == SparseTensor((size,) * 8, t.out_axes, entries), f"size {size}"
+    # suite_folded at n = 4, 6 checks the fork projection there and the
+    # signed six-pairing combination at sizes n + 1 = 5, 7
     for n in (4, 6):
-        gr = family_graph("folded", n)
-        g = gr.group
-        spec = spectrum(gr)
-        labs = next(ls for _, ls in spec.items if any(mu.degree == 1 for mu in ls))
-        labels = sorted(labs, key=g.index)
-        pairs = []
-        for mu in labels:
-            nz = [i + 1 for i, c in enumerate(mu.coords) if c]
-            pairs.append(tuple(nz) if len(nz) == 2 else (nz[0], n + 1))
-        basis = EigenprojectionBasis(g, labels)
-        proj = project(functor_T(Partition.block(1, 2), g.order), basis, basis)
-        entries = {}
-        for x1, p1 in enumerate(pairs):
-            for x2, p2 in enumerate(pairs):
-                for x3, p3 in enumerate(pairs):
-                    if _pairable(p1, p2, p3):
-                        entries[(x1, x2, x3)] = 1
-        expected = SparseTensor(proj.shape, 2, entries)
-        assert proj.scale(Fraction(g.order)) == expected, f"n={n}"
+        rep = suite_folded(n)
+        v = verdicts(rep)
+        assert v["fork-projection"] == v["pairing-tensor"] == "pass", (n, v)
+        assert rep.results[-1].subject.endswith(f"size {n + 1}")
+        assert rep.passed, (n, v)
     ok("10 pairing-indicator tensors: signed six-pairing combination and fork")
 
 
@@ -403,10 +298,15 @@ def _rdiag(ops):
 def test_acceptance_12a_hamming_zero_products_and_square_residual():
     for m in (3, 4, 5):
         for n in (2, 3):
-            ops = hamming_R_operators(m, n)
+            ops = HammingOperators(m, n)
             d = ops.all_named()
+            rdiag = _rdiag(ops)
             assert (d["AAbb"] @ d["aBaB"]).is_zero()
             assert (d["AAbb"] @ d["aBBa"]).is_zero()
+            assert d["AAbb"] @ d["AAbb"] == (
+                d["AAbb"].scale(Fraction((m - 1) * (n - 2)))
+                + rdiag.scale(Fraction((m - 1) * (n - 1)))
+            ), (m, n)
             s = d["AAbb"] + d["aBaB"] + d["aBBa"]
             sq = s @ s
             stated = d["AABB"].scale(2 * (m - 1)) + d["aBBa"].scale(2) + d["aBaB"].scale(2)
@@ -415,7 +315,7 @@ def test_acceptance_12a_hamming_zero_products_and_square_residual():
             # AAbb^2 = (m-1)(n-2) AAbb + (m-1)(n-1) Rdiag
             exact = (
                 d["AAbb"].scale(Fraction((m - 1) * (n - 2)))
-                + _rdiag(ops).scale(Fraction((m - 1) * (n - 1)))
+                + rdiag.scale(Fraction((m - 1) * (n - 1)))
                 + d["aBBa"].scale(2)
                 + d["aBaB"].scale(2)
             )
@@ -479,7 +379,7 @@ def test_acceptance_12b_hamming_cube_identity():
     # projected block.
     for m in (3, 4, 5):
         for n in (2, 3):
-            ops = hamming_R_operators(m, n)
+            ops = HammingOperators(m, n)
             d = ops.all_named()
             d["Rdiag"] = _rdiag(ops)
             dense = _dense_hamming_split(ops)
@@ -529,70 +429,27 @@ def test_acceptance_12b_hamming_cube_identity():
 # -- 13: wreath representations ------------------------------------------------------------------
 
 def test_acceptance_13_wreath_product_action():
-    rng = random.Random(5)
-    for m, n in [(2, 2), (3, 2), (3, 3)]:
-        k = family_graph("complete", m)
-        adj = cartesian_adjacency([k] * n)
-        for _ in range(20):
-            v_perms = [list(rng.sample(range(m), m)) for _ in range(n)]
-            w = list(rng.sample(range(n), n))
-            mats = [
-                [[1 if r == vp[c] else 0 for c in range(m)] for r in range(m)]
-                for vp in v_perms
-            ]
-            u = wreath_rep(mats, w)
-            assert u == perm_matrix(product_action_perm(v_perms, w, m))
-            assert u @ adj == adj @ u
+    for n, m in [(2, 2), (2, 3), (3, 3)]:
+        v = verdicts(suite_wreath(n, m, seed=5))
+        assert v == {"product-action": "pass", "commutes": "pass"}, (n, m, v)
     ok("13 wreath matrices realize the product action and commute with it")
 
 
 # -- 14: eigenspace invariance ---------------------------------------------------------------------
 
 def test_acceptance_14_eigenspace_invariance():
-    rng = random.Random(11)
-    for name, args in [
-        ("hypercube", (3,)), ("hypercube", (4,)), ("folded", (4,)),
-        ("halved", (4,)), ("hamming", (2, 3)), ("hamming", (2, 4)),
-    ]:
-        gr = family_graph(name, *args)
-        g = gr.group
-        spec = spectrum(gr)
-        group_of = {}
-        for i, (_, labs) in enumerate(spec.items):
-            for mu in labs:
-                group_of[g.index(mu)] = i
-        perms = [translation_perm(g, rng.choice(list(g.elements()))) for _ in range(3)]
-        pi = list(range(g.rank))
-        rng.shuffle(pi)
-        perms.append(coordinate_perm(g, pi))
-        a = gr.adjacency()
-        for perm in perms:
-            p = perm_matrix(perm)
-            assert p @ a == a @ p, f"{name}{args}: not an automorphism"
-            hat_u = conjugate_by_fourier(g, p)
-            assert all(group_of[r] == group_of[c] for r, c in hat_u.entries), (
-                f"{name}{args}"
-            )
+    # each seed draws one translation and one coordinate permutation per graph
+    graphs = ("hypercube:3", "hypercube:4", "halved:4", "folded:4",
+              "hamming:2,3", "hamming:2,4")
+    for seed in (11, 12, 13):
+        v = verdicts(suite_eigenspace_invariance(seed))
+        assert v == dict.fromkeys(graphs, "pass"), (seed, v)
     ok("14 conjugated automorphisms vanish between distinct-eigenvalue labels")
 
 
 # -- 15: antisymmetrizers and permanents ---------------------------------------------------------------
 
 def test_acceptance_15_antisymmetrizers_and_permanent():
-    for n in range(1, 7):
-        for k in range(0, n + 1):
-            for deformed in (False, True):
-                a = antisymmetrizer(k, n, deformed)
-                w = antisym_coisometry(k, n, deformed)
-                kf = factorial(k)
-                assert (w.adjoint() @ w).scale(Fraction(kf)) == a
-                assert w @ w.adjoint() == SparseTensor.identity((comb(n, k),)).scale(
-                    Fraction(1, kf)
-                )
-                assert a.trace() == comb(n, k)
-    rng = random.Random(99)
-    for _ in range(20):
-        size = rng.choice([3, 4])
-        mx = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
-        assert permanent_via_wedge(mx) == permanent_direct(mx)
+    rep = suite_antisymmetrizers(6)
+    assert verdicts(rep) == {"rank": "pass", "permanent": "pass"}, rep.results
     ok("15 rank certificates C(n,k) for both antisymmetrizers; permanents agree")

@@ -162,6 +162,25 @@ def test_verify_hamming_reports_failure_exit(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 199 + "cap" + ")" * 199,
+    "(" * 10_000 + "cap" + ")" * 10_000,
+    " + ".join(["cap"] * 3_000),
+    "scale(poly(" + "-" * 3_000 + "1), cap)",
+], ids=["parens-199", "parens-10000", "sum-3000", "poly-minus-3000"])
+def test_partition_eval_deep_nesting_is_bad_input(capsys, text):
+    code, out, err = run_cli(capsys, "partition", "eval", text)
+    assert code == 2
+    assert "nested deeper than" in err and "(line 1, column" in err
+
+
+def test_verify_folded_below_two_is_bad_input(capsys):
+    # at n = 1 the all-ones generator coincides with epsilon_1
+    code, _, err = run_cli(capsys, "verify", "folded:1")
+    assert code == 2
+    assert "folded" in err
+
+
 def test_circulant_family_string(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--family", "circulant:8,(1;3;5;7)", "--json")
     assert code == 0

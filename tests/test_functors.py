@@ -212,6 +212,17 @@ def test_permanent_random_matches_direct():
         assert permanent_via_wedge(m) == permanent_direct(m)
 
 
+def test_permanent_contracts_the_wedge(monkeypatch):
+    # scaling W by 2 scales n! (W M^(x n) W*)[0,0] by 4: the permanent is read
+    # off the coisometry, not recomputed beside it
+    import qsym.functors
+
+    m = [[1, 2], [3, 4]]
+    monkeypatch.setattr(qsym.functors, "antisym_coisometry",
+                        lambda k, n, deformed: antisym_coisometry(k, n, deformed).scale(2))
+    assert permanent_via_wedge(m) == 4 * permanent_direct(m)
+
+
 def test_permanent_guard():
     with pytest.raises(InvalidInputError):
         permanent_via_wedge([[0] * 7 for _ in range(7)])

@@ -23,12 +23,13 @@ from qsym.intertwiners import (
     EigenprojectionBasis,
     brute_hat_intertwiner,
     check_intertwiner,
-    hamming_R_operators,
+    HammingOperators,
     hat_block_intertwiner,
     project,
 )
 from qsym.partitions import Partition
 from qsym.sparse import SparseTensor
+from qsym.verify import suite_hamming
 
 ALL_GROUPS_UP_TO_9 = [
     [1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [4, 2], [2, 2, 2], [9], [3, 3],
@@ -231,80 +232,27 @@ def test_conjugated_automorphism_block_structure():
 # -- Hamming operators -----------------------------------------------------------
 
 def test_r_merge_spot_entry():
-    ops = hamming_R_operators(3, 2)
+    ops = HammingOperators(3, 2)
     r = ops.merge()
     assert r[(ops.idx(2, 0), ops.idx(1, 0), ops.idx(1, 0))] == 1
 
 
-def test_r_operator_zero_products():
-    for m, n in [(3, 2), (4, 2), (3, 3)]:
-        ops = hamming_R_operators(m, n)
-        d = ops.all_named()
-        assert (d["AAbb"] @ d["aBaB"]).is_zero()
-        assert (d["AAbb"] @ d["aBBa"]).is_zero()
-
-
 def test_connecter_decomposition_of_projected_block():
     # N * (restriction of hat T_{b_{2,2}} to V_1) splits into the four named
-    # pieces; this pins down every delta formula at once.
+    # pieces, which pins down every delta formula at once; the zero products
+    # hold and the two stated shortcuts are refuted at every size.
     for m, n in [(3, 2), (4, 2), (3, 3)]:
-        gr = family_graph("hamming", n, m)
-        g = gr.group
-        spec = spectrum(gr)
-        v1 = EigenprojectionBasis.from_spectrum(spec, [1])
-        ops = hamming_R_operators(m, n)
-        lab_map = {}
-        for r, mu in enumerate(v1.labels):
-            ((i, a),) = [(i, c) for i, c in enumerate(mu.coords) if c]
-            lab_map[r] = ops.idx(a, i)
-        t = functor_T(Partition.block(2, 2), g.order)
-        proj = project(t, v1, v1)
-        remapped = {
-            tuple(lab_map[x] for x in idx): v for idx, v in proj.entries.items()
-        }
-        lhs = SparseTensor(proj.shape, 2, remapped).scale(Fraction(g.order))
-        d = ops.all_named()
-        assert lhs == d["connecter"] + d["AAbb"] + d["aBaB"] + d["aBBa"]
-
-
-def test_power_identities_exact_form():
-    # The displayed square/cube shortcuts drop the index-coincidence terms;
-    # the true closed forms carry an extra diagonal pattern R_diag.
-    for m, n in [(3, 2), (3, 3), (4, 2)]:
-        ops = hamming_R_operators(m, n)
-        d = ops.all_named()
-        s = d["AAbb"] + d["aBaB"] + d["aBBa"]
-        rdiag = _rdiag(ops)
-        aabb_sq = d["AAbb"] @ d["AAbb"]
-        expected_sq = d["AAbb"].scale(Fraction((m - 1) * (n - 2))) + rdiag.scale(
-            Fraction((m - 1) * (n - 1))
-        )
-        assert aabb_sq == expected_sq
-        cube = (s @ s @ s) - s.scale(4)
-        expected_cube = d["AAbb"].scale(
-            Fraction((m - 1) ** 2 * ((n - 2) ** 2 + (n - 1)) - 4)
-        ) + rdiag.scale(Fraction((m - 1) ** 2 * (n - 2) * (n - 1)))
-        assert cube == expected_cube
-
-
-def _rdiag(ops):
-    m = ops.m
-    entries = {}
-    for (a1, i1), (a2, i2) in itertools.product(ops.labels(), repeat=2):
-        if i1 != i2 or (a1 + a2) % m:
-            continue
-        for (b1, j1), (b2, j2) in itertools.product(ops.labels(), repeat=2):
-            if j1 != j2 or j1 != i1 or (b1 + b2) % m:
-                continue
-            entries[
-                (ops.idx(b1, j1), ops.idx(b2, j2), ops.idx(a1, i1), ops.idx(a2, i2))
-            ] = 1
-    return SparseTensor((ops.dim,) * 4, 2, entries)
+        rep = suite_hamming(n, m)
+        assert {r.check_id: r.verdict for r in rep.results} == {
+            "eigenvalue-formula": "pass", "distinct-count": "pass",
+            "zero-products": "pass", "connecter-split": "pass",
+            "square-display": "finding", "cube-display": "fail",
+        }, (m, n)
 
 
 def test_hamming_operators_guard_input():
     with pytest.raises(InvalidInputError):
-        hamming_R_operators(1, 2)
+        HammingOperators(1, 2)
 
 
 def test_projected_fork_intertwines_restricted_automorphism():

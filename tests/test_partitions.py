@@ -15,7 +15,6 @@ from qsym.partitions import (
     antisymmetrize,
     compose,
     compose_partitions,
-    make_partition,
     permutation_of,
     two_point_swap,
     verify_identity,
@@ -24,21 +23,21 @@ from qsym.polyq import N_POLY, PolyQ
 
 
 def test_make_partition_examples():
-    cap = make_partition(2, 0, [[1, 2]])
+    cap = Partition.from_blocks(2, 0, [[1, 2]])
     assert cap == Partition.cap()
-    strand = make_partition(1, 1, [[1, "1'"]])
+    strand = Partition.from_blocks(1, 1, [[1, "1'"]])
     assert strand == Partition.identity(1)
-    b22 = make_partition(2, 2, [[1, 2, "1'", "2'"]])
+    b22 = Partition.from_blocks(2, 2, [[1, 2, "1'", "2'"]])
     assert b22 == Partition.block(2, 2)
 
 
 def test_make_partition_rejects_bad_blocks():
     with pytest.raises(InvalidInputError):
-        make_partition(2, 0, [[1], [1, 2]])  # overlapping
+        Partition.from_blocks(2, 0, [[1], [1, 2]])  # overlapping
     with pytest.raises(InvalidInputError):
-        make_partition(2, 1, [[1, 2]])  # missing lower point
+        Partition.from_blocks(2, 1, [[1, 2]])  # missing lower point
     with pytest.raises(InvalidInputError):
-        make_partition(1, 0, [[1, "1'"]])  # out of range
+        Partition.from_blocks(1, 0, [[1, "1'"]])  # out of range
 
 
 def test_parse_print_roundtrip():

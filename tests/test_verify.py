@@ -1,17 +1,15 @@
 import pytest
 
+import qsym.verify
 from qsym.errors import InvalidInputError
 from qsym.verify import (
     run_suite,
     six_pairing_combination,
-    suite_antisymmetrizers,
     suite_complete,
-    suite_eqthat,
     suite_folded,
+    suite_fourier_check,
     suite_functoriality,
-    suite_halved,
     suite_hamming,
-    suite_hypercube,
     suite_wreath,
 )
 
@@ -20,29 +18,13 @@ def verdicts(rep):
     return {r.check_id: r.verdict for r in rep.results}
 
 
-def test_hypercube_suite_passes():
-    rep = suite_hypercube(3)
-    assert rep.passed
-    assert verdicts(rep)["degree-major-display"] == "pass"
-
-
-def test_halved_suite_even_vs_odd():
-    rep4 = suite_halved(4)
-    assert rep4.passed
-    assert verdicts(rep4)["top-block"] == "pass"
-    rep5 = suite_halved(5)
-    assert verdicts(rep5)["eigenvalue-formula"] == "pass"
-    assert verdicts(rep5)["top-block"] == "fail"  # genuine discrepancy at odd n
-
-
-def test_folded_suite():
-    rep = suite_folded(4)
-    v = verdicts(rep)
-    assert v["eigenvalue-formula"] == "pass"
-    assert v["closed-form"] == "finding"
-    assert v["fork-projection"] == "pass"
-    assert v["pairing-tensor"] == "pass"
-    assert rep.passed  # findings do not fail
+def test_folded_closed_form_verdict_is_computed(monkeypatch):
+    # with the one-line form as the direct sum the two forms agree, so the
+    # closed-form check passes instead of recording a finding
+    monkeypatch.setattr(qsym.verify, "folded_eigenvalue_formula",
+                        lambda n, d: n - 4 * ((d + 1) // 2))
+    assert verdicts(suite_folded(4, heavy=False))["closed-form"] == "pass"
+    assert verdicts(suite_fourier_check("folded", 4))["closed-form"] == "pass"
 
 
 def test_hamming_suite_records_both_discrepancies():
@@ -59,16 +41,6 @@ def test_complete_and_small_suites():
     assert suite_complete(5).passed
     assert suite_functoriality(samples=40).passed
     assert suite_wreath(2, 2, samples=5).passed
-
-
-def test_eqthat_suite_small():
-    rep = suite_eqthat(max_order=5, max_points=3)
-    assert rep.passed
-
-
-def test_antisym_suite_small():
-    rep = suite_antisymmetrizers(n_max=4)
-    assert rep.passed
 
 
 def test_run_suite_dispatch():
