@@ -331,7 +331,7 @@ def family(name: str, *params) -> tuple[AbelianGroup, GeneratingSet]:
         g = make_group([m])
         gens = [g.element([a]) for a in range(1, m)]
     elif name == "circulant":
-        if len(params) < 2:
+        if len(params) != 2 or not isinstance(params[1], (list, tuple)):
             raise InvalidInputError("circulant needs an order and generator list")
         m = int(params[0])
         g = make_group([m])
@@ -352,8 +352,17 @@ def _parse_family_params(name, rest):
                 "circulant generators must be given as (s1;s2;...)"
             )
         shifts = [s for s in gens[1:-1].split(";") if s.strip()]
-        return (int(m), [int(s) for s in shifts])
-    return tuple(int(x) for x in rest.replace(":", ",").split(",") if x.strip())
+        return (_integer(m, rest), [_integer(s, rest) for s in shifts])
+    return tuple(_integer(x, rest) for x in rest.replace(":", ",").split(",") if x.strip())
+
+
+def _integer(text, spec):
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInputError(
+            f"family parameters must be integers, got {spec!r}"
+        ) from None
 
 
 def _ints(params, count, name):

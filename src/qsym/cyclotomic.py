@@ -366,6 +366,9 @@ class Cyclotomic:
         return self.minform() == other.minform()
 
     def __hash__(self):
+        # A rational value equals its Fraction, so it hashes as one.
+        if self.level == 1:
+            return hash(self.coeffs[0])
         return hash(self.minform())
 
     # -- presentation --------------------------------------------------------

@@ -13,6 +13,10 @@ even size.
 The antisymmetrizer projections (signed, and the sign-free variant that kills
 repeated indices) are built here together with their coisometry
 factorizations, which certify their rank exactly.
+
+Both functors gather their indices from one array of all block values, and
+the antisymmetrizers read their signs from a table of the k! permutation
+signs made once per call.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, factorial, lcm
+
+import numpy as np
 
 from .config import guard_sparse
 from .errors import InvalidInputError
@@ -31,15 +37,20 @@ def functor_T(p: Partition, N: int) -> SparseTensor:
     """Blockwise Kronecker delta of p on index set {0..N-1}."""
     if N < 1:
         raise InvalidInputError(f"functor needs N >= 1, got {N}")
+    guard_sparse(N**p.n_blocks, f"functor tensor for {p} at N={N}")
+    cols = _index_columns(p, N).tolist()
+    keys = zip(*cols) if cols else [()]  # zip of no columns would give no index
+    return SparseTensor._raw((N,) * (p.l + p.k), p.l, dict.fromkeys(keys, 1))
+
+
+def _index_columns(p: Partition, N: int) -> np.ndarray:
+    """(l + k, N**n_blocks) array whose columns are the indices of T_p,
+    outputs (lower row) first, in lexicographic order of the block values.
+    ``functor_T`` stores its entries in this column order, which
+    ``functor_T_deformed`` relies on to pair them with their signs."""
     nb = p.n_blocks
-    guard_sparse(N**nb, f"functor tensor for {p} at N={N}")
-    k, l = p.k, p.l
-    assign = p.assign
-    num = {}
-    for values in itertools.product(range(N), repeat=nb):
-        point_vals = tuple(values[b] for b in assign)
-        num[point_vals[k:] + point_vals[:k]] = 1  # outputs (lower) first
-    return SparseTensor._raw((N,) * (l + k), l, num)
+    values = np.indices((N,) * nb, dtype=np.min_scalar_type(N)).reshape(nb, N**nb)
+    return values[np.array(p.assign[p.k:] + p.assign[: p.k], dtype=np.intp)]
 
 
 def sign_sigma(indices) -> int:
@@ -60,14 +71,11 @@ def functor_T_deformed(p: Partition, N: int) -> SparseTensor:
             f"deformed functor needs even block sizes, got {p}"
         )
     base = functor_T(p, N)
-    pairs = _odd_block_pairs(p)
-    num = {}
-    for idx in base.numerators:
-        s = 1
-        for x, y in pairs:
-            if idx[x] > idx[y]:
-                s = -s
-        num[idx] = s
+    cols = _index_columns(p, N)
+    odd = np.zeros(cols.shape[1], dtype=bool)
+    for x, y in _odd_block_pairs(p):
+        odd ^= cols[x] > cols[y]
+    num = dict(zip(base.numerators, np.where(odd, -1, 1).tolist()))
     return SparseTensor._raw(base.shape, p.l, num)
 
 
@@ -176,45 +184,32 @@ def partlin_tensors_equal(lhs: PartLin, rhs: PartLin, N: int) -> bool:
 
 # -- antisymmetrizers -----------------------------------------------------------
 
-def _perm_sign(perm) -> int:
-    perm = list(perm)
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+def _perm_signs(k: int) -> list[int]:
+    """Signs of the k! permutations of range(k) in lexicographic order, the
+    order in which ``itertools.permutations`` arranges any k-tuple."""
+    return [sign_sigma(s) for s in itertools.permutations(range(k))]
 
 
 def antisymmetrizer(k: int, n: int, deformed: bool = False) -> SparseTensor:
     """The projection of (C^n)^(x k) onto the k-th (anticommutative) exterior
     power: signed symmetrization, or sign-free symmetrization supported on
-    distinct-index tuples when ``deformed``."""
+    distinct-index tuples when ``deformed``.
+
+    The signed entry at (sigma.S, pi.S), for S an increasing k-tuple, is the
+    sign of the permutation taking pi.S to sigma.S: sign(sigma) sign(pi)."""
     if k < 0 or n < 1:
         raise InvalidInputError(f"antisymmetrizer needs k >= 0, n >= 1")
     if k == 0:
         return SparseTensor._raw((), 0, {(): 1})
     guard_sparse(comb(n, k) * factorial(k) ** 2, f"antisymmetrizer k={k}, n={n}")
+    signs = _perm_signs(k)
     num = {}
     for subset in itertools.combinations(range(n), k):
         arrangements = list(itertools.permutations(subset))
-        for out in arrangements:
-            for inn in arrangements:
-                num[out + inn] = 1 if deformed else _relative_sign(inn, out)
+        for out, s_out in zip(arrangements, signs):
+            for inn, s_in in zip(arrangements, signs):
+                num[out + inn] = 1 if deformed else s_out * s_in
     return SparseTensor._raw((n,) * (2 * k), k, num, factorial(k))
-
-
-def _relative_sign(src, dst) -> int:
-    """Sign of the permutation mapping the distinct tuple src onto dst."""
-    pos = {v: i for i, v in enumerate(src)}
-    return _perm_sign([pos[v] for v in dst])
 
 
 def antisym_coisometry(k: int, n: int, deformed: bool = False) -> SparseTensor:
@@ -222,12 +217,13 @@ def antisym_coisometry(k: int, n: int, deformed: bool = False) -> SparseTensor:
     W W* = (1/k!) I, which together certify rank(A) = C(n, k)."""
     if k == 0:
         return SparseTensor._raw((1,), 1, {(0,): 1})
-    subsets = list(itertools.combinations(range(n), k))
+    guard_sparse(comb(n, k) * factorial(k), f"coisometry k={k}, n={n}")
+    signs = _perm_signs(k)
     num = {}
-    for r, subset in enumerate(subsets):
-        for arr in itertools.permutations(subset):
-            num[(r,) + arr] = 1 if deformed else _relative_sign(arr, subset)
-    return SparseTensor._raw((len(subsets),) + (n,) * k, 1, num, factorial(k))
+    for r, subset in enumerate(itertools.combinations(range(n), k)):
+        for arr, s in zip(itertools.permutations(subset), signs):
+            num[(r,) + arr] = 1 if deformed else s
+    return SparseTensor._raw((comb(n, k),) + (n,) * k, 1, num, factorial(k))
 
 
 def permanent_direct(rows) -> Fraction:

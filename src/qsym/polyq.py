@@ -109,6 +109,9 @@ class PolyQ:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # A constant equals its Fraction, so it hashes as one.
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     # -- presentation --------------------------------------------------------------

@@ -248,14 +248,22 @@ def _folded_v2_basis(gr: CayleyGraph):
     return EigenprojectionBasis(g, labels), pairs
 
 
-def _pairable(*index_pairs) -> bool:
-    """Whether every index occurs an even number of times (indices are
-    non-negative ints): the parity mask of the occurrences is zero."""
-    mask = 0
-    for p in index_pairs:
-        for v in p:
-            mask ^= 1 << v
-    return mask == 0
+def _pairing_rows(pairs, r: int) -> np.ndarray:
+    """(count, r) array, in lexicographic order, of the r-tuples of positions
+    into ``pairs`` (pairs of ints in 0..62) that use every index an even
+    number of times: the XOR of the pairs' parity masks is zero."""
+    bits = np.left_shift(1, np.asarray(pairs, dtype=np.int64))
+    masks = np.bitwise_xor.reduce(bits, axis=1)
+    total = masks
+    for _ in range(r - 1):
+        total = np.bitwise_xor.outer(total, masks)
+    return np.argwhere(total == 0)
+
+
+def _indicator(shape, out_axes: int, rows: np.ndarray) -> SparseTensor:
+    """The tensor with entry 1 at each row of ``rows`` and 0 elsewhere."""
+    num = dict.fromkeys(map(tuple, rows.tolist()), 1)
+    return SparseTensor._raw(shape, out_axes, num)
 
 
 def _folded_fork_check(rep: VerificationReport, gr: CayleyGraph):
@@ -263,13 +271,7 @@ def _folded_fork_check(rep: VerificationReport, gr: CayleyGraph):
     basis, pairs = _folded_v2_basis(gr)
     proj = project(functor_T(Partition.block(1, 2), g.order), basis, basis)
     scaled = proj.scale(Fraction(g.order))
-    entries = {}
-    for x1, p1 in enumerate(pairs):
-        for x2, p2 in enumerate(pairs):
-            for x3, p3 in enumerate(pairs):
-                if _pairable(p1, p2, p3):
-                    entries[(x1, x2, x3)] = 1
-    expected = SparseTensor(scaled.shape, 2, entries)
+    expected = _indicator(scaled.shape, 2, _pairing_rows(pairs, 3))
     rep.add("fork-projection", "N * projected fork = pairing indicator",
             "pass" if scaled == expected else "fail")
 
@@ -281,14 +283,9 @@ def _folded_pairing_tensor_check(rep: VerificationReport, size: int):
 
     combo = six_pairing_combination()
     t = evaluate_partlin(combo, size, deformed=True).scale(Fraction(16))
-    entries = {}
-    for quads in itertools.product(
-        itertools.permutations(range(size), 2), repeat=4
-    ):
-        if _pairable(*quads):
-            entries[tuple(x for q in quads for x in q)] = 1
-    expected = SparseTensor((size,) * 8, t.out_axes, entries)
-    ok = t == expected
+    two_points = np.array(list(itertools.permutations(range(size), 2)))
+    rows = two_points[_pairing_rows(two_points, 4)].reshape(-1, 8)
+    ok = t == _indicator((size,) * 8, t.out_axes, rows)
     rep.add("pairing-tensor",
             f"2^4 x signed six-pairing combination = pairing indicator, size {size}",
             "pass" if ok else "fail")

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qsym.cli import main
 
@@ -205,6 +207,17 @@ def test_halved_block_projection_via_cli(capsys):
     assert {tuple(e["value"]["coeffs"]) for e in data["entries"]} == {("16",)}
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "hypercube:x"],
+    ["spectrum", "--family", "circulant:6,(1;2;x)"],
+    ["fourier-check", "--family", "circulant:1,0"],
+], ids=["hypercube-x", "circulant-shift-x", "circulant-shift-not-a-list"])
+def test_malformed_family_parameters_are_bad_input(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_size_guard_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("QSYM_MAX_N", "4")
     code, _, err = run_cli(capsys, "spectrum", "--family", "hypercube:3")
@@ -247,3 +260,91 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+# -- random command lines ------------------------------------------------------
+
+_small = st.integers(-1, 4).map(str)
+_params = st.lists(_small, max_size=3).map(",".join)
+_families = st.one_of(
+    st.tuples(st.sampled_from(["hypercube", "halved", "folded", "hamming",
+                               "complete", "circulant", "moebius", ""]), _params)
+    .map(":".join),
+    st.sampled_from(["circulant:8,(1;3)", "circulant:6,(1;2;x)", "circulant:5,()",
+                     "hamming:2", ":", "complete:3:4"]),
+)
+_suites = st.one_of(
+    st.tuples(st.sampled_from(["all", "lemmas", "hypercube", "halved", "folded",
+                               "hamming", "complete", "wreath", "eqthat",
+                               "functoriality", "eigenspace", "antisym", "moebius"]),
+              st.none() | _params)
+    .map(lambda t: t[0] if t[1] is None else f"{t[0]}:{t[1]}"),
+    st.text(alphabet="ahlz:,-19 ", max_size=8),
+)
+_leaves = st.sampled_from([
+    "cap", "cup", "cross", "sing", "merge", "fork", "id(0)", "id(2)", "pk(1)",
+    "pk(2)", "block(1,2)", "block(0,0)", "P(1,1){1 1'}", "P(2,2){1 2' | 2 1'}",
+    "P(0,0){}", "P(1,1){1 | 1'}", "P(2,0){1 2}", "x", "n", "2",
+])
+_exprs = st.recursive(
+    _leaves,
+    lambda e: st.one_of(
+        st.tuples(e, st.sampled_from([" + ", " - ", " * ", " ox ", " == "]), e)
+        .map("".join),
+        st.tuples(st.sampled_from(["asym", "adj", "rotl", "rotr", ""]), e)
+        .map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(["compose", "tensor"]), e, e)
+        .map(lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+        st.tuples(st.sampled_from(["n - 1", "2*n^2", "0", "", "n^"]), e)
+        .map(lambda t: f"scale(poly({t[0]}), {t[1]})"),
+    ),
+    max_leaves=4,
+) | st.text(alphabet="P(){}|' ,+-*=^12nacpuox", max_size=24)
+_pcalc_lines = st.one_of(
+    _exprs.map(lambda e: f"let x = {e}"),
+    st.tuples(_exprs, _exprs).map(lambda t: f"check c: {t[0]} == {t[1]}"),
+    st.tuples(_exprs, _exprs).map(lambda t: f"flag f: {t[0]} == {t[1]}"),
+    _exprs, st.sampled_from(["# note", "", "let n = cap", "check nosep: cap"]),
+)
+_pcalc = st.lists(_pcalc_lines, max_size=4).map("\n".join)
+_json = st.sampled_from([[], ["--json"]])
+_argv = st.one_of(
+    st.tuples(st.just(["verify"]), _suites.map(lambda s: [s]), _json),
+    st.tuples(st.just(["spectrum", "--family"]), _families.map(lambda f: [f]), _json),
+    st.tuples(st.just(["spectrum", "--orders"]), st.lists(_small, min_size=1, max_size=3),
+              st.sampled_from([[], ["--gens", "1,0;0,1"], ["--gens", "1"], ["--gens", ""]])),
+    st.tuples(st.just(["fourier-check", "--family"]), _families.map(lambda f: [f]), _json),
+    st.tuples(st.just(["intertwiner", "--family"]), _families.map(lambda f: [f]),
+              st.sampled_from(["1,1", "2,0", "0,2", "2,2", "1", "a,b", "-1,1"])
+              .map(lambda b: ["--block", b]),
+              st.sampled_from([[], ["--project", "V1"], ["--project", "V0+V1"],
+                               ["--project", "x"]])),
+    st.tuples(st.just(["partition", "eval"]), _exprs.map(lambda e: [e]),
+              st.sampled_from([[], ["--at", "-1"], ["--at", "0"], ["--at", "2"],
+                               ["--at", "3", "--deformed"]])),
+    st.tuples(st.just(["partition", "check"]), st.just([]), st.just([])),
+    st.lists(st.sampled_from(["verify", "spectrum", "--json", "--at", "x", "partition"]),
+             max_size=3).map(lambda a: (a, [], [])),
+)
+
+
+@given(argv=_argv, pcalc=_pcalc)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_command_lines_keep_the_exit_code_contract(capsys, monkeypatch, tmp_path,
+                                                          argv, pcalc):
+    monkeypatch.setenv("QSYM_MAX_N", "8")
+    monkeypatch.setenv("QSYM_MAX_DENSE", "512")
+    monkeypatch.setenv("QSYM_MAX_SPARSE", "512")
+    argv = [x for part in argv for x in part]
+    if argv[:2] == ["partition", "check"]:
+        f = tmp_path / "random.pcalc"
+        f.write_text(pcalc)
+        argv.append(str(f))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, pcalc, err)
+    assert "internal error" not in out + err, (argv, pcalc, err)

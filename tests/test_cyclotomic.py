@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qsym.cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi, cyc
 from qsym.errors import InvalidInputError
+from qsym.polyq import PolyQ
 
 
 def test_cyclotomic_polynomials_known():
@@ -139,3 +140,29 @@ def test_json_roundtrip():
 def test_str_forms():
     assert cyc(3).str() == "3"
     assert (Cyclotomic.zeta(8) - 1).str() == "-1 + zeta8"
+
+
+@given(cyclotomics(), st.sampled_from([1, 2, 3, 4]), small_rats,
+       st.lists(small_rats, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_equal_values_hash_equal(a, factor, q, poly_coeffs):
+    """a == b implies hash(a) == hash(b), across levels and against plain
+    rationals: a value, its lift, rationals as Fraction, int, Cyclotomic and
+    constant PolyQ, and polynomials that may reduce to constants."""
+    pool = [a, a.lift(a.level * factor), q, Cyclotomic.from_rational(q),
+            Cyclotomic.from_rational(q).lift(factor * 4), PolyQ.const(q),
+            PolyQ(poly_coeffs), PolyQ()]
+    if a.is_rational():
+        pool.append(a.as_fraction())
+    if q.denominator == 1:
+        pool.append(int(q))
+    for x in pool:
+        for y in pool:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+
+
+def test_rational_values_share_a_set_slot_with_their_fraction():
+    assert len({Cyclotomic.from_rational(1), 1}) == 1
+    assert len({PolyQ.const(3), 3, Fraction(3)}) == 1
+    assert len({PolyQ(), 0}) == 1

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsym.functors import (
     antisym_coisometry,
@@ -68,24 +70,127 @@ def test_deformed_cup_ties():
         assert t[(j, j)] == 1
 
 
-def test_deformed_signs_match_sign_sigma():
+# -- plain-enumeration oracles for the functor builders --------------------------
+
+def _functor_oracle(p, N):
+    """{index: 1} of T_p, from every tuple of point values whose values agree
+    inside each block; the key lists the lower points first."""
+    num = {}
+    for vals in itertools.product(range(N), repeat=p.k + p.l):
+        if all(vals[i] == vals[j] for blk in p.blocks() for i in blk for j in blk):
+            num[vals[p.k:] + vals[: p.k]] = 1
+    return num
+
+
+def _as_tensor(p, N, num, den=1):
+    return SparseTensor((N,) * (p.l + p.k), p.l,
+                        {idx: Fraction(v, den) for idx, v in num.items()})
+
+
+@st.composite
+def partitions(draw, even=False):
+    """Random partitions with at most 3 upper and 3 lower points; with
+    ``even`` the points are paired up and some pairs merged, so every block
+    has even size."""
+    k, l = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if even and (k + l) % 2:
+        l = l - 1 if l else l + 1
+    if not even:
+        assign = []
+        for _ in range(k + l):
+            assign.append(draw(st.integers(0, max(assign, default=-1) + 1)))
+        return Partition(k, l, assign)
+    points = draw(st.permutations(range(k + l)))
+    assign = [0] * (k + l)
+    for i in range(0, k + l, 2):
+        assign[points[i]] = assign[points[i + 1]] = draw(st.integers(0, i // 2))
+    return Partition(k, l, assign)
+
+
+@given(partitions(), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_functor_matches_enumeration(p, N):
+    assert functor_T(p, N) == _as_tensor(p, N, _functor_oracle(p, N))
+
+
+@given(partitions(even=True), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_deformed_signs_match_sign_sigma(p, N):
     """The block-pair sign equals sigma of each row, on random even-block
     partitions."""
-    rng = random.Random(7)
-    for _ in range(40):
-        k = rng.randint(0, 4)
-        l = rng.choice([x for x in range(5) if (k + x) % 2 == 0 and k + x])
-        points = list(range(k + l))
-        rng.shuffle(points)
-        assign = [0] * (k + l)
-        for i in range(0, k + l, 2):  # pairs, some merged into blocks of 4 or 6
-            b = rng.randint(0, i // 2)
-            assign[points[i]] = assign[points[i + 1]] = b
-        p = Partition(k, l, assign)
-        t = functor_T_deformed(p, 3)
-        expected = {idx: sign_sigma(idx[l:]) * sign_sigma(idx[:l])
-                    for idx in functor_T(p, 3).numerators}
-        assert dict(t.numerators) == expected, p
+    expected = {idx: sign_sigma(idx[p.l:]) * sign_sigma(idx[: p.l])
+                for idx in _functor_oracle(p, N)}
+    assert functor_T_deformed(p, N) == _as_tensor(p, N, expected)
+
+
+@pytest.mark.parametrize("text", [
+    "P(0,0){}", "P(2,0){1 2}", "P(3,0){1 3 | 2}", "P(0,2){1' 2'}",
+    "P(0,4){1' 3' | 2' 4'}",
+])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_functor_on_one_sided_partitions(text, N):
+    p = Partition.parse(text)
+    t = functor_T(p, N)
+    assert t == _as_tensor(p, N, _functor_oracle(p, N))
+    if p.k + p.l == 0:
+        assert dict(t.numerators) == {(): 1}
+    if not p.has_odd_block():
+        expected = {idx: sign_sigma(idx[p.l:]) * sign_sigma(idx[: p.l])
+                    for idx in _functor_oracle(p, N)}
+        assert functor_T_deformed(p, N) == _as_tensor(p, N, expected)
+
+
+@pytest.mark.parametrize("deformed", [False, True])
+def test_evaluate_partlin_coefficients_beyond_int64(deformed):
+    ident, crossing = Partition.identity(2), Partition.parse("P(2,2){1 2' | 2 1'}")
+    big, bigger = Fraction(2**70 + 1, 3), -(2**65)
+    e = PartLin.of(ident, big) + PartLin.of(crossing, bigger)
+    N = 3
+    expected = {}
+    for part, c in ((ident, big), (crossing, bigger)):
+        for idx in _functor_oracle(part, N):
+            sign = sign_sigma(idx[2:]) * sign_sigma(idx[:2]) if deformed else 1
+            expected[idx] = expected.get(idx, 0) + sign * c
+    t = evaluate_partlin(e, N, deformed)
+    assert t == SparseTensor((N,) * 4, 2, expected)
+    assert t[(0, 1, 0, 1)] == big and t[(1, 0, 0, 1)] == (-1 if deformed else 1) * bigger
+
+
+def _perm_sign(perm) -> int:
+    """Sign of a permutation from its cycle lengths."""
+    sign, seen = 1, [False] * len(perm)
+    for i in range(len(perm)):
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen and clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _relative_sign(src, dst) -> int:
+    """Sign of the permutation mapping the distinct tuple src onto dst."""
+    pos = {v: i for i, v in enumerate(src)}
+    return _perm_sign([pos[v] for v in dst])
+
+
+@pytest.mark.parametrize("deformed", [False, True])
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(n + 1)])
+def test_antisymmetrizers_match_relative_sign(n, k, deformed):
+    a_num, w_num = {}, {}
+    for r, subset in enumerate(itertools.combinations(range(n), k)):
+        arrangements = list(itertools.permutations(subset))
+        for out in arrangements:
+            w_num[(r,) + out] = Fraction(
+                1 if deformed else _relative_sign(out, subset), factorial(k))
+            for inn in arrangements:
+                a_num[out + inn] = Fraction(
+                    1 if deformed else _relative_sign(inn, out), factorial(k))
+    assert antisymmetrizer(k, n, deformed) == SparseTensor((n,) * (2 * k), k, a_num)
+    w = antisym_coisometry(k, n, deformed)
+    assert w == SparseTensor((comb(n, k),) + (n,) * k, 1, w_num)
 
 
 def test_deformed_rejects_odd_blocks():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import qsym.verify
@@ -53,3 +55,23 @@ def test_six_pairing_combination_shape():
     combo = six_pairing_combination()
     assert (combo.k, combo.l) == (0, 8)
     assert all(p.is_pairing() for p in combo.terms)
+
+
+def _pairable(*index_pairs) -> bool:
+    """Whether every index occurs an even number of times."""
+    counts = {}
+    for p in index_pairs:
+        for v in p:
+            counts[v] = counts.get(v, 0) + 1
+    return all(c % 2 == 0 for c in counts.values())
+
+
+@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("size", [3, 4, 5])
+def test_pairing_rows_match_tuple_loop(size, r):
+    # the two-points of the pairing tensor, and fork-style pairs (i, size)
+    for pairs in (list(itertools.permutations(range(size), 2)),
+                  [(i, j) for i in range(size) for j in range(i + 1, size + 1)]):
+        expected = [list(x) for x in itertools.product(range(len(pairs)), repeat=r)
+                    if _pairable(*(pairs[i] for i in x))]
+        assert qsym.verify._pairing_rows(pairs, r).tolist() == expected
