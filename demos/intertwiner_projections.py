@@ -12,6 +12,7 @@ from fractions import Fraction
 from qsym import (
     EigenprojectionBasis,
     Partition,
+    SpectralDecomposition,
     brute_hat_intertwiner,
     family_graph,
     functor_T,
@@ -19,7 +20,6 @@ from qsym import (
     hat_block_intertwiner,
     make_group,
     project,
-    spectrum,
 )
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ print("=== the cube's degree-one eigenspace ===")
 # pair up - a combination of three pairings minus twice the full block.
 n = 4
 cube = family_graph("hypercube", n)
-spec = spectrum(cube)
+spec = SpectralDecomposition(cube)
 v1 = EigenprojectionBasis.from_spectrum(spec, [1])
 proj = project(functor_T(Partition.block(2, 2), cube.group.order), v1, v1)
 scaled = proj.scale(Fraction(2**n))
@@ -52,7 +52,7 @@ print("=== the halved cube's top block: even n vs odd n ===")
 for n in (4, 5):
     gr = family_graph("halved", n)
     gh = gr.group
-    sp = spectrum(gr)
+    sp = SpectralDecomposition(gr)
     labs = next(ls for _, ls in sp.items if any(mu.degree == 1 for mu in ls))
     basis = EigenprojectionBasis(
         gh, sorted(labs, key=lambda mu: (mu.degree, gh.index(mu)))

@@ -6,19 +6,19 @@ and grouped by exact equality; floating point never decides anything.
 """
 
 from qsym import (
+    SpectralDecomposition,
     conjugate_by_fourier,
     eigenvalue,
     family_graph,
     fourier_matrix,
     make_group,
-    spectrum,
 )
 
 # ---------------------------------------------------------------------------
 # The cube graph: vertices are bit-strings, edges flip one bit.
 print("=== cube graph on Z_2^3 ===")
 cube = family_graph("hypercube", 3)
-spec = spectrum(cube)
+spec = SpectralDecomposition(cube)
 print("spectrum:", spec.summary())
 
 # Characters diagonalize the adjacency matrix.  Conjugating by the Fourier
@@ -42,7 +42,7 @@ print()
 # depend only on the degree d of the label and pair up as d <-> n+1-d.
 print("=== halved cube on Z_2^4 ===")
 halved = family_graph("halved", 4)
-print("spectrum:", spectrum(halved).summary())
+print("spectrum:", SpectralDecomposition(halved).summary())
 gh = halved.group
 for d in range(5):
     mu = gh.element([1] * d + [0] * (4 - d))
@@ -54,7 +54,7 @@ print()
 # degrees share an eigenvalue, so eigenspaces merge in pairs.
 print("=== folded cube on Z_2^4 ===")
 folded = family_graph("folded", 4)
-for lam, labels in spectrum(folded).items:
+for lam, labels in SpectralDecomposition(folded).items:
     degs = sorted({mu.degree for mu in labels})
     print(f"  lambda = {lam.str():>4}   label degrees {degs}")
 print()
@@ -64,7 +64,7 @@ print()
 # Eigenvalues are m * (number of zero coordinates) - n.
 print("=== Hamming graph H(2,3) on Z_3^2 ===")
 hamming = family_graph("hamming", 2, 3)
-print("spectrum:", spectrum(hamming).summary())
+print("spectrum:", SpectralDecomposition(hamming).summary())
 
 # Here the characters take values in Q(zeta_3); the eigenvalues are still
 # rational integers because generating sets are closed under negation.

@@ -16,7 +16,6 @@ from .partitions import (
     compose_partitions,
     tensor,
     two_point_swap,
-    verify_identity,
 )
 from .sparse import SparseTensor
 from .functors import (
@@ -25,7 +24,6 @@ from .functors import (
     evaluate_partlin,
     functor_T,
     functor_T_deformed,
-    partlin_tensors_equal,
     permanent_via_wedge,
     sign_sigma,
 )
@@ -33,17 +31,14 @@ from .cayley import (
     CayleyGraph,
     GeneratingSet,
     SpectralDecomposition,
-    build_cayley,
     cartesian_adjacency,
     conjugate_by_fourier,
     eigenvalue,
-    family,
     family_graph,
     fourier_matrix,
     is_automorphism,
     make_generating_set,
     perm_matrix,
-    spectrum,
     wreath_rep,
 )
 from .intertwiners import (

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -96,12 +99,6 @@ class CayleyGraph:
         return self.group.order * len(self.gens) // 2
 
 
-def build_cayley(group: AbelianGroup, gens) -> CayleyGraph:
-    if not isinstance(gens, GeneratingSet):
-        gens = make_generating_set(group, gens)
-    return CayleyGraph(group, gens)
-
-
 def eigenvalue(group: AbelianGroup, gens: GeneratingSet, mu: GroupElement) -> Cyclotomic:
     """lambda_mu = sum_{theta in S} tau_mu(-theta), exact."""
     total = ZERO
@@ -141,12 +138,6 @@ class SpectralDecomposition:
     def multiplicities(self):
         return [len(labels) for _, labels in self.items]
 
-    def labels_of(self, i: int) -> list[GroupElement]:
-        return self.items[i][1]
-
-    def eigenvalue_of_label(self, mu: GroupElement) -> Cyclotomic:
-        return eigenvalue(self.graph.group, self.graph.gens, mu)
-
     def all_real(self) -> bool:
         return all(lam.is_real() for lam in self.eigenvalues)
 
@@ -169,10 +160,6 @@ class SpectralDecomposition:
         return ", ".join(
             f"{lam.str()} (x{len(labels)})" for lam, labels in self.items
         )
-
-
-def spectrum(graph: CayleyGraph) -> SpectralDecomposition:
-    return SpectralDecomposition(graph)
 
 
 # -- Fourier transform ------------------------------------------------------------
@@ -296,87 +283,84 @@ def _conjugate_hadamard_int(group: AbelianGroup, mx: SparseTensor) -> SparseTens
 
 # -- graph families ------------------------------------------------------------------
 
-def family(name: str, *params) -> tuple[AbelianGroup, GeneratingSet]:
-    """Named families; accepts either family('hypercube', 3) or the combined
-    string form 'hypercube:3' (parameters then separated by ',' or ':')."""
-    if not params and ":" in name:
-        name, _, rest = name.partition(":")
-        params = _parse_family_params(name.strip().lower(), rest)
-    name = name.strip().lower()
-    if name == "hypercube":
-        (n,) = _ints(params, 1, name)
-        g = make_group([2] * n)
-        gens = [g.epsilon(i) for i in range(n)]
-    elif name == "halved":
-        (n,) = _ints(params, 1, name)
-        g = make_group([2] * n)
-        gens = [g.epsilon(i) for i in range(n)] + [
-            g.add(g.epsilon(i), g.epsilon(j))
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-    elif name == "folded":
-        (n,) = _ints(params, 1, name)
-        if n < 2:
-            # at n = 1 the all-ones generator coincides with epsilon_1
-            raise InvalidInputError(f"family 'folded' needs n >= 2, got {n}")
-        g = make_group([2] * n)
-        gens = [g.epsilon(i) for i in range(n)] + [g.element([1] * n)]
-    elif name == "hamming":
-        n, m = _ints(params, 2, name)
-        g = make_group([m] * n)
-        gens = [g.epsilon(i, a) for i in range(n) for a in range(1, m)]
-    elif name == "complete":
-        (m,) = _ints(params, 1, name)
-        g = make_group([m])
-        gens = [g.element([a]) for a in range(1, m)]
-    elif name == "circulant":
-        if len(params) != 2 or not isinstance(params[1], (list, tuple)):
-            raise InvalidInputError("circulant needs an order and generator list")
-        m = int(params[0])
-        g = make_group([m])
-        gens = [g.element([int(s)]) for s in params[1]]
-    else:
-        raise InvalidInputError(f"unknown family {name!r}")
-    guard_n(g.order, f"family {name}")
-    return g, make_generating_set(g, gens)
-
-
-def _parse_family_params(name, rest):
-    rest = rest.strip()
-    if name == "circulant":
-        m, _, gens = rest.replace(":", ",").partition(",")
-        gens = gens.strip()
-        if not (gens.startswith("(") and gens.endswith(")")):
-            raise InvalidInputError(
-                "circulant generators must be given as (s1;s2;...)"
-            )
-        shifts = [s for s in gens[1:-1].split(";") if s.strip()]
-        return (_integer(m, rest), [_integer(s, rest) for s in shifts])
-    return tuple(_integer(x, rest) for x in rest.replace(":", ",").split(",") if x.strip())
-
-
-def _integer(text, spec):
+def as_int(value, what: str) -> int:
+    """``value`` as an int: an integer, or the decimal text of one.  Anything
+    else (a float, a list, '1.5', 'x', '') is invalid input."""
     try:
-        return int(text)
-    except ValueError:
+        return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def parse_spec(spec: str) -> tuple[str, tuple]:
+    """The lower-cased name and the parameters of a family or suite string
+    such as 'hamming:2,3' or 'circulant:8,(1;3)'.  Parameters follow the
+    first ':' and are separated by ',' or ':'; a '(s1;s2;...)' group is one
+    list parameter."""
+    name, _, rest = spec.partition(":")
+    params = []
+    for text in re.split("[,:]", rest):
+        text = text.strip()
+        if text.startswith("(") and text.endswith(")"):
+            shifts = [s for s in text[1:-1].split(";") if s.strip()]
+            params.append([as_int(s, f"list entry of {spec!r}") for s in shifts])
+        elif text:
+            params.append(as_int(text, f"parameter of {spec!r}"))
+    return name.strip().lower(), tuple(params)
+
+
+def _cube(g, n):
+    return [g.epsilon(i) for i in range(n)]
+
+
+# family -> ({parameter: least value}, its cyclic orders, its generators); a
+# least value of None marks a list of integer shifts.  folded needs n >= 2
+# (at n = 1 the all-ones generator is epsilon_1), and circulant m >= 2 (Z_1
+# has no nonzero shift).
+FAMILIES = {
+    "hypercube": ({"n": 1}, lambda n: [2] * n, _cube),
+    "halved": ({"n": 1}, lambda n: [2] * n, lambda g, n: _cube(g, n) + [
+        g.add(a, b) for a, b in itertools.combinations(_cube(g, n), 2)]),
+    "folded": ({"n": 2}, lambda n: [2] * n,
+               lambda g, n: _cube(g, n) + [g.element([1] * n)]),
+    "hamming": ({"n": 1, "m": 2}, lambda n, m: [m] * n,
+                lambda g, n, m: [g.epsilon(i, a) for i in range(n) for a in range(1, m)]),
+    "complete": ({"m": 2}, lambda m: [m],
+                 lambda g, m: [g.element([a]) for a in range(1, m)]),
+    "circulant": ({"m": 2, "shifts": None}, lambda m, shifts: [m],
+                  lambda g, m, shifts: [g.element([s]) for s in shifts]),
+}
+
+
+def family_graph(spec: str, *params) -> CayleyGraph:
+    """The Cayley graph of a named family, from a string such as 'hamming:2,3'
+    or from a name and its parameters, as in family_graph('hamming', 2, 3).
+    The parameters are checked against the family's domain before any group
+    is built."""
+    name, parsed = parse_spec(spec)
+    params = parsed + params
+    if name not in FAMILIES:
+        raise InvalidInputError(f"unknown family {name!r}")
+    domain, orders, gens = FAMILIES[name]
+    if len(params) != len(domain):
         raise InvalidInputError(
-            f"family parameters must be integers, got {spec!r}"
-        ) from None
-
-
-def _ints(params, count, name):
-    if len(params) != count:
-        raise InvalidInputError(f"family {name!r} needs {count} parameter(s)")
-    out = tuple(int(p) for p in params)
-    if any(p < 1 for p in out):
-        raise InvalidInputError(f"family {name!r} needs positive parameters")
-    return out
-
-
-def family_graph(name: str, *params) -> CayleyGraph:
-    g, s = family(name, *params)
-    return CayleyGraph(g, s)
+            f"family {name!r} needs {len(domain)} parameter(s): {', '.join(domain)}"
+        )
+    values = []
+    for (param, least), value in zip(domain.items(), params):
+        if least is None:
+            if not isinstance(value, (list, tuple)):
+                raise InvalidInputError(f"family {name!r} needs {param} as a list (s1;s2;...)")
+            values.append([as_int(s, f"family {name!r} {param}") for s in value])
+            continue
+        value = as_int(value, f"family {name!r} {param}")
+        if value < least:
+            raise InvalidInputError(f"family {name!r} needs {param} >= {least}, got {value}")
+        values.append(value)
+    sizes = orders(*values)
+    guard_n(prod(sizes), f"family {name}")
+    g = make_group(sizes)
+    return CayleyGraph(g, make_generating_set(g, gens(g, *values)))
 
 
 # -- products, automorphisms, wreath representations ----------------------------------

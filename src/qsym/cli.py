@@ -15,44 +15,41 @@ import json
 import sys
 
 from .cayley import (
-    build_cayley,
-    family,
+    CayleyGraph,
+    SpectralDecomposition,
+    as_int,
+    family_graph,
     make_generating_set,
-    spectrum,
 )
 from .dsl import eval_text, load_fixture_file
 from .errors import InvalidInputError, QsymError
 from .functors import evaluate_partlin, functor_T
 from .groups import make_group
 from .intertwiners import EigenprojectionBasis, hat_block_intertwiner, project
+from .lemmas import check_identities
 from .partitions import Partition
-from .verify import parse_params, run_suite, suite_fourier_check
+from .report import VerificationReport
+from .verify import run_suite, suite_fourier_check
 
 EXIT_OK = 0
-EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL_ERROR = 3
 
 
 def _graph_from_args(args):
     if args.family:
-        g, s = family(args.family)
-        return build_cayley(g, s)
+        return family_graph(args.family)
     if args.orders is None or args.gens is None:
         raise InvalidInputError("need either --family or both --orders and --gens")
     g = make_group(args.orders)
-    gens = []
-    for chunk in args.gens.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        gens.append(g.element([int(x) for x in chunk.split(",")]))
-    return build_cayley(g, make_generating_set(g, gens))
+    gens = [[as_int(x, "--gens coordinate") for x in chunk.split(",")]
+            for chunk in args.gens.split(";") if chunk.strip()]
+    return CayleyGraph(g, make_generating_set(g, gens))
 
 
 def cmd_spectrum(args) -> int:
     gr = _graph_from_args(args)
-    spec = spectrum(gr)
+    spec = SpectralDecomposition(gr)
     if args.json:
         json.dump(spec.to_json(), sys.stdout, sort_keys=True)
         sys.stdout.write("\n")
@@ -66,18 +63,16 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_fourier_check(args) -> int:
-    name, _, rest = args.family.partition(":")
-    rep = suite_fourier_check(name, *parse_params(rest))
+    rep = suite_fourier_check(args.family)
     _emit_report(rep, args.json)
     return rep.exit_code()
 
 
 def _parse_block(text):
-    try:
-        k, l = (int(x) for x in text.split(","))
-    except ValueError:
-        raise InvalidInputError(f"--block needs 'k,l', got {text!r}") from None
-    return k, l
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise InvalidInputError(f"--block needs 'k,l', got {text!r}")
+    return [as_int(x, "--block leg count") for x in parts]
 
 
 def _parse_selection(text, n_spaces):
@@ -86,7 +81,7 @@ def _parse_selection(text, n_spaces):
         piece = piece.strip().upper()
         if not piece.startswith("V"):
             raise InvalidInputError(f"eigenspace selector must look like V1, got {piece!r}")
-        indices.append(int(piece[1:]))
+        indices.append(as_int(piece[1:], "eigenspace index"))
     if any(i < 0 or i >= n_spaces for i in indices):
         raise InvalidInputError(
             f"eigenspace index out of range 0..{n_spaces - 1} in {text!r}"
@@ -99,7 +94,7 @@ def cmd_intertwiner(args) -> int:
     g = gr.group
     k, l = _parse_block(args.block)
     if args.project:
-        spec = spectrum(gr)
+        spec = SpectralDecomposition(gr)
         indices = _parse_selection(args.project, len(spec.items))
         basis = EigenprojectionBasis.from_spectrum(spec, indices)
         t = functor_T(Partition.block(k, l), g.order)
@@ -128,19 +123,12 @@ def cmd_partition(args) -> int:
                 stats["trace"] = str(tr.as_fraction()) if tr.is_rational() else tr.str()
             print(json.dumps(stats, sort_keys=True))
         return EXIT_OK
-    # action == check
+    # action == check: the checker of `qsym verify lemmas`
     with open(args.file, "r", encoding="utf-8") as fh:
         checks = load_fixture_file(fh.read())
-    failed = 0
-    for chk in checks:
-        ok = chk.lhs == chk.rhs
-        if chk.kind == "flag":
-            status = "holds" if ok else "finding (as recorded)"
-        else:
-            status = "ok" if ok else "FAILED"
-            failed += 0 if ok else 1
-        print(f"{chk.name}: {status}")
-    return EXIT_OK if not failed else EXIT_VERIFY_FAILED
+    rep = check_identities(VerificationReport(args.file), checks)
+    _emit_report(rep, False)
+    return rep.exit_code()
 
 
 def cmd_verify(args) -> int:

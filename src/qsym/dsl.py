@@ -270,12 +270,6 @@ class Parser:
         self.expect(")")
         return poly
 
-    def expect_name(self, name):
-        t = self.next()
-        if t.text != name:
-            raise ParseError(f"expected {name!r}, found {t.text!r}", t.line, t.col)
-        return t
-
     def parse_poly_sum(self) -> PolyQ:
         depth = self.deeper(self.peek())
         neg = False

@@ -175,13 +175,6 @@ def partlin_evaluates_to_zero(e: PartLin, N: int) -> bool:
     return True
 
 
-def partlin_tensors_equal(lhs: PartLin, rhs: PartLin, N: int) -> bool:
-    """Exact equality of the (undeformed) tensor evaluations at N."""
-    lhs, rhs = PartLin.coerce(lhs), PartLin.coerce(rhs)
-    lhs._check_shape(rhs)
-    return partlin_evaluates_to_zero(lhs - rhs, N)
-
-
 # -- antisymmetrizers -----------------------------------------------------------
 
 def _perm_signs(k: int) -> list[int]:

@@ -76,10 +76,6 @@ class EigenprojectionBasis:
         ))
         return SparseTensor._raw((len(rows), g.order), 1, num, 1, M)
 
-    def u_matrix(self) -> Mapping:
-        """U as {(row, alpha_index): conj(tau_mu(alpha))}."""
-        return self.u_tensor().entries
-
     def u_star_matrix(self) -> Mapping:
         """U* as {(alpha_index, row): tau_mu(alpha)}."""
         return self.u_tensor().adjoint().entries

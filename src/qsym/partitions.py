@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from .config import guard_dense
 from .errors import InvalidInputError
 from .polyq import PolyQ
 
@@ -408,6 +409,7 @@ class PartLin:
 
     def tensor(self, other) -> "PartLin":
         other = self.coerce(other)
+        guard_dense(len(self.terms) * len(other.terms), "partition tensor product")
         terms = {}
         for p, cp in self.terms.items():
             for q, cq in other.terms.items():
@@ -490,6 +492,7 @@ def compose(q, p) -> PartLin:
         raise InvalidInputError(
             f"arity mismatch: cannot compose shapes ({q.k},{q.l}) after ({p.k},{p.l})"
         )
+    guard_dense(len(q.terms) * len(p.terms), "partition composition")
     k, l, m = p.k, p.l, q.l
     q_den, q_terms = _integer_terms(q)
     p_den, p_terms = _integer_terms(p)
@@ -618,25 +621,3 @@ def two_point_swap(e: PartLin, i: int, row: str = "lower") -> PartLin:
             raise InvalidInputError("upper row is not two-point structured")
         return compose(e, _twopoint_swap_element(e.k // 2, i))
     raise InvalidInputError(f"unknown row {row!r}")
-
-
-class IdentityReport:
-    """Outcome of an exact PartLin comparison."""
-
-    def __init__(self, lhs: PartLin, rhs: PartLin):
-        self.equal = lhs == rhs
-        self.difference = lhs - rhs
-
-    def __bool__(self):
-        return self.equal
-
-    def describe(self) -> str:
-        if self.equal:
-            return "equal"
-        return f"differ by {self.difference}"
-
-
-def verify_identity(lhs, rhs) -> IdentityReport:
-    lhs, rhs = PartLin.coerce(lhs), PartLin.coerce(rhs)
-    lhs._check_shape(rhs)
-    return IdentityReport(lhs, rhs)

@@ -22,14 +22,16 @@ import numpy as np
 
 from .cayley import (
     CayleyGraph,
+    SpectralDecomposition,
+    as_int,
     cartesian_adjacency,
     conjugate_by_fourier,
     coordinate_perm,
     eigenvalue,
     family_graph,
+    parse_spec,
     perm_matrix,
     product_action_perm,
-    spectrum,
     translation_perm,
     wreath_rep,
 )
@@ -149,7 +151,8 @@ def halved_top_block(n: int) -> tuple[SparseTensor, list[tuple[int, ...]], int]:
     coordinates in basis order and the group order N."""
     gr = family_graph("halved", n)
     g = gr.group
-    labs = next(ls for _, ls in spectrum(gr).items if any(m.degree == 1 for m in ls))
+    spec = SpectralDecomposition(gr)
+    labs = next(ls for _, ls in spec.items if any(m.degree == 1 for m in ls))
     labels = sorted(labs, key=lambda m: (m.degree, g.index(m)))
     basis = EigenprojectionBasis(g, labels)
     proj = project(functor_T(Partition.block(n + 1, 0), g.order), None, basis)
@@ -200,7 +203,7 @@ def suite_folded(n: int, heavy: bool = True) -> VerificationReport:
         for d in range(1, n // 2 + 1)
     )
     rep.add("degeneracy", "lambda_{2d-1} = lambda_{2d}", "pass" if paired else "fail")
-    spec = spectrum(gr)
+    spec = SpectralDecomposition(gr)
     pattern_ok = True
     for _, labs in spec.items:
         degs = sorted({mu.degree for mu in labs})
@@ -236,7 +239,7 @@ def _folded_closed_form_check(rep: VerificationReport, n: int):
 def _folded_v2_basis(gr: CayleyGraph):
     g = gr.group
     n = g.rank
-    spec = spectrum(gr)
+    spec = SpectralDecomposition(gr)
     idx = next(
         i for i, (_, labs) in enumerate(spec.items) if any(m.degree == 1 for m in labs)
     )
@@ -324,7 +327,7 @@ def six_pairing_combination() -> PartLin:
 
 def suite_complete(m: int) -> VerificationReport:
     rep = VerificationReport(f"complete:{m}")
-    spec = spectrum(family_graph("complete", m))
+    spec = SpectralDecomposition(family_graph("complete", m))
     vals = [(lam, len(labs)) for lam, labs in spec.items]
     ok = (
         len(vals) == 2
@@ -346,7 +349,7 @@ def suite_hamming(n: int, m: int, operators: bool = True) -> VerificationReport:
         eigenvalue(g, gr.gens, mu) == m * mu.zeros - n for mu in g.elements()
     )
     rep.add("eigenvalue-formula", "lambda_mu = m l_mu - n", "pass" if ok else "fail")
-    spec = spectrum(gr)
+    spec = SpectralDecomposition(gr)
     rep.add("distinct-count", "n+1 distinct eigenvalues",
             "pass" if len(spec.items) == n + 1 else "fail",
             f"got {len(spec.items)}")
@@ -368,7 +371,7 @@ def _hamming_operator_checks(rep: VerificationReport, n: int, m: int):
     # merge restriction sanity against the Fourier side
     gr = family_graph("hamming", n, m)
     g = gr.group
-    spec = spectrum(gr)
+    spec = SpectralDecomposition(gr)
     v1 = EigenprojectionBasis.from_spectrum(spec, [1])
     lab_map = {}
     for r, mu in enumerate(v1.labels):
@@ -500,15 +503,11 @@ def suite_wreath(n: int, m: int, samples: int = 20, seed: int = 7) -> Verificati
 def suite_eigenspace_invariance(seed: int = 11) -> VerificationReport:
     rep = VerificationReport("eigenspace-invariance")
     rng = random.Random(seed)
-    cases = [
-        ("hypercube", (3,)), ("hypercube", (4,)),
-        ("halved", (4,)), ("folded", (4,)),
-        ("hamming", (2, 3)), ("hamming", (2, 4)),
-    ]
-    for name, args in cases:
-        gr = family_graph(name, *args)
+    for family in ("hypercube:3", "hypercube:4", "halved:4", "folded:4", "hamming:2,3",
+                   "hamming:2,4"):
+        gr = family_graph(family)
         g = gr.group
-        spec = spectrum(gr)
+        spec = SpectralDecomposition(gr)
         group_of = {}
         for i, (_, labs) in enumerate(spec.items):
             for mu in labs:
@@ -526,8 +525,7 @@ def suite_eigenspace_invariance(seed: int = 11) -> VerificationReport:
             if any(group_of[r] != group_of[c] for r, c in hat_u.entries):
                 ok = False
                 break
-        rep.add(f"{name}:{','.join(map(str, args))}",
-                "conjugated automorphisms vanish between distinct eigenvalues",
+        rep.add(family, "conjugated automorphisms vanish between distinct eigenvalues",
                 "pass" if ok else "fail")
     return rep
 
@@ -575,9 +573,11 @@ def suite_antisymmetrizers(n_max: int = 6, seed: int = 99) -> VerificationReport
 
 def suite_fourier_check(name: str, *params) -> VerificationReport:
     """Assert the Fourier conjugation of a family adjacency is diagonal and
-    matches the character-sum spectrum."""
+    matches the character-sum spectrum.  ``name`` is a family name or a
+    whole family string such as 'hamming:2,3'."""
+    name, parsed = parse_spec(name)
     rep = VerificationReport(f"fourier-check:{name}")
-    gr = family_graph(name, *params)
+    gr = family_graph(name, *parsed, *params)
     g = gr.group
     d = conjugate_by_fourier(g, gr.adjacency())
     off = [idx for idx in d.entries if idx[0] != idx[1]]
@@ -595,14 +595,6 @@ def suite_fourier_check(name: str, *params) -> VerificationReport:
 
 
 # -- suite selection ---------------------------------------------------------------------
-
-def parse_params(text: str) -> tuple[int, ...]:
-    """Integer parameters separated by ',' or ':', e.g. '2,3' -> (2, 3)."""
-    try:
-        return tuple(int(x) for x in text.replace(":", ",").split(",") if x.strip())
-    except ValueError:
-        raise InvalidInputError(f"parameters must be integers, got {text!r}") from None
-
 
 def _suite_all() -> VerificationReport:
     total = VerificationReport("all")
@@ -647,9 +639,7 @@ _SUITES = {
 def run_suite(spec_str: str) -> VerificationReport:
     """Resolve a suite name like 'all', 'lemmas', 'hypercube:3', or
     'hamming:2,3' to its report."""
-    name, _, rest = spec_str.partition(":")
-    name = name.strip().lower()
-    params = parse_params(rest)
+    name, params = parse_spec(spec_str)
     if name not in _SUITES:
         raise InvalidInputError(f"unknown suite {spec_str!r}")
     suite, arity = _SUITES[name]
@@ -657,4 +647,4 @@ def run_suite(spec_str: str) -> VerificationReport:
         raise InvalidInputError(
             f"suite {name!r} needs {arity} parameter(s), got {len(params)}"
         )
-    return globals()[suite](*params)
+    return globals()[suite](*(as_int(p, f"parameter of {spec_str!r}") for p in params))

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qsym.cayley import family_graph, spectrum
+from qsym.cayley import SpectralDecomposition, family_graph
 from qsym.functors import functor_T
 from qsym.intertwiners import EigenprojectionBasis, HammingOperators, project
 from qsym.lemmas import lemma_suite, load_all_fixtures
@@ -140,7 +140,7 @@ def test_acceptance_07_functoriality():
 
 def _degree_one_basis(gr):
     g = gr.group
-    spec = spectrum(gr)
+    spec = SpectralDecomposition(gr)
     labs = next(ls for _, ls in spec.items if any(mu.degree == 1 for mu in ls))
     return EigenprojectionBasis(g, sorted(labs, key=g.index))
 

@@ -3,19 +3,18 @@ from fractions import Fraction
 import pytest
 
 from qsym.cayley import (
-    build_cayley,
+    CayleyGraph,
+    SpectralDecomposition,
     cartesian_adjacency,
     conjugate_by_fourier,
     coordinate_perm,
     eigenvalue,
-    family,
     family_graph,
     fourier_matrix,
     is_automorphism,
     make_generating_set,
     perm_matrix,
     product_action_perm,
-    spectrum,
     translation_perm,
     wreath_rep,
 )
@@ -35,30 +34,37 @@ def test_hypercube_edges():
 
 
 def test_complete_graph_from_cyclic():
-    g, s = family("complete", 4)
-    gr = build_cayley(g, s)
+    gr = family_graph("complete", 4)
     a = gr.adjacency()
     assert a.nnz() == 12  # K_4
 
 
 def test_halved_cube_generator_count():
-    _, s = family("halved:4")
-    assert len(s) == 10
+    assert len(family_graph("halved:4").gens) == 10
     gr = family_graph("halved", 3)
     assert sum(1 for (r, c) in gr.adjacency().entries if c == 0) == 6
 
 
 def test_hamming_family():
-    g, s = family("hamming:2,3")
-    assert g.orders == (3, 3)
-    assert len(s) == 4
+    gr = family_graph("hamming:2,3")
+    assert gr.group.orders == (3, 3)
+    assert len(gr.gens) == 4
+    assert family_graph(" Hamming : 2", 3).adjacency() == gr.adjacency()
 
 
 def test_family_errors():
     with pytest.raises(InvalidInputError):
-        family("unknown:3")
+        family_graph("unknown:3")
     with pytest.raises(InvalidInputError):
-        family("hypercube:0")
+        family_graph("hypercube:0")
+
+
+@pytest.mark.parametrize("params", [("hypercube", 2.5), ("circulant", 8, [1.5]),
+                                    ("circulant", 8.7, [1, 7]), ("circulant", 8, 3)])
+def test_family_parameters_are_not_truncated(params):
+    # truncated, these would build the 2-cube, and Z_8 with the shifts {1, 7}
+    with pytest.raises(InvalidInputError, match="must be an integer|as a list"):
+        family_graph(*params)
 
 
 def test_generating_set_rejects_zero_and_empty():
@@ -72,10 +78,10 @@ def test_generating_set_rejects_zero_and_empty():
 def test_warnings_on_nonsymmetric_or_nongenerating():
     z4 = make_group([4])
     with pytest.warns(UserWarning):
-        build_cayley(z4, [z4.element([1])])  # not symmetric
+        CayleyGraph(z4, make_generating_set(z4, [z4.element([1])]))  # not symmetric
     z = make_group([2, 2])
     with pytest.warns(UserWarning):
-        build_cayley(z, [z.element([1, 0])])  # does not generate
+        CayleyGraph(z, make_generating_set(z, [z.element([1, 0])]))  # does not generate
 
 
 def test_eigenvalue_examples():
@@ -93,20 +99,20 @@ def test_eigenvalue_examples():
 
 
 def test_spectrum_q3():
-    spec = spectrum(family_graph("hypercube", 3))
+    spec = SpectralDecomposition(family_graph("hypercube", 3))
     assert [lam.as_fraction() for lam in spec.eigenvalues] == [3, 1, -1, -3]
     assert spec.multiplicities == [1, 3, 3, 1]
     assert spec.all_real()
 
 
 def test_spectrum_k4():
-    spec = spectrum(family_graph("complete", 4))
+    spec = SpectralDecomposition(family_graph("complete", 4))
     assert [lam.as_fraction() for lam in spec.eigenvalues] == [3, -1]
     assert spec.multiplicities == [1, 3]
 
 
 def test_spectrum_hamming_2_3():
-    spec = spectrum(family_graph("hamming", 2, 3))
+    spec = SpectralDecomposition(family_graph("hamming", 2, 3))
     assert [lam.as_fraction() for lam in spec.eigenvalues] == [4, 1, -2]
     assert spec.multiplicities == [1, 4, 4]
 
@@ -114,7 +120,7 @@ def test_spectrum_hamming_2_3():
 def test_spectrum_directed_circulant_is_complex_but_total():
     with pytest.warns(UserWarning):
         gr = family_graph("circulant", 5, [1])
-    spec = spectrum(gr)
+    spec = SpectralDecomposition(gr)
     assert sum(spec.multiplicities) == 5
     assert len(spec.eigenvalues) == 5
 
@@ -178,11 +184,12 @@ def test_conjugation_diagonalizes(orders, name, args):
 
 def test_fast_and_generic_conjugation_agree():
     # exponent 2 takes the +-1 integer path, the others the group-algebra kernel
+    z42 = make_group([4, 2])
     graphs = [
         family_graph("hypercube", 3),
         family_graph("hamming", 2, 3),
         family_graph("hamming", 2, 4),
-        build_cayley(make_group([4, 2]), [[1, 0], [3, 0], [0, 1]]),
+        CayleyGraph(z42, make_generating_set(z42, [[1, 0], [3, 0], [0, 1]])),
     ]
     for gr in graphs:
         g = gr.group

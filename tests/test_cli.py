@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -122,13 +123,13 @@ def test_partition_check_file(tmp_path, capsys):
     f = tmp_path / "own.pcalc"
     f.write_text("check triv: cap == cap\n")
     code, out, _ = run_cli(capsys, "partition", "check", str(f))
-    assert code == 0 and "triv: ok" in out
+    assert code == 0 and "[PASS   ] triv: formal + tensor oracle" in out
     f.write_text("check bad: cap == adj(cup)\n")
     code, out, _ = run_cli(capsys, "partition", "check", str(f))
     # cap == adj(cup) actually holds; use a genuinely false identity
     f.write_text("check bad: cap == scale(poly(2), cap)\n")
     code, out, _ = run_cli(capsys, "partition", "check", str(f))
-    assert code == 1 and "FAILED" in out
+    assert code == 1 and "[FAIL   ] bad: formal identity fails" in out
 
 
 def test_partition_check_missing_file(capsys):
@@ -211,11 +212,62 @@ def test_halved_block_projection_via_cli(capsys):
     ["spectrum", "--family", "hypercube:x"],
     ["spectrum", "--family", "circulant:6,(1;2;x)"],
     ["fourier-check", "--family", "circulant:1,0"],
-], ids=["hypercube-x", "circulant-shift-x", "circulant-shift-not-a-list"])
+    ["spectrum", "--orders", "2", "2", "--gens", "a,0"],
+    ["spectrum", "--orders", "2", "2", "--gens", "1.5,0"],
+    ["spectrum", "--orders", "2", "2", "--gens", "1,0;0,1,"],
+    ["intertwiner", "--family", "complete:3", "--block", "1,1", "--project", "Vx"],
+], ids=["hypercube-x", "circulant-shift-x", "circulant-shift-not-a-list", "gens-letter",
+        "gens-float", "gens-trailing-comma", "project-letter"])
 def test_malformed_family_parameters_are_bad_input(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_fourier_check_circulant_family_string(capsys):
+    with pytest.warns(UserWarning, match="directed"):
+        code, out, _ = run_cli(capsys, "fourier-check", "--family", "circulant:8,(1;3)")
+    assert code == 0, out
+    assert "[PASS   ] diagonal" in out and "[PASS   ] matches-spectrum" in out
+
+
+@pytest.mark.parametrize("family", ["FOLDED:4", " folded:4", "Folded : 4"])
+def test_fourier_check_normalises_the_family_name(capsys, family):
+    _, expected, _ = run_cli(capsys, "fourier-check", "--family", "folded:4", "--json")
+    code, out, _ = run_cli(capsys, "fourier-check", "--family", family, "--json")
+    assert code == 0
+    assert json.loads(out)["results"] == json.loads(expected)["results"]
+    assert json.loads(out)["results"][-1]["verdict"] == "finding"
+
+
+@pytest.mark.parametrize("at_bound,below", [
+    ("hypercube:1", "hypercube:0"),
+    ("halved:1", "halved:0"),
+    ("folded:2", "folded:1"),
+    ("hamming:1,3", "hamming:0,3"),
+    ("hamming:2,2", "hamming:2,1"),
+    ("complete:2", "complete:1"),
+    ("circulant:2,(1)", "circulant:1,(1)"),
+])
+def test_family_domain_bounds(capsys, at_bound, below):
+    code, _, err = run_cli(capsys, "spectrum", "--family", at_bound)
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "spectrum", "--family", below)
+    assert code == 2
+    assert err.startswith("error: family ") and ">=" in err
+
+
+@pytest.mark.parametrize("cap,product", [("1000", "partition tensor product"),
+                                         ("2048", "partition composition")])
+def test_partition_products_are_size_guarded(capsys, monkeypatch, cap, product):
+    # asym(id(20)) tensors 2^10 terms together, then composes 4^10 pairs of
+    # terms; each guard fires before its pairs are formed
+    monkeypatch.setenv("QSYM_MAX_DENSE", cap)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "partition", "eval", "asym(id(20))")
+    assert code == 2
+    assert err.startswith(f"error: {product} needs") and "QSYM_MAX_DENSE" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_size_guard_exit_code(capsys, monkeypatch):
@@ -312,13 +364,15 @@ _argv = st.one_of(
     st.tuples(st.just(["verify"]), _suites.map(lambda s: [s]), _json),
     st.tuples(st.just(["spectrum", "--family"]), _families.map(lambda f: [f]), _json),
     st.tuples(st.just(["spectrum", "--orders"]), st.lists(_small, min_size=1, max_size=3),
-              st.sampled_from([[], ["--gens", "1,0;0,1"], ["--gens", "1"], ["--gens", ""]])),
+              st.sampled_from([[], ["--gens", "1,0;0,1"], ["--gens", "1"], ["--gens", ""],
+                               ["--gens", "a,0"], ["--gens", "1.5,0"],
+                               ["--gens", "1,0;0,1,"]])),
     st.tuples(st.just(["fourier-check", "--family"]), _families.map(lambda f: [f]), _json),
     st.tuples(st.just(["intertwiner", "--family"]), _families.map(lambda f: [f]),
               st.sampled_from(["1,1", "2,0", "0,2", "2,2", "1", "a,b", "-1,1"])
               .map(lambda b: ["--block", b]),
               st.sampled_from([[], ["--project", "V1"], ["--project", "V0+V1"],
-                               ["--project", "x"]])),
+                               ["--project", "x"], ["--project", "Vx"]])),
     st.tuples(st.just(["partition", "eval"]), _exprs.map(lambda e: [e]),
               st.sampled_from([[], ["--at", "-1"], ["--at", "0"], ["--at", "2"],
                                ["--at", "3", "--deformed"]])),

@@ -14,7 +14,6 @@ from qsym.functors import (
     functor_T,
     functor_T_deformed,
     partlin_evaluates_to_zero,
-    partlin_tensors_equal,
     permanent_direct,
     permanent_via_wedge,
     random_partition,
@@ -254,7 +253,7 @@ def test_kernel_equality_on_known_identity():
     lhs = compose(Partition.cap(), Partition.cup())
     rhs = PartLin.of(Partition.identity(0), N_POLY)
     for N in (2, 5, 9):
-        assert partlin_tensors_equal(lhs, rhs, N)
+        assert partlin_evaluates_to_zero(lhs - rhs, N)
 
 
 @pytest.mark.parametrize("deformed", [False, True])

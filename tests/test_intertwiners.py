@@ -8,13 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qsym.cayley import (
+    SpectralDecomposition,
     conjugate_by_fourier,
     coordinate_perm,
     family_graph,
     fourier_matrix,
     fourier_transform_legs,
     perm_matrix,
-    spectrum,
 )
 from qsym.errors import InvalidInputError, SizeGuardError
 from qsym.functors import functor_T
@@ -152,7 +152,7 @@ def test_brute_hat_rejects_irrational_and_misshaped_tensors():
 def test_projection_full_space_is_conjugation():
     gr = family_graph("hypercube", 2)
     g = gr.group
-    spec = spectrum(gr)
+    spec = SpectralDecomposition(gr)
     full = EigenprojectionBasis.from_spectrum(spec, range(len(spec.items)))
     t = functor_T(Partition.block(2, 2), g.order)
     proj = project(t, full, full)
@@ -167,7 +167,7 @@ def test_projection_full_space_is_conjugation():
 
 def _v1_basis(gr):
     g = gr.group
-    spec = spectrum(gr)
+    spec = SpectralDecomposition(gr)
     labs = spec.items[1][1]
     assert all(mu.degree == 1 for mu in labs)
     return EigenprojectionBasis(g, sorted(labs, key=g.index))
@@ -214,7 +214,7 @@ def test_conjugated_automorphism_block_structure():
 
     gr = family_graph("hypercube", 3)
     g = gr.group
-    spec = spectrum(gr)
+    spec = SpectralDecomposition(gr)
     group_of = {}
     for i, (_, labs) in enumerate(spec.items):
         for mu in labs:
@@ -258,11 +258,11 @@ def test_hamming_operators_guard_input():
 def test_projected_fork_intertwines_restricted_automorphism():
     # restrict a classical automorphism of the folded cube to the joined
     # degree-(1,2) eigenspace and check it intertwines the projected fork
-    from qsym.cayley import family_graph, spectrum, coordinate_perm, perm_matrix
+    from qsym.cayley import family_graph, coordinate_perm, perm_matrix
 
     gr = family_graph("folded", 4)
     g = gr.group
-    spec = spectrum(gr)
+    spec = SpectralDecomposition(gr)
     labs = next(ls for _, ls in spec.items if any(mu.degree == 1 for mu in ls))
     basis = EigenprojectionBasis(g, sorted(labs, key=g.index))
     fork = project(functor_T(Partition.block(1, 2), g.order), basis, basis)

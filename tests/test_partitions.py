@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from qsym.errors import InvalidInputError
 from qsym.functors import evaluate_partlin, partlin_evaluates_to_zero
 from qsym.partitions import (
-    IdentityReport,
     Partition,
     PartLin,
     antisym2,
@@ -17,7 +16,6 @@ from qsym.partitions import (
     compose_partitions,
     permutation_of,
     two_point_swap,
-    verify_identity,
 )
 from qsym.polyq import N_POLY, PolyQ
 
@@ -169,15 +167,13 @@ def test_two_point_swap_exchanges_tensor_factors():
     assert two_point_swap(two_point_swap(e, 2), 2) == e
 
 
-def test_verify_identity_reports_difference():
+def test_identity_difference_is_exact():
     half = Fraction(1, 2)
     lhs = PartLin.of(Partition.identity(2), half) - PartLin.of(Partition.crossing(), half)
     rhs = PartLin.of(Partition.identity(2), half) + PartLin.of(Partition.crossing(), half)
-    rep = verify_identity(lhs, rhs)
-    assert not rep.equal
-    assert rep.difference == PartLin.of(Partition.crossing(), -1)
-    ok = verify_identity(lhs, lhs)
-    assert ok.equal and isinstance(ok, IdentityReport)
+    assert lhs != rhs
+    assert lhs - rhs == PartLin.of(Partition.crossing(), -1)
+    assert lhs == lhs and (lhs - lhs).is_zero()
 
 
 def test_partlin_json():
