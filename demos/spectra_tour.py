@@ -6,9 +6,9 @@ and grouped by exact equality; floating point never decides anything.
 """
 
 from qsym import (
+    Cyclotomic,
     SpectralDecomposition,
     conjugate_by_fourier,
-    eigenvalue,
     family_graph,
     fourier_matrix,
     make_group,
@@ -42,11 +42,13 @@ print()
 # depend only on the degree d of the label and pair up as d <-> n+1-d.
 print("=== halved cube on Z_2^4 ===")
 halved = family_graph("halved", 4)
-print("spectrum:", SpectralDecomposition(halved).summary())
+halved_spec = SpectralDecomposition(halved)
+print("spectrum:", halved_spec.summary())
+eigenvalue = {mu: lam for lam, labels in halved_spec.items for mu in labels}
 gh = halved.group
 for d in range(5):
     mu = gh.element([1] * d + [0] * (4 - d))
-    print(f"  degree {d}: lambda = {eigenvalue(gh, halved.gens, mu)}")
+    print(f"  degree {d}: lambda = {eigenvalue[mu]}")
 print()
 
 # ---------------------------------------------------------------------------
@@ -67,7 +69,9 @@ hamming = family_graph("hamming", 2, 3)
 print("spectrum:", SpectralDecomposition(hamming).summary())
 
 # Here the characters take values in Q(zeta_3); the eigenvalues are still
-# rational integers because generating sets are closed under negation.
+# rational integers because generating sets are closed under negation.  A
+# character value tau_mu(alpha) is zeta_M^e, with e read from the positions.
 z9 = make_group([3, 3])
-val = z9.char_value(z9.element([1, 2]), z9.element([2, 1]))
+e = z9.char_exponents(z9.index(z9.element([1, 2])), z9.index(z9.element([2, 1])))
+val = Cyclotomic.zeta(z9.exponent, int(e))
 print("a character value in Q(zeta_3):", val)

@@ -33,7 +33,6 @@ from .cayley import (
     SpectralDecomposition,
     cartesian_adjacency,
     conjugate_by_fourier,
-    eigenvalue,
     family_graph,
     fourier_matrix,
     is_automorphism,

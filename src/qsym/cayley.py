@@ -3,8 +3,10 @@
 The characters of the underlying group diagonalize the adjacency matrix of any
 of its Cayley graphs: the character labelled mu is an eigenvector with exact
 eigenvalue sum_{theta in S} tau_mu(-theta).  Spectra are therefore computed by
-character sums and grouped by exact cyclotomic equality, never by floating
-point.  The Fourier matrix F (columns = characters) satisfies F F* = N I.
+character sums on integer exponents, reduced exactly into Q(zeta_M) and
+grouped by their unique coefficient vectors, never by floating point.  Graphs,
+spectra and permutations do their group arithmetic on enumeration positions.
+The Fourier matrix F (columns = characters) satisfies F F* = N I.
 ``fourier_transform_legs`` is the one exact kernel for transforming every leg
 of a rational tensor by F: it runs in the group algebra Z[x]/(x^M - 1) on
 integer arrays, one cyclic factor at a time.  Conjugation by F uses it for
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -26,9 +27,9 @@ from math import prod
 import numpy as np
 
 from .config import guard_dense, guard_n
-from .cyclotomic import ZERO, Cyclotomic, power_rows
+from .cyclotomic import Cyclotomic, power_rows
 from .errors import InvalidInputError
-from .groups import AbelianGroup, GroupElement, make_group
+from .groups import AbelianGroup, GroupElement, as_int, make_group
 from .sparse import SparseTensor
 
 
@@ -44,6 +45,11 @@ class GeneratingSet:
     def __len__(self):
         return len(self.elements)
 
+    @property
+    def positions(self) -> np.ndarray:
+        """The generators' positions in the group's enumeration, ascending."""
+        return np.array([self.group.index(e) for e in self.elements], dtype=np.int64)
+
     def to_json(self):
         return [e.to_json() for e in self.elements]
 
@@ -52,17 +58,32 @@ def make_generating_set(group: AbelianGroup, elems) -> GeneratingSet:
     seen = {}
     for e in elems:
         e = e if isinstance(e, GroupElement) else group.element(e)
-        if not group.contains(e):
-            raise InvalidInputError(f"generator {e} invalid for {group}")
-        if e.is_zero():
+        pos = group.index(e)  # rejects an element of another group
+        if pos == 0:
             raise InvalidInputError("generating set may not contain 0 (loop-free graphs)")
-        seen[e] = None
+        seen[pos] = e
     if not seen:
         raise InvalidInputError("generating set may not be empty")
-    elements = tuple(sorted(seen, key=group.index))
-    symmetric = all(group.neg(e) in seen for e in elements)
-    generates = len(group.subgroup_closure(elements)) == group.order
-    return GeneratingSet(group, elements, symmetric, generates)
+    positions = np.array(sorted(seen), dtype=np.int64)
+    symmetric = bool(np.isin(group.index_neg(positions), positions).all())
+    generates = _generated_order(group, positions) == group.order
+    return GeneratingSet(group, tuple(seen[p] for p in positions.tolist()),
+                         symmetric, generates)
+
+
+def _generated_order(group: AbelianGroup, gens: np.ndarray) -> int:
+    """Order of the subgroup generated by the positions ``gens``: breadth-first
+    closure of {0} under adding each generator."""
+    reached = np.zeros(group.order, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        step = np.zeros(group.order, dtype=bool)
+        for theta in gens.tolist():
+            step[group.index_sum(frontier, theta)] = True
+        frontier = np.flatnonzero(step & ~reached)
+        reached[frontier] = True
+    return int(reached.sum())
 
 
 class CayleyGraph:
@@ -86,25 +107,16 @@ class CayleyGraph:
         """A with A[beta, alpha] = 1 iff beta - alpha in S."""
         g = self.group
         guard_dense(g.order * len(self.gens), "adjacency matrix")
-        num = {}
-        for alpha in g.elements():
-            ia = g.index(alpha)
-            for theta in self.gens.elements:
-                num[(g.index(g.add(alpha, theta)), ia)] = 1
+        alpha = np.arange(g.order)
+        heads = g.index_sum(alpha[:, None], self.gens.positions[None, :])
+        tails = np.broadcast_to(alpha[:, None], heads.shape)
+        num = dict.fromkeys(zip(heads.ravel().tolist(), tails.ravel().tolist()), 1)
         return SparseTensor._raw((g.order, g.order), 1, num)
 
     def edge_count(self) -> int:
         if not self.gens.symmetric:
             raise InvalidInputError("edge count of a directed graph is ambiguous")
         return self.group.order * len(self.gens) // 2
-
-
-def eigenvalue(group: AbelianGroup, gens: GeneratingSet, mu: GroupElement) -> Cyclotomic:
-    """lambda_mu = sum_{theta in S} tau_mu(-theta), exact."""
-    total = ZERO
-    for theta in gens.elements:
-        total = total + group.char_value(mu, group.neg(theta))
-    return total
 
 
 class SpectralDecomposition:
@@ -117,17 +129,27 @@ class SpectralDecomposition:
 
     def __init__(self, graph: CayleyGraph):
         g = graph.group
-        buckets: dict[Cyclotomic, list[GroupElement]] = {}
-        for mu in g.elements():
-            lam = eigenvalue(g, graph.gens, mu)
-            buckets.setdefault(lam, []).append(mu)
+        M = g.exponent
+        neg_gens = g.index_neg(graph.gens.positions)
+        guard_dense(g.order * len(neg_gens), "character sums")
+        # lambda_mu = sum_theta zeta_M^e(mu, -theta), one generator at a time,
+        # as integer coefficient rows in the power basis of Q(zeta_M); the
+        # rows are unique, so equal rows are exactly equal eigenvalues
+        exps = g.char_exponents(np.arange(g.order)[:, None], neg_gens[None, :])
+        zeta = np.array(power_rows(M, 1, M), dtype=np.int64).reshape(M, -1)
+        rows = sum(zeta[e] for e in exps.T)
+        distinct, which = np.unique(rows, axis=0, return_inverse=True)
+        buckets: list[list[GroupElement]] = [[] for _ in distinct]
+        for mu, i in zip(g.elements(), which.ravel().tolist()):
+            buckets[i].append(mu)
+        lams = [Cyclotomic(M, row) for row in distinct.tolist()]
 
-        def sort_key(lam: Cyclotomic):
-            return (-lam.to_complex().real, tuple(lam._coeffs_at(g.exponent)))
+        def sort_key(i):
+            return (-lams[i].to_complex().real, tuple(lams[i]._coeffs_at(M)))
 
         self.graph = graph
         self.items: list[tuple[Cyclotomic, list[GroupElement]]] = [
-            (lam, buckets[lam]) for lam in sorted(buckets, key=sort_key)
+            (lams[i], buckets[i]) for i in sorted(range(len(lams)), key=sort_key)
         ]
 
     @property
@@ -267,12 +289,8 @@ def _conjugate_hadamard_int(group: AbelianGroup, mx: SparseTensor) -> SparseTens
         guard_dense(N**3, "exact Fourier conjugation fallback")
         F = fourier_matrix(group)
         return (F.adjoint() @ mx @ F).scale(Fraction(1, N))
-    elems = list(group.elements())
-    F = np.empty((N, N), dtype=np.int64)
-    for mu in elems:
-        im = group.index(mu)
-        for alpha in elems:
-            F[group.index(alpha), im] = 1 if group.char_exponent(mu, alpha) == 0 else -1
+    pos = np.arange(N)
+    F = np.where(group.char_exponents(pos[None, :], pos[:, None]) == 0, 1, -1)
     M = np.zeros((N, N), dtype=np.int64)
     for (i, j), v in mx.numerators.items():
         M[i, j] = v
@@ -282,15 +300,6 @@ def _conjugate_hadamard_int(group: AbelianGroup, mx: SparseTensor) -> SparseTens
 
 
 # -- graph families ------------------------------------------------------------------
-
-def as_int(value, what: str) -> int:
-    """``value`` as an int: an integer, or the decimal text of one.  Anything
-    else (a float, a list, '1.5', 'x', '') is invalid input."""
-    try:
-        return int(value) if isinstance(value, str) else operator.index(value)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
-
 
 def parse_spec(spec: str) -> tuple[str, tuple]:
     """The lower-cased name and the parameters of a family or suite string
@@ -320,7 +329,8 @@ def _cube(g, n):
 FAMILIES = {
     "hypercube": ({"n": 1}, lambda n: [2] * n, _cube),
     "halved": ({"n": 1}, lambda n: [2] * n, lambda g, n: _cube(g, n) + [
-        g.add(a, b) for a, b in itertools.combinations(_cube(g, n), 2)]),
+        g.element([int(i in pair) for i in range(n)])
+        for pair in itertools.combinations(range(n), 2)]),
     "folded": ({"n": 2}, lambda n: [2] * n,
                lambda g, n: _cube(g, n) + [g.element([1] * n)]),
     "hamming": ({"n": 1, "m": 2}, lambda n, m: [m] * n,
@@ -418,9 +428,7 @@ def is_automorphism(graph: CayleyGraph, perm) -> bool:
 
 def translation_perm(group: AbelianGroup, beta: GroupElement):
     """The vertex permutation alpha -> alpha + beta."""
-    return [
-        group.index(group.add(alpha, beta)) for alpha in group.elements()
-    ]
+    return group.index_sum(np.arange(group.order), group.index(beta)).tolist()
 
 
 def coordinate_perm(group: AbelianGroup, pi):
@@ -432,11 +440,8 @@ def coordinate_perm(group: AbelianGroup, pi):
         raise InvalidInputError("coordinate permutation must be a bijection")
     if any(orders[pi[i]] != orders[i] for i in range(group.rank)):
         raise InvalidInputError("coordinate permutation mixes unequal factors")
-    out = []
-    for alpha in group.elements():
-        moved = group.element([alpha.coords[pi[i]] for i in range(group.rank)])
-        out.append(group.index(moved))
-    return out
+    digits = group.digits(np.arange(group.order))
+    return group.position([digits[p] for p in pi]).tolist()
 
 
 def wreath_rep(v_list, w) -> SparseTensor:

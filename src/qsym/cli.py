@@ -17,14 +17,13 @@ import sys
 from .cayley import (
     CayleyGraph,
     SpectralDecomposition,
-    as_int,
     family_graph,
     make_generating_set,
 )
 from .dsl import eval_text, load_fixture_file
 from .errors import InvalidInputError, QsymError
 from .functors import evaluate_partlin, functor_T
-from .groups import make_group
+from .groups import as_int, make_group
 from .intertwiners import EigenprojectionBasis, hat_block_intertwiner, project
 from .lemmas import check_identities
 from .partitions import Partition

@@ -10,22 +10,31 @@ with M = lcm(m_i), so every character value is a single root of unity in
 Q(zeta_M).  The primitive-root choice gamma_i = zeta_M^(M/m_i) is fixed once
 and for all.
 
-Besides ``GroupElement`` arithmetic, a group does the same arithmetic on
-positions in its enumeration, vectorised over numpy integer arrays
-(``index_sum``, ``index_neg``, ``char_exponents``); the Fourier layer builds
-its indices and characters from those.
+All group arithmetic runs on positions in that enumeration, vectorised over
+numpy integer arrays (``index_sum``, ``index_neg``, ``char_exponents``).
+``GroupElement`` is the boundary type: it labels characters in reports, JSON
+and the command line, and ``index``/``element_at`` convert between the two.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import gcd, prod
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic
 from .errors import InvalidInputError
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int: an integer, or the decimal text of one.  Anything
+    else (a float, a list, '1.5', 'x', '') is invalid input."""
+    try:
+        return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -67,7 +76,7 @@ class AbelianGroup:
     """Z_{m_1} x ... x Z_{m_n} with a fixed element enumeration."""
 
     def __init__(self, orders):
-        orders = tuple(int(m) for m in orders)
+        orders = tuple(as_int(m, "cyclic order") for m in orders)
         if not orders:
             raise InvalidInputError("group needs at least one cyclic factor")
         if any(m < 1 for m in orders):
@@ -83,7 +92,7 @@ class AbelianGroup:
     # -- elements ------------------------------------------------------------
 
     def element(self, coords) -> GroupElement:
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(as_int(c, "element coordinate") for c in coords)
         if len(coords) != self.rank:
             raise InvalidInputError(
                 f"element needs {self.rank} coordinates, got {len(coords)}"
@@ -99,26 +108,6 @@ class AbelianGroup:
         coords[i] = a % self.orders[i]
         return GroupElement(tuple(coords))
 
-    def contains(self, el: GroupElement) -> bool:
-        return len(el.coords) == self.rank and all(
-            0 <= c < m for c, m in zip(el.coords, self.orders)
-        )
-
-    def _check(self, el: GroupElement):
-        if not self.contains(el):
-            raise InvalidInputError(f"element {el} is not valid for orders {self.orders}")
-
-    def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        self._check(a)
-        self._check(b)
-        return GroupElement(
-            tuple((x + y) % m for x, y, m in zip(a.coords, b.coords, self.orders))
-        )
-
-    def neg(self, a: GroupElement) -> GroupElement:
-        self._check(a)
-        return GroupElement(tuple((-x) % m for x, m in zip(a.coords, self.orders)))
-
     def elements(self):
         """All N elements, lexicographic with the last coordinate fastest."""
         for coords in itertools.product(*(range(m) for m in self.orders)):
@@ -126,11 +115,11 @@ class AbelianGroup:
 
     def index(self, el: GroupElement) -> int:
         """Position of el in the fixed enumeration (mixed-radix value)."""
-        self._check(el)
-        idx = 0
-        for c, m in zip(el.coords, self.orders):
-            idx = idx * m + c
-        return idx
+        if len(el.coords) != self.rank or not all(
+            0 <= c < m for c, m in zip(el.coords, self.orders)
+        ):
+            raise InvalidInputError(f"element {el} is not valid for orders {self.orders}")
+        return self.position(el.coords)
 
     def element_at(self, idx: int) -> GroupElement:
         if not 0 <= idx < self.order:
@@ -144,31 +133,11 @@ class AbelianGroup:
     def degree_major_elements(self):
         """Presentation order used for displays: grouped by degree, then by
         the fixed enumeration inside each degree block."""
-        return sorted(self.elements(), key=lambda e: (e.degree, self.index(e)))
-
-    # -- characters ------------------------------------------------------------
-
-    def char_value(self, mu: GroupElement, alpha: GroupElement) -> Cyclotomic:
-        """tau_mu(alpha), a root of unity in Q(zeta_M)."""
-        self._check(mu)
-        self._check(alpha)
-        M = self.exponent
-        e = 0
-        for m, x, y in zip(self.orders, mu.coords, alpha.coords):
-            e += (M // m) * x * y
-        return Cyclotomic.zeta(M, e % M)
-
-    def char_exponent(self, mu: GroupElement, alpha: GroupElement) -> int:
-        """k with tau_mu(alpha) = zeta_M^k (useful for fast integer paths)."""
-        M = self.exponent
-        e = 0
-        for m, x, y in zip(self.orders, mu.coords, alpha.coords):
-            e += (M // m) * x * y
-        return e % M
+        return sorted(self.elements(), key=lambda e: e.degree)
 
     # -- arithmetic on positions ---------------------------------------------------
 
-    def _digits(self, idx) -> list:
+    def digits(self, idx) -> list:
         """Coordinates of the elements at positions ``idx`` (an integer
         array), one array per cyclic factor."""
         idx = np.asarray(idx, dtype=np.int64)
@@ -178,7 +147,9 @@ class AbelianGroup:
             idx = idx // m
         return digits[::-1]
 
-    def _position(self, digits):
+    def position(self, digits):
+        """Positions of the elements with coordinates ``digits`` (one integer
+        or array per cyclic factor)."""
         idx = 0
         for d, m in zip(digits, self.orders):
             idx = idx * m + d
@@ -187,38 +158,22 @@ class AbelianGroup:
     def index_sum(self, a, b):
         """Positions of alpha + beta for arrays of positions ``a`` and ``b``
         (broadcast together; every position must lie in 0..N-1)."""
-        return self._position(
-            [(x + y) % m for x, y, m in zip(self._digits(a), self._digits(b), self.orders)]
+        return self.position(
+            [(x + y) % m for x, y, m in zip(self.digits(a), self.digits(b), self.orders)]
         )
 
     def index_neg(self, a):
         """Positions of -alpha for an array of positions ``a``."""
-        return self._position([(-x) % m for x, m in zip(self._digits(a), self.orders)])
+        return self.position([(-x) % m for x, m in zip(self.digits(a), self.orders)])
 
     def char_exponents(self, mu, alpha):
         """Exponents e with tau_mu(alpha) = zeta_M^e, for arrays of positions
         ``mu`` and ``alpha`` (broadcast together)."""
         M = self.exponent
         e = 0
-        for m, x, y in zip(self.orders, self._digits(mu), self._digits(alpha)):
+        for m, x, y in zip(self.orders, self.digits(mu), self.digits(alpha)):
             e = e + (M // m) * x * y
         return e % M
-
-    # -- misc -------------------------------------------------------------------
-
-    def subgroup_closure(self, gens) -> set[GroupElement]:
-        """Subgroup generated by gens (BFS over addition)."""
-        seen = {self.zero()}
-        frontier = [self.zero()]
-        gens = list(gens)
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = self.add(cur, g)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
 
     def to_json(self):
         return {"orders": list(self.orders)}

@@ -1,6 +1,11 @@
+import itertools
+import warnings
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qsym.cayley import (
     CayleyGraph,
@@ -8,7 +13,6 @@ from qsym.cayley import (
     cartesian_adjacency,
     conjugate_by_fourier,
     coordinate_perm,
-    eigenvalue,
     family_graph,
     fourier_matrix,
     is_automorphism,
@@ -18,9 +22,39 @@ from qsym.cayley import (
     translation_perm,
     wreath_rep,
 )
-from qsym.errors import InvalidInputError
+from qsym.cyclotomic import ZERO, Cyclotomic
+from qsym.errors import InvalidInputError, SizeGuardError
 from qsym.groups import make_group
 from qsym.sparse import SparseTensor
+
+
+# -- the element-wise reference: plain arithmetic on coordinate tuples ---------------
+
+def ref_add(orders, a, b):
+    return tuple((x + y) % m for x, y, m in zip(a, b, orders))
+
+
+def ref_neg(orders, a):
+    return tuple((-x) % m for x, m in zip(a, orders))
+
+
+def ref_char_value(orders, mu, alpha):
+    """tau_mu(alpha) = zeta_M^(sum_i (M/m_i) mu_i alpha_i), M = lcm of the orders."""
+    M = lcm(*orders)
+    return Cyclotomic.zeta(M, sum((M // m) * x * y for m, x, y in zip(orders, mu, alpha)))
+
+
+def eigenvalues(gr):
+    """Each label's eigenvalue, read from the graph's spectral decomposition."""
+    return {mu: lam for lam, labels in SpectralDecomposition(gr).items for mu in labels}
+
+
+def ref_eigenvalue(orders, gens, mu):
+    """lambda_mu = sum_{theta in S} tau_mu(-theta), one Cyclotomic per term."""
+    total = ZERO
+    for theta in gens:
+        total = total + ref_char_value(orders, mu, ref_neg(orders, theta))
+    return total
 
 
 def test_hypercube_edges():
@@ -88,14 +122,14 @@ def test_eigenvalue_examples():
     # Q_3 at mu=(1,1,0)
     gr = family_graph("hypercube", 3)
     g = gr.group
-    assert eigenvalue(g, gr.gens, g.element([1, 1, 0])) == 1 - 1 - 1
+    assert eigenvalues(gr)[g.element([1, 1, 0])] == 1 - 1 - 1
     # K_4 trivial character
     gr = family_graph("complete", 4)
-    assert eigenvalue(gr.group, gr.gens, gr.group.zero()) == 3
+    assert eigenvalues(gr)[gr.group.zero()] == 3
     # folded cube FQ_5 on Z_2^4 at a degree-1 label
     gr = family_graph("folded", 4)
     g = gr.group
-    assert eigenvalue(g, gr.gens, g.element([1, 0, 0, 0])) == 1
+    assert eigenvalues(gr)[g.element([1, 0, 0, 0])] == 1
 
 
 def test_spectrum_q3():
@@ -125,17 +159,25 @@ def test_spectrum_directed_circulant_is_complex_but_total():
     assert len(spec.eigenvalues) == 5
 
 
+def test_spectrum_guards_its_exponent_array(monkeypatch):
+    gr = family_graph("complete", 5)  # N * |S| = 5 * 4 character exponents
+    monkeypatch.setenv("QSYM_MAX_DENSE", "19")
+    with pytest.raises(SizeGuardError, match="character sums"):
+        SpectralDecomposition(gr)
+    monkeypatch.setenv("QSYM_MAX_DENSE", "20")
+    assert SpectralDecomposition(gr).multiplicities == [1, 4]
+
+
 def test_eigenbasis_property_families():
     for name, args in [("hypercube", (3,)), ("halved", (3,)), ("folded", (3,)),
                        ("hamming", (2, 3)), ("complete", (5,))]:
         gr = family_graph(name, *args)
         g = gr.group
         a = gr.adjacency()
-        for mu in g.elements():
-            lam = eigenvalue(g, gr.gens, mu)
+        for mu, lam in eigenvalues(gr).items():
             col = SparseTensor(
                 (g.order,), 1,
-                {(g.index(al),): g.char_value(mu, al) for al in g.elements()},
+                {(g.index(al),): ref_char_value(g.orders, mu, al) for al in g.elements()},
             )
             assert a @ col == col.scale(lam)
 
@@ -176,10 +218,10 @@ def test_conjugation_diagonalizes(orders, name, args):
     gr = family_graph(name, *args)
     g = gr.group
     d = conjugate_by_fourier(g, gr.adjacency())
+    lam = eigenvalues(gr)
     for (r, c), v in d.entries.items():
         assert r == c
-        mu = g.element_at(r)
-        assert v == eigenvalue(g, gr.gens, mu)
+        assert v == lam[g.element_at(r)]
 
 
 def test_fast_and_generic_conjugation_agree():
@@ -265,3 +307,77 @@ def test_wreath_commutes_with_cartesian_power():
     eye3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     u = wreath_rep([cyc, eye3], [1, 0])
     assert u @ adj == adj @ u
+
+
+# -- the position routes against their element-wise definitions ------------------------
+
+@st.composite
+def small_orders(draw, max_order=12):
+    """Cyclic orders of a group of order <= max_order, one to three factors."""
+    orders = [draw(st.integers(1, max_order))]
+    while len(orders) < 3 and draw(st.booleans()):
+        orders.append(draw(st.integers(1, max_order // prod(orders))))
+    return orders
+
+
+@st.composite
+def cayley_graphs(draw):
+    """A group of order 2..12 and a generating set of nonzero elements: a
+    random subset, closed under negation or not (directed graphs have
+    complex eigenvalues)."""
+    orders = draw(small_orders().filter(lambda o: prod(o) > 1))
+    g = make_group(orders)
+    nonzero = [e.coords for e in g.elements()][1:]
+    gens = draw(st.lists(st.sampled_from(nonzero), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        gens = sorted(set(gens) | {ref_neg(orders, e) for e in gens})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return CayleyGraph(g, make_generating_set(g, gens)), gens
+
+
+def ref_closure(orders, gens):
+    """The subgroup generated by gens: breadth-first over ref_add."""
+    seen = {(0,) * len(orders)}
+    frontier = list(seen)
+    while frontier:
+        cur = frontier.pop()
+        for theta in gens:
+            nxt = ref_add(orders, cur, theta)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+@given(cayley_graphs())
+def test_spectrum_matches_per_label_character_sums(case):
+    gr, gens = case
+    g = gr.group
+    spec = SpectralDecomposition(gr)
+    seen = [mu for _, labels in spec.items for mu in labels]
+    assert sorted(seen, key=g.index) == list(g.elements())
+    for lam, labels in spec.items:
+        for mu in labels:
+            assert lam == ref_eigenvalue(g.orders, gens, mu)
+    lams = spec.eigenvalues
+    assert all(a != b for a, b in itertools.combinations(lams, 2))
+
+
+@given(cayley_graphs())
+def test_graph_routes_match_element_definitions(case):
+    gr, gens = case
+    g = gr.group
+    orders = g.orders
+    elems = [e.coords for e in g.elements()]
+    pos = {e: i for i, e in enumerate(elems)}
+    assert gr.gens.symmetric == all(ref_neg(orders, e) in set(gens) for e in gens)
+    assert gr.gens.generates == (len(ref_closure(orders, gens)) == g.order)
+    adj = {(pos[ref_add(orders, a, t)], pos[a]): 1 for a in elems for t in gens}
+    assert gr.adjacency().to_json() == SparseTensor((g.order,) * 2, 1, adj).to_json()
+    for beta in g.elements():
+        assert translation_perm(g, beta) == [pos[ref_add(orders, a, beta.coords)] for a in elems]
+    for pi in itertools.permutations(range(g.rank)):
+        if all(orders[p] == m for p, m in zip(pi, orders)):
+            moved = [pos[tuple(a[p] for p in pi)] for a in elems]
+            assert coordinate_perm(g, pi) == moved

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,6 +35,27 @@ def test_spectrum_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "spectrum", "--family", "hamming:2,3", "--json")
     _, out2, _ = run_cli(capsys, "spectrum", "--family", "hamming:2,3", "--json")
     assert out1 == out2
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.filterwarnings("ignore:generating set not closed under negation")
+@pytest.mark.parametrize("graph,pin", [
+    (["--family", "hypercube:3"], "spectrum-hypercube-3.json"),
+    (["--family", "halved:4"], "spectrum-halved-4.json"),
+    (["--family", "folded:4"], "spectrum-folded-4.json"),
+    (["--family", "hamming:2,3"], "spectrum-hamming-2-3.json"),
+    (["--family", "complete:5"], "spectrum-complete-5.json"),
+    (["--family", "circulant:5,(1)"], "spectrum-circulant-5-1.json"),
+    (["--family", "circulant:8,(1;3)"], "spectrum-circulant-8-1-3.json"),
+    (["--orders", "4", "2", "--gens", "1,0;3,0;0,1"], "spectrum-orders-4-2.json"),
+])
+def test_spectrum_json_matches_its_pin(capsys, graph, pin):
+    # eigenvalues, their order and every label list, byte for byte
+    code, out, _ = run_cli(capsys, "spectrum", *graph, "--json")
+    assert code == 0
+    assert out == (DATA / pin).read_text()
 
 
 def test_spectrum_explicit_group(capsys):

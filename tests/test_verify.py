@@ -7,12 +7,9 @@ from qsym.errors import InvalidInputError
 from qsym.verify import (
     run_suite,
     six_pairing_combination,
-    suite_complete,
     suite_folded,
     suite_fourier_check,
-    suite_functoriality,
     suite_hamming,
-    suite_wreath,
 )
 
 
@@ -37,12 +34,6 @@ def test_hamming_suite_records_both_discrepancies():
     assert v["square-display"] == "finding"
     assert v["cube-display"] == "fail"
     assert not rep.passed
-
-
-def test_complete_and_small_suites():
-    assert suite_complete(5).passed
-    assert suite_functoriality(samples=40).passed
-    assert suite_wreath(2, 2, samples=5).passed
 
 
 def test_run_suite_dispatch():
