@@ -24,8 +24,11 @@ Fixture files hold one identity per ``check`` line::
     let half_sq = asym(id(2))
     check square-idempotent: half_sq * half_sq == half_sq
 
-Every expression is arity-checked before evaluation, so shape errors carry
-source positions instead of surfacing from the algebra.
+The parser evaluates as it reads: each grammar rule returns the exact
+``PartLin`` of its text, and each operator checks the shapes of its operands
+at its own token before the algebra runs, so shape errors carry source
+positions.  Point counts and polynomial powers are size-guarded before they
+are built.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .config import guard_dense
 from .errors import InvalidInputError, ParseError
 from .partitions import Partition, PartLin, antisymmetrize, compose
 from .polyq import PolyQ, N_POLY
@@ -49,9 +53,16 @@ _TOKEN_RE = re.compile(
 )
 
 _UNARY = ("adj", "rotl", "rotr", "asym")
-_RESERVED = set(_UNARY) | {
-    "scale", "compose", "tensor", "poly", "ox", "n",
-    "id", "cap", "cup", "cross", "sing", "merge", "fork", "block", "pk",
+_CONSTANTS = {
+    "cap": Partition.cap,
+    "cup": Partition.cup,
+    "cross": Partition.crossing,
+    "sing": Partition.singleton,
+    "merge": Partition.merge,
+    "fork": Partition.fork,
+}
+_RESERVED = set(_UNARY) | set(_CONSTANTS) | {
+    "scale", "compose", "tensor", "poly", "ox", "n", "id", "block", "pk",
 }
 
 
@@ -86,58 +97,19 @@ def _tokenize(text: str, line_offset: int = 1):
     return tokens
 
 
-# -- AST ------------------------------------------------------------------------
-
-@dataclass
-class Node:
-    line: int
-    col: int
-
-
-@dataclass
-class Lit(Node):
-    partition: Partition
-
-
-@dataclass
-class NameRef(Node):
-    name: str
-
-
-@dataclass
-class Builtin(Node):
-    name: str
-    args: tuple[int, ...] = ()
-
-
-@dataclass
-class Unary(Node):
-    op: str
-    arg: Node
-
-
-@dataclass
-class Scale(Node):
-    poly: PolyQ
-    arg: Node
-
-
-@dataclass
-class Bin(Node):
-    op: str  # 'compose' | 'tensor' | 'add' | 'sub'
-    lhs: Node
-    rhs: Node
-
-
 # Deepest expression the parser accepts, counting brackets, call arguments
 # and each operator of a chain (a chain is a left-deep tree): deeper input is
-# a ParseError instead of a RecursionError in the parser or the evaluator.
+# a ParseError instead of a RecursionError.
 MAX_DEPTH = 100
 
 
 class Parser:
-    def __init__(self, tokens):
+    """Recursive descent over the tokens; each rule returns the value of its
+    text, evaluated in ``env``."""
+
+    def __init__(self, tokens, env):
         self.tokens = tokens
+        self.env = env
         self.i = 0
         self.depth = 0
 
@@ -170,45 +142,44 @@ class Parser:
 
     # expression grammar --------------------------------------------------------
 
-    def parse_expr(self) -> Node:
+    def parse_expr(self) -> PartLin:
         depth = self.deeper(self.peek())
-        node = self.parse_oxterm()
+        value = self.parse_oxterm()
         while self.peek().text in ("+", "-"):
             t = self.next()
             self.deeper(t)
-            rhs = self.parse_oxterm()
-            node = Bin(t.line, t.col, "add" if t.text == "+" else "sub", node, rhs)
+            value = _apply(t, t.text, value, self.parse_oxterm())
         self.depth = depth
-        return node
+        return value
 
-    def parse_oxterm(self) -> Node:
+    def parse_oxterm(self) -> PartLin:
         depth = self.depth
-        node = self.parse_prod()
+        value = self.parse_prod()
         while self.peek().text == "ox":
             t = self.next()
             self.deeper(t)
-            node = Bin(t.line, t.col, "tensor", node, self.parse_prod())
+            value = _apply(t, "tensor", value, self.parse_prod())
         self.depth = depth
-        return node
+        return value
 
-    def parse_prod(self) -> Node:
+    def parse_prod(self) -> PartLin:
         depth = self.depth
-        node = self.parse_unary()
+        value = self.parse_unary()
         while self.peek().text == "*":
             t = self.next()
             self.deeper(t)
-            node = Bin(t.line, t.col, "compose", node, self.parse_unary())
+            value = _apply(t, "compose", value, self.parse_unary())
         self.depth = depth
-        return node
+        return value
 
-    def parse_unary(self) -> Node:
+    def parse_unary(self) -> PartLin:
         t = self.peek()
         if t.kind == "name" and t.text in _UNARY:
             self.next()
             self.expect("(")
             arg = self.parse_expr()
             self.expect(")")
-            return Unary(t.line, t.col, t.text, arg)
+            return _unary(t, arg)
         if t.kind == "name" and t.text == "scale":
             self.next()
             self.expect("(")
@@ -216,7 +187,7 @@ class Parser:
             self.expect(",")
             arg = self.parse_expr()
             self.expect(")")
-            return Scale(t.line, t.col, poly, arg)
+            return arg.scale(poly)
         if t.kind == "name" and t.text in ("compose", "tensor"):
             self.next()
             self.expect("(")
@@ -224,47 +195,66 @@ class Parser:
             self.expect(",")
             rhs = self.parse_expr()
             self.expect(")")
-            return Bin(t.line, t.col, t.text, lhs, rhs)
+            return _apply(t, t.text, lhs, rhs)
         return self.parse_atom()
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> PartLin:
         t = self.next()
         if t.kind == "lit":
+            k, l = re.match(r"P\(\s*(\d+)\s*,\s*(\d+)", t.text).groups()
+            _guard_points(_int(k, t), _int(l, t))
             try:
-                p = Partition.parse(t.text)
+                return PartLin.of(Partition.parse(t.text))
             except InvalidInputError as exc:
                 raise ParseError(str(exc), t.line, t.col) from None
-            return Lit(t.line, t.col, p)
         if t.text == "(":
-            node = self.parse_expr()
+            value = self.parse_expr()
             self.expect(")")
-            return node
+            return value
         if t.kind == "name":
             if t.text in ("id", "block", "pk"):
-                self.expect("(")
-                args = [int(self.next_int())]
-                if t.text == "block":
-                    self.expect(",")
-                    args.append(int(self.next_int()))
-                self.expect(")")
-                return Builtin(t.line, t.col, t.text, tuple(args))
-            if t.text in ("cap", "cup", "cross", "sing", "merge", "fork"):
-                return Builtin(t.line, t.col, t.text)
+                return self.parse_sized(t)
+            if t.text in _CONSTANTS:
+                return PartLin.of(_CONSTANTS[t.text]())
             if t.text in _RESERVED:
                 raise ParseError(f"misplaced keyword {t.text!r}", t.line, t.col)
-            return NameRef(t.line, t.col, t.text)
+            if t.text not in self.env:
+                raise ParseError(f"unknown identifier {t.text!r}", t.line, t.col)
+            return self.env[t.text]
         raise ParseError(f"unexpected token {t.text or 'end of input'!r}", t.line, t.col)
+
+    def parse_sized(self, t: Token) -> PartLin:
+        """id(k), block(k,l) or pk(k); the point count is size-guarded
+        before any point list is built."""
+        self.expect("(")
+        k = self.next_int()
+        if t.text == "block":
+            self.expect(",")
+            l = self.next_int()
+        self.expect(")")
+        if t.text == "id":
+            _guard_points(k, k)
+            return PartLin.of(Partition.identity(k))
+        if t.text == "block":
+            if k + l < 1:
+                raise ParseError("block(k,l) needs at least one point", t.line, t.col)
+            _guard_points(k, l)
+            return PartLin.of(Partition.block(k, l))
+        if k < 1:
+            raise ParseError("pk(k) needs k >= 1", t.line, t.col)
+        _guard_points(0, 2 * k)
+        return PartLin.of(Partition.cycle(k))
 
     def next_int(self) -> int:
         t = self.next()
         if t.kind != "int":
             raise ParseError(f"expected an integer, found {t.text!r}", t.line, t.col)
-        return int(t.text)
+        return _int(t.text, t)
 
     # polynomial sub-grammar --------------------------------------------------------
 
     def parse_poly_literal(self) -> PolyQ:
-        t = self.expect("poly")
+        self.expect("poly")
         self.expect("(")
         poly = self.parse_poly_sum()
         self.expect(")")
@@ -303,7 +293,7 @@ class Parser:
     def parse_poly_atom(self) -> PolyQ:
         t = self.next()
         if t.kind == "int":
-            return PolyQ.const(int(t.text))
+            return PolyQ.const(_int(t.text, t))
         if t.text == "n":
             return N_POLY
         if t.text == "(":
@@ -316,187 +306,55 @@ class Parser:
         raise ParseError(f"bad polynomial token {t.text!r}", t.line, t.col)
 
 
-def parse(text: str) -> Node:
-    p = Parser(_tokenize(text))
-    node = p.parse_expr()
-    if not p.at_end():
-        t = p.peek()
-        raise ParseError(f"trailing input starting at {t.text!r}", t.line, t.col)
-    return node
+def _int(digits: str, t: Token) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter converts
+        raise ParseError(f"integer of {len(digits)} digits is too long",
+                         t.line, t.col) from None
 
 
-# -- arity inference ---------------------------------------------------------------
-
-_BUILTIN_SHAPES = {
-    "cap": (2, 0),
-    "cup": (0, 2),
-    "cross": (2, 2),
-    "sing": (0, 1),
-    "merge": (2, 1),
-    "fork": (1, 2),
-}
+def _guard_points(k: int, l: int):
+    guard_dense(k + l, f"partition P({k},{l})")
 
 
-def infer_shape(node: Node, env_shapes: dict[str, tuple[int, int]]) -> tuple[int, int]:
-    """Upper/lower point counts of the value of ``node``; raises ParseError
-    with the node position on any arity violation."""
-
-    def err(msg):
-        raise ParseError(msg, node.line, node.col)
-
-    if isinstance(node, Lit):
-        return (node.partition.k, node.partition.l)
-    if isinstance(node, NameRef):
-        if node.name not in env_shapes:
-            err(f"unknown identifier {node.name!r}")
-        return env_shapes[node.name]
-    if isinstance(node, Builtin):
-        if node.name == "id":
-            return (node.args[0], node.args[0])
-        if node.name == "block":
-            if sum(node.args) < 1:
-                err("block(k,l) needs at least one point")
-            return node.args
-        if node.name == "pk":
-            if node.args[0] < 1:
-                err("pk(k) needs k >= 1")
-            return (0, 2 * node.args[0])
-        return _BUILTIN_SHAPES[node.name]
-    if isinstance(node, Unary):
-        k, l = infer_shape(node.arg, env_shapes)
-        if node.op == "adj":
-            return (l, k)
-        if node.op == "asym":
-            if k % 2 or l % 2:
-                err(f"asym needs even rows, got shape ({k},{l})")
-            return (k, l)
-        if node.op in ("rotl", "rotr"):
-            if k == 0:
-                err("cannot rotate: upper row is empty")
-            return (k - 1, l + 1)
-    if isinstance(node, Scale):
-        return infer_shape(node.arg, env_shapes)
-    if isinstance(node, Bin):
-        ks = infer_shape(node.lhs, env_shapes)
-        kr = infer_shape(node.rhs, env_shapes)
-        if node.op == "compose":
-            if ks[0] != kr[1]:
-                err(
-                    f"cannot compose: left expects {ks[0]} inputs, "
-                    f"right produces {kr[1]} outputs"
-                )
-            return (kr[0], ks[1])
-        if node.op == "tensor":
-            return (ks[0] + kr[0], ks[1] + kr[1])
-        if ks != kr:
-            err(f"cannot add shapes ({ks[0]},{ks[1]}) and ({kr[0]},{kr[1]})")
-        return ks
-    raise AssertionError(f"unhandled node {node!r}")
+def _unary(t: Token, arg: PartLin) -> PartLin:
+    """The function named by token t applied to arg, arity-checked at t."""
+    if t.text == "adj":
+        return arg.adjoint()
+    if t.text == "asym":
+        if arg.k % 2 or arg.l % 2:
+            raise ParseError(f"asym needs even rows, got shape ({arg.k},{arg.l})",
+                             t.line, t.col)
+        return antisymmetrize(arg)
+    if arg.k == 0:
+        raise ParseError("cannot rotate: upper row is empty", t.line, t.col)
+    return arg.rotate("left" if t.text == "rotl" else "right")
 
 
-# -- evaluation ---------------------------------------------------------------------
-
-def evaluate(node: Node, env: dict[str, PartLin] | None = None) -> PartLin:
-    """Evaluate an arity-checked expression to an exact PartLin."""
-    env = env or {}
-    infer_shape(node, {name: (e.k, e.l) for name, e in env.items()})
-    return _eval(node, env)
-
-
-def _eval(node: Node, env) -> PartLin:
-    if isinstance(node, Lit):
-        return PartLin.of(node.partition)
-    if isinstance(node, NameRef):
-        return env[node.name]
-    if isinstance(node, Builtin):
-        if node.name == "id":
-            return PartLin.of(Partition.identity(node.args[0]))
-        if node.name == "block":
-            return PartLin.of(Partition.block(*node.args))
-        if node.name == "pk":
-            return PartLin.of(Partition.cycle(node.args[0]))
-        return PartLin.of(
-            {
-                "cap": Partition.cap,
-                "cup": Partition.cup,
-                "cross": Partition.crossing,
-                "sing": Partition.singleton,
-                "merge": Partition.merge,
-                "fork": Partition.fork,
-            }[node.name]()
-        )
-    if isinstance(node, Unary):
-        arg = _eval(node.arg, env)
-        if node.op == "adj":
-            return arg.adjoint()
-        if node.op == "asym":
-            return antisymmetrize(arg)
-        if node.op == "rotl":
-            return arg.rotate("left", "down")
-        if node.op == "rotr":
-            return arg.rotate("right", "down")
-    if isinstance(node, Scale):
-        return _eval(node.arg, env).scale(node.poly)
-    if isinstance(node, Bin):
-        lhs = _eval(node.lhs, env)
-        rhs = _eval(node.rhs, env)
-        if node.op == "compose":
-            return compose(lhs, rhs)
-        if node.op == "tensor":
-            return lhs.tensor(rhs)
-        if node.op == "add":
-            return lhs + rhs
-        return lhs - rhs
-    raise AssertionError(f"unhandled node {node!r}")
+def _apply(t: Token, op: str, lhs: PartLin, rhs: PartLin) -> PartLin:
+    """lhs op rhs for the operator at token t, arity-checked at t."""
+    if op == "compose":
+        if lhs.k != rhs.l:
+            raise ParseError(f"cannot compose: left expects {lhs.k} inputs, "
+                             f"right produces {rhs.l} outputs", t.line, t.col)
+        return compose(lhs, rhs)
+    if op == "tensor":
+        return lhs.tensor(rhs)
+    if (lhs.k, lhs.l) != (rhs.k, rhs.l):
+        raise ParseError(f"cannot add shapes ({lhs.k},{lhs.l}) and ({rhs.k},{rhs.l})",
+                         t.line, t.col)
+    return lhs + rhs if op == "+" else lhs - rhs
 
 
 def eval_text(text: str, env: dict[str, PartLin] | None = None) -> PartLin:
-    return evaluate(parse(text), env)
-
-
-# -- printing -----------------------------------------------------------------------
-
-def to_text(node: Node) -> str:
-    """Parseable rendering; round-trips through parse up to positions."""
-    if isinstance(node, Lit):
-        return str(node.partition)
-    if isinstance(node, NameRef):
-        return node.name
-    if isinstance(node, Builtin):
-        if node.args:
-            return f"{node.name}({','.join(map(str, node.args))})"
-        return node.name
-    if isinstance(node, Unary):
-        return f"{node.op}({to_text(node.arg)})"
-    if isinstance(node, Scale):
-        return f"scale(poly({node.poly}), {to_text(node.arg)})"
-    if isinstance(node, Bin):
-        if node.op in ("add", "sub"):
-            sym = "+" if node.op == "add" else "-"
-            return f"({to_text(node.lhs)} {sym} {to_text(node.rhs)})"
-        if node.op == "tensor":
-            return f"({to_text(node.lhs)} ox {to_text(node.rhs)})"
-        return f"({to_text(node.lhs)} * {to_text(node.rhs)})"
-    raise AssertionError(f"unhandled node {node!r}")
-
-
-def ast_equal(a: Node, b: Node) -> bool:
-    """Structural equality ignoring source positions."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Lit):
-        return a.partition == b.partition
-    if isinstance(a, NameRef):
-        return a.name == b.name
-    if isinstance(a, Builtin):
-        return (a.name, a.args) == (b.name, b.args)
-    if isinstance(a, Unary):
-        return a.op == b.op and ast_equal(a.arg, b.arg)
-    if isinstance(a, Scale):
-        return a.poly == b.poly and ast_equal(a.arg, b.arg)
-    if isinstance(a, Bin):
-        return a.op == b.op and ast_equal(a.lhs, b.lhs) and ast_equal(a.rhs, b.rhs)
-    return False
+    """The exact value of expression ``text``, with names bound in ``env``."""
+    p = Parser(_tokenize(text), env or {})
+    value = p.parse_expr()
+    if not p.at_end():
+        t = p.peek()
+        raise ParseError(f"trailing input starting at {t.text!r}", t.line, t.col)
+    return value
 
 
 # -- fixture files --------------------------------------------------------------------
@@ -504,11 +362,8 @@ def ast_equal(a: Node, b: Node) -> bool:
 @dataclass
 class FixtureCheck:
     name: str
-    lhs_text: str
-    rhs_text: str
     lhs: PartLin
     rhs: PartLin
-    line: int
     kind: str = "check"  # 'check' must hold; 'flag' records a known discrepancy
 
 
@@ -546,17 +401,8 @@ def load_fixture_file(text: str) -> list[FixtureCheck]:
             lhs_text, sep, rhs_text = body.partition("==")
             if not sep:
                 raise ParseError(f"{kind} needs 'lhs == rhs'", lineno, 1)
-            checks.append(
-                FixtureCheck(
-                    name=name,
-                    lhs_text=lhs_text.strip(),
-                    rhs_text=rhs_text.strip(),
-                    lhs=eval_text(lhs_text, env),
-                    rhs=eval_text(rhs_text, env),
-                    line=lineno,
-                    kind=kind,
-                )
-            )
+            checks.append(FixtureCheck(name, eval_text(lhs_text, env),
+                                       eval_text(rhs_text, env), kind))
             continue
         raise ParseError(f"unrecognized fixture line: {raw!r}", lineno, 1)
     return checks

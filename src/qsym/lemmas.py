@@ -3,10 +3,11 @@
 The displayed identities of the calculus are shipped as editable fixture
 files (see ``qsym/fixtures``), so a disagreement about how a drawn diagram
 should be read is a data change, not a code change.  Each fixture identity is
-verified twice: formally, in the span of partitions with polynomial
-coefficients, and through the tensor functor with the loop parameter
-specialized to concrete sizes (exact, via the kernel decomposition of
-blockwise deltas).
+verified formally, in the span of partitions with polynomial coefficients;
+the formal difference is then evaluated through the tensor functor with the
+loop parameter specialized to concrete sizes (exact, via the kernel
+decomposition of blockwise deltas).  That difference is empty whenever the
+formal check passes, so the tensor step cannot disagree with it.
 
 One drawn identity (``chain-insert-as-drawn``) does not hold as stated: the
 exact expansion carries two extra double-bond diagrams.  The fixture keeps

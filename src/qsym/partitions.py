@@ -166,31 +166,19 @@ class Partition:
         """Vertical reflection: upper and lower rows trade places."""
         return Partition(self.l, self.k, self.assign[self.k:] + self.assign[: self.k])
 
-    def rotate(self, side: str, direction: str) -> "Partition":
-        """Move the extreme point of one row to the same side of the other row."""
+    def rotate(self, side: str) -> "Partition":
+        """Move the extreme upper point on one side to that side of the lower row."""
         up = self.assign[: self.k]
         lo = self.assign[self.k:]
-        if direction == "down":
-            if not up:
-                raise InvalidInputError("cannot rotate down: upper row is empty")
-            if side == "left":
-                up, lo = up[1:], (up[0],) + lo
-            elif side == "right":
-                up, lo = up[:-1], lo + (up[-1],)
-            else:
-                raise InvalidInputError(f"unknown side {side!r}")
-            return Partition(self.k - 1, self.l + 1, up + lo)
-        if direction == "up":
-            if not lo:
-                raise InvalidInputError("cannot rotate up: lower row is empty")
-            if side == "left":
-                up, lo = (lo[0],) + up, lo[1:]
-            elif side == "right":
-                up, lo = up + (lo[-1],), lo[:-1]
-            else:
-                raise InvalidInputError(f"unknown side {side!r}")
-            return Partition(self.k + 1, self.l - 1, up + lo)
-        raise InvalidInputError(f"unknown direction {direction!r}")
+        if not up:
+            raise InvalidInputError("cannot rotate down: upper row is empty")
+        if side == "left":
+            up, lo = up[1:], (up[0],) + lo
+        elif side == "right":
+            up, lo = up[:-1], lo + (up[-1],)
+        else:
+            raise InvalidInputError(f"unknown side {side!r}")
+        return Partition(self.k - 1, self.l + 1, up + lo)
 
     # -- text format --------------------------------------------------------------
 
@@ -244,12 +232,15 @@ def _canonical(assign):
 def _point_position(p, k, l):
     if isinstance(p, str):
         p = p.strip()
+        try:
+            j = int(p.removesuffix("'"))
+        except ValueError:  # not an integer, or more digits than int() reads
+            raise InvalidInputError(f"bad point label {p!r}") from None
         if p.endswith("'"):
-            j = int(p[:-1])
             if not 1 <= j <= l:
                 raise InvalidInputError(f"lower point {p} out of range 1'..{l}'")
             return k + j - 1
-        p = int(p)
+        p = j
     if isinstance(p, int):
         if 1 <= p <= k:
             return p - 1
@@ -423,13 +414,12 @@ class PartLin:
             self.l, self.k, {p.adjoint(): c for p, c in self.terms.items()}
         )
 
-    def rotate(self, side: str, direction: str) -> "PartLin":
+    def rotate(self, side: str) -> "PartLin":
         terms = {}
         for p, c in self.terms.items():
-            r = p.rotate(side, direction)
+            r = p.rotate(side)
             terms[r] = terms.get(r, PolyQ()) + c
-        kk = self.k + (1 if direction == "up" else -1)
-        return PartLin(kk, self.k + self.l - kk, terms)
+        return PartLin(self.k - 1, self.l + 1, terms)
 
     # -- queries -------------------------------------------------------------------------
 

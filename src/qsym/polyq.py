@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .config import guard_dense
 from .errors import InvalidInputError
 
 
@@ -80,6 +81,8 @@ class PolyQ:
     def __pow__(self, k: int):
         if k < 0:
             raise InvalidInputError("negative polynomial power")
+        # k multiplications of at most len*k by len coefficients each
+        guard_dense((len(self.coeffs) * k) ** 2, "polynomial power")
         out = PolyQ.const(1)
         for _ in range(k):
             out = out * self
@@ -89,9 +92,6 @@ class PolyQ:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, value) -> Fraction:
         """Evaluate at a rational value of n."""
@@ -139,6 +139,4 @@ class PolyQ:
         return f"PolyQ({self})"
 
 
-ZERO_POLY = PolyQ()
-ONE_POLY = PolyQ.const(1)
 N_POLY = PolyQ.n()

@@ -199,6 +199,29 @@ def test_partition_eval_deep_nesting_is_bad_input(capsys, text):
     assert "nested deeper than" in err and "(line 1, column" in err
 
 
+_DIGITS = "7" * 5_000
+
+
+@pytest.mark.parametrize("text,message", [
+    (f"id({_DIGITS})", "integer of 5000 digits is too long (line 1, column 4)"),
+    (f"P({_DIGITS},0){{}}", "integer of 5000 digits is too long (line 1, column 1)"),
+    (f"scale(poly({_DIGITS}), cap)", "integer of 5000 digits is too long (line 1, column 12)"),
+    (f"P(1,1){{1 {_DIGITS}'}}", "bad point label"),
+    ("pk(1000000000)", "partition P(0,2000000000) needs"),
+    ("id(2000000)", "partition P(2000000,2000000) needs"),
+    ("P(1000000000,0){}", "partition P(1000000000,0) needs"),
+    ("scale(poly(n^100000), cap)", "polynomial power needs"),
+], ids=["id-digits", "literal-digits", "poly-digits", "label-digits", "pk-points",
+        "id-points", "literal-points", "poly-power"])
+def test_partition_eval_oversized_input_is_bad_input(capsys, text, message):
+    # each is refused before a point list or a polynomial is built
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "partition", "eval", text)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert time.perf_counter() - start < 1
+
+
 def test_verify_folded_below_two_is_bad_input(capsys):
     # at n = 1 the all-ones generator coincides with epsilon_1
     code, _, err = run_cli(capsys, "verify", "folded:1")

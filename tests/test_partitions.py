@@ -77,9 +77,9 @@ def test_tensor_adjoint_rotate():
     assert Partition.cap().adjoint() == Partition.cup()
     # rotating the one-block P(2,1) down on the right gives P(1,2)
     b21 = Partition.block(2, 1)
-    assert b21.rotate("right", "down") == Partition.block(1, 2)
+    assert b21.rotate("right") == Partition.block(1, 2)
     with pytest.raises(InvalidInputError):
-        Partition.cup().rotate("left", "down")
+        Partition.cup().rotate("left")
 
 
 def test_cycle_partition():
