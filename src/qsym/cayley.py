@@ -113,11 +113,6 @@ class CayleyGraph:
         num = dict.fromkeys(zip(heads.ravel().tolist(), tails.ravel().tolist()), 1)
         return SparseTensor._raw((g.order, g.order), 1, num)
 
-    def edge_count(self) -> int:
-        if not self.gens.symmetric:
-            raise InvalidInputError("edge count of a directed graph is ambiguous")
-        return self.group.order * len(self.gens) // 2
-
 
 class SpectralDecomposition:
     """Distinct eigenvalues with their character labels, exactly grouped.
@@ -159,9 +154,6 @@ class SpectralDecomposition:
     @property
     def multiplicities(self):
         return [len(labels) for _, labels in self.items]
-
-    def all_real(self) -> bool:
-        return all(lam.is_real() for lam in self.eigenvalues)
 
     def to_json(self):
         return {

@@ -22,11 +22,10 @@ from .cayley import (
 )
 from .dsl import eval_text, load_fixture_file
 from .errors import InvalidInputError, QsymError
-from .functors import evaluate_partlin, functor_T
+from .functors import evaluate_partlin
 from .groups import as_int, make_group
-from .intertwiners import EigenprojectionBasis, hat_block_intertwiner, project
+from .intertwiners import EigenprojectionBasis, hat_block_intertwiner
 from .lemmas import check_identities
-from .partitions import Partition
 from .report import VerificationReport
 from .verify import run_suite, suite_fourier_check
 
@@ -90,25 +89,31 @@ def _parse_selection(text, n_spaces):
 
 def cmd_intertwiner(args) -> int:
     gr = _graph_from_args(args)
-    g = gr.group
     k, l = _parse_block(args.block)
+    basis = None  # all characters
     if args.project:
         spec = SpectralDecomposition(gr)
         indices = _parse_selection(args.project, len(spec.items))
         basis = EigenprojectionBasis.from_spectrum(spec, indices)
-        t = functor_T(Partition.block(k, l), g.order)
-        out = project(t, basis if l else None, basis if k else None)
-    else:
-        out = hat_block_intertwiner(g, k, l)
+    out = hat_block_intertwiner(gr.group, k, l, basis, basis)
     json.dump(out.to_json(), sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK
 
 
+def _text(value) -> str:
+    """str(value); an integer with more digits than Python converts to text
+    (4,300 by default) is invalid input, not an internal error."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise InvalidInputError(f"result too long to print: {exc}") from None
+
+
 def cmd_partition(args) -> int:
     if args.action == "eval":
         result = eval_text(args.expr)
-        print(result)
+        print(_text(result))
         if args.at is not None:
             t = evaluate_partlin(result, args.at, deformed=args.deformed)
             stats = {
@@ -119,7 +124,7 @@ def cmd_partition(args) -> int:
             }
             if t.out_shape == t.in_shape and not t.is_zero():
                 tr = t.trace()
-                stats["trace"] = str(tr.as_fraction()) if tr.is_rational() else tr.str()
+                stats["trace"] = _text(tr.as_fraction() if tr.is_rational() else tr)
             print(json.dumps(stats, sort_keys=True))
         return EXIT_OK
     # action == check: the checker of `qsym verify lemmas`

@@ -74,9 +74,9 @@ class Token:
     col: int
 
 
-def _tokenize(text: str, line_offset: int = 1):
+def _tokenize(text: str, line: int = 1, col: int = 1):
+    """Tokens of ``text``, positioned as if it started at ``line``, ``col``."""
     tokens = []
-    line, col = line_offset, 1
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -347,9 +347,11 @@ def _apply(t: Token, op: str, lhs: PartLin, rhs: PartLin) -> PartLin:
     return lhs + rhs if op == "+" else lhs - rhs
 
 
-def eval_text(text: str, env: dict[str, PartLin] | None = None) -> PartLin:
-    """The exact value of expression ``text``, with names bound in ``env``."""
-    p = Parser(_tokenize(text), env or {})
+def eval_text(text: str, env: dict[str, PartLin] | None = None,
+              line: int = 1, col: int = 1) -> PartLin:
+    """The exact value of expression ``text``, with names bound in ``env``;
+    error positions count from ``line`` and ``col``, where ``text`` starts."""
+    p = Parser(_tokenize(text, line, col), env or {})
     value = p.parse_expr()
     if not p.at_end():
         t = p.peek()
@@ -381,6 +383,11 @@ def load_fixture_file(text: str) -> list[FixtureCheck]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        indent = len(raw) - len(raw.lstrip())
+
+        def value(expr_text, rest):  # rest: the suffix of line that starts expr_text
+            return eval_text(expr_text, env, lineno, indent + len(line) - len(rest) + 1)
+
         if line.startswith("let "):
             name, _, expr_text = line[4:].partition("=")
             name = name.strip()
@@ -388,7 +395,7 @@ def load_fixture_file(text: str) -> list[FixtureCheck]:
                 raise ParseError(f"bad let name {name!r}", lineno, 1)
             if name in _RESERVED:
                 raise ParseError(f"cannot rebind reserved name {name!r}", lineno, 1)
-            env[name] = eval_text(expr_text, env)
+            env[name] = value(expr_text, expr_text)
             continue
         kind = None
         if line.startswith("check "):
@@ -401,8 +408,8 @@ def load_fixture_file(text: str) -> list[FixtureCheck]:
             lhs_text, sep, rhs_text = body.partition("==")
             if not sep:
                 raise ParseError(f"{kind} needs 'lhs == rhs'", lineno, 1)
-            checks.append(FixtureCheck(name, eval_text(lhs_text, env),
-                                       eval_text(rhs_text, env), kind))
+            checks.append(FixtureCheck(name, value(lhs_text, body),
+                                       value(rhs_text, rhs_text), kind))
             continue
         raise ParseError(f"unrecognized fixture line: {raw!r}", lineno, 1)
     return checks

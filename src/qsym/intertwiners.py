@@ -7,9 +7,11 @@ group Fourier transform gives the exact closed form
     [hat T_{b_{k,l}}]^{nu_1..nu_l}_{mu_1..mu_k} = N^(1-l) * [sum mu = sum nu]
 
 (character orthogonality contributes one factor N, each inverse transform on
-an output leg contributes 1/N).  ``project`` restricts such operators to
-chosen eigenspace label sets; results are kept unnormalized-but-exact, with
-scale factors stated explicitly where identities are asserted.
+an output leg contributes 1/N).  Restricted to chosen eigenspace label sets,
+the same closed form gives the projected block directly; ``project``
+restricts any tensor leg by leg and is kept as its oracle.  Results are
+kept unnormalized-but-exact, with scale factors stated explicitly where
+identities are asserted.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import functools
 import itertools
 from collections.abc import Mapping
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -44,6 +47,7 @@ class EigenprojectionBasis:
         )
         if len(set(self.labels)) != len(self.labels):
             raise InvalidInputError("duplicate labels in eigenprojection basis")
+        self.positions = np.array([group.index(mu) for mu in self.labels], dtype=np.int64)
         self.scale = group.order  # U U* = scale * identity
 
     def __len__(self):
@@ -68,43 +72,58 @@ class EigenprojectionBasis:
         g = self.group
         M = g.exponent
         zeta = power_rows(M, 1, M)
-        rows = np.array([g.index(mu) for mu in self.labels], dtype=np.int64)
-        exps = g.char_exponents(rows[:, None], np.arange(g.order)[None, :])
+        exps = g.char_exponents(self.positions[:, None], np.arange(g.order)[None, :])
         num = dict(zip(
-            itertools.product(range(len(rows)), range(g.order)),
+            itertools.product(range(len(self)), range(g.order)),
             (zeta[-e % M] for e in exps.ravel().tolist()),
         ))
-        return SparseTensor._raw((len(rows), g.order), 1, num, 1, M)
+        return SparseTensor._raw((len(self), g.order), 1, num, 1, M)
 
     def u_star_matrix(self) -> Mapping:
         """U* as {(alpha_index, row): tau_mu(alpha)}."""
         return self.u_tensor().adjoint().entries
 
 
-def hat_block_intertwiner(group: AbelianGroup, k: int, l: int) -> SparseTensor:
-    """Closed form of the Fourier transform of T_{b_{k,l}}, axes indexed by
-    the group's fixed character enumeration."""
+def hat_block_intertwiner(group: AbelianGroup, k: int, l: int,
+                          basis_out: EigenprojectionBasis | None = None,
+                          basis_in: EigenprojectionBasis | None = None) -> SparseTensor:
+    """Closed form of the Fourier transform of T_{b_{k,l}}, restricted to the
+    labels of ``basis_out`` on the output legs and of ``basis_in`` on the input
+    legs.  Axes follow the bases' row order; ``None`` stands for all N
+    characters in the group's fixed enumeration.  This is the route for
+    eigenspace restrictions; :func:`project` is its leg-wise oracle."""
     if k < 0 or l < 0 or k + l < 1:
         raise InvalidInputError(f"block intertwiner needs k+l >= 1, got ({k},{l})")
     g = group
     N = g.order
+    bases = (basis_out,) * l + (basis_in,) * k
+    for basis in bases:
+        if basis is not None and basis.group != g:
+            raise InvalidInputError(f"eigenprojection basis of {basis.group} is not on {g}")
+    dims = tuple(N if b is None else len(b) for b in bases)
     free = k + l - 1
-    guard_sparse(N**free, f"hat block intertwiner k={k}, l={l}, N={N}")
+    count = prod(dims[:free])
+    guard_sparse(count, f"hat block intertwiner k={k}, l={l}, N={N}")
     # the value N^(1-l) as numerator / denominator
     value, den = (1, N ** (l - 1)) if l >= 1 else (N, 1)
-    # All legs but one run over every position; sum mu = sum nu fixes the
-    # last output leg, or the last input leg when there is no output.
-    legs = list(np.indices((N,) * free).reshape(free, N**free))
-    n_out = max(l - 1, 0)
-    zero = np.zeros(N**free, dtype=np.int64)
-    s_out = functools.reduce(g.index_sum, legs[:n_out], zero)
-    s_in = functools.reduce(g.index_sum, legs[n_out:], zero)
-    if l >= 1:
-        legs.insert(n_out, g.index_sum(s_in, g.index_neg(s_out)))
-    else:
-        legs.append(g.index_neg(s_in))
-    num = dict.fromkeys(map(tuple, np.stack(legs, axis=1).tolist()), value)
-    return SparseTensor._raw((N,) * (l + k), l, num, den)
+    positions = [np.arange(N) if b is None else b.positions for b in bases]
+    # All legs but the last run over their label rows.  With d the sum of
+    # those outputs minus the sum of those inputs, sum mu = sum nu makes the
+    # last leg d (an input) or -d (an output, when k = 0); a solution counts
+    # when that leg lands on one of its own labels.
+    rows = np.indices(dims[:free]).reshape(free, count)
+    legs = [p[r] for p, r in zip(positions, rows)]
+    zero = np.zeros(count, dtype=np.int64)
+    s_out = functools.reduce(g.index_sum, legs[:l], zero)
+    s_in = functools.reduce(g.index_sum, legs[l:], zero)
+    diff = g.index_sum(s_out, g.index_neg(s_in))
+    row_of = np.full(N, -1, dtype=np.int64)
+    row_of[positions[-1]] = np.arange(dims[-1])
+    last = row_of[diff if k else g.index_neg(diff)]
+    hit = last >= 0
+    keys = np.vstack([rows[:, hit], last[hit]]).T
+    num = dict.fromkeys(map(tuple, keys.tolist()), value)
+    return SparseTensor._raw(dims, l, num, den)
 
 
 def brute_hat_intertwiner(group: AbelianGroup, t: SparseTensor) -> SparseTensor:
@@ -122,7 +141,8 @@ def project(
     basis_out: EigenprojectionBasis | None,
     basis_in: EigenprojectionBasis | None,
 ) -> SparseTensor:
-    """Fourier-conjugate t and restrict legs to selected labels.
+    """Fourier-conjugate t and restrict legs to selected labels, one leg at a
+    time; the oracle for the restricted :func:`hat_block_intertwiner`.
 
     Equals (1/N^l) U_out^(x l) . t . (U_in^*)^(x k), i.e. the exact restriction
     of (F^-1)^(x l) t F^(x k) to the chosen label sets; no other normalization

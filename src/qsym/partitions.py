@@ -148,9 +148,6 @@ class Partition:
             sizes[b] += 1
         return sizes
 
-    def is_pairing(self) -> bool:
-        return all(s == 2 for s in self.block_sizes())
-
     def has_odd_block(self) -> bool:
         return any(s % 2 for s in self.block_sizes())
 

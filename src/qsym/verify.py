@@ -49,7 +49,7 @@ from .intertwiners import (
     brute_hat_intertwiner,
     HammingOperators,
     hat_block_intertwiner,
-    project,
+    project,  # noqa: F401  (perfbench/test_bench.py asserts the tracer rebinds it here)
 )
 from .lemmas import lemma_suite
 from .partitions import Partition, PartLin, antisymmetrize, compose_partitions
@@ -123,7 +123,7 @@ def halved_eigenvalue_formula(n: int, d: int) -> Fraction:
     return Fraction((2 * d - n - 1) ** 2 - n - 1, 2)
 
 
-def suite_halved(n: int, block_check: bool = True) -> VerificationReport:
+def suite_halved(n: int) -> VerificationReport:
     rep = VerificationReport(f"halved:{n}")
     spec = SpectralDecomposition(family_graph("halved", n))
     ok = all(
@@ -137,8 +137,8 @@ def suite_halved(n: int, block_check: bool = True) -> VerificationReport:
         for d in range(1, n + 1)
     )
     rep.add("degeneracy", "lambda_d = lambda_{n+1-d}", "pass" if paired else "fail")
-    if block_check and n in (4, 5):
-        _halved_block_check(rep, n)
+    if n in (4, 5):
+        _halved_top_block_check(rep, n)
     return rep
 
 
@@ -151,12 +151,11 @@ def halved_top_block(n: int) -> tuple[SparseTensor, list[tuple[int, ...]], int]:
     spec = SpectralDecomposition(gr)
     labs = next(ls for _, ls in spec.items if any(m.degree == 1 for m in ls))
     labels = sorted(labs, key=lambda m: (m.degree, g.index(m)))
-    basis = EigenprojectionBasis(g, labels)
-    proj = project(functor_T(Partition.block(n + 1, 0), g.order), None, basis)
+    proj = hat_block_intertwiner(g, n + 1, 0, basis_in=EigenprojectionBasis(g, labels))
     return proj, [mu.coords for mu in labels], g.order
 
 
-def _halved_block_check(rep: VerificationReport, n: int):
+def _halved_top_block_check(rep: VerificationReport, n: int):
     """Projected top block vs the permutation indicator on the joined
     degree-(1, n) eigenspace.  True at even n; at odd n the index sums also
     vanish on non-permutation tuples, so the stated form cannot hold."""
@@ -185,7 +184,7 @@ def folded_eigenvalue_formula(n: int, d: int) -> int:
     return n - 2 * d + (-1) ** d
 
 
-def suite_folded(n: int, heavy: bool = True) -> VerificationReport:
+def suite_folded(n: int) -> VerificationReport:
     rep = VerificationReport(f"folded:{n}")
     gr = family_graph("folded", n)
     spec = SpectralDecomposition(gr)
@@ -210,7 +209,7 @@ def suite_folded(n: int, heavy: bool = True) -> VerificationReport:
     rep.add("eigenspace-pattern", "labels join as degrees {2i-1, 2i}",
             "pass" if pattern_ok else "fail")
     _folded_closed_form_check(rep, n)
-    if heavy and n in (4, 6):
+    if n in (4, 6):
         _folded_fork_check(rep, gr)
         _folded_pairing_tensor_check(rep, n + 1)
     return rep
@@ -268,7 +267,7 @@ def _indicator(shape, out_axes: int, rows: np.ndarray) -> SparseTensor:
 def _folded_fork_check(rep: VerificationReport, gr: CayleyGraph):
     g = gr.group
     basis, pairs = _folded_v2_basis(gr)
-    proj = project(functor_T(Partition.block(1, 2), g.order), basis, basis)
+    proj = hat_block_intertwiner(g, 1, 2, basis, basis)
     scaled = proj.scale(Fraction(g.order))
     expected = _indicator(scaled.shape, 2, _pairing_rows(pairs, 3))
     rep.add("fork-projection", "N * projected fork = pairing indicator",
@@ -337,7 +336,7 @@ def suite_complete(m: int) -> VerificationReport:
     return rep
 
 
-def suite_hamming(n: int, m: int, operators: bool = True) -> VerificationReport:
+def suite_hamming(n: int, m: int) -> VerificationReport:
     rep = VerificationReport(f"hamming:{n},{m}")
     spec = SpectralDecomposition(family_graph("hamming", n, m))
     ok = all(lam == m * mu.zeros - n for lam, labels in spec.items for mu in labels)
@@ -345,8 +344,7 @@ def suite_hamming(n: int, m: int, operators: bool = True) -> VerificationReport:
     rep.add("distinct-count", "n+1 distinct eigenvalues",
             "pass" if len(spec.items) == n + 1 else "fail",
             f"got {len(spec.items)}")
-    if operators:
-        _hamming_operator_checks(rep, n, m)
+    _hamming_operator_checks(rep, n, m)
     return rep
 
 
@@ -369,7 +367,7 @@ def _hamming_operator_checks(rep: VerificationReport, n: int, m: int):
     for r, mu in enumerate(v1.labels):
         ((i, a),) = [(i, c) for i, c in enumerate(mu.coords) if c]
         lab_map[r] = ops.idx(a, i)
-    proj = project(functor_T(Partition.block(2, 2), g.order), v1, v1)
+    proj = hat_block_intertwiner(g, 2, 2, v1, v1)
     remapped = SparseTensor(
         proj.shape, 2,
         {tuple(lab_map[x] for x in idx): v for idx, v in proj.entries.items()},

@@ -59,8 +59,8 @@ def ref_eigenvalue(orders, gens, mu):
 
 def test_hypercube_edges():
     gr = family_graph("hypercube", 3)
-    assert gr.edge_count() == 12
     a = gr.adjacency()
+    assert a.nnz() == 2 * 12  # each of the 12 edges in both directions
     assert all(a[(i, i)].is_zero() for i in range(8))
     # 3-regular
     for i in range(8):
@@ -136,7 +136,7 @@ def test_spectrum_q3():
     spec = SpectralDecomposition(family_graph("hypercube", 3))
     assert [lam.as_fraction() for lam in spec.eigenvalues] == [3, 1, -1, -3]
     assert spec.multiplicities == [1, 3, 3, 1]
-    assert spec.all_real()
+    assert all(lam.is_real() for lam in spec.eigenvalues)
 
 
 def test_spectrum_k4():

@@ -58,6 +58,30 @@ def test_spectrum_json_matches_its_pin(capsys, graph, pin):
     assert out == (DATA / pin).read_text()
 
 
+@pytest.mark.filterwarnings("ignore:generating set not closed under negation")
+@pytest.mark.parametrize("graph,args,pin", [
+    (["--family", "hypercube:4"], ["2,2", "V1"], "hypercube-4-b2-2-V1"),
+    (["--family", "halved:4"], ["5,0", "V1"], "halved-4-b5-0-V1"),
+    (["--family", "hypercube:3"], ["0,3", "V1+V2"], "hypercube-3-b0-3-V1-V2"),
+    (["--family", "hypercube:3"], ["1,0", "V1"], "hypercube-3-b1-0-V1"),
+    (["--family", "folded:4"], ["1,2", "V1"], "folded-4-b1-2-V1"),
+    (["--family", "hamming:2,3"], ["2,2", "V1"], "hamming-2-3-b2-2-V1"),
+    (["--family", "hamming:2,3"], ["2,1"], "hamming-2-3-b2-1"),
+    (["--family", "circulant:8,(1;7)"], ["2,2", "V1"], "circulant-8-1-7-b2-2-V1"),
+    (["--family", "circulant:8,(1;3)"], ["2,1", "V1+V2"], "circulant-8-1-3-b2-1-V1-V2"),
+    (["--family", "circulant:5,(1)"], ["1,2", "V0+V1+V2"], "circulant-5-1-b1-2-V0-V1-V2"),
+    (["--orders", "4", "2", "--gens", "1,0;3,0;0,1"], ["1,1", "V0+V1"],
+     "orders-4-2-b1-1-V0-V1"),
+])
+def test_intertwiner_json_matches_its_pin(capsys, graph, args, pin):
+    # the projected or whole transformed block, byte for byte
+    block, *selection = args
+    project = ["--project", *selection] if selection else []
+    code, out, _ = run_cli(capsys, "intertwiner", *graph, "--block", block, *project)
+    assert code == 0
+    assert out == (DATA / f"intertwiner-{pin}.json").read_text()
+
+
 def test_spectrum_explicit_group(capsys):
     code, out, _ = run_cli(
         capsys, "spectrum", "--orders", "2", "2", "--gens", "1,0;0,1", "--json"
@@ -154,6 +178,15 @@ def test_partition_check_file(tmp_path, capsys):
     assert code == 1 and "[FAIL   ] bad: formal identity fails" in out
 
 
+def test_partition_check_error_names_its_line(tmp_path, capsys):
+    f = tmp_path / "broken.pcalc"
+    f.write_text("let a = cap\n\nlet b = a * a\n")
+    code, out, err = run_cli(capsys, "partition", "check", str(f))
+    assert code == 2 and out == ""
+    assert err == ("error: cannot compose: left expects 2 inputs, right produces "
+                   "0 outputs (line 3, column 11)\n")
+
+
 def test_partition_check_missing_file(capsys):
     code, _, err = run_cli(capsys, "partition", "check", "/nonexistent.pcalc")
     assert code == 2
@@ -220,6 +253,18 @@ def test_partition_eval_oversized_input_is_bad_input(capsys, text, message):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["scale(poly(" + "7" * 4_000 + " * " + "7" * 4_000 + "), cap)"],
+    ["scale(poly(" + "9" * 4_299 + "), id(1))", "--at", "100"],
+], ids=["result", "trace"])
+def test_partition_eval_unprintable_coefficient_is_bad_input(capsys, argv):
+    # past Python's 4,300-digit int-to-text limit: the product coefficient,
+    # or the trace 100 * (10^4299 - 1) of a coefficient that still prints
+    code, out, err = run_cli(capsys, "partition", "eval", *argv)
+    assert code == 2
+    assert err.startswith("error: result too long to print: ")
 
 
 def test_verify_folded_below_two_is_bad_input(capsys):

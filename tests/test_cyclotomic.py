@@ -124,6 +124,44 @@ def test_minform_preserves_value(a):
     assert b == a
 
 
+@st.composite
+def lifted_elements(draw):
+    """A level d <= 30, an element of Q(zeta_d) with small rational
+    coordinates, and a level L <= 30 that d divides."""
+    d = draw(st.integers(1, 30))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coeffs = draw(st.lists(small, min_size=euler_phi(d), max_size=euler_phi(d)))
+    return d, Cyclotomic(d, coeffs), d * draw(st.integers(1, 30 // d))
+
+
+def _in_zeta(level, coeffs, big):
+    """Coefficients, lowest degree first, of sum c_j zeta_level^j written as a
+    polynomial in zeta_big (level divides big), without any reduction."""
+    poly = [Fraction(0)] * big
+    for j, c in enumerate(coeffs):
+        poly[j * (big // level)] += c
+    return poly
+
+
+@given(lifted_elements())
+@settings(max_examples=25, deadline=None)
+def test_minform_matches_sympy_minimal_polynomial(case):
+    sympy = pytest.importorskip("sympy")
+    d, a, big = case
+    lifted = a.lift(big)
+    level, coords = lifted.minform()
+    assert d % level == 0
+    # element - its minform value, as a polynomial in zeta_big that sympy
+    # reduces with its own cyclotomic polynomial
+    diff = [u - v for u, v in zip(_in_zeta(lifted.level, lifted.coeffs, big),
+                                  _in_zeta(level, coords, big))]
+    zeta = sympy.exp(2 * sympy.pi * sympy.I / big)
+    value = sympy.AlgebraicNumber(
+        zeta, [sympy.Rational(c.numerator, c.denominator) for c in reversed(diff)])
+    x = sympy.Symbol("x")
+    assert sympy.minimal_polynomial(value, x) == x
+
+
 def test_zeta_float_value():
     for m in (1, 2, 3, 5, 8, 12):
         z = Cyclotomic.zeta(m)

@@ -219,6 +219,20 @@ def test_fixture_file_rejects_garbage():
         load_fixture_file("check x: cap = cap")
 
 
+@pytest.mark.parametrize("text,line,col", [
+    ("let a = cap\n\nlet b = a * a", 3, 11),
+    ("# note\n  check c: cap == cap * cap", 2, 23),
+    ("check c: cap * cap == cap  # comment", 1, 14),
+    ("let a = cap\nflag f: cup == (a", 2, 18),
+])
+def test_fixture_errors_name_their_own_line_and_column(text, line, col):
+    # positions count in the file, not from the start of each expression
+    with pytest.raises(ParseError) as e:
+        load_fixture_file(text)
+    assert (e.value.line, e.value.col) == (line, col)
+    assert str(e.value).endswith(f"(line {line}, column {col})")
+
+
 def _digest(value: PartLin) -> str:
     return hashlib.sha256(json.dumps(value.to_json(), sort_keys=True).encode()).hexdigest()
 

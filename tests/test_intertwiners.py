@@ -86,6 +86,54 @@ def test_hat_block_matches_brute_on_random_groups(orders, kl):
 
 
 @st.composite
+def label_bases(draw):
+    """A group of order <= 9 and two bases of its characters, each a random
+    nonempty subset of the labels in random order."""
+    g = make_group(draw(small_orders()))
+
+    def basis():
+        labels = draw(st.permutations(list(g.elements())))
+        return EigenprojectionBasis(g, labels[:draw(st.integers(1, g.order))])
+
+    return g, basis(), basis()
+
+
+@given(label_bases(), st.sampled_from(
+    [(k, l) for k in range(4) for l in range(4) if 1 <= k + l <= 3]))
+def test_restricted_hat_block_matches_legwise_projection(case, kl):
+    g, basis_out, basis_in = case
+    k, l = kl
+    t = functor_T(Partition.block(k, l), g.order)
+    expected = project(t, basis_out if l else None, basis_in if k else None)
+    got = hat_block_intertwiner(g, k, l, basis_out, basis_in)
+    assert got.shape == expected.shape
+    assert got == expected
+
+
+def test_restricted_hat_block_defaults_to_every_character():
+    g = make_group([3, 2])
+    every = EigenprojectionBasis(g, list(g.elements()))
+    for k, l in [(2, 1), (1, 2), (3, 0), (0, 3)]:
+        full = hat_block_intertwiner(g, k, l)
+        assert hat_block_intertwiner(g, k, l, every, every).to_json() == full.to_json()
+        assert hat_block_intertwiner(g, k, l, every, None) == full
+
+
+def test_restricted_hat_block_checks_its_bases(monkeypatch):
+    g = make_group([9])
+    with pytest.raises(InvalidInputError, match="is not on"):
+        hat_block_intertwiner(g, 1, 1, EigenprojectionBasis(make_group([3, 3]), [(0, 1)]))
+    basis = EigenprojectionBasis(g, [(2,), (0,), (1,)])
+    # the two free legs run over 3 x 3 label rows; the solved leg lands on a
+    # label for the 6 pairs with sum <= 2
+    monkeypatch.setenv("QSYM_MAX_SPARSE", "8")
+    with pytest.raises(SizeGuardError, match="hat block intertwiner"):
+        hat_block_intertwiner(g, 2, 1, basis, basis)
+    monkeypatch.setenv("QSYM_MAX_SPARSE", "9")
+    assert hat_block_intertwiner(g, 2, 1, basis, basis).nnz() == 6
+
+
+@st.composite
 def rational_tensors(draw):
     """A group of order <= 9 and a rational tensor with 0-3 legs of dimension
     N, possibly empty; numerators are small or far past the int64 range."""

@@ -22,7 +22,7 @@ def test_folded_closed_form_verdict_is_computed(monkeypatch):
     # closed-form check passes instead of recording a finding
     monkeypatch.setattr(qsym.verify, "folded_eigenvalue_formula",
                         lambda n, d: n - 4 * ((d + 1) // 2))
-    assert verdicts(suite_folded(4, heavy=False))["closed-form"] == "pass"
+    assert verdicts(suite_folded(4))["closed-form"] == "pass"
     assert verdicts(suite_fourier_check("folded", 4))["closed-form"] == "pass"
 
 
@@ -45,7 +45,7 @@ def test_run_suite_dispatch():
 def test_six_pairing_combination_shape():
     combo = six_pairing_combination()
     assert (combo.k, combo.l) == (0, 8)
-    assert all(p.is_pairing() for p in combo.terms)
+    assert all(p.block_sizes() == [2] * 4 for p in combo.terms)
 
 
 def _pairable(*index_pairs) -> bool:
