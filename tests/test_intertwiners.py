@@ -76,8 +76,11 @@ def small_orders(draw, max_order=9):
     return orders
 
 
-@given(small_orders(), st.sampled_from(
-    [(k, l) for k in range(4) for l in range(4) if 1 <= k + l <= 3]))
+# (k, l) leg counts of the blocks the random-group properties draw
+BLOCKS_UP_TO_3 = [(k, l) for k in range(4) for l in range(4) if 1 <= k + l <= 3]
+
+
+@given(small_orders(), st.sampled_from(BLOCKS_UP_TO_3))
 def test_hat_block_matches_brute_on_random_groups(orders, kl):
     g = make_group(orders)
     k, l = kl
@@ -98,8 +101,7 @@ def label_bases(draw):
     return g, basis(), basis()
 
 
-@given(label_bases(), st.sampled_from(
-    [(k, l) for k in range(4) for l in range(4) if 1 <= k + l <= 3]))
+@given(label_bases(), st.sampled_from(BLOCKS_UP_TO_3))
 def test_restricted_hat_block_matches_legwise_projection(case, kl):
     g, basis_out, basis_in = case
     k, l = kl
