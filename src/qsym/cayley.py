@@ -8,10 +8,12 @@ grouped by their unique coefficient vectors, never by floating point.  Graphs,
 spectra and permutations do their group arithmetic on enumeration positions.
 The Fourier matrix F (columns = characters) satisfies F F* = N I.
 ``fourier_transform_legs`` is the one exact kernel for transforming every leg
-of a rational tensor by F: it runs in the group algebra Z[x]/(x^M - 1) on
-integer arrays, one cyclic factor at a time.  Conjugation by F uses it for
-rational matrices, an integer +-1 fast path for groups of exponent <= 2, and
-the generic product F* Mx F / N for irrational matrices.
+of a rational tensor by F: it runs on integer arrays of power-basis
+coordinates in Q(zeta_M), one cyclic factor at a time, each factor one
+contraction with a cached twist kernel that multiplies by zeta_M^e.
+Conjugation by F uses it for rational matrices, an integer +-1 fast path for
+groups of exponent <= 2, and the generic product F* Mx F / N for irrational
+matrices.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from math import prod
 import numpy as np
 
 from .config import guard_dense, guard_n
-from .cyclotomic import Cyclotomic, power_rows
+from .cyclotomic import Cyclotomic, euler_phi, power_rows
 from .errors import InvalidInputError
 from .groups import AbelianGroup, GroupElement, as_int, make_group
 from .sparse import SparseTensor
@@ -196,13 +198,13 @@ def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor
     F^-1 = F* / N.
 
     Every Fourier coefficient is a root of unity zeta_M^e, so the work runs on
-    a dense integer array over the group algebra Z[x]/(x^M - 1), where
-    multiplying by zeta_M^e shifts the last axis by e.  F is the tensor product
-    of its cyclic factors' transforms, so each leg is split into one axis per
-    factor and contracted one factor at a time, as a multidimensional DFT is,
-    through an (m, m, M, M) shift kernel.  The result is reduced into Q(zeta_M)
-    once, at the end.  The array holds int64 when a bound shows that no sum
-    can overflow, and Python ints otherwise.
+    a dense integer array of power-basis coordinates in Q(zeta_M), one more
+    axis of length phi(M).  F is the tensor product of its cyclic factors'
+    transforms, so each leg is split into one axis per factor and contracted
+    one factor at a time, as a multidimensional DFT is, through an
+    (m, m, phi, phi) twist kernel: multiplication by zeta_M^e.  The array
+    holds int64 when a bound taken from the kernels shows that no sum can
+    overflow, and Python ints otherwise.
     """
     if not t.all_rational():
         raise InvalidInputError("Fourier transform of legs needs a rational tensor")
@@ -211,45 +213,41 @@ def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor
     if any(d != N for d in t.shape):
         raise InvalidInputError("tensor legs must all have the group order as dimension")
     legs = len(t.shape)
-    guard_dense(N**legs * M, "group-algebra Fourier transform")
-    rows = np.array(power_rows(M, 1, M), dtype=np.int64)  # (M,), or (M, phi(M))
-    # Every coefficient of the transformed array is a signed sum of at most
-    # N^legs numerators; reduction multiplies that by at most the largest
-    # row norm of the reduction rows.
-    max_num = max(map(abs, t.numerators.values()), default=0)
-    row_norm = int(np.abs(rows.reshape(M, -1)).sum(axis=1).max())
-    dtype = np.int64 if max_num * N**legs * row_norm < 2**62 else object
+    guard_dense(N**legs * M, "group-algebra Fourier transform")  # >= N^legs * phi
+    kernels = [_twist_kernel(m, (-1 if leg < t.out_axes else 1) * (M // m), M)
+               for leg in range(legs) for m in orders]
+    # Each contraction multiplies the largest coefficient by at most the
+    # kernel's largest absolute column sum.
+    bound = max(map(abs, t.numerators.values()), default=0)
+    for kernel in kernels:
+        bound *= int(np.abs(kernel).sum(axis=(0, 2)).max())
+    dtype = np.int64 if bound < 2**63 else object
 
-    arr = np.zeros((N,) * legs + (M,), dtype=dtype)
+    phi = euler_phi(M)
+    arr = np.zeros((N,) * legs + (phi,), dtype=dtype)
     for idx, v in t.numerators.items():
         arr[idx + (0,)] = v
-    arr = arr.reshape(orders * legs + (M,))  # one axis per leg and cyclic factor
-    kernels = {}
-    for leg in range(legs):
-        sign = -1 if leg < t.out_axes else 1
-        for i, m in enumerate(orders):
-            kernel = kernels.get((m, sign))
-            if kernel is None:
-                kernel = kernels[(m, sign)] = _shift_kernel(m, sign * (M // m), M, dtype)
-            ax = leg * len(orders) + i
-            arr = np.moveaxis(np.tensordot(arr, kernel, axes=([ax, -1], [0, 2])), -2, ax)
+    arr = arr.reshape(orders * legs + (phi,))  # one axis per leg and cyclic factor
+    for ax, kernel in enumerate(kernels):
+        arr = np.moveaxis(np.tensordot(arr, kernel, axes=([ax, -1], [0, 2])), -2, ax)
 
-    reduced = arr.reshape(N**legs, M) @ rows.astype(dtype)
-    nonzero = reduced != 0
-    if nonzero.ndim == 2:
-        nonzero = nonzero.any(axis=1)
+    flat = arr.reshape(N**legs, phi)
+    nonzero = (flat != 0).any(axis=1)
     idx = map(tuple, np.argwhere(nonzero.reshape((N,) * legs)).tolist())
-    values = reduced[nonzero].tolist()
-    num = dict(zip(idx, values if reduced.ndim == 1 else map(tuple, values)))
+    values = flat[nonzero].tolist()
+    num = dict(zip(idx, map(tuple, values) if phi > 1 else (v for v, in values)))
     return SparseTensor._raw(t.shape, t.out_axes, num, t.den * N**t.out_axes, M)
 
 
-def _shift_kernel(m: int, step: int, M: int, dtype) -> np.ndarray:
-    """K[a, b, j, j'] = [j' = j + step*a*b mod M]: multiplication by
-    zeta_M^(step*a*b) on Z[x]/(x^M - 1), for every pair of digits a, b < m."""
-    a, b, j = np.ogrid[:m, :m, :M]
-    kernel = np.zeros((m, m, M, M), dtype=dtype)
-    kernel[a, b, j, (j + step * a * b) % M] = 1
+@functools.cache
+def _twist_kernel(m: int, step: int, M: int) -> np.ndarray:
+    """K[a, b, i, :] = the power-basis row of zeta_M^(i + step*a*b) for digits
+    a, b < m and i < phi(M): K[a, b] is the matrix of multiplication by
+    zeta_M^(step*a*b) on Q(zeta_M), acting on row vectors.  Read-only."""
+    rows = np.array(power_rows(M, 1, M), dtype=np.int64).reshape(M, -1)
+    a, b, i = np.ogrid[:m, :m, :rows.shape[1]]
+    kernel = rows[(i + step * a * b) % M]
+    kernel.flags.writeable = False
     return kernel
 
 

@@ -16,7 +16,6 @@ identities are asserted.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Mapping
 from fractions import Fraction
@@ -107,19 +106,18 @@ def hat_block_intertwiner(group: AbelianGroup, k: int, l: int,
     # the value N^(1-l) as numerator / denominator
     value, den = (1, N ** (l - 1)) if l >= 1 else (N, 1)
     positions = [np.arange(N) if b is None else b.positions for b in bases]
-    # All legs but the last run over their label rows.  With d the sum of
-    # those outputs minus the sum of those inputs, sum mu = sum nu makes the
+    # All legs but the last run over their label rows.  With d the digit sum
+    # of those outputs minus that of those inputs, sum mu = sum nu makes the
     # last leg d (an input) or -d (an output, when k = 0); a solution counts
     # when that leg lands on one of its own labels.
     rows = np.indices(dims[:free]).reshape(free, count)
-    legs = [p[r] for p, r in zip(positions, rows)]
-    zero = np.zeros(count, dtype=np.int64)
-    s_out = functools.reduce(g.index_sum, legs[:l], zero)
-    s_in = functools.reduce(g.index_sum, legs[l:], zero)
-    diff = g.index_sum(s_out, g.index_neg(s_in))
+    table = np.stack(g.digits(np.arange(N)), axis=1)  # (N, rank)
+    d = np.zeros((count, g.rank), dtype=np.int64)
+    for leg, (p, r) in enumerate(zip(positions, rows)):
+        d += table[p[r]] if leg < l else -table[p[r]]
     row_of = np.full(N, -1, dtype=np.int64)
     row_of[positions[-1]] = np.arange(dims[-1])
-    last = row_of[diff if k else g.index_neg(diff)]
+    last = row_of[g.position(((d if k else -d) % g.orders).T)]
     hit = last >= 0
     keys = np.vstack([rows[:, hit], last[hit]]).T
     num = dict.fromkeys(map(tuple, keys.tolist()), value)
@@ -129,7 +127,7 @@ def hat_block_intertwiner(group: AbelianGroup, k: int, l: int,
 def brute_hat_intertwiner(group: AbelianGroup, t: SparseTensor) -> SparseTensor:
     """(F^-1)^(x l) . T . F^(x k) by explicit leg-wise contraction; the
     independent oracle for the closed form.  The contraction is
-    :func:`qsym.cayley.fourier_transform_legs`, the exact group-algebra
+    :func:`qsym.cayley.fourier_transform_legs`, the exact power-basis twist
     kernel that conjugation by F also uses for rational matrices."""
     if not t.all_rational():
         raise InvalidInputError("brute hat intertwiner needs a rational tensor")
@@ -148,8 +146,10 @@ def project(
     of (F^-1)^(x l) t F^(x k) to the chosen label sets; no other normalization
     is applied.
     """
-    group = (basis_in or basis_out).group
-    g = group
+    basis = basis_in if basis_in is not None else basis_out
+    if basis is None:
+        raise InvalidInputError("projection needs an input or an output basis")
+    g = basis.group
     N = g.order
     if any(d != N for d in t.shape):
         raise InvalidInputError("tensor legs must all have the group order as dimension")

@@ -225,7 +225,7 @@ def test_conjugation_diagonalizes(orders, name, args):
 
 
 def test_fast_and_generic_conjugation_agree():
-    # exponent 2 takes the +-1 integer path, the others the group-algebra kernel
+    # exponent 2 takes the +-1 integer path, the others the power-basis twist kernel
     z42 = make_group([4, 2])
     graphs = [
         family_graph("hypercube", 3),

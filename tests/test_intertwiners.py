@@ -3,12 +3,14 @@ from collections import Counter
 from fractions import Fraction
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qsym.cayley import (
     SpectralDecomposition,
+    _twist_kernel,
     conjugate_by_fourier,
     coordinate_perm,
     family_graph,
@@ -16,6 +18,7 @@ from qsym.cayley import (
     fourier_transform_legs,
     perm_matrix,
 )
+from qsym.cyclotomic import Cyclotomic, euler_phi
 from qsym.errors import InvalidInputError, SizeGuardError
 from qsym.functors import functor_T
 from qsym.groups import make_group
@@ -90,13 +93,13 @@ def test_hat_block_matches_brute_on_random_groups(orders, kl):
 
 @st.composite
 def label_bases(draw):
-    """A group of order <= 9 and two bases of its characters, each a random
-    nonempty subset of the labels in random order."""
+    """A group of order <= 9 and two bases of its characters, each a random,
+    possibly empty subset of the labels in random order."""
     g = make_group(draw(small_orders()))
 
     def basis():
         labels = draw(st.permutations(list(g.elements())))
-        return EigenprojectionBasis(g, labels[:draw(st.integers(1, g.order))])
+        return EigenprojectionBasis(g, labels[:draw(st.integers(0, g.order))])
 
     return g, basis(), basis()
 
@@ -110,6 +113,17 @@ def test_restricted_hat_block_matches_legwise_projection(case, kl):
     got = hat_block_intertwiner(g, k, l, basis_out, basis_in)
     assert got.shape == expected.shape
     assert got == expected
+
+
+def test_project_on_an_empty_basis():
+    g = make_group([3])
+    empty = EigenprojectionBasis(g, [])
+    t = functor_T(Partition.block(1, 0), g.order)
+    got = project(t, None, empty)
+    assert got.shape == (0,) and got.nnz() == 0
+    assert got == hat_block_intertwiner(g, 1, 0, None, empty)
+    with pytest.raises(InvalidInputError, match="needs an input or an output basis"):
+        project(t, None, None)
 
 
 def test_restricted_hat_block_defaults_to_every_character():
@@ -178,6 +192,42 @@ def test_fourier_kernel_sums_past_int64():
     g = make_group([2])
     t = SparseTensor((2,), 0, {(0,): 2**62, (1,): 2**62})
     assert fourier_transform_legs(g, t).entries == {(0,): 2**63}
+
+
+@pytest.mark.parametrize("M", range(1, 13))
+def test_twist_kernel_multiplies_by_roots_of_unity(M):
+    phi = euler_phi(M)
+    for m in [m for m in range(1, M + 1) if M % m == 0]:
+        for step in (M // m, -(M // m)):
+            kernel = _twist_kernel(m, step, M)
+            assert kernel.shape == (m, m, phi, phi)
+            assert not kernel.flags.writeable
+            for a, b in itertools.product(range(m), repeat=2):
+                root = Cyclotomic.zeta(M, step * a * b)
+                # row i is zeta_M^i * root in the power basis
+                expected = [(Cyclotomic.zeta(M, i) * root)._coeffs_at(M) for i in range(phi)]
+                assert kernel[a, b].tolist() == expected
+
+
+@pytest.mark.parametrize("orders", [[7], [9]])
+def test_fourier_kernel_at_its_int64_bound(orders):
+    # zeta_7^6 and zeta_9^6..8 reduce to rows with several nonzero entries,
+    # so the kernels' column sums exceed m
+    g = make_group(orders)
+    N, M = g.order, g.exponent
+    col_sum = 1
+    for step in (-1, 1):  # the output leg, then the input leg
+        col_sum *= int(np.abs(_twist_kernel(N, step, M)).sum(axis=(0, 2)).max())
+    below = (2**63 - 1) // col_sum
+    # the trivial characters sum all N^2 numerators: 0.34 (Z_7) and 0.56
+    # (Z_9) of 2^63
+    for top in (below, below + 1):
+        cells = itertools.product(range(N), repeat=2)
+        t = SparseTensor((N, N), 1, {(i, j): top - (i * j) % 3 for i, j in cells})
+        got = fourier_transform_legs(g, t)
+        expected = _legwise_fourier(g, t)
+        assert got == expected
+        assert got.to_json() == expected.to_json()
 
 
 def test_brute_hat_guards_its_dense_array(monkeypatch):
