@@ -214,13 +214,13 @@ def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor
         raise InvalidInputError("tensor legs must all have the group order as dimension")
     legs = len(t.shape)
     guard_dense(N**legs * M, "group-algebra Fourier transform")  # >= N^legs * phi
-    kernels = [_twist_kernel(m, (-1 if leg < t.out_axes else 1) * (M // m), M)
+    factors = [(m, (-1 if leg < t.out_axes else 1) * (M // m), M)
                for leg in range(legs) for m in orders]
     # Each contraction multiplies the largest coefficient by at most the
     # kernel's largest absolute column sum.
     bound = max(map(abs, t.numerators.values()), default=0)
-    for kernel in kernels:
-        bound *= int(np.abs(kernel).sum(axis=(0, 2)).max())
+    for factor in factors:
+        bound *= _twist_kernel_col_sum(*factor)
     dtype = np.int64 if bound < 2**63 else object
 
     phi = euler_phi(M)
@@ -228,7 +228,8 @@ def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor
     for idx, v in t.numerators.items():
         arr[idx + (0,)] = v
     arr = arr.reshape(orders * legs + (phi,))  # one axis per leg and cyclic factor
-    for ax, kernel in enumerate(kernels):
+    for ax, factor in enumerate(factors):
+        kernel = _twist_kernel(*factor)
         arr = np.moveaxis(np.tensordot(arr, kernel, axes=([ax, -1], [0, 2])), -2, ax)
 
     flat = arr.reshape(N**legs, phi)
@@ -249,6 +250,12 @@ def _twist_kernel(m: int, step: int, M: int) -> np.ndarray:
     kernel = rows[(i + step * a * b) % M]
     kernel.flags.writeable = False
     return kernel
+
+
+@functools.cache
+def _twist_kernel_col_sum(m: int, step: int, M: int) -> int:
+    """max_{b,i'} sum_{a,i} |K[a, b, i, i']| of ``_twist_kernel(m, step, M)``."""
+    return int(np.abs(_twist_kernel(m, step, M)).sum(axis=(0, 2)).max())
 
 
 def conjugate_by_fourier(group: AbelianGroup, mx: SparseTensor) -> SparseTensor:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 
 from .cayley import (
     CayleyGraph,
@@ -20,6 +21,7 @@ from .cayley import (
     family_graph,
     make_generating_set,
 )
+from .config import guard_n
 from .dsl import eval_text, load_fixture_file
 from .errors import InvalidInputError, QsymError
 from .functors import evaluate_partlin
@@ -39,6 +41,7 @@ def _graph_from_args(args):
         return family_graph(args.family)
     if args.orders is None or args.gens is None:
         raise InvalidInputError("need either --family or both --orders and --gens")
+    guard_n(prod(args.orders), "group of --orders")
     g = make_group(args.orders)
     gens = [[as_int(x, "--gens coordinate") for x in chunk.split(",")]
             for chunk in args.gens.split(";") if chunk.strip()]

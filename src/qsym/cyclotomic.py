@@ -3,9 +3,10 @@
 An element is stored as a rational coefficient vector over the power basis
 1, z, ..., z^(phi(M)-1) of Q(zeta_M), z = exp(2*pi*i/M), reduced modulo the
 M-th cyclotomic polynomial.  The coefficient vector at a given level is
-unique, so equality at a common level is plain tuple comparison.  Values at
-different levels are compared (and hashed) through a minimal-level canonical
-form computed by exact linear algebra over the subfield bases.
+unique, so two values are equal when their vectors agree at the common level
+of the two, as ``SparseTensor`` entries are compared.  A value hashes as its
+normalised trace Tr(x)/phi(M), a rational that does not depend on the level
+the value is written at.
 
 ``SparseTensor`` does not store ``Cyclotomic`` values: it keeps integer
 numerators over one shared denominator at one level and works on them with
@@ -21,12 +22,11 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidInputError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +149,7 @@ def recombine(num: dict, rows) -> dict:
 class Cyclotomic:
     """An exact element of Q(zeta_level)."""
 
-    __slots__ = ("level", "coeffs", "_minform")
+    __slots__ = ("level", "coeffs")
 
     def __init__(self, level: int, coeffs):
         coeffs = tuple(Fraction(c) for c in coeffs)
@@ -164,7 +164,6 @@ class Cyclotomic:
             level, coeffs = 1, (coeffs[0],)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_minform", None)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Cyclotomic values are immutable")
@@ -213,10 +212,6 @@ class Cyclotomic:
             return self
         return Cyclotomic(level, self._coeffs_at(level))
 
-    @staticmethod
-    def common_level(a: "Cyclotomic", b: "Cyclotomic") -> int:
-        return a.level * b.level // gcd(a.level, b.level)
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
@@ -229,7 +224,7 @@ class Cyclotomic:
 
     def __add__(self, other):
         other = self._coerce(other)
-        lvl = self.common_level(self, other)
+        lvl = lcm(self.level, other.level)
         a, b = self._coeffs_at(lvl), other._coeffs_at(lvl)
         return Cyclotomic(lvl, tuple(x + y for x, y in zip(a, b)))
 
@@ -254,7 +249,7 @@ class Cyclotomic:
             return Cyclotomic(self.level, tuple(c * q for c in self.coeffs))
         if self.level == 1:
             return other * self
-        lvl = self.common_level(self, other)
+        lvl = lcm(self.level, other.level)
         a, b = self._coeffs_at(lvl), other._coeffs_at(lvl)
         phi = len(a)
         conv = [_ZERO] * (2 * phi - 1)
@@ -334,42 +329,22 @@ class Cyclotomic:
             complex(0),
         )
 
-    # -- canonical minimal form ---------------------------------------------
-
-    def _compute_minform(self):
-        level, coeffs = self.level, self.coeffs
-        changed = True
-        while changed:
-            changed = False
-            for d in sorted(d for d in range(1, level) if level % d == 0):
-                sol = _subfield_coords(level, d, coeffs)
-                if sol is not None:
-                    level, coeffs = d, tuple(sol)
-                    changed = True
-                    break
-        return (level, coeffs)
-
-    def minform(self) -> tuple[int, tuple[Fraction, ...]]:
-        mf = self._minform
-        if mf is None:
-            mf = self._compute_minform()
-            object.__setattr__(self, "_minform", mf)
-        return mf
+    # -- equality -----------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Cyclotomic.from_rational(other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        if self.level == other.level:
-            return self.coeffs == other.coeffs
-        return self.minform() == other.minform()
+        lvl = lcm(self.level, other.level)
+        return self._coeffs_at(lvl) == other._coeffs_at(lvl)
 
     def __hash__(self):
-        # A rational value equals its Fraction, so it hashes as one.
-        if self.level == 1:
-            return hash(self.coeffs[0])
-        return hash(self.minform())
+        # Tr(x)/phi(level), the mean of x's Galois conjugates, is one rational
+        # at every level x is written at, and x itself (its Fraction) if rational.
+        m = self.level
+        trace = sum(self.galois(a) for a in range(m) if gcd(a, m) == 1)
+        return hash(trace.as_fraction() / euler_phi(m))
 
     # -- presentation --------------------------------------------------------
 
@@ -414,57 +389,6 @@ class Cyclotomic:
         return cls(data["level"], [Fraction(s) for s in data["coeffs"]])
 
 
-@lru_cache(maxsize=None)
-def _subfield_basis_matrix(level: int, d: int):
-    """Columns: zeta_d^i (i < phi(d)) written in the level basis."""
-    cols = []
-    for i in range(euler_phi(d)):
-        cols.append(tuple(Cyclotomic.zeta(d, i)._coeffs_at(level)))
-    return cols
-
-
-def _subfield_coords(level, d, coeffs):
-    """Solve for coeffs as a Q(zeta_d) element inside Q(zeta_level), or None."""
-    cols = _subfield_basis_matrix(level, d)
-    ncols = len(cols)
-    nrows = euler_phi(level)
-    # Gaussian elimination on [B | v]
-    aug = [[cols[c][r] for c in range(ncols)] + [coeffs[r]] for r in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    # consistency: zero rows must have zero rhs
-    for r in range(row, nrows):
-        if aug[r][ncols]:
-            return None
-    if len(pivots) < ncols:
-        # basis columns are independent, so this cannot happen
-        return None
-    sol = [_ZERO] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    return sol
-
-
 #: Convenience constants
 ZERO = Cyclotomic.from_rational(0)
 ONE = Cyclotomic.from_rational(1)
-
-
-def cyc(x) -> Cyclotomic:
-    """Coerce an int/Fraction/Cyclotomic to a Cyclotomic."""
-    return Cyclotomic._coerce(x)

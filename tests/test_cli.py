@@ -367,6 +367,15 @@ def test_size_guard_exit_code(capsys, monkeypatch):
     assert "QSYM_MAX_N" in err
 
 
+def test_size_guard_covers_explicit_orders(capsys, monkeypatch):
+    monkeypatch.setenv("QSYM_MAX_N", "8")
+    code, _, err = run_cli(capsys, "spectrum", "--orders", "4", "4", "--gens", "1,0;0,1")
+    assert code == 2
+    assert "QSYM_MAX_N" in err
+    code, _, _ = run_cli(capsys, "spectrum", "--orders", "2", "4", "--gens", "1,0;0,1")
+    assert code == 0
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
 def test_malformed_size_guard_env_exit_code(capsys, monkeypatch, value):
     monkeypatch.setenv("QSYM_MAX_N", value)

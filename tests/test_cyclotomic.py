@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsym.cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi, cyc
+from qsym.cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi
 from qsym.errors import InvalidInputError
 from qsym.polyq import PolyQ
 
@@ -115,15 +115,6 @@ def test_conj_matches_complex_conjugation(a):
     assert a.conj().to_complex() == pytest.approx(a.to_complex().conjugate(), abs=1e-9)
 
 
-@given(cyclotomics())
-@settings(max_examples=60, deadline=None)
-def test_minform_preserves_value(a):
-    lvl, coeffs = a.minform()
-    b = Cyclotomic(lvl, coeffs)
-    assert abs(b.to_complex() - a.to_complex()) < 1e-9
-    assert b == a
-
-
 @st.composite
 def lifted_elements(draw):
     """A level d <= 30, an element of Q(zeta_d) with small rational
@@ -143,23 +134,25 @@ def _in_zeta(level, coeffs, big):
     return poly
 
 
-@given(lifted_elements())
-@settings(max_examples=25, deadline=None)
-def test_minform_matches_sympy_minimal_polynomial(case):
+@given(lifted_elements(), small_rats, st.integers(0, 29))
+@settings(max_examples=40, deadline=None)
+def test_equality_across_levels_matches_sympy(case, q, j):
+    """x == y exactly when sympy's cyclotomic polynomial divides x - y written
+    as a polynomial in zeta_L, for x = a lifted to L and y = a or a + q zeta_d^j."""
     sympy = pytest.importorskip("sympy")
     d, a, big = case
-    lifted = a.lift(big)
-    level, coords = lifted.minform()
-    assert d % level == 0
-    # element - its minform value, as a polynomial in zeta_big that sympy
-    # reduces with its own cyclotomic polynomial
-    diff = [u - v for u, v in zip(_in_zeta(lifted.level, lifted.coeffs, big),
-                                  _in_zeta(level, coords, big))]
-    zeta = sympy.exp(2 * sympy.pi * sympy.I / big)
-    value = sympy.AlgebraicNumber(
-        zeta, [sympy.Rational(c.numerator, c.denominator) for c in reversed(diff)])
-    x = sympy.Symbol("x")
-    assert sympy.minimal_polynomial(value, x) == x
+    x = a.lift(big)
+    z = sympy.Symbol("z")
+    phi_big = sympy.Poly(sympy.cyclotomic_poly(big, z), z)
+    for y in (a, a + q * Cyclotomic.zeta(d, j)):
+        diff = [u - v for u, v in zip(_in_zeta(x.level, x.coeffs, big),
+                                      _in_zeta(y.level, y.coeffs, big))]
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(diff)], z)
+        expected = poly.rem(phi_big).is_zero
+        assert (x == y) == (y == x) == expected
+        if x == y:
+            assert hash(x) == hash(y)
 
 
 def test_zeta_float_value():
@@ -176,7 +169,7 @@ def test_json_roundtrip():
 
 
 def test_str_forms():
-    assert cyc(3).str() == "3"
+    assert Cyclotomic.from_rational(3).str() == "3"
     assert (Cyclotomic.zeta(8) - 1).str() == "-1 + zeta8"
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qsym.cayley import (
     SpectralDecomposition,
     _twist_kernel,
+    _twist_kernel_col_sum,
     conjugate_by_fourier,
     coordinate_perm,
     family_graph,
@@ -202,6 +203,8 @@ def test_twist_kernel_multiplies_by_roots_of_unity(M):
             kernel = _twist_kernel(m, step, M)
             assert kernel.shape == (m, m, phi, phi)
             assert not kernel.flags.writeable
+            col_sum = int(np.abs(kernel).sum(axis=(0, 2)).max())
+            assert _twist_kernel_col_sum(m, step, M) == col_sum
             for a, b in itertools.product(range(m), repeat=2):
                 root = Cyclotomic.zeta(M, step * a * b)
                 # row i is zeta_M^i * root in the power basis
