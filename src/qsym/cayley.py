@@ -6,14 +6,14 @@ eigenvalue sum_{theta in S} tau_mu(-theta).  Spectra are therefore computed by
 character sums on integer exponents, reduced exactly into Q(zeta_M) and
 grouped by their unique coefficient vectors, never by floating point.  Graphs,
 spectra and permutations do their group arithmetic on enumeration positions.
-The Fourier matrix F (columns = characters) satisfies F F* = N I.
-``fourier_transform_legs`` is the one exact kernel for transforming every leg
-of a rational tensor by F: it runs on integer arrays of power-basis
-coordinates in Q(zeta_M), one cyclic factor at a time, each factor one
-contraction with a cached twist kernel that multiplies by zeta_M^e.
-Conjugation by F uses it for rational matrices, an integer +-1 fast path for
-groups of exponent <= 2, and the generic product F* Mx F / N for irrational
-matrices.
+The Fourier matrix F (columns = characters) satisfies F F* = N I;
+``fourier_matrix`` is the one builder of character-value tensors, for all
+characters or for a chosen list of labels.  ``fourier_transform_legs`` is the
+one exact kernel for transforming every leg of a rational tensor by F: it
+runs on integer arrays of power-basis coordinates in Q(zeta_M), one cyclic
+factor at a time, each factor one contraction with a cached twist kernel that
+multiplies by zeta_M^e.  Conjugation by F takes rational matrices only: an
+integer +-1 fast path for groups of exponent <= 2, the kernel otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 import numpy as np
@@ -180,16 +179,21 @@ class SpectralDecomposition:
 
 # -- Fourier transform ------------------------------------------------------------
 
-def fourier_matrix(group: AbelianGroup) -> SparseTensor:
-    """F with F[alpha, mu] = tau_mu(alpha); F F* = N I."""
+def fourier_matrix(group: AbelianGroup, labels=None) -> SparseTensor:
+    """F_S with F_S[alpha, j] = tau_mu(alpha) for mu at enumeration position
+    labels[j]: the characters as columns, in the order given.  ``None`` takes
+    all N characters in enumeration order, the full F with F F* = N I."""
     g = group
-    guard_dense(g.order**2, "Fourier matrix")
+    N = g.order
+    cols = np.arange(N) if labels is None else np.asarray(labels, dtype=np.int64)
+    guard_dense(N * len(cols), "Fourier matrix")
+    if ((cols < 0) | (cols >= N)).any():
+        raise InvalidInputError(f"character positions must lie in 0..{N - 1}")
     M = g.exponent
     zeta = power_rows(M, 1, M)
-    pos = np.arange(g.order)
-    exps = g.char_exponents(pos[None, :], pos[:, None]).ravel().tolist()
-    num = dict(zip(itertools.product(range(g.order), repeat=2), (zeta[e] for e in exps)))
-    return SparseTensor._raw((g.order, g.order), 1, num, 1, M)
+    exps = g.char_exponents(cols[None, :], np.arange(N)[:, None]).ravel().tolist()
+    num = dict(zip(itertools.product(range(N), range(len(cols))), (zeta[e] for e in exps)))
+    return SparseTensor._raw((N, len(cols)), 1, num, 1, M)
 
 
 def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor:
@@ -259,33 +263,28 @@ def _twist_kernel_col_sum(m: int, step: int, M: int) -> int:
 
 
 def conjugate_by_fourier(group: AbelianGroup, mx: SparseTensor) -> SparseTensor:
-    """(1/N) F* Mx F, exactly."""
+    """(1/N) F* Mx F, exactly, for a rational matrix Mx such as an adjacency
+    or a permutation matrix; irrational input is rejected by the kernel."""
     g = group
     N = g.order
     if mx.shape != (N, N) or mx.out_axes != 1:
         raise InvalidInputError(
             f"matrix shape {mx.shape} does not match group order {N}"
         )
-    if mx.all_rational():
-        if g.exponent <= 2:
-            return _conjugate_hadamard_int(g, mx)
-        return fourier_transform_legs(g, mx)
-    guard_dense(N**3, "generic Fourier conjugation")
-    F = fourier_matrix(g)
-    return (F.adjoint() @ mx @ F).scale(Fraction(1, N))
+    if g.exponent <= 2 and mx.all_rational():
+        return _conjugate_hadamard_int(g, mx)
+    return fourier_transform_legs(g, mx)
 
 
 def _conjugate_hadamard_int(group: AbelianGroup, mx: SparseTensor) -> SparseTensor:
     """Exponent-2 fast path: F is a +-1 integer matrix, so the conjugation is
     integer linear algebra; done in numpy int64 with an overflow bound check,
-    then divided by N exactly."""
+    then divided by N exactly.  Past the bound the twist kernel takes over."""
     N = group.order
     max_num = max((abs(v) for v in mx.numerators.values()), default=0)
     # |(F* M F)_{ij}| <= N^2 * max numerator; keep comfortably inside int64
     if max_num * N * N >= 2**62:
-        guard_dense(N**3, "exact Fourier conjugation fallback")
-        F = fourier_matrix(group)
-        return (F.adjoint() @ mx @ F).scale(Fraction(1, N))
+        return fourier_transform_legs(group, mx)
     pos = np.arange(N)
     F = np.where(group.char_exponents(pos[None, :], pos[:, None]) == 0, 1, -1)
     M = np.zeros((N, N), dtype=np.int64)
@@ -414,13 +413,6 @@ def perm_matrix(perm) -> SparseTensor:
     if sorted(perm) != list(range(n)):
         raise InvalidInputError("permutation must be a bijection of 0..n-1")
     return SparseTensor._raw((n, n), 1, {(perm[i], i): 1 for i in range(n)})
-
-
-def is_automorphism(graph: CayleyGraph, perm) -> bool:
-    """True iff the vertex permutation commutes with the adjacency matrix."""
-    a = graph.adjacency()
-    p = perm_matrix(perm)
-    return p @ a == a @ p
 
 
 def translation_perm(group: AbelianGroup, beta: GroupElement):

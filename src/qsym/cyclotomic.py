@@ -317,9 +317,6 @@ class Cyclotomic:
             raise InvalidInputError(f"value of level {self.level} is not rational")
         return self.coeffs[0]
 
-    def is_real(self) -> bool:
-        return self.conj() == self
-
     def to_complex(self) -> complex:
         if self.level == 1:
             return complex(self.coeffs[0])

@@ -9,8 +9,9 @@ group Fourier transform gives the exact closed form
 (character orthogonality contributes one factor N, each inverse transform on
 an output leg contributes 1/N).  Restricted to chosen eigenspace label sets,
 the same closed form gives the projected block directly; ``project``
-restricts any tensor leg by leg and is kept as its oracle.  Results are
-kept unnormalized-but-exact, with scale factors stated explicitly where
+restricts any tensor leg by leg and is kept as its oracle.  Character
+values come from :func:`qsym.cayley.fourier_matrix`.  Results are kept
+unnormalized-but-exact, with scale factors stated explicitly where
 identities are asserted.
 """
 
@@ -23,9 +24,8 @@ from math import prod
 
 import numpy as np
 
-from .cayley import SpectralDecomposition, fourier_transform_legs
+from .cayley import SpectralDecomposition, fourier_matrix, fourier_transform_legs
 from .config import guard_sparse
-from .cyclotomic import power_rows
 from .errors import InvalidInputError
 from .groups import AbelianGroup, GroupElement
 from .sparse import SparseTensor
@@ -34,8 +34,9 @@ from .sparse import SparseTensor
 class EigenprojectionBasis:
     """An ordered list of character labels spanning selected eigenspaces.
 
-    The coisometry U with rows conj(tau_mu(alpha)) satisfies U U* = N I on the
-    selected block; it is kept unnormalized so everything stays in the
+    The coisometry U has rows conj(tau_mu(alpha)), one per label, so
+    U U* = N I on the selected block; U* is the Fourier matrix restricted to
+    the labels' columns, kept unnormalized so everything stays in the
     cyclotomic field.
     """
 
@@ -47,7 +48,6 @@ class EigenprojectionBasis:
         if len(set(self.labels)) != len(self.labels):
             raise InvalidInputError("duplicate labels in eigenprojection basis")
         self.positions = np.array([group.index(mu) for mu in self.labels], dtype=np.int64)
-        self.scale = group.order  # U U* = scale * identity
 
     def __len__(self):
         return len(self.labels)
@@ -65,22 +65,9 @@ class EigenprojectionBasis:
             labels.extend(spec.items[i][1])
         return cls(spec.graph.group, labels)
 
-    def u_tensor(self) -> SparseTensor:
-        """U with U[row, alpha_index] = conj(tau_mu(alpha)), built from the
-        character exponents: conj(tau_mu(alpha)) = zeta_M^(-e)."""
-        g = self.group
-        M = g.exponent
-        zeta = power_rows(M, 1, M)
-        exps = g.char_exponents(self.positions[:, None], np.arange(g.order)[None, :])
-        num = dict(zip(
-            itertools.product(range(len(self)), range(g.order)),
-            (zeta[-e % M] for e in exps.ravel().tolist()),
-        ))
-        return SparseTensor._raw((len(self), g.order), 1, num, 1, M)
-
     def u_star_matrix(self) -> Mapping:
         """U* as {(alpha_index, row): tau_mu(alpha)}."""
-        return self.u_tensor().adjoint().entries
+        return fourier_matrix(self.group, self.positions).entries
 
 
 def hat_block_intertwiner(group: AbelianGroup, k: int, l: int,
@@ -149,6 +136,10 @@ def project(
     basis = basis_in if basis_in is not None else basis_out
     if basis is None:
         raise InvalidInputError("projection needs an input or an output basis")
+    if basis_out is not None and basis_out.group != basis.group:
+        raise InvalidInputError(
+            f"eigenprojection basis of {basis_out.group} is not on {basis.group}"
+        )
     g = basis.group
     N = g.order
     if any(d != N for d in t.shape):
@@ -163,37 +154,11 @@ def project(
     if t.out_axes:
         if basis_out is None:
             raise InvalidInputError("output legs present but no output basis given")
-        # (row, beta) -> conj tau / N
-        u_scaled = basis_out.u_tensor().scale(Fraction(1, N)).entries
+        f_out = fourier_matrix(g, basis_out.positions)
+        u_scaled = f_out.adjoint().scale(Fraction(1, N)).entries  # (row, beta) -> conj tau / N
         for leg in range(t.out_axes):
             out = out.transform_out_leg(leg, u_scaled, len(basis_out))
     return out
-
-
-def check_intertwiner(t: SparseTensor, reps_out, reps_in) -> bool:
-    """Exact test of t . (x reps_in) == (x reps_out) . t.
-
-    ``reps_out``/``reps_in`` give one square matrix per corresponding leg.
-    """
-    reps_out = [_as_tensor(r) for r in reps_out]
-    reps_in = [_as_tensor(r) for r in reps_in]
-    if len(reps_in) != t.in_axes or len(reps_out) != t.out_axes:
-        raise InvalidInputError("one representation matrix needed per leg")
-    lhs = t
-    for leg, r in enumerate(reps_in):
-        if r.shape != (t.shape[t.out_axes + leg],) * 2:
-            raise InvalidInputError("input representation has wrong dimension")
-        lhs = lhs.transform_in_leg(leg, r.entries, r.shape[1])
-    rhs = t
-    for leg, r in enumerate(reps_out):
-        if r.shape != (t.shape[leg],) * 2:
-            raise InvalidInputError("output representation has wrong dimension")
-        rhs = rhs.transform_out_leg(leg, r.entries, r.shape[0])
-    return lhs == rhs
-
-
-def _as_tensor(r) -> SparseTensor:
-    return r if isinstance(r, SparseTensor) else SparseTensor.from_matrix(r)
 
 
 # -- Hamming two-point operators -------------------------------------------------------

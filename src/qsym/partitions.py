@@ -526,10 +526,6 @@ def _integer_terms(x: PartLin):
     ]
 
 
-def tensor(a, b) -> PartLin:
-    return PartLin.coerce(a).tensor(b)
-
-
 @lru_cache(maxsize=None)
 def antisym2() -> PartLin:
     """The two-point antisymmetrizer 1/2 (id - crossing) in P(2,2)."""

@@ -27,13 +27,13 @@ from .cayley import (
     conjugate_by_fourier,
     coordinate_perm,
     family_graph,
+    fourier_matrix,
     parse_spec,
     perm_matrix,
     product_action_perm,
     translation_perm,
     wreath_rep,
 )
-from .cyclotomic import power_rows
 from .errors import InvalidInputError
 from .functors import (
     antisym_coisometry,
@@ -102,18 +102,11 @@ def _check_eigenbasis(rep: VerificationReport, gr: CayleyGraph, sample=32):
         subject = f"A tau_mu = lambda_mu tau_mu on {sample} sampled labels"
     else:
         subject = "A tau_mu = lambda_mu tau_mu for every label"
-    M = g.exponent
-    zeta = power_rows(M, 1, M)
-    positions = np.arange(g.order)
-    ok = True
-    for mu in labels:
-        exps = g.char_exponents(g.index(mu), positions).tolist()
-        col = SparseTensor._raw(
-            (g.order,), 1, {(al,): zeta[e] for al, e in enumerate(exps)}, 1, M
-        )
-        if a @ col != col.scale(eigenvalue[mu]):
-            ok = False
-            break
+    # A F_S = F_S Lambda: one column tau_mu per checked label
+    f_s = fourier_matrix(g, [g.index(mu) for mu in labels])
+    lam = SparseTensor((len(labels),) * 2, 1,
+                       {(j, j): eigenvalue[mu] for j, mu in enumerate(labels)})
+    ok = a @ f_s == f_s @ lam
     rep.add("eigenbasis", subject, "pass" if ok else "fail")
 
 

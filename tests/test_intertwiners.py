@@ -26,7 +26,6 @@ from qsym.groups import make_group
 from qsym.intertwiners import (
     EigenprojectionBasis,
     brute_hat_intertwiner,
-    check_intertwiner,
     HammingOperators,
     hat_block_intertwiner,
     project,
@@ -116,6 +115,45 @@ def test_restricted_hat_block_matches_legwise_projection(case, kl):
     assert got == expected
 
 
+@given(label_bases())
+def test_fourier_matrix_columns_follow_the_labels(case):
+    g, basis, _ = case
+    full = fourier_matrix(g)
+    columns = {
+        (alpha, j): full[(alpha, mu)]
+        for alpha in range(g.order) for j, mu in enumerate(basis.positions.tolist())
+    }
+    expected = SparseTensor((g.order, len(basis)), 1, columns)
+    got = fourier_matrix(g, basis.positions)
+    assert got == expected
+    assert got.to_json() == expected.to_json()
+    assert dict(basis.u_star_matrix()) == columns
+
+
+def test_fourier_matrix_checks_its_labels(monkeypatch):
+    g = make_group([9])
+    for labels in ([9], [0, -1]):
+        with pytest.raises(InvalidInputError, match="0..8"):
+            fourier_matrix(g, labels)
+    # N * len(labels) entries, not N^2
+    monkeypatch.setenv("QSYM_MAX_DENSE", "17")
+    with pytest.raises(SizeGuardError, match="Fourier matrix"):
+        fourier_matrix(g, [4, 1])
+    monkeypatch.setenv("QSYM_MAX_DENSE", "18")
+    assert fourier_matrix(g, [4, 1]).shape == (9, 2)
+
+
+def test_project_rejects_bases_on_two_groups():
+    z4 = make_group([4])
+    t = functor_T(Partition.block(1, 1), z4.order)
+    basis_in = EigenprojectionBasis(z4, list(z4.elements()))
+    for g in (make_group([2]), make_group([2, 2])):
+        basis_out = EigenprojectionBasis(g, list(g.elements()))
+        with pytest.raises(InvalidInputError, match="is not on"):
+            project(t, basis_out, basis_in)
+    assert project(t, basis_in, basis_in) == brute_hat_intertwiner(z4, t)
+
+
 def test_project_on_an_empty_basis():
     g = make_group([3])
     empty = EigenprojectionBasis(g, [])
@@ -186,6 +224,26 @@ def test_fourier_kernel_matches_leg_transforms(case):
     assert got.to_json() == expected.to_json()
     if t.shape == (g.order, g.order) and t.out_axes == 1:
         assert conjugate_by_fourier(g, t) == expected
+
+
+def test_conjugation_rejects_irrational_matrices():
+    z3 = make_group([3])
+    with pytest.raises(InvalidInputError, match="rational"):
+        conjugate_by_fourier(z3, fourier_matrix(z3))
+    # exponent 2 as well: the +-1 fast path is for rational matrices only
+    z22 = make_group([2, 2])
+    with pytest.raises(InvalidInputError, match="rational"):
+        conjugate_by_fourier(z22, SparseTensor((4, 4), 1, {(0, 1): Cyclotomic.zeta(4, 1)}))
+
+
+def test_hadamard_conjugation_past_its_int64_bound():
+    # 16 * 2^62 is past the fast path's bound, so the twist kernel takes over
+    g = make_group([2, 2])
+    t = SparseTensor((4, 4), 1, {(0, 0): 2**62, (1, 2): 2**62, (3, 1): -(2**62)})
+    got = conjugate_by_fourier(g, t)
+    expected = _legwise_fourier(g, t)
+    assert got == expected
+    assert got.to_json() == expected.to_json()
 
 
 def test_fourier_kernel_sums_past_int64():
@@ -275,16 +333,6 @@ def test_project_needs_basis_for_each_side():
         project(t, None, EigenprojectionBasis(g, list(g.elements())[:2]))
 
 
-def test_check_intertwiner_automorphism_commutes():
-    gr = family_graph("hypercube", 3)
-    g = gr.group
-    a = gr.adjacency()
-    p = perm_matrix(coordinate_perm(g, [2, 0, 1]))
-    assert check_intertwiner(a, [p], [p])
-    bad = perm_matrix([1, 0] + list(range(2, 8)))
-    assert not check_intertwiner(a, [bad], [bad])
-
-
 def test_conjugated_automorphism_block_structure():
     # F^-1 u F has no entries between labels of distinct eigenvalues
     from qsym.cayley import conjugate_by_fourier
@@ -345,4 +393,4 @@ def test_projected_fork_intertwines_restricted_automorphism():
     fork = project(functor_T(Partition.block(1, 2), g.order), basis, basis)
     u = perm_matrix(coordinate_perm(g, [1, 2, 3, 0]))
     v = project(u, basis, basis)
-    assert check_intertwiner(fork, [v, v], [v])
+    assert fork @ v == v.tensor(v) @ fork
