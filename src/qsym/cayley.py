@@ -369,35 +369,7 @@ def family_graph(spec: str, *params) -> CayleyGraph:
     return CayleyGraph(g, make_generating_set(g, gens(g, *values)))
 
 
-# -- products, automorphisms, wreath representations ----------------------------------
-
-def cartesian_adjacency(graphs) -> SparseTensor:
-    """Adjacency of the Cartesian product: sum_i I x..x A_i x..x I.
-
-    Vertex order is row-major over the factor vertex orders.
-    """
-    graphs = list(graphs)
-    if not graphs:
-        raise InvalidInputError("cartesian product of no graphs")
-    sizes = [gr.n_vertices for gr in graphs]
-    total = 1
-    for s in sizes:
-        total *= s
-    guard_dense(total * sum(len(gr.gens) for gr in graphs), "cartesian adjacency")
-    num = {}
-    adjs = [gr.adjacency() for gr in graphs]  # 0/1 matrices, denominator 1
-    for i, adj in enumerate(adjs):
-        before = sizes[:i]
-        after = sizes[i + 1:]
-        for rest_b in itertools.product(*(range(s) for s in before)):
-            for rest_a in itertools.product(*(range(s) for s in after)):
-                for (r, c), v in adj.numerators.items():
-                    row = _flatten(rest_b + (r,) + rest_a, sizes)
-                    col = _flatten(rest_b + (c,) + rest_a, sizes)
-                    key = (row, col)
-                    num[key] = num.get(key, 0) + v
-    return SparseTensor._raw((total, total), 1, num)
-
+# -- automorphisms, wreath representations -------------------------------------------
 
 def _flatten(coords, sizes):
     idx = 0
@@ -439,13 +411,17 @@ def wreath_rep(v_list, w) -> SparseTensor:
     Entries are tilde-u[b, a] = sum_sigma prod_i u[b_{sigma(i)}, sigma(i); a_i, i]
     with u[b, j; a, i] = (v_i)[b, a] * delta_{j, w(i)}.  Only sigma = w
     survives the delta, so this is v_1 x .. x v_n with output slot i moved to
-    slot w(i).  For permutation matrices v_i it is the permutation matrix of
-    (x_1, .., x_n) -> slot w(i) receives v_i x_i.
+    slot w(i).  The factors are m x m ``SparseTensor`` matrices; for
+    permutation matrices v_i = perm_matrix(p_i) it is the permutation matrix
+    of (x_1, .., x_n) -> slot w(i) receives p_i(x_i), an automorphism of the
+    Hamming graph family_graph('hamming', n, m).
     """
-    v_list = [v if isinstance(v, SparseTensor) else SparseTensor.from_matrix(v) for v in v_list]
+    v_list = list(v_list)
     n = len(v_list)
     if n == 0:
         raise InvalidInputError("wreath representation needs at least one factor")
+    if not all(isinstance(v, SparseTensor) for v in v_list):
+        raise InvalidInputError("wreath factors must be SparseTensor matrices")
     m = v_list[0].shape[0]
     for v in v_list:
         if v.shape != (m, m) or v.out_axes != 1:

@@ -106,6 +106,19 @@ def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _combine(coeffs, step: int, level: int) -> list:
+    """sum_j coeffs[j] * zeta_level^(step*j) as a Fraction vector in the power
+    basis of Q(zeta_level)."""
+    rows = _reduction_rows(level)
+    out = [_ZERO] * euler_phi(level)
+    for j, c in enumerate(coeffs):
+        if c:
+            for i, r in enumerate(rows[(j * step) % level]):
+                if r:
+                    out[i] += c * r
+    return out
+
+
 @lru_cache(maxsize=None)
 def power_rows(level: int, step: int, count: int) -> tuple:
     """Numerators of zeta_level^(step*j) at ``level``, for j < count.
@@ -192,16 +205,7 @@ class Cyclotomic:
             )
         if level == self.level:
             return list(self.coeffs)
-        step = level // self.level
-        rows = _reduction_rows(level)
-        out = [_ZERO] * euler_phi(level)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(j * step) % level]
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return out
+        return _combine(self.coeffs, level // self.level, level)
 
     def lift(self, level: int) -> "Cyclotomic":
         """Re-express in Q(zeta_level); self.level must divide level.
@@ -258,16 +262,7 @@ class Cyclotomic:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        rows = _reduction_rows(lvl)
-        out = list(conv[:phi])
-        for e in range(phi, 2 * phi - 1):
-            c = conv[e]
-            if c:
-                row = rows[e]
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return Cyclotomic(lvl, out)
+        return Cyclotomic(lvl, _combine(conv, 1, lvl))
 
     __rmul__ = __mul__
 
@@ -287,16 +282,7 @@ class Cyclotomic:
         m = self.level
         if gcd(a % m if a % m else m, m) != 1:
             raise InvalidInputError(f"galois exponent {a} not coprime to level {m}")
-        rows = _reduction_rows(m)
-        phi = len(self.coeffs)
-        out = [_ZERO] * phi
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(j * a) % m]
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return Cyclotomic(m, out)
+        return Cyclotomic(m, _combine(self.coeffs, a, m))
 
     def conj(self) -> "Cyclotomic":
         """Complex conjugation, zeta -> zeta^(level-1)."""

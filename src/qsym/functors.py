@@ -191,7 +191,7 @@ def antisymmetrizer(k: int, n: int, deformed: bool = False) -> SparseTensor:
     The signed entry at (sigma.S, pi.S), for S an increasing k-tuple, is the
     sign of the permutation taking pi.S to sigma.S: sign(sigma) sign(pi)."""
     if k < 0 or n < 1:
-        raise InvalidInputError(f"antisymmetrizer needs k >= 0, n >= 1")
+        raise InvalidInputError("antisymmetrizer needs k >= 0, n >= 1")
     if k == 0:
         return SparseTensor._raw((), 0, {(): 1})
     guard_sparse(comb(n, k) * factorial(k) ** 2, f"antisymmetrizer k={k}, n={n}")

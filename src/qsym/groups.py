@@ -104,6 +104,8 @@ class AbelianGroup:
 
     def epsilon(self, i: int, a: int = 1) -> GroupElement:
         """a * eps_i, the scaled i-th canonical generator (i is 0-based)."""
+        if not 0 <= i < self.rank:
+            raise InvalidInputError(f"generator index {i} out of range 0..{self.rank - 1}")
         coords = [0] * self.rank
         coords[i] = a % self.orders[i]
         return GroupElement(tuple(coords))

@@ -167,9 +167,13 @@ class HammingOperators:
     """The named restrictions of Fourier-transformed intertwiners to the
     degree-one eigenspace of the Hamming graph H(n, m).
 
-    Labels are pairs (a, i), a in 1..m-1, i in 1..n, flattened to a single
-    axis.  All delta formulas are over Z_m (a sum condition written a+b = m
-    means a + b = 0 mod m).
+    Labels are pairs (a, i), a in 1..m-1, i in 0..n-1, standing for the
+    character a * e_i and flattened to a single axis in the row order of
+    ``EigenprojectionBasis.from_spectrum(spec, [1])``: by the enumeration
+    position of a * e_i, so i descending, then a ascending.  Every operator
+    is listed from its index pattern on label pairs: ``same`` pairs share a
+    position, ``apart`` pairs do not.  All delta formulas are over Z_m (a sum
+    condition written a+b = m means a + b = 0 mod m).
     """
 
     def __init__(self, m: int, n: int):
@@ -178,8 +182,12 @@ class HammingOperators:
         self.m, self.n = m, n
         self.dim = (m - 1) * n
         guard_sparse(self.dim**4, f"Hamming operators m={m}, n={n}")
-        self._labels = [(a, i) for a in range(1, m) for i in range(n)]
+        self._labels = [(a, i) for i in reversed(range(n)) for a in range(1, m)]
         self._index = {lab: x for x, lab in enumerate(self._labels)}
+        pos = [i for _, i in self._labels]
+        pairs = list(itertools.product(range(self.dim), repeat=2))
+        self._same = [(x, y) for x, y in pairs if pos[x] == pos[y]]
+        self._apart = [(x, y) for x, y in pairs if pos[x] != pos[y]]
 
     def idx(self, a: int, i: int) -> int:
         return self._index[(a, i)]
@@ -187,67 +195,52 @@ class HammingOperators:
     def labels(self):
         return list(self._labels)
 
-    def _tensor2(self, pred) -> SparseTensor:
-        d = self.dim
-        entries = {}
-        for (a1, i1), (a2, i2) in itertools.product(self._labels, repeat=2):
-            for (b1, j1), (b2, j2) in itertools.product(self._labels, repeat=2):
-                if pred(a1, i1, a2, i2, b1, j1, b2, j2):
-                    entries[
-                        (self.idx(b1, j1), self.idx(b2, j2), self.idx(a1, i1), self.idx(a2, i2))
-                    ] = 1
-        return SparseTensor._raw((d,) * 4, 2, entries)
+    def _sum(self, x: int, y: int) -> int:
+        return (self._labels[x][0] + self._labels[y][0]) % self.m
+
+    def _four_leg(self, keys) -> SparseTensor:
+        return SparseTensor._raw((self.dim,) * 4, 2, dict.fromkeys(keys, 1))
 
     def merge(self) -> SparseTensor:
         """[R]^{b j}_{a1 i1, a2 i2} = [i1 = i2 = j][a1 + a2 = b mod m]."""
-        d, m = self.dim, self.m
-        entries = {}
-        for (a1, i1), (a2, i2) in itertools.product(self._labels, repeat=2):
-            if i1 != i2:
-                continue
-            b = (a1 + a2) % m
-            if b:
-                entries[(self.idx(b, i1), self.idx(a1, i1), self.idx(a2, i2))] = 1
-        return SparseTensor._raw((d,) * 3, 1, entries)
+        keys = [
+            (self.idx(b, self._labels[x][1]), x, y)
+            for x, y in self._same if (b := self._sum(x, y))
+        ]
+        return SparseTensor._raw((self.dim,) * 3, 1, dict.fromkeys(keys, 1))
 
     def connecter(self) -> SparseTensor:
-        m = self.m
-        return self._tensor2(
-            lambda a1, i1, a2, i2, b1, j1, b2, j2: i1 == i2 == j1 == j2
-            and (a1 + a2) % m == (b1 + b2) % m
-        )
+        """[i1 = i2 = j1 = j2][a1 + a2 = b1 + b2 mod m]."""
+        groups = {}
+        for x, y in self._same:
+            groups.setdefault((self._labels[x][1], self._sum(x, y)), []).append((x, y))
+        return self._four_leg(p + q for group in groups.values() for p in group for q in group)
+
+    def _zero_sum_keys(self):
+        """[a1 + a2 = 0 = b1 + b2 mod m][i1 = i2 != j1 = j2], as index keys."""
+        zero = [p for p in self._same if not self._sum(*p)]
+        return [
+            p + q for p in zero for q in zero
+            if self._labels[p[0]][1] != self._labels[q[0]][1]
+        ]
 
     def aabb(self) -> SparseTensor:
-        m = self.m
-        return self._tensor2(
-            lambda a1, i1, a2, i2, b1, j1, b2, j2: (a1 + a2) % m == 0
-            and (b1 + b2) % m == 0
-            and i1 == i2 != j1 == j2
-        )
+        return self._four_leg(self._zero_sum_keys())
 
     def abab(self) -> SparseTensor:
-        return self._tensor2(
-            lambda a1, i1, a2, i2, b1, j1, b2, j2: a1 == b2
-            and a2 == b1
-            and i1 == j2 != i2 == j1
-        )
+        """[a1 = b2, a2 = b1][i1 = j2 != i2 = j1]."""
+        return self._four_leg(p[::-1] + p for p in self._apart)
 
     def abba(self) -> SparseTensor:
-        return self._tensor2(
-            lambda a1, i1, a2, i2, b1, j1, b2, j2: a1 == b1
-            and a2 == b2
-            and i1 == j1 != i2 == j2
-        )
+        """[a1 = b1, a2 = b2][i1 = j1 != i2 = j2]."""
+        return self._four_leg(p + p for p in self._apart)
 
     def aabb_capital(self) -> SparseTensor:
         """All four cyclic values equal with vanishing sums; the i,j pattern
         follows the two-block reading (i1 = i2 != j1 = j2)."""
-        m = self.m
-        return self._tensor2(
-            lambda a1, i1, a2, i2, b1, j1, b2, j2: a1 == a2 == b1 == b2
-            and (a1 + a2) % m == 0
-            and (b1 + b2) % m == 0
-            and i1 == i2 != j1 == j2
+        return self._four_leg(
+            key for key in self._zero_sum_keys()
+            if len({self._labels[x][0] for x in key}) == 1
         )
 
     def all_named(self) -> dict[str, SparseTensor]:

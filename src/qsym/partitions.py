@@ -34,6 +34,8 @@ class Partition:
     __slots__ = ("k", "l", "assign")
 
     def __init__(self, k: int, l: int, assign):
+        if k < 0 or l < 0:
+            raise InvalidInputError(f"partition needs k, l >= 0, got ({k},{l})")
         assign = tuple(assign)
         if len(assign) != k + l:
             raise InvalidInputError(

@@ -271,19 +271,6 @@ class SparseTensor:
         num = {p + p: 1 for p in itertools.product(*(range(d) for d in dims))}
         return cls._raw(dims + dims, len(dims), num)
 
-    @classmethod
-    def from_matrix(cls, rows) -> "SparseTensor":
-        """Dense 2-d array (list of rows) to a one-leg-in one-leg-out tensor."""
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            if len(row) != nc:
-                raise InvalidInputError("ragged matrix")
-            for j, v in enumerate(row):
-                entries[(i, j)] = v
-        return cls((nr, nc), 1, entries)
-
     # -- linear operations --------------------------------------------------------------
 
     def _check_same_shape(self, other):

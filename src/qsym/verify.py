@@ -23,7 +23,6 @@ import numpy as np
 from .cayley import (
     CayleyGraph,
     SpectralDecomposition,
-    cartesian_adjacency,
     conjugate_by_fourier,
     coordinate_perm,
     family_graph,
@@ -38,6 +37,7 @@ from .errors import InvalidInputError
 from .functors import (
     antisym_coisometry,
     antisymmetrizer,
+    evaluate_partlin,
     functor_T,
     permanent_direct,
     permanent_via_wedge,
@@ -203,7 +203,7 @@ def suite_folded(n: int) -> VerificationReport:
             "pass" if pattern_ok else "fail")
     _folded_closed_form_check(rep, n)
     if n in (4, 6):
-        _folded_fork_check(rep, gr)
+        _folded_fork_check(rep, spec)
         _folded_pairing_tensor_check(rep, n + 1)
     return rep
 
@@ -224,10 +224,9 @@ def _folded_closed_form_check(rep: VerificationReport, n: int):
     )
 
 
-def _folded_v2_basis(gr: CayleyGraph):
-    g = gr.group
+def _folded_v2_basis(spec: SpectralDecomposition):
+    g = spec.graph.group
     n = g.rank
-    spec = SpectralDecomposition(gr)
     idx = next(
         i for i, (_, labs) in enumerate(spec.items) if any(m.degree == 1 for m in labs)
     )
@@ -257,9 +256,9 @@ def _indicator(shape, out_axes: int, rows: np.ndarray) -> SparseTensor:
     return SparseTensor._raw(shape, out_axes, num)
 
 
-def _folded_fork_check(rep: VerificationReport, gr: CayleyGraph):
-    g = gr.group
-    basis, pairs = _folded_v2_basis(gr)
+def _folded_fork_check(rep: VerificationReport, spec: SpectralDecomposition):
+    g = spec.graph.group
+    basis, pairs = _folded_v2_basis(spec)
     proj = hat_block_intertwiner(g, 1, 2, basis, basis)
     scaled = proj.scale(Fraction(g.order))
     expected = _indicator(scaled.shape, 2, _pairing_rows(pairs, 3))
@@ -270,8 +269,6 @@ def _folded_fork_check(rep: VerificationReport, gr: CayleyGraph):
 def _folded_pairing_tensor_check(rep: VerificationReport, size: int):
     """The signed evaluation of the six-pairing combination is exactly the
     indicator of tuples of two-points that can be matched up (entries 1)."""
-    from .functors import evaluate_partlin
-
     combo = six_pairing_combination()
     t = evaluate_partlin(combo, size, deformed=True).scale(Fraction(16))
     two_points = np.array(list(itertools.permutations(range(size), 2)))
@@ -337,11 +334,12 @@ def suite_hamming(n: int, m: int) -> VerificationReport:
     rep.add("distinct-count", "n+1 distinct eigenvalues",
             "pass" if len(spec.items) == n + 1 else "fail",
             f"got {len(spec.items)}")
-    _hamming_operator_checks(rep, n, m)
+    _hamming_operator_checks(rep, spec, n, m)
     return rep
 
 
-def _hamming_operator_checks(rep: VerificationReport, n: int, m: int):
+def _hamming_operator_checks(rep: VerificationReport, spec: SpectralDecomposition,
+                             n: int, m: int):
     ops = HammingOperators(m, n)
     named = ops.all_named()
     aabb, abab, abba, aabb_cap = (
@@ -351,23 +349,14 @@ def _hamming_operator_checks(rep: VerificationReport, n: int, m: int):
     rep.add("zero-products", "AAbb.aBaB = 0 = AAbb.aBBa",
             "pass" if zero_ok else "fail")
 
-    # merge restriction sanity against the Fourier side
-    gr = family_graph("hamming", n, m)
-    g = gr.group
-    spec = SpectralDecomposition(gr)
+    # the operators' labels follow the V1 basis rows, so the projected block
+    # compares with the split directly
+    g = spec.graph.group
     v1 = EigenprojectionBasis.from_spectrum(spec, [1])
-    lab_map = {}
-    for r, mu in enumerate(v1.labels):
-        ((i, a),) = [(i, c) for i, c in enumerate(mu.coords) if c]
-        lab_map[r] = ops.idx(a, i)
-    proj = hat_block_intertwiner(g, 2, 2, v1, v1)
-    remapped = SparseTensor(
-        proj.shape, 2,
-        {tuple(lab_map[x] for x in idx): v for idx, v in proj.entries.items()},
-    ).scale(Fraction(g.order))
+    proj = hat_block_intertwiner(g, 2, 2, v1, v1).scale(g.order)
     split = named["connecter"] + aabb + abab + abba
     rep.add("connecter-split", "N hatT restricted = connecter + AAbb + aBaB + aBBa",
-            "pass" if remapped == split else "fail")
+            "pass" if proj == split else "fail")
 
     s = aabb + abab + abba
     sq = s @ s
@@ -460,17 +449,12 @@ def suite_functoriality(samples: int = 200, seed: int = 20240817) -> Verificatio
 def suite_wreath(n: int, m: int, samples: int = 20, seed: int = 7) -> VerificationReport:
     rep = VerificationReport(f"wreath:{n},{m}")
     rng = random.Random(seed)
-    k = family_graph("complete", m)
-    adj = cartesian_adjacency([k] * n)
+    adj = family_graph("hamming", n, m).adjacency()
     ok_perm = ok_comm = True
     for _ in range(samples):
         v_perms = [list(rng.sample(range(m), m)) for _ in range(n)]
         w = list(rng.sample(range(n), n))
-        mats = [
-            [[1 if r == vp[c] else 0 for c in range(m)] for r in range(m)]
-            for vp in v_perms
-        ]
-        u = wreath_rep(mats, w)
+        u = wreath_rep([perm_matrix(vp) for vp in v_perms], w)
         expected = perm_matrix(product_action_perm(v_perms, w, m))
         if u != expected:
             ok_perm = False

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qsym.cayley import (
     CayleyGraph,
     SpectralDecomposition,
-    cartesian_adjacency,
     conjugate_by_fourier,
     coordinate_perm,
     family_graph,
@@ -251,20 +250,6 @@ def test_q3_degree_major_diagonal():
     assert diag == [3, 1, 1, 1, -1, -1, -1, -3]
 
 
-def test_cartesian_product_matches_hamming():
-    k3 = family_graph("complete", 3)
-    prod = cartesian_adjacency([k3, k3])
-    h23 = family_graph("hamming", 2, 3).adjacency()
-    assert prod == h23
-
-
-def test_cartesian_single_and_k2_square():
-    k2 = family_graph("complete", 2)
-    assert cartesian_adjacency([k2]) == k2.adjacency()
-    q2 = family_graph("hypercube", 2).adjacency()
-    assert cartesian_adjacency([k2, k2]) == q2
-
-
 def _commutes(gr, perm):
     """An automorphism's permutation matrix commutes with the adjacency."""
     a, p = gr.adjacency(), perm_matrix(perm)
@@ -295,25 +280,27 @@ def test_perm_matrix_requires_bijection():
 
 
 def test_wreath_identity():
-    eye = [[1, 0], [0, 1]]
+    eye = perm_matrix([0, 1])
     u = wreath_rep([eye, eye], [0, 1])
     assert u == SparseTensor.identity((4,))
 
 
 def test_wreath_matches_product_action():
-    swap = [[0, 1], [1, 0]]
+    swap = perm_matrix([1, 0])
     u = wreath_rep([swap, swap], [1, 0])
     expected = perm_matrix(product_action_perm([[1, 0], [1, 0]], [1, 0], 2))
     assert u == expected
 
 
-def test_wreath_commutes_with_cartesian_power():
-    k3 = family_graph("complete", 3)
-    adj = cartesian_adjacency([k3, k3])
-    cyc = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]  # 3-cycle permutation matrix
-    eye3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    u = wreath_rep([cyc, eye3], [1, 0])
+def test_wreath_commutes_with_hamming_adjacency():
+    adj = family_graph("hamming", 2, 3).adjacency()
+    u = wreath_rep([perm_matrix([1, 2, 0]), perm_matrix([0, 1, 2])], [1, 0])
     assert u @ adj == adj @ u
+
+
+def test_wreath_rejects_list_factors():
+    with pytest.raises(InvalidInputError):
+        wreath_rep([[[0, 1], [1, 0]], perm_matrix([0, 1])], [0, 1])
 
 
 # -- the position routes against their element-wise definitions ------------------------

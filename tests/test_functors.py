@@ -20,7 +20,7 @@ from qsym.functors import (
     sign_sigma,
 )
 from qsym.errors import InvalidInputError
-from qsym.partitions import Partition, PartLin, compose
+from qsym.partitions import Partition, PartLin, compose, compose_partitions
 from qsym.polyq import N_POLY
 from qsym.sparse import SparseTensor
 
@@ -218,7 +218,7 @@ def test_functoriality_random_pairs():
         q = random_partition(rng, l, m)
         if N ** p.n_blocks > 2 * 10**5 or N ** q.n_blocks > 2 * 10**5:
             continue
-        r, loops = __import__("qsym.partitions", fromlist=["compose_partitions"]).compose_partitions(q, p)
+        r, loops = compose_partitions(q, p)
         lhs = functor_T(q, N) @ functor_T(p, N)
         rhs = functor_T(r, N).scale(Fraction(N**loops))
         assert lhs == rhs, (p, q, N)

@@ -133,6 +133,14 @@ def test_degree_major_order():
     assert degs == [0, 1, 1, 1, 2, 2, 2, 3]
 
 
+def test_epsilon_rejects_out_of_range_index():
+    g = make_group([2, 3])
+    assert g.epsilon(1).coords == (0, 1)
+    for i in (-1, 2):
+        with pytest.raises(InvalidInputError, match="out of range"):
+            g.epsilon(i)
+
+
 def test_char_value_checks_membership():
     # a label enters the position route through index, which checks it
     g = make_group([2, 2])

@@ -375,6 +375,62 @@ def test_connecter_decomposition_of_projected_block():
         }, (m, n)
 
 
+def _oracle_predicates(m):
+    """The operators' defining deltas on labels (a1, i1), (a2, i2) in and
+    (b1, j1), (b2, j2) out; the oracle tests them on every label quadruple."""
+    return {
+        "connecter": lambda a1, i1, a2, i2, b1, j1, b2, j2: i1 == i2 == j1 == j2
+        and (a1 + a2) % m == (b1 + b2) % m,
+        "AAbb": lambda a1, i1, a2, i2, b1, j1, b2, j2: (a1 + a2) % m == 0
+        and (b1 + b2) % m == 0
+        and i1 == i2 != j1 == j2,
+        "aBaB": lambda a1, i1, a2, i2, b1, j1, b2, j2: a1 == b2
+        and a2 == b1
+        and i1 == j2 != i2 == j1,
+        "aBBa": lambda a1, i1, a2, i2, b1, j1, b2, j2: a1 == b1
+        and a2 == b2
+        and i1 == j1 != i2 == j2,
+        "AABB": lambda a1, i1, a2, i2, b1, j1, b2, j2: a1 == a2 == b1 == b2
+        and (a1 + a2) % m == 0
+        and (b1 + b2) % m == 0
+        and i1 == i2 != j1 == j2,
+    }
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hamming_operators_match_predicates_on_all_quadruples(m, n):
+    ops = HammingOperators(m, n)
+    labels = ops.labels()
+    named = ops.all_named()
+    for name, pred in _oracle_predicates(m).items():
+        entries = {}
+        for (a1, i1), (a2, i2) in itertools.product(labels, repeat=2):
+            for (b1, j1), (b2, j2) in itertools.product(labels, repeat=2):
+                if pred(a1, i1, a2, i2, b1, j1, b2, j2):
+                    entries[
+                        (ops.idx(b1, j1), ops.idx(b2, j2), ops.idx(a1, i1), ops.idx(a2, i2))
+                    ] = 1
+        assert named[name] == SparseTensor((ops.dim,) * 4, 2, entries), (name, m, n)
+    merge = {}
+    for (a1, i1), (a2, i2), (b, j) in itertools.product(labels, repeat=3):
+        if i1 == i2 == j and (a1 + a2) % m == b:
+            merge[(ops.idx(b, j), ops.idx(a1, i1), ops.idx(a2, i2))] = 1
+    assert named["merge"] == SparseTensor((ops.dim,) * 3, 1, merge), (m, n)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hamming_labels_follow_the_v1_basis_rows(m, n):
+    spec = SpectralDecomposition(family_graph("hamming", n, m))
+    v1 = EigenprojectionBasis.from_spectrum(spec, [1])
+    rows = []
+    for mu in v1.labels:
+        ((i, a),) = [(i, c) for i, c in enumerate(mu.coords) if c]
+        rows.append((a, i))
+    assert HammingOperators(m, n).labels() == rows
+
+
 def test_hamming_operators_guard_input():
     with pytest.raises(InvalidInputError):
         HammingOperators(1, 2)

@@ -38,6 +38,14 @@ def test_make_partition_rejects_bad_blocks():
         Partition.from_blocks(1, 0, [[1, "1'"]])  # out of range
 
 
+def test_partition_rejects_negative_point_counts():
+    # k + l = 1 would otherwise pass the length check with k = -1
+    with pytest.raises(InvalidInputError, match="k, l >= 0"):
+        Partition.block(-1, 2)
+    with pytest.raises(InvalidInputError, match="k, l >= 0"):
+        Partition(2, -1, [0])
+
+
 def test_parse_print_roundtrip():
     text = "P(2,2){1 2' | 2 1'}"
     p = Partition.parse(text)
