@@ -281,6 +281,7 @@ def _conjugate_hadamard_int(group: AbelianGroup, mx: SparseTensor) -> SparseTens
     integer linear algebra; done in numpy int64 with an overflow bound check,
     then divided by N exactly.  Past the bound the twist kernel takes over."""
     N = group.order
+    guard_dense(N * N, "exponent-2 Fourier conjugation")
     max_num = max((abs(v) for v in mx.numerators.values()), default=0)
     # |(F* M F)_{ij}| <= N^2 * max numerator; keep comfortably inside int64
     if max_num * N * N >= 2**62:

@@ -181,7 +181,12 @@ class HammingOperators:
             raise InvalidInputError("Hamming operators need m >= 2, n >= 1")
         self.m, self.n = m, n
         self.dim = (m - 1) * n
-        guard_sparse(self.dim**4, f"Hamming operators m={m}, n={n}")
+        # the dim^2 label pairs, and the largest operator: the connecter has
+        # sum_s c_s^2 entries per position, where c_0 = m - 1 label pairs sum
+        # to 0 mod m and c_s = m - 2 to each s != 0; every other operator
+        # has at most dim^2
+        guard_sparse(self.dim**2 + n * (m - 1) * (m - 1 + (m - 2)**2),
+                     f"Hamming operators m={m}, n={n}")
         self._labels = [(a, i) for i in reversed(range(n)) for a in range(1, m)]
         self._index = {lab: x for x, lab in enumerate(self._labels)}
         pos = [i for _, i in self._labels]

@@ -46,15 +46,12 @@ class _Layout:
 
 def _normalise(level: int, den: int, num: dict):
     """Drop zeros, collapse all-rational numerators to level 1, and divide
-    out gcd(den, numerators); ``num`` is modified in place."""
+    out gcd(den, numerators); ``num`` is taken over, not copied."""
     if euler_phi(level) == 1:
         level = 1
-    if level == 1:
-        dead = [k for k, v in num.items() if not v]
-    else:
-        dead = [k for k, v in num.items() if not any(v)]
-    for k in dead:
-        del num[k]
+    zero = 0 if level == 1 else (0,) * euler_phi(level)
+    if zero in num.values():
+        num = {k: v for k, v in num.items() if v != zero}
     if level > 1 and not any(any(v[1:]) for v in num.values()):
         level, num = 1, {k: v[0] for k, v in num.items()}
     if not num:
@@ -114,40 +111,50 @@ def _operands(a: "SparseTensor", b: "SparseTensor"):
     return level, na, nb
 
 
-def _products(pairs, level: int, rat_a: bool, rat_b: bool) -> dict:
-    """Sum the products v * w over ``pairs`` of (key, v, w) into
-    {key: numerator at level}; ``rat_a``/``rat_b`` say whether the v/w are
+def _products(groups, level: int, rat_a: bool, rat_b: bool) -> dict:
+    """Sum the products v * w of a grouped join into {key: numerator at
+    level}: each group is (lefts, rights), lists of (key part, v) and
+    (key part, w), and every left meets every right under the key
+    ``left part + right part``.  ``rat_a``/``rat_b`` say whether the v/w are
     ints (rational) or power-basis tuples.  Products of two tuples are summed
     as unreduced convolutions and reduced once per key."""
     acc = {}
     get = acc.get
     if rat_a and rat_b:
-        for key, v, w in pairs:
-            acc[key] = get(key, 0) + v * w
+        for lefts, rights in groups:
+            for lk, v in lefts:
+                for rk, w in rights:
+                    key = lk + rk
+                    acc[key] = get(key, 0) + v * w
         return acc
     if rat_a or rat_b:
-        for key, v, w in pairs:
-            if rat_a:
-                v, w = w, v
-            s = get(key)
-            if s is None:
-                acc[key] = [c * w for c in v]
-            else:
-                for i, c in enumerate(v):
-                    if c:
-                        s[i] += c * w
+        for lefts, rights in groups:
+            for lk, v in lefts:
+                for rk, w in rights:
+                    key = lk + rk
+                    cs, r = (w, v) if rat_a else (v, w)
+                    s = get(key)
+                    if s is None:
+                        acc[key] = [c * r for c in cs]
+                    else:
+                        for i, c in enumerate(cs):
+                            if c:
+                                s[i] += c * r
         return {k: tuple(s) for k, s in acc.items()}
     phi = euler_phi(level)
     width = 2 * phi - 1
-    for key, v, w in pairs:
-        s = get(key)
-        if s is None:
-            s = acc[key] = [0] * width
-        for i, x in enumerate(v):
-            if x:
-                for j, y in enumerate(w):
-                    if y:
-                        s[i + j] += x * y
+    for lefts, rights in groups:
+        for lk, v in lefts:
+            for rk, w in rights:
+                key = lk + rk
+                s = get(key)
+                if s is None:
+                    s = acc[key] = [0] * width
+                for i, x in enumerate(v):
+                    if x:
+                        for j, y in enumerate(w):
+                            if y:
+                                s[i + j] += x * y
     return recombine(acc, power_rows(level, 1, width))
 
 
@@ -314,12 +321,18 @@ class SparseTensor:
         f = _layout_of_values({(): factor})
         if not f.num:
             return SparseTensor.zeros(self.shape, self.out_axes)
+        # a rational p/q first cancels g = gcd(p, den): then a factor that
+        # only changes the denominator copies the numerators
+        g = gcd(f.num[()], self.den) if f.level == 1 else 1
+        den = self.den // g * f.den
+        if f.num[()] == g:
+            return SparseTensor._raw(self.shape, self.out_axes, dict(self._num), den, self.level)
         level = lcm(self.level, f.level)
         a = self._num if self.level == 1 else _lift(self._num, self.level, level)
-        w = f.num[()] if f.level == 1 else _lift(f.num, f.level, level)[()]
-        num = _products(((k, v, w) for k, v in a.items()), level,
+        w = f.num[()] // g if f.level == 1 else _lift(f.num, f.level, level)[()]
+        num = _products([(list(a.items()), [((), w)])], level,
                         self.level == 1, f.level == 1)
-        return SparseTensor._raw(self.shape, self.out_axes, num, self.den * f.den, level)
+        return SparseTensor._raw(self.shape, self.out_axes, num, den, level)
 
     __mul__ = scale
     __rmul__ = scale
@@ -344,13 +357,7 @@ class SparseTensor:
         shape = self.out_shape + other.in_shape
         products = sum(len(outs) * len(tails) for outs, tails in joined)
         guard_sparse(min(products, prod(shape)), "composition")
-        pairs = (
-            (out + tail, v, w)
-            for outs, tails in joined
-            for out, v in outs
-            for tail, w in tails
-        )
-        num = _products(pairs, level, self.level == 1, other.level == 1)
+        num = _products(joined, level, self.level == 1, other.level == 1)
         return SparseTensor._raw(shape, k, num, self.den * other.den, level)
 
     def __matmul__(self, other):
@@ -361,13 +368,15 @@ class SparseTensor:
         guard_sparse(self.nnz() * other.nnz(), "tensor product")
         level, a, b = _operands(self, other)
         k1, k2 = self.out_axes, other.out_axes
+        left = {}
+        for i1, v in a.items():
+            left.setdefault(i1[k1:], []).append((i1[:k1], v))
         right = [(i2[:k2], i2[k2:], w) for i2, w in b.items()]
-        pairs = (
-            (i1[:k1] + o2 + i1[k1:] + in2, v, w)
-            for i1, v in a.items()
-            for o2, in2, w in right
+        groups = (
+            (outs, [(o2 + in1 + in2, w) for o2, in2, w in right])
+            for in1, outs in left.items()
         )
-        num = _products(pairs, level, self.level == 1, other.level == 1)
+        num = _products(groups, level, self.level == 1, other.level == 1)
         return SparseTensor._raw(
             self.out_shape + other.out_shape + self.in_shape + other.in_shape,
             k1 + k2, num, self.den * other.den, level,
@@ -399,12 +408,15 @@ class SparseTensor:
         shape = self.shape[:axis] + (new_dim,) + self.shape[axis + 1:]
         products = sum(len(fan.get(idx[axis], ())) for idx in a)
         guard_sparse(min(products, prod(shape)), "leg transform")
-        pairs = (
-            (idx[:axis] + (x,) + idx[axis + 1:], v, w)
-            for idx, v in a.items()
-            for x, w in fan.get(idx[axis], ())
+        heads = {}
+        for idx, v in a.items():
+            if idx[axis] in fan:
+                heads.setdefault(idx[axis:], []).append((idx[:axis], v))
+        groups = (
+            (pres, [((x,) + rest[1:], w) for x, w in fan[rest[0]]])
+            for rest, pres in heads.items()
         )
-        num = _products(pairs, level, self.level == 1, m.level == 1)
+        num = _products(groups, level, self.level == 1, m.level == 1)
         return SparseTensor._raw(shape, self.out_axes, num, self.den * m.den, level)
 
     def transform_in_leg(self, leg: int, matrix, new_dim: int) -> "SparseTensor":
@@ -422,7 +434,10 @@ class SparseTensor:
         if self.out_shape != self.in_shape:
             raise InvalidInputError("trace needs matching input/output shapes")
         k = self.out_axes
-        diag = [v for idx, v in self._num.items() if idx[:k] == idx[k:]]
+        if not k:
+            return self[()]
+        diag = [v for idx, v in self._num.items()
+                if idx[0] == idx[k] and idx[:k] == idx[k:]]
         if not diag:
             return ZERO
         if self.level == 1:

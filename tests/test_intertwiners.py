@@ -1,4 +1,6 @@
 import itertools
+import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -246,6 +248,31 @@ def test_hadamard_conjugation_past_its_int64_bound():
     assert got.to_json() == expected.to_json()
 
 
+def _guard_peak_bytes(build, what):
+    """Call ``build``, which must raise SizeGuardError naming ``what``, and
+    return the peak bytes traced meanwhile."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=what):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hadamard_conjugation_guards_before_it_allocates(monkeypatch):
+    # N = 64: the fast path would build 64 x 64 int64 arrays (32 KiB each)
+    gr = family_graph("hypercube", 6)
+    a = gr.adjacency()
+    expected = conjugate_by_fourier(gr.group, a)
+    monkeypatch.setenv("QSYM_MAX_DENSE", str(64 * 64 - 1))
+    peak = _guard_peak_bytes(lambda: conjugate_by_fourier(gr.group, a),
+                             "exponent-2 Fourier conjugation needs 4096 ")
+    assert peak < 16 * 1024
+    monkeypatch.setenv("QSYM_MAX_DENSE", str(64 * 64))
+    assert conjugate_by_fourier(gr.group, a) == expected
+
+
 def test_fourier_kernel_sums_past_int64():
     # each numerator fits in int64, their sum 2^63 does not
     g = make_group([2])
@@ -429,6 +456,22 @@ def test_hamming_labels_follow_the_v1_basis_rows(m, n):
         ((i, a),) = [(i, c) for i, c in enumerate(mu.coords) if c]
         rows.append((a, i))
     assert HammingOperators(m, n).labels() == rows
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 2), (5, 3), (7, 1)])
+def test_hamming_operators_guard_counts_what_they_build(monkeypatch, m, n):
+    monkeypatch.setenv("QSYM_MAX_SPARSE", "0")
+    with pytest.raises(SizeGuardError, match="Hamming operators") as err:
+        HammingOperators(m, n)
+    count = int(re.search(r"needs (\d+) stored", str(err.value)).group(1))
+    # at the cap, the label pairs and every operator are built
+    monkeypatch.setenv("QSYM_MAX_SPARSE", str(count))
+    ops = HammingOperators(m, n)
+    largest = max(t.nnz() for t in ops.all_named().values())
+    assert max(ops.dim**2, largest) <= count <= ops.dim**2 + largest
+    # one below it, the guard fires before the pair lists are built
+    monkeypatch.setenv("QSYM_MAX_SPARSE", str(count - 1))
+    assert _guard_peak_bytes(lambda: HammingOperators(m, n), "Hamming operators") < 16 * 1024
 
 
 def test_hamming_operators_guard_input():

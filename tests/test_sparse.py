@@ -9,7 +9,7 @@ drawn at levels 1, 3, 4, 8 and 12, mixed within one tensor.
 import itertools
 import json
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +101,82 @@ def test_scale(pair, c):
     assert_matches(ta.scale(c), {k: v * c for k, v in a.items()})
     if c.is_rational():
         assert_matches(ta.scale(c.as_fraction()), {k: v * c for k, v in a.items()})
+
+
+# -- the rational routes: level-1 operands, factors sharing primes with den ----------
+
+RATIONAL = (1,)
+
+
+@st.composite
+def rational_operand(draw):
+    """A level-1 tensor and its reference; a common factor 1, 2, 3 or 6
+    gives the numerators a gcd for p/q factors to cancel against."""
+    out_d, in_d = draw(dims), draw(dims)
+    shape = out_d + in_d
+    common = draw(st.sampled_from((1, 2, 3, 6)))
+    ref = {k: v * common for k, v in draw(references(shape, RATIONAL)).items()}
+    return SparseTensor(shape, len(out_d), ref), ref
+
+
+@st.composite
+def den_sharing_factor(draw, t):
+    """+-k!, +-1/k!, +-den, 0, or p/q with q dividing the gcd of t's
+    numerators."""
+    kf = factorial(draw(st.integers(1, 4)))
+    sign = draw(st.sampled_from((1, -1)))
+    g = gcd(*t.numerators.values()) or 1
+    q = draw(st.sampled_from([d for d in range(1, g + 1) if g % d == 0]))
+    p = draw(st.integers(-12, 12))
+    return draw(st.sampled_from((Fraction(sign * kf), Fraction(sign, kf),
+                                 Fraction(sign * t.den), Fraction(0), Fraction(p, q))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_rational_scale(data):
+    ta, a = data.draw(rational_operand())
+    c = data.draw(den_sharing_factor(ta))
+    expected = {k: v * c for k, v in a.items()}
+    assert_matches(ta.scale(c), expected)
+    if c.denominator == 1:
+        assert_matches(ta.scale(int(c)), expected)
+    # a rational factor on a level-4 tensor takes the same denominator route
+    i = Cyclotomic.zeta(4)
+    assert_matches(ta.scale(i).scale(c), {k: v * i * c for k, v in a.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rational_compose_cancels_and_scales(data):
+    """a' @ b' sums a @ b over a doubled middle axis with weights 1 and x*y,
+    so every product is nonzero and x*y = -1 cancels each output to zero.
+    The product, and its left operand before composing, are then scaled by
+    a factor sharing primes with den, as the certificate scales W*W by k!."""
+    out_d, mid, in_d = data.draw(dims), data.draw(dims), data.draw(dims)
+    a = data.draw(references(out_d + mid, RATIONAL))
+    b = data.draw(references(mid + in_d, RATIONAL))
+    x = data.draw(small_rats.filter(bool))
+    y = data.draw(st.sampled_from((-1 / x, x, Fraction(1, 2))))
+    k, kb = len(out_d), len(mid)
+    a2 = {i + (s,): v * (x if s else 1) for i, v in a.items() for s in (0, 1)}
+    b2 = {i[:kb] + (s,) + i[kb:]: v * (y if s else 1) for i, v in b.items() for s in (0, 1)}
+    ta = SparseTensor(out_d + mid + (2,), k, a2)
+    tb = SparseTensor(mid + (2,) + in_d, kb + 1, b2)
+    expected = accumulate(
+        (ia[:k] + ib[kb + 1:], va * vb)
+        for ia, va in a2.items()
+        for ib, vb in b2.items()
+        if ia[k:] == ib[:kb + 1]
+    )
+    got = ta @ tb
+    assert_matches(got, expected)
+    if x * y == -1:
+        assert got.is_zero() and (got.level, got.den) == (1, 1)
+    c = data.draw(den_sharing_factor(got))
+    scaled = {key: v * c for key, v in expected.items()}
+    assert_matches(got.scale(c), scaled)
+    assert_matches(ta.scale(c) @ tb, scaled)
 
 
 @st.composite
