@@ -1,10 +1,15 @@
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsym.errors import InvalidInputError
+from qsym import partitions
+from qsym.dsl import eval_text
+from qsym.errors import InvalidInputError, SizeGuardError
 from qsym.functors import evaluate_partlin, partlin_evaluates_to_zero
 from qsym.partitions import (
     Partition,
@@ -14,7 +19,6 @@ from qsym.partitions import (
     antisymmetrize,
     compose,
     compose_partitions,
-    permutation_of,
     two_point_swap,
 )
 from qsym.polyq import N_POLY, PolyQ
@@ -229,11 +233,11 @@ def test_tensor_associative(p, q):
     assert p.tensor(q).tensor(p) == p.tensor(q.tensor(p))
 
 
-# -- fast composition routes against their oracles -------------------------------
+# -- the vectorised composition against its oracles -------------------------------
 #
-# ``compose`` relabels when a factor is a permutation partition and sums
-# integer coefficients; the oracles are the union-find ``compose_partitions``
-# and a term-by-term sum of PolyQ products.
+# ``compose`` glues every term pair in numpy blocks and sums integer
+# coefficients; the oracles are the union-find ``compose_partitions`` and a
+# term-by-term sum of PolyQ products.
 
 
 @st.composite
@@ -242,31 +246,6 @@ def permutation_partitions(draw, k):
     draws: lower point j is joined to upper point sigma[j]."""
     sigma = draw(st.permutations(range(k)))
     return Partition(k, k, tuple(range(k)) + tuple(sigma))
-
-
-def _is_permutation(p):
-    return p.k == p.l and all(
-        sum(pos < p.k for pos in b) == 1 and sum(pos >= p.k for pos in b) == 1
-        for b in p.blocks()
-    )
-
-
-def test_permutation_of_examples():
-    assert permutation_of(Partition.identity(3)) == (0, 1, 2)
-    assert permutation_of(Partition.crossing()) == (1, 0)
-    assert permutation_of(Partition.identity(0)) == ()
-    for p in (Partition.block(2, 2), Partition.cap(), Partition.parse("P(2,2){1 2 | 1' 2'}")):
-        assert permutation_of(p) is None
-
-
-@given(st.integers(0, 3).flatmap(lambda k: st.one_of(
-    partitions_kl(k, k), permutation_partitions(k))))
-@settings(max_examples=80, deadline=None)
-def test_permutation_of_detects_permutations(p):
-    sigma = permutation_of(p)
-    assert (sigma is not None) == _is_permutation(p)
-    if sigma is not None:
-        assert Partition(p.k, p.k, tuple(range(p.k)) + sigma) == p
 
 
 @st.composite
@@ -284,8 +263,8 @@ def any_then_permutation(draw):
 @given(st.one_of(permutation_then_any(), any_then_permutation()))
 @settings(max_examples=200, deadline=None)
 def test_relabelled_composition_matches_union_find(pair):
-    """With a permutation factor ``compose`` relabels; the partition and the
-    loop count (the power of n) match the union-find route."""
+    """With a permutation factor the partition and the loop count (the power
+    of n) match the union-find route."""
     q, p = pair
     r, loops = compose_partitions(q, p)
     assert compose(q, p) == PartLin.of(r, N_POLY**loops)
@@ -376,3 +355,152 @@ def test_formal_tensor_and_kernel_routes_agree(pair, N, data):
     at_N = PartLin(c.k, c.l, {part: coeff(N) for part, coeff in c.terms.items()})
     d = data.draw(st.one_of(st.just(at_N), partlins(c.k, c.l, max_terms=3)))
     assert partlin_evaluates_to_zero(c - d, N) == (evaluate_partlin(d, N) == tensor)
+
+
+# -- the kernel at its edges: blocks, empty rows, label widths, big integers ------
+
+def distinct_partitions(k, l, count):
+    """The first ``count`` partitions of P(k,l) (all, if it has fewer) in
+    restricted-growth order."""
+    out, assign = [], [0] * (k + l)
+    while len(out) < count:
+        out.append(Partition(k, l, assign))
+        j = len(assign) - 1  # next restricted-growth string
+        while j > 0 and assign[j] > max(assign[:j]):
+            assign[j] = 0
+            j -= 1
+        if j <= 0:
+            break
+        assign[j] += 1
+    return out
+
+
+def spread(parts, coeffs=(1, -2, Fraction(1, 3), N_POLY)):
+    """A PartLin on ``parts`` with a cycle of coefficients."""
+    parts = list(parts)
+    return sum((PartLin.of(part, coeffs[i % len(coeffs)]) for i, part in enumerate(parts)),
+               PartLin.zero(parts[0].k, parts[0].l))
+
+
+# the chain insertion of five_cycle_chain.pcalc after the ring difference, and
+# after a two-point swap: asym'd P(10,10) products of 8,192 and 4,096 pairs
+CHAIN_INSERT = "asym(id(2) ox P(4,4){1 3 | 2 1' | 4 3' | 2' 4'} ox id(2) ox id(2))"
+
+
+@pytest.mark.parametrize("after", [
+    "asym(pk(5)) - asym(P(0,10){2' 3' | 6' 7' | 5' 9' | 4' 8' | 1' 10'})",
+    "asym(P(4,4){1 3' | 2 4' | 3 1' | 4 2'} ox id(6))",
+])
+def test_fixture_products_span_several_blocks(after):
+    q, p = eval_text(CHAIN_INSERT), eval_text(after)
+    V = p.k + 2 * p.l + q.l
+    assert len(q.terms) * len(p.terms) * V > 10 * partitions._BLOCK_ENTRIES
+    assert compose(q, p) == reference_compose(q, p)
+
+
+@given(composable_partlins(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_compose_is_blind_to_block_boundaries(pair, rows):
+    """Blocks of one to three rows cut the pairs at every boundary."""
+    q, p = pair
+    V = p.k + 2 * p.l + q.l
+    with mock.patch.object(partitions, "_BLOCK_ENTRIES", rows * V):
+        assert compose(q, p) == reference_compose(q, p)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_products_without_outer_points(r):
+    """Only loops survive: every output is P(0,0) with a power of n."""
+    ring = Partition.cycle(r)
+    out = eval_text(f"adj(pk({r})) * pk({r})")
+    assert out == compose(ring.adjoint(), ring) == reference_compose(
+        PartLin.of(ring.adjoint()), PartLin.of(ring))
+    assert set(out.terms) == {Partition.identity(0)}
+    mixed = spread(distinct_partitions(0, 2 * r, 7))
+    assert compose(mixed.adjoint(), mixed) == reference_compose(mixed.adjoint(), mixed)
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_products_without_middle_points(k, m, data):
+    q, p = data.draw(partlins(0, m)), data.draw(partlins(k, 0))
+    assert compose(q, p) == reference_compose(q, p)
+
+
+@pytest.mark.parametrize("width", [130, 33_000])
+def test_labels_past_int8_and_int16(width):
+    """Singleton blocks put labels past 127 (int16) and past 32,767 (int32)
+    in the factors and in the composed rows."""
+    singletons = Partition(width, 2, range(width + 2))
+    joined = Partition(width, 2, tuple(range(width)) + (0, width - 1))
+    p = PartLin.of(singletons, 2) + PartLin.of(joined, -1)
+    q = PartLin.of(Partition.crossing()) + PartLin.of(Partition.block(2, 2), 3)
+    assert compose(q, p) == reference_compose(q, p)
+    assert compose(p.adjoint(), q) == reference_compose(p.adjoint(), q)
+
+
+@pytest.mark.parametrize("size", [2**29, 2**31 + 1, 2**40, 10**30])
+def test_large_coefficients_stay_exact(size):
+    """Two products of size^2 meet in each output of twist * twist: inside
+    int64 at 2^29, past 2^63 from 2^31 + 1 on, where the sums must move to
+    Python integers."""
+    twist = PartLin.of(Partition.identity(2), size) + PartLin.of(Partition.crossing(), size)
+    square = PartLin.of(Partition.identity(2), 2 * size**2) + PartLin.of(
+        Partition.crossing(), 2 * size**2)
+    assert compose(twist, twist) == square == reference_compose(twist, twist)
+    big = spread(distinct_partitions(2, 2, 15), (size, -size + 1, Fraction(size, 7), N_POLY * size))
+    cup = PartLin.of(Partition.cup(), size) + PartLin.of(Partition.parse("P(0,2){1' | 2'}"), -size)
+    assert compose(big, cup) == reference_compose(big, cup)
+    assert compose(big, big) == reference_compose(big, big)
+
+
+class _FullShapeAt:
+    """A ufunc whose ``at`` insists on values of the full index shape: numpy
+    2.4 misreads broadcast values there and writes garbage."""
+
+    def __init__(self, ufunc, seen):
+        self.ufunc, self.seen = ufunc, seen
+
+    def __call__(self, *args, **kwargs):
+        return self.ufunc(*args, **kwargs)
+
+    def at(self, target, index, values):
+        for part in index if isinstance(index, tuple) else (index,):
+            assert np.shape(part) == np.shape(values), "ufunc.at with broadcast values"
+        self.seen.add(self.ufunc.__name__)
+        return self.ufunc.at(target, index, values)
+
+
+def test_compose_gives_ufunc_at_full_shape_values(monkeypatch):
+    seen = set()
+    for name in ("minimum", "add"):
+        monkeypatch.setattr(np, name, _FullShapeAt(getattr(np, name), seen))
+    q = spread(distinct_partitions(3, 3, 12))
+    p = spread(distinct_partitions(2, 3, 9), (Fraction(1, 2), N_POLY - 1, 3))
+    assert compose(q, p) == reference_compose(q, p)
+    assert seen == {"minimum", "add"}
+
+
+def test_compose_guard_fires_before_allocating(monkeypatch):
+    """One pair over the cap raises before anything of the pairs' size is
+    allocated; the same product at the cap allocates far more."""
+    q = spread(distinct_partitions(6, 6, 120))
+    p = spread(distinct_partitions(6, 6, 100))
+
+    def peak(cap, call):
+        """Bytes ``call`` allocates at most with QSYM_MAX_DENSE = cap."""
+        monkeypatch.setenv("QSYM_MAX_DENSE", str(cap))
+        tracemalloc.start()
+        try:
+            held, _ = tracemalloc.get_traced_memory()
+            call()
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    def refused():
+        with pytest.raises(SizeGuardError, match="partition composition"):
+            compose(q, p)
+
+    below, at_cap = peak(120 * 100 - 1, refused), peak(120 * 100, lambda: compose(q, p))
+    assert below < 16 * 1024 and 50 * below < at_cap
