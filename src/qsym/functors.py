@@ -8,15 +8,18 @@ oracle used throughout the test-suite.
 
 ``functor_T_deformed`` attaches the sign sigma_i * sigma_j that counts index
 inversions on either row; it is defined for partitions whose blocks all have
-even size.
+even size.  ``evaluate_partlin`` evaluates a whole combination of partitions,
+plain or signed, and the signed functor is its one-term case, so the sign has
+one implementation: a comparison of block values per odd block pair.
 
 The antisymmetrizer projections (signed, and the sign-free variant that kills
 repeated indices) are built here together with their coisometry
 factorizations, which certify their rank exactly.
 
-Both functors gather their indices from one array of all block values, and
-the antisymmetrizers read their signs from a table of the k! permutation
-signs made once per call.
+Indices are gathered from one array of all block values: per partition in
+``functor_T``, per block count in ``evaluate_partlin``, which then sums the
+rows of all terms at once.  The antisymmetrizers read their signs from a table
+of the k! permutation signs made once per call.
 """
 
 from __future__ import annotations
@@ -38,19 +41,21 @@ def functor_T(p: Partition, N: int) -> SparseTensor:
     if N < 1:
         raise InvalidInputError(f"functor needs N >= 1, got {N}")
     guard_sparse(N**p.n_blocks, f"functor tensor for {p} at N={N}")
-    cols = _index_columns(p, N).tolist()
+    values = _block_values(p.n_blocks, N)
+    cols = values[np.array(_leg_blocks(p), dtype=np.intp)].tolist()
     keys = zip(*cols) if cols else [()]  # zip of no columns would give no index
     return SparseTensor._raw((N,) * (p.l + p.k), p.l, dict.fromkeys(keys, 1))
 
 
-def _index_columns(p: Partition, N: int) -> np.ndarray:
-    """(l + k, N**n_blocks) array whose columns are the indices of T_p,
-    outputs (lower row) first, in lexicographic order of the block values.
-    ``functor_T`` stores its entries in this column order, which
-    ``functor_T_deformed`` relies on to pair them with their signs."""
-    nb = p.n_blocks
-    values = np.indices((N,) * nb, dtype=np.min_scalar_type(N)).reshape(nb, N**nb)
-    return values[np.array(p.assign[p.k:] + p.assign[: p.k], dtype=np.intp)]
+def _block_values(nb: int, N: int) -> np.ndarray:
+    """(nb, N**nb) array whose columns are all assignments of values in
+    0..N-1 to nb blocks, in lexicographic order."""
+    return np.indices((N,) * nb, dtype=np.min_scalar_type(N)).reshape(nb, N**nb)
+
+
+def _leg_blocks(p: Partition) -> tuple:
+    """The block of each leg of T_p, outputs (lower row) first."""
+    return p.assign[p.k:] + p.assign[: p.k]
 
 
 def sign_sigma(indices) -> int:
@@ -65,55 +70,123 @@ def sign_sigma(indices) -> int:
 
 
 def functor_T_deformed(p: Partition, N: int) -> SparseTensor:
-    """Signed functor sigma_i sigma_j [T_p]; needs all blocks of even size."""
-    if p.has_odd_block():
-        raise InvalidInputError(
-            f"deformed functor needs even block sizes, got {p}"
-        )
-    base = functor_T(p, N)
-    cols = _index_columns(p, N)
-    odd = np.zeros(cols.shape[1], dtype=bool)
-    for x, y in _odd_block_pairs(p):
-        odd ^= cols[x] > cols[y]
-    num = dict(zip(base.numerators, np.where(odd, -1, 1).tolist()))
-    return SparseTensor._raw(base.shape, p.l, num)
+    """Signed functor sigma_i sigma_j [T_p]; needs all blocks of even size.
+    It is the one-term case of ``evaluate_partlin``."""
+    return evaluate_partlin(PartLin.of(p), N, deformed=True)
 
 
 def _odd_block_pairs(p: Partition) -> list[tuple[int, int]]:
-    """Index positions (x, y) of the ordered block pairs (B, C) that have an
-    odd number of point pairs in one row with B's point left of C's.
+    """The ordered block pairs (B, C) that have an odd number of point pairs
+    in one row with B's point left of C's.
 
     Points of one block carry one value and ties are no inversions, so the
     sign sigma_i sigma_j of an index of T_p is -1 to the number of these
-    pairs with idx[x] > idx[y]: the O(points^2) count is done once per call.
+    pairs whose block values have B > C: the O(points^2) count is done once
+    per partition.
     """
-    position, parity, start = {}, {}, 0
-    for row in (p.assign[p.k:], p.assign[: p.k]):  # index order: lower row first
+    parity = {}
+    for row in (p.assign[p.k:], p.assign[: p.k]):
         for i, b in enumerate(row):
-            position.setdefault(b, start + i)
             for c in row[i + 1:]:
                 if c != b:
                     parity[b, c] = parity.get((b, c), 0) ^ 1
-        start += len(row)
-    return [(position[b], position[c]) for (b, c), odd in parity.items() if odd]
+    return [pair for pair, odd in parity.items() if odd]
+
+
+# Index rows turned into key tuples at a time: the column lists of one chunk
+# are all that exists beside the finished keys.
+_KEY_CHUNK = 2**16
 
 
 def evaluate_partlin(e: PartLin, N: int, deformed: bool = False) -> SparseTensor:
     """Evaluate a formal combination at loop parameter n := N.
 
-    Every term is summed into one numerator dict over the common
-    denominator of the coefficients."""
+    One numpy pass over all terms: each group of terms with one block count
+    gathers its index columns from one array of block values, ``deformed``
+    flips the sign of a row once per odd block pair (``_odd_block_pairs``)
+    whose values are inverted, and every row carries its term's integer
+    numerator over the common denominator of the coefficients.  Rows with
+    equal indices are summed after a ``lexsort`` over the index columns.
+    """
     e = PartLin.coerce(e)
-    coeffs = [(part, Fraction(coeff(N))) for part, coeff in e.terms.items()]
-    den = lcm(1, *(c.denominator for _, c in coeffs))
-    acc = {}
-    get = acc.get
-    for part, c in coeffs:
-        t = functor_T_deformed(part, N) if deformed else functor_T(part, N)
-        weight = c.numerator * (den // c.denominator)
-        for idx, v in t.numerators.items():
-            acc[idx] = get(idx, 0) + v * weight
-    return SparseTensor._raw((N,) * (e.l + e.k), e.l, acc, den)
+    if N < 1:
+        raise InvalidInputError(f"functor needs N >= 1, got {N}")
+    parts = list(e.terms)
+    if deformed:
+        for part in parts:
+            if part.has_odd_block():
+                raise InvalidInputError(
+                    f"deformed functor needs even block sizes, got {part}"
+                )
+    guard_sparse(sum(N**part.n_blocks for part in parts),
+                 f"evaluation of {len(parts)} partition terms at N={N}")
+    coeffs = [Fraction(coeff(N)) for coeff in e.terms.values()]
+    den = lcm(1, *(c.denominator for c in coeffs))
+    weights = [c.numerator * (den // c.denominator) for c in coeffs]
+    cols, vals = _term_rows(parts, weights, e.l + e.k, N, deformed)
+    if len(parts) > 1:  # the rows of one term are distinct indices
+        cols, vals = _sum_equal_rows(cols, vals)
+    num = {}
+    for s in range(0, len(vals), _KEY_CHUNK):
+        chunk = cols[:, s : s + _KEY_CHUNK].tolist()
+        values = vals[s : s + _KEY_CHUNK].tolist()
+        num.update(zip(zip(*chunk) if chunk else [()] * len(values), values))
+    return SparseTensor._raw((N,) * (e.l + e.k), e.l, num, den)
+
+
+def _term_rows(parts, weights, legs: int, N: int, deformed: bool):
+    """(cols, vals): the (legs, rows) index columns of every term's T_p,
+    lower row first, and each row's weight, negated when ``deformed`` and
+    the row's sign is -1.  Weights are int64 when no sum of one weight per
+    term can overflow, Python integers otherwise."""
+    top = max(map(abs, weights), default=0)
+    wtype = np.int64 if top * len(parts) < 2**63 else object
+    groups = {}
+    for t, part in enumerate(parts):
+        groups.setdefault(part.n_blocks, []).append(t)
+    cols = np.empty((legs, sum(N**part.n_blocks for part in parts)),
+                    dtype=np.min_scalar_type(N))
+    vals = np.empty(cols.shape[1], dtype=wtype)
+    start = 0
+    for nb, terms in groups.items():
+        values = _block_values(nb, N)
+        size = values.shape[1]
+        stop = start + len(terms) * size
+        assign = np.array([_leg_blocks(parts[t]) for t in terms],
+                          dtype=np.intp).reshape(len(terms), legs)
+        for x in range(legs):  # gathered in place, one leg at a time
+            np.take(values, assign[:, x], axis=0,
+                    out=cols[x, start:stop].reshape(len(terms), size))
+        rows = vals[start:stop].reshape(len(terms), size)
+        rows[...] = np.array([weights[t] for t in terms], dtype=wtype)[:, None]
+        if deformed:  # one comparison per odd block pair, for all terms with it
+            with_pair = {}
+            for i, t in enumerate(terms):
+                for pair in _odd_block_pairs(parts[t]):
+                    with_pair.setdefault(pair, []).append(i)
+            odd = np.zeros(rows.shape, dtype=bool)
+            for (b, c), ts in with_pair.items():
+                odd[ts] ^= values[b] > values[c]
+            np.negative(rows, out=rows, where=odd)
+        start = stop
+    return cols, vals
+
+
+def _sum_equal_rows(cols, vals):
+    """The distinct index columns in lexicographic order with the sums of
+    their rows' values, zero sums dropped."""
+    if not vals.size:
+        return cols, vals
+    order = np.lexsort(cols[::-1]) if len(cols) else np.arange(vals.size)
+    new = np.zeros(vals.size, dtype=bool)
+    new[0] = True
+    for leg in cols:
+        leg = leg[order]
+        new[1:] |= leg[1:] != leg[:-1]
+    starts = np.flatnonzero(new)
+    sums = np.add.reduceat(vals[order], starts)
+    keep = sums != 0
+    return cols[:, order[starts[keep]]], sums[keep]
 
 
 # -- fast exact zero test for (undeformed) evaluations -------------------------

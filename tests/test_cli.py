@@ -160,6 +160,14 @@ def test_partition_eval_at_size(capsys):
     assert stats["trace"] == "10"  # C(5,2): trace of the exact projection
 
 
+def test_partition_eval_large_index_space(capsys):
+    # 40 legs of size 1000: indices are summed without a flat N**legs code
+    code, out, _ = run_cli(capsys, "partition", "eval", "block(20,20)", "--at", "1000")
+    assert code == 0
+    stats = json.loads(out.splitlines()[-1])
+    assert stats["nonzeros"] == 1000 and stats["trace"] == "1000"
+
+
 def test_partition_eval_parse_error(capsys):
     code, _, err = run_cli(capsys, "partition", "eval", "cap * cap")
     assert code == 2

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -19,9 +20,10 @@ from qsym.functors import (
     random_partition,
     sign_sigma,
 )
-from qsym.errors import InvalidInputError
+from qsym.dsl import eval_text
+from qsym.errors import InvalidInputError, SizeGuardError
 from qsym.partitions import Partition, PartLin, compose, compose_partitions
-from qsym.polyq import N_POLY
+from qsym.polyq import N_POLY, PolyQ
 from qsym.sparse import SparseTensor
 
 
@@ -86,14 +88,20 @@ def _as_tensor(p, N, num, den=1):
                         {idx: Fraction(v, den) for idx, v in num.items()})
 
 
-@st.composite
-def partitions(draw, even=False):
-    """Random partitions with at most 3 upper and 3 lower points; with
-    ``even`` the points are paired up and some pairs merged, so every block
-    has even size."""
+def _shape(draw, even):
+    """(k, l) with at most 3 points per row; k + l is even when ``even``."""
     k, l = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     if even and (k + l) % 2:
         l = l - 1 if l else l + 1
+    return k, l
+
+
+@st.composite
+def partitions(draw, even=False, shape=None):
+    """Random partitions with at most 3 upper and 3 lower points (or of the
+    given shape); with ``even`` the points are paired up and some pairs
+    merged, so every block has even size."""
+    k, l = shape or _shape(draw, even)
     if not even:
         assign = []
         for _ in range(k + l):
@@ -153,6 +161,98 @@ def test_evaluate_partlin_coefficients_beyond_int64(deformed):
     t = evaluate_partlin(e, N, deformed)
     assert t == SparseTensor((N,) * 4, 2, expected)
     assert t[(0, 1, 0, 1)] == big and t[(1, 0, 0, 1)] == (-1 if deformed else 1) * bigger
+
+
+def _evaluation_oracle(e, N, deformed):
+    """evaluate_partlin term by term: the entries of each functor_T, signed
+    by sign_sigma of each row when ``deformed``, summed in a dict."""
+    acc = {}
+    for part, coeff in e.terms.items():
+        c = Fraction(coeff(N))
+        for idx in functor_T(part, N).numerators:
+            sign = sign_sigma(idx[part.l:]) * sign_sigma(idx[: part.l]) if deformed else 1
+            acc[idx] = acc.get(idx, 0) + sign * c
+    return SparseTensor((N,) * (e.l + e.k), e.l, acc)
+
+
+@st.composite
+def combinations(draw, even=False):
+    """Combinations of up to 4 partitions of one shape (0-leg ones included),
+    with coefficients (a + b n + c n^2) / d; a partition may come back with
+    the negated coefficient of an earlier one, which cancels it formally."""
+    shape = _shape(draw, even)
+    e = PartLin.zero(*shape)
+    for _ in range(draw(st.integers(0, 4))):
+        part = draw(partitions(even, shape))
+        a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+        d = draw(st.integers(1, 4))
+        term = PartLin.of(part, PolyQ([Fraction(a, d), Fraction(b, d), Fraction(c, d)]))
+        e = e + term
+        if draw(st.booleans()):
+            e = e - term
+    return e
+
+
+@given(st.booleans().flatmap(lambda even: st.tuples(st.just(even), combinations(even))),
+       st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_evaluate_partlin_matches_per_term_oracle(deformed_e, N):
+    deformed, e = deformed_e
+    assert evaluate_partlin(e, N, deformed) == _evaluation_oracle(e, N, deformed)
+
+
+@pytest.mark.parametrize("deformed", [False, True])
+@pytest.mark.parametrize("text,N,zero", [
+    ("compose(cap, cup)", 3, False),  # 0 legs, loop polynomial n
+    ("scale(poly(n^2 - 3*n), P(0,0){}) + cap * cup", 2, True),  # n^2 - 2n at 2
+    # 2, 1 and 2 blocks, all of even size
+    ("id(2) + block(2,2) - scale(poly(2), P(2,2){1 2 | 1' 2'})", 3, False),
+    ("id(2) - block(2,2)", 1, True),  # every T_p is one entry at N = 1
+    ("id(2) - id(2)", 3, True),  # the empty combination
+    ("scale(poly(n - 3), id(2)) + block(2,2)", 3, False),  # a zero weight
+    ("P(2,2){1 | 2 1' 2'} + id(2)", 2, False),  # odd blocks: undeformed only
+])
+def test_evaluate_partlin_edge_cases(text, N, zero, deformed):
+    e = eval_text(text)
+    if deformed and any(p.has_odd_block() for p in e.terms):
+        with pytest.raises(InvalidInputError, match="even block sizes"):
+            evaluate_partlin(e, N, deformed)
+        return
+    t = evaluate_partlin(e, N, deformed)
+    assert t == _evaluation_oracle(e, N, deformed)
+    assert t.is_zero() == zero
+    assert t.shape == (N,) * (e.k + e.l) and t.out_axes == e.l
+
+
+def test_evaluate_partlin_large_index_space():
+    # 40 legs of size 1000: a flat index code would need 10**120
+    block = Partition.block(20, 20)
+    assert evaluate_partlin(PartLin.of(block), 1000) == _evaluation_oracle(
+        PartLin.of(block), 1000, False)
+
+
+def test_evaluate_partlin_is_guarded_before_it_allocates(monkeypatch):
+    e = eval_text("asym(pk(6))")  # 64 terms of 6 blocks
+    count = sum(5**p.n_blocks for p in e.terms)
+    assert count == 10**6
+    monkeypatch.setenv("QSYM_MAX_SPARSE", str(count - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="evaluation of 64 partition terms"):
+            evaluate_partlin(e, 5, deformed=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # the index columns alone would take 12 MB
+
+
+def test_evaluate_partlin_guard_counts_every_term(monkeypatch):
+    e = eval_text("id(2) + block(2,2) - P(2,2){1 2 | 1' 2'}")  # 9 + 3 + 9 rows at N = 3
+    monkeypatch.setenv("QSYM_MAX_SPARSE", "20")
+    with pytest.raises(SizeGuardError):
+        evaluate_partlin(e, 3)
+    monkeypatch.setenv("QSYM_MAX_SPARSE", "21")
+    assert evaluate_partlin(e, 3) == _evaluation_oracle(e, 3, False)
 
 
 def _perm_sign(perm) -> int:
