@@ -12,8 +12,10 @@ characters or for a chosen list of labels.  ``fourier_transform_legs`` is the
 one exact kernel for transforming every leg of a rational tensor by F: it
 runs on integer arrays of power-basis coordinates in Q(zeta_M), one cyclic
 factor at a time, each factor one contraction with a cached twist kernel that
-multiplies by zeta_M^e.  Conjugation by F takes rational matrices only: an
-integer +-1 fast path for groups of exponent <= 2, the kernel otherwise.
+multiplies by zeta_M^e; its guards count that array and those kernels.
+Conjugation by F takes rational matrices only: an integer +-1 fast path for
+groups of exponent <= 2, the kernel otherwise.  Graphs, F and both conjugation
+routes turn index arrays into tensors through ``SparseTensor._from_columns``.
 """
 
 from __future__ import annotations
@@ -100,10 +102,6 @@ class CayleyGraph:
         if not gens.generates:
             warnings.warn("set does not generate the group: graph is disconnected")
 
-    @property
-    def n_vertices(self) -> int:
-        return self.group.order
-
     def adjacency(self) -> SparseTensor:
         """A with A[beta, alpha] = 1 iff beta - alpha in S."""
         g = self.group
@@ -111,8 +109,8 @@ class CayleyGraph:
         alpha = np.arange(g.order)
         heads = g.index_sum(alpha[:, None], self.gens.positions[None, :])
         tails = np.broadcast_to(alpha[:, None], heads.shape)
-        num = dict.fromkeys(zip(heads.ravel().tolist(), tails.ravel().tolist()), 1)
-        return SparseTensor._raw((g.order, g.order), 1, num)
+        cols = np.stack([heads.ravel(), tails.ravel()])
+        return SparseTensor._from_columns((g.order, g.order), 1, cols)
 
 
 class SpectralDecomposition:
@@ -190,10 +188,10 @@ def fourier_matrix(group: AbelianGroup, labels=None) -> SparseTensor:
     if ((cols < 0) | (cols >= N)).any():
         raise InvalidInputError(f"character positions must lie in 0..{N - 1}")
     M = g.exponent
-    zeta = power_rows(M, 1, M)
-    exps = g.char_exponents(cols[None, :], np.arange(N)[:, None]).ravel().tolist()
-    num = dict(zip(itertools.product(range(N), range(len(cols))), (zeta[e] for e in exps)))
-    return SparseTensor._raw((N, len(cols)), 1, num, 1, M)
+    zeta = np.array(power_rows(M, 1, M), dtype=np.int64)  # (M,) or (M, phi)
+    exps = g.char_exponents(cols[None, :], np.arange(N)[:, None]).ravel()
+    keys = np.indices((N, len(cols))).reshape(2, -1)
+    return SparseTensor._from_columns((N, len(cols)), 1, keys, zeta[exps], 1, M)
 
 
 def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor:
@@ -217,7 +215,10 @@ def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor
     if any(d != N for d in t.shape):
         raise InvalidInputError("tensor legs must all have the group order as dimension")
     legs = len(t.shape)
-    guard_dense(N**legs * M, "group-algebra Fourier transform")  # >= N^legs * phi
+    phi = euler_phi(M)
+    guard_dense(N**legs * phi, "group-algebra Fourier transform")
+    if legs:  # each cyclic factor's (m, m, phi, phi) twist kernel, before it is cached
+        guard_dense(max(orders) ** 2 * phi**2, "Fourier twist kernel")
     factors = [(m, (-1 if leg < t.out_axes else 1) * (M // m), M)
                for leg in range(legs) for m in orders]
     # Each contraction multiplies the largest coefficient by at most the
@@ -227,7 +228,6 @@ def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor
         bound *= _twist_kernel_col_sum(*factor)
     dtype = np.int64 if bound < 2**63 else object
 
-    phi = euler_phi(M)
     arr = np.zeros((N,) * legs + (phi,), dtype=dtype)
     for idx, v in t.numerators.items():
         arr[idx + (0,)] = v
@@ -238,10 +238,10 @@ def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor
 
     flat = arr.reshape(N**legs, phi)
     nonzero = (flat != 0).any(axis=1)
-    idx = map(tuple, np.argwhere(nonzero.reshape((N,) * legs)).tolist())
-    values = flat[nonzero].tolist()
-    num = dict(zip(idx, map(tuple, values) if phi > 1 else (v for v, in values)))
-    return SparseTensor._raw(t.shape, t.out_axes, num, t.den * N**t.out_axes, M)
+    cols = np.argwhere(nonzero.reshape((N,) * legs)).T  # a 0-d argwhere is (1, 0)
+    values = flat[nonzero] if phi > 1 else flat[nonzero, 0]
+    return SparseTensor._from_columns(t.shape, t.out_axes, cols, values,
+                                      t.den * N**t.out_axes, M)
 
 
 @functools.cache
@@ -292,8 +292,9 @@ def _conjugate_hadamard_int(group: AbelianGroup, mx: SparseTensor) -> SparseTens
     for (i, j), v in mx.numerators.items():
         M[i, j] = v
     C = F.T @ M @ F  # F is symmetric and real here, F* = F^T = F
-    num = {(int(i), int(j)): int(C[i, j]) for i, j in zip(*np.nonzero(C))}
-    return SparseTensor._raw((N, N), 1, num, N * mx.den)
+    nonzero = C != 0
+    return SparseTensor._from_columns((N, N), 1, np.argwhere(nonzero).T, C[nonzero],
+                                      N * mx.den)
 
 
 # -- graph families ------------------------------------------------------------------

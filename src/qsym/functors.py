@@ -6,11 +6,12 @@ exactly when the indices inside every block agree.  Composition then matches
 diagram composition with a factor N per closed loop, which is the master
 oracle used throughout the test-suite.
 
-``functor_T_deformed`` attaches the sign sigma_i * sigma_j that counts index
+The signed functor attaches the sign sigma_i * sigma_j that counts index
 inversions on either row; it is defined for partitions whose blocks all have
 even size.  ``evaluate_partlin`` evaluates a whole combination of partitions,
-plain or signed, and the signed functor is its one-term case, so the sign has
-one implementation: a comparison of block values per odd block pair.
+plain or signed, and the signed functor of p is its one-term case
+``evaluate_partlin(PartLin.of(p), N, deformed=True)``, so the sign has one
+implementation: a comparison of block values per odd block pair.
 
 The antisymmetrizer projections (signed, and the sign-free variant that kills
 repeated indices) are built here together with their coisometry
@@ -18,8 +19,10 @@ factorizations, which certify their rank exactly.
 
 Indices are gathered from one array of all block values: per partition in
 ``functor_T``, per block count in ``evaluate_partlin``, which then sums the
-rows of all terms at once.  The antisymmetrizers read their signs from a table
-of the k! permutation signs made once per call.
+rows of all terms at once; both hand their index columns to
+``SparseTensor._from_columns``.  The antisymmetrizers build their keys in
+Python, reading the signs from a table of the k! permutation signs made once
+per call: there the array route measured slower.
 """
 
 from __future__ import annotations
@@ -42,9 +45,8 @@ def functor_T(p: Partition, N: int) -> SparseTensor:
         raise InvalidInputError(f"functor needs N >= 1, got {N}")
     guard_sparse(N**p.n_blocks, f"functor tensor for {p} at N={N}")
     values = _block_values(p.n_blocks, N)
-    cols = values[np.array(_leg_blocks(p), dtype=np.intp)].tolist()
-    keys = zip(*cols) if cols else [()]  # zip of no columns would give no index
-    return SparseTensor._raw((N,) * (p.l + p.k), p.l, dict.fromkeys(keys, 1))
+    cols = values[np.array(_leg_blocks(p), dtype=np.intp)]
+    return SparseTensor._from_columns((N,) * (p.l + p.k), p.l, cols)
 
 
 def _block_values(nb: int, N: int) -> np.ndarray:
@@ -69,12 +71,6 @@ def sign_sigma(indices) -> int:
     return -1 if inv % 2 else 1
 
 
-def functor_T_deformed(p: Partition, N: int) -> SparseTensor:
-    """Signed functor sigma_i sigma_j [T_p]; needs all blocks of even size.
-    It is the one-term case of ``evaluate_partlin``."""
-    return evaluate_partlin(PartLin.of(p), N, deformed=True)
-
-
 def _odd_block_pairs(p: Partition) -> list[tuple[int, int]]:
     """The ordered block pairs (B, C) that have an odd number of point pairs
     in one row with B's point left of C's.
@@ -91,11 +87,6 @@ def _odd_block_pairs(p: Partition) -> list[tuple[int, int]]:
                 if c != b:
                     parity[b, c] = parity.get((b, c), 0) ^ 1
     return [pair for pair, odd in parity.items() if odd]
-
-
-# Index rows turned into key tuples at a time: the column lists of one chunk
-# are all that exists beside the finished keys.
-_KEY_CHUNK = 2**16
 
 
 def evaluate_partlin(e: PartLin, N: int, deformed: bool = False) -> SparseTensor:
@@ -126,12 +117,7 @@ def evaluate_partlin(e: PartLin, N: int, deformed: bool = False) -> SparseTensor
     cols, vals = _term_rows(parts, weights, e.l + e.k, N, deformed)
     if len(parts) > 1:  # the rows of one term are distinct indices
         cols, vals = _sum_equal_rows(cols, vals)
-    num = {}
-    for s in range(0, len(vals), _KEY_CHUNK):
-        chunk = cols[:, s : s + _KEY_CHUNK].tolist()
-        values = vals[s : s + _KEY_CHUNK].tolist()
-        num.update(zip(zip(*chunk) if chunk else [()] * len(values), values))
-    return SparseTensor._raw((N,) * (e.l + e.k), e.l, num, den)
+    return SparseTensor._from_columns((N,) * (e.l + e.k), e.l, cols, vals, den)
 
 
 def _term_rows(parts, weights, legs: int, N: int, deformed: bool):

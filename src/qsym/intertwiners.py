@@ -106,9 +106,8 @@ def hat_block_intertwiner(group: AbelianGroup, k: int, l: int,
     row_of[positions[-1]] = np.arange(dims[-1])
     last = row_of[g.position(((d if k else -d) % g.orders).T)]
     hit = last >= 0
-    keys = np.vstack([rows[:, hit], last[hit]]).T
-    num = dict.fromkeys(map(tuple, keys.tolist()), value)
-    return SparseTensor._raw(dims, l, num, den)
+    cols = np.vstack([rows[:, hit], last[hit]])
+    return SparseTensor._from_columns(dims, l, cols, value, den)
 
 
 def brute_hat_intertwiner(group: AbelianGroup, t: SparseTensor) -> SparseTensor:

@@ -15,7 +15,7 @@ and L = 1 whenever every entry is rational.  Power-basis coordinates are
 unique at a fixed level, so two normalised tensors at the same level are
 equal exactly when their denominators and numerator dicts are.
 ``Cyclotomic`` values appear only at the boundary: ``__getitem__``,
-``entries``, ``trace`` and JSON.
+``entries``, ``trace`` and JSON.  Index arrays become keys in ``_from_columns``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from types import MappingProxyType
 from .config import guard_sparse
 from .cyclotomic import ZERO, Cyclotomic, euler_phi, power_rows, recombine
 from .errors import InvalidInputError
+
+# Index columns turned into key tuples at a time by ``_from_columns``: the
+# column lists of one chunk are all that exists beside the finished keys.
+_KEY_CHUNK = 2**16
 
 
 class _Layout:
@@ -221,6 +225,22 @@ class SparseTensor:
         """Trusted construction from numerators (taken over and normalised);
         indices are not checked."""
         return cls(shape, out_axes, _Layout(level, den, num))
+
+    @classmethod
+    def _from_columns(cls, shape, out_axes: int, cols, num=1, den: int = 1, level: int = 1):
+        """Trusted construction from a (legs, nnz) integer array of distinct
+        index columns.  ``num`` is one int shared by every entry, or an array
+        whose row j is column j's numerator: an int when 1-D, the phi(level)
+        power-basis coefficients when 2-D."""
+        chunks = [slice(s, s + _KEY_CHUNK) for s in range(0, cols.shape[1], _KEY_CHUNK)]
+        keys = itertools.chain.from_iterable(zip(*cols[:, c].tolist()) for c in chunks)
+        if not len(cols):  # zip of no columns gives no key; a 0-leg tensor's is ()
+            keys = [()] * cols.shape[1]
+        if isinstance(num, int):
+            return cls._raw(shape, out_axes, dict.fromkeys(keys, num), den, level)
+        values = itertools.chain.from_iterable(num[c].tolist() for c in chunks)
+        values = map(tuple, values) if num.ndim == 2 else values
+        return cls._raw(shape, out_axes, dict(zip(keys, values)), den, level)
 
     def __setattr__(self, *a):
         raise AttributeError("SparseTensor instances are immutable")

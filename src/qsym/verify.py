@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -250,18 +250,12 @@ def _pairing_rows(pairs, r: int) -> np.ndarray:
     return np.argwhere(total == 0)
 
 
-def _indicator(shape, out_axes: int, rows: np.ndarray) -> SparseTensor:
-    """The tensor with entry 1 at each row of ``rows`` and 0 elsewhere."""
-    num = dict.fromkeys(map(tuple, rows.tolist()), 1)
-    return SparseTensor._raw(shape, out_axes, num)
-
-
 def _folded_fork_check(rep: VerificationReport, spec: SpectralDecomposition):
     g = spec.graph.group
     basis, pairs = _folded_v2_basis(spec)
     proj = hat_block_intertwiner(g, 1, 2, basis, basis)
     scaled = proj.scale(Fraction(g.order))
-    expected = _indicator(scaled.shape, 2, _pairing_rows(pairs, 3))
+    expected = SparseTensor._from_columns(scaled.shape, 2, _pairing_rows(pairs, 3).T)
     rep.add("fork-projection", "N * projected fork = pairing indicator",
             "pass" if scaled == expected else "fail")
 
@@ -273,7 +267,7 @@ def _folded_pairing_tensor_check(rep: VerificationReport, size: int):
     t = evaluate_partlin(combo, size, deformed=True).scale(Fraction(16))
     two_points = np.array(list(itertools.permutations(range(size), 2)))
     rows = two_points[_pairing_rows(two_points, 4)].reshape(-1, 8)
-    ok = t == _indicator((size,) * 8, t.out_axes, rows)
+    ok = t == SparseTensor._from_columns((size,) * 8, t.out_axes, rows.T)
     rep.add("pairing-tensor",
             f"2^4 x signed six-pairing combination = pairing indicator, size {size}",
             "pass" if ok else "fail")
@@ -499,8 +493,6 @@ def suite_eigenspace_invariance(seed: int = 11) -> VerificationReport:
 
 def suite_antisymmetrizers(n_max: int = 6, seed: int = 99) -> VerificationReport:
     rep = VerificationReport("antisymmetrizers")
-    from math import factorial
-
     ok = True
     detail = ""
     for n in range(1, n_max + 1):

@@ -13,7 +13,6 @@ from qsym.functors import (
     antisymmetrizer,
     evaluate_partlin,
     functor_T,
-    functor_T_deformed,
     partlin_evaluates_to_zero,
     permanent_direct,
     permanent_via_wedge,
@@ -57,7 +56,7 @@ def test_sign_sigma():
 
 
 def test_deformed_crossing_signs():
-    t = functor_T_deformed(Partition.crossing(), 3)
+    t = evaluate_partlin(PartLin.of(Partition.crossing()), 3, deformed=True)
     for i in range(3):
         for j in range(3):
             # entry at out=(j,i), in=(i,j)
@@ -66,7 +65,7 @@ def test_deformed_crossing_signs():
 
 
 def test_deformed_cup_ties():
-    t = functor_T_deformed(Partition.cup(), 3)
+    t = evaluate_partlin(PartLin.of(Partition.cup()), 3, deformed=True)
     for j in range(3):
         assert t[(j, j)] == 1
 
@@ -127,7 +126,7 @@ def test_deformed_signs_match_sign_sigma(p, N):
     partitions."""
     expected = {idx: sign_sigma(idx[p.l:]) * sign_sigma(idx[: p.l])
                 for idx in _functor_oracle(p, N)}
-    assert functor_T_deformed(p, N) == _as_tensor(p, N, expected)
+    assert evaluate_partlin(PartLin.of(p), N, deformed=True) == _as_tensor(p, N, expected)
 
 
 @pytest.mark.parametrize("text", [
@@ -144,7 +143,7 @@ def test_functor_on_one_sided_partitions(text, N):
     if not p.has_odd_block():
         expected = {idx: sign_sigma(idx[p.l:]) * sign_sigma(idx[: p.l])
                     for idx in _functor_oracle(p, N)}
-        assert functor_T_deformed(p, N) == _as_tensor(p, N, expected)
+        assert evaluate_partlin(PartLin.of(p), N, deformed=True) == _as_tensor(p, N, expected)
 
 
 @pytest.mark.parametrize("deformed", [False, True])
@@ -294,7 +293,7 @@ def test_antisymmetrizers_match_relative_sign(n, k, deformed):
 
 def test_deformed_rejects_odd_blocks():
     with pytest.raises(InvalidInputError):
-        functor_T_deformed(Partition.merge(), 2)
+        evaluate_partlin(PartLin.of(Partition.merge()), 2, deformed=True)
 
 
 @pytest.mark.parametrize("N", [3, 4])
@@ -436,8 +435,8 @@ def test_deformed_equals_plain_on_nested_pairing():
     # nested noncrossing pairing: indices come in mirrored pairs, so the
     # inversion count is even and the sign vanishes entrywise
     nested = Partition.parse("P(0,4){1' 4' | 2' 3'}")
-    assert functor_T_deformed(nested, 4) == functor_T(nested, 4)
+    assert evaluate_partlin(PartLin.of(nested), 4, deformed=True) == functor_T(nested, 4)
     crossing = Partition.crossing()
     base = functor_T(crossing, 3)
-    signed = functor_T_deformed(crossing, 3)
+    signed = evaluate_partlin(PartLin.of(crossing), 3, deformed=True)
     assert {idx for idx in base.entries} == {idx for idx in signed.entries}

@@ -273,6 +273,37 @@ def test_hadamard_conjugation_guards_before_it_allocates(monkeypatch):
     assert conjugate_by_fourier(gr.group, a) == expected
 
 
+def _legs_of_block(orders, k, l):
+    g = make_group(orders)
+    return fourier_transform_legs(g, functor_T(Partition.block(k, l), g.order))
+
+
+@pytest.mark.parametrize("cap, count, what, build", [
+    ("QSYM_MAX_SPARSE", 200**2, "functor tensor",
+     lambda: functor_T(Partition.crossing(), 200)),
+    ("QSYM_MAX_SPARSE", 100**2, "hat block intertwiner",
+     lambda: hat_block_intertwiner(make_group([100]), 2, 1)),
+    ("QSYM_MAX_DENSE", 64**2, "Fourier matrix", lambda: fourier_matrix(make_group([64]))),
+    # N^legs * phi(M) power-basis coordinates
+    ("QSYM_MAX_DENSE", 25**3 * 4, "group-algebra Fourier transform",
+     lambda: _legs_of_block([5, 5], 2, 1)),
+    # one leg of Z_16: the (m, m, phi, phi) twist kernel is the largest array
+    ("QSYM_MAX_DENSE", 16**2 * 8**2, "Fourier twist kernel",
+     lambda: _legs_of_block([16], 1, 0)),
+], ids=["functor_T", "hat_block_intertwiner", "fourier_matrix", "fourier_transform_legs",
+        "twist_kernel"])
+def test_builders_guard_before_they_allocate(monkeypatch, cap, count, what, build):
+    """One below its guard's count a builder refuses with a small peak and
+    caches no kernel; at the count it builds at most that many entries."""
+    _twist_kernel.cache_clear()
+    _twist_kernel_col_sum.cache_clear()
+    monkeypatch.setenv(cap, str(count - 1))
+    assert _guard_peak_bytes(build, f"{what}.* needs {count} ") < 16 * 1024
+    assert _twist_kernel.cache_info().currsize == 0
+    monkeypatch.setenv(cap, str(count))
+    assert 0 < build().nnz() <= count
+
+
 def test_fourier_kernel_sums_past_int64():
     # each numerator fits in int64, their sum 2^63 does not
     g = make_group([2])
@@ -321,11 +352,11 @@ def test_fourier_kernel_at_its_int64_bound(orders):
 def test_brute_hat_guards_its_dense_array(monkeypatch):
     g = make_group([3, 3])
     t = functor_T(Partition.block(2, 1), g.order)
-    # N^(k+l) * M = 9^3 * 3 entries in Z[x]/(x^3 - 1)
-    monkeypatch.setenv("QSYM_MAX_DENSE", str(9**3 * 3 - 1))
+    # N^(k+l) * phi(M) = 9^3 * 2 power-basis coordinates in Q(zeta_3)
+    monkeypatch.setenv("QSYM_MAX_DENSE", str(9**3 * 2 - 1))
     with pytest.raises(SizeGuardError, match="group-algebra Fourier transform"):
         brute_hat_intertwiner(g, t)
-    monkeypatch.setenv("QSYM_MAX_DENSE", str(9**3 * 3))
+    monkeypatch.setenv("QSYM_MAX_DENSE", str(9**3 * 2))
     assert brute_hat_intertwiner(g, t) == hat_block_intertwiner(g, 2, 1)
 
 

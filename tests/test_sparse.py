@@ -10,12 +10,15 @@ import itertools
 import json
 from fractions import Fraction
 from math import factorial, gcd
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsym.cyclotomic import ZERO, Cyclotomic, euler_phi
+from qsym import sparse
 from qsym.errors import InvalidInputError, SizeGuardError
 from qsym.sparse import SparseTensor
 
@@ -337,6 +340,71 @@ def test_irrational_tensor_has_no_rational_entries():
     t = SparseTensor((1,), 1, {(0,): Cyclotomic.zeta(3)})
     with pytest.raises(InvalidInputError):
         t.rational_entries()
+
+
+# -- construction from index columns --------------------------------------------------
+
+CHUNK = 4  # _KEY_CHUNK while the column property runs, so chunk edges are cheap
+
+
+@st.composite
+def column_cases(draw):
+    """(shape, out_axes, cols, num, den, level) for ``_from_columns``: distinct
+    index columns in random order, and a numerator that is one shared int, a
+    1-D int64 or object array, or 2-D power-basis rows at level 8."""
+    legs = draw(st.integers(0, 3))
+    shape = tuple(draw(st.lists(st.integers(2, 3), min_size=legs, max_size=legs)))
+    cells = list(itertools.product(*(range(d) for d in shape)))
+    count = draw(st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+                 .filter(lambda c: c <= len(cells)))
+    keys = draw(st.permutations(cells))[:count]
+    dtype = draw(st.sampled_from([np.uint8, np.int64]))
+    cols = np.array(keys, dtype=dtype).reshape(count, legs).T
+    kind = draw(st.sampled_from(["shared", "int64", "object", "rows", "level 2"]))
+    big = st.integers(-(2**70), 2**70)
+    small = st.integers(-3, 3)
+    level = {"rows": 8, "level 2": 2}.get(kind, 1)
+    if kind == "shared":
+        num = draw(small)
+    elif kind == "rows":
+        width = euler_phi(level)
+        num = np.array(draw(st.lists(st.lists(small, min_size=width, max_size=width),
+                                     min_size=count, max_size=count)),
+                       dtype=np.int64).reshape(count, width)
+    else:
+        values = draw(st.lists(big if kind == "object" else small,
+                               min_size=count, max_size=count))
+        num = np.array(values, dtype=object if kind == "object" else np.int64)
+    return shape, draw(st.integers(0, legs)), cols, num, draw(st.integers(1, 6)), level
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_cases())
+@example(((), 0, np.zeros((0, 1), dtype=np.int64), 5, 2, 1))  # the one key ()
+@example(((), 0, np.zeros((0, 0), dtype=np.int64), 1, 1, 1))
+def test_from_columns_matches_entrywise_construction(case):
+    """``_from_columns`` builds the tensor that the dict of its columns,
+    made entry by entry, builds through ``_raw``: keys, key order, Python
+    int values, den and level."""
+    shape, out_axes, cols, num, den, level = case
+    reference = {}
+    for j in range(cols.shape[1]):
+        key = tuple(int(i) for i in cols[:, j])
+        if isinstance(num, int):
+            reference[key] = num
+        elif num.ndim == 2:
+            reference[key] = tuple(int(c) for c in num[j])
+        else:
+            reference[key] = int(num[j])
+    expected = SparseTensor._raw(shape, out_axes, reference, den, level)
+    with mock.patch.object(sparse, "_KEY_CHUNK", CHUNK):
+        t = SparseTensor._from_columns(shape, out_axes, cols, num, den, level)
+    assert (t.shape, t.out_axes, t.level, t.den) == (
+        expected.shape, expected.out_axes, expected.level, expected.den)
+    assert list(t.numerators.items()) == list(expected.numerators.items())
+    for key, v in t.numerators.items():
+        assert all(type(i) is int for i in key)
+        assert all(type(c) is int for c in (v if t.level > 1 else (v,)))
 
 
 # -- size guards fire inside each operation, before its result is built ---------------
