@@ -244,7 +244,9 @@ def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor
                                       t.den * N**t.out_axes, M)
 
 
-@functools.cache
+# One timed pass of any benchmark workload uses at most 20 kernels; the
+# bound keeps a process that walks many group sizes from keeping them all.
+@functools.lru_cache(maxsize=32)
 def _twist_kernel(m: int, step: int, M: int) -> np.ndarray:
     """K[a, b, i, :] = the power-basis row of zeta_M^(i + step*a*b) for digits
     a, b < m and i < phi(M): K[a, b] is the matrix of multiplication by

@@ -22,8 +22,8 @@ from math import lcm
 
 import numpy as np
 
-from .config import guard_dense
-from .errors import InvalidInputError
+from .config import guard_dense, max_dense
+from .errors import InvalidInputError, SizeGuardError
 from .polyq import PolyQ
 
 
@@ -35,7 +35,7 @@ class Partition:
     partitions are equal iff their canonical assignments coincide.
     """
 
-    __slots__ = ("k", "l", "assign")
+    __slots__ = ("k", "l", "assign", "_hash")
 
     def __init__(self, k: int, l: int, assign):
         if k < 0 or l < 0:
@@ -45,9 +45,11 @@ class Partition:
             raise InvalidInputError(
                 f"assignment covers {len(assign)} points, expected {k}+{l}"
             )
+        assign = _canonical(assign)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
-        object.__setattr__(self, "assign", _canonical(assign))
+        object.__setattr__(self, "assign", assign)
+        object.__setattr__(self, "_hash", hash((k, l, assign)))
 
     @classmethod
     def _raw(cls, k: int, l: int, assign: tuple) -> "Partition":
@@ -56,6 +58,7 @@ class Partition:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "assign", assign)
+        object.__setattr__(self, "_hash", hash((k, l, assign)))
         return self
 
     def __setattr__(self, *a):
@@ -219,7 +222,7 @@ class Partition:
         )
 
     def __hash__(self):
-        return hash((self.k, self.l, self.assign))
+        return self._hash
 
 
 def _canonical(assign):
@@ -316,6 +319,16 @@ class PartLin:
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "terms", tmap)
 
+    @classmethod
+    def _raw(cls, k: int, l: int, terms: dict) -> "PartLin":
+        """Trusted construction from a dict of partitions of shape (k,l) to
+        nonzero PolyQ coefficients, which it keeps without a copy."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, *a):
         raise AttributeError("PartLin instances are immutable")
 
@@ -343,19 +356,28 @@ class PartLin:
         other = self.coerce(other)
         self._check_shape(other)
         terms = dict(self.terms)
+        cancelled = False
         for part, c in other.terms.items():
-            terms[part] = terms.get(part, PolyQ()) + c
-        return PartLin(self.k, self.l, terms)
+            mine = terms.get(part)
+            if mine is not None:
+                c = mine + c
+                cancelled = cancelled or c.is_zero()
+            terms[part] = c
+        if cancelled:
+            terms = {p: c for p, c in terms.items() if not c.is_zero()}
+        return PartLin._raw(self.k, self.l, terms)
 
     def __neg__(self):
-        return PartLin(self.k, self.l, {p: -c for p, c in self.terms.items()})
+        return PartLin._raw(self.k, self.l, {p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self.coerce(other))
 
     def scale(self, factor) -> "PartLin":
         factor = PolyQ.coerce(factor)
-        return PartLin(self.k, self.l, {p: c * factor for p, c in self.terms.items()})
+        if factor.is_zero():
+            return PartLin.zero(self.k, self.l)
+        return PartLin._raw(self.k, self.l, {p: c * factor for p, c in self.terms.items()})
 
     __mul__ = scale
     __rmul__ = scale
@@ -446,7 +468,8 @@ def compose(q, p) -> PartLin:
     numpy blocks, and ``compose_partitions``, one pair by union-find, is the
     oracle it is tested against.  Each factor's coefficients are cleared to
     integers over one denominator, and the products are summed per output
-    partition and power of n before one PolyQ per output is built.  Output
+    partition and power of n; each output's integer row becomes its PolyQ
+    with one gcd.  Output
     terms keep the order in which the pairs (q's terms outer, p's inner)
     first reach them.
     """
@@ -466,21 +489,23 @@ def compose(q, p) -> PartLin:
     gid, firsts = _group_rows(rows)
     sums = _sum_products(gid, len(firsts), loops, q_rows, p_rows)
     den = q_den * p_den
-    return PartLin(k, m, {
-        Partition._raw(k, m, tuple(r)): PolyQ([Fraction(c, den) for c in cs])
-        for r, cs in zip(rows[firsts].tolist(), sums.tolist())
-    })
+    terms = {}
+    for r, cs in zip(rows[firsts].tolist(), sums.tolist()):
+        coeff = PolyQ._from_ints(cs, den)
+        if not coeff.is_zero():
+            terms[Partition._raw(k, m, tuple(r))] = coeff
+    return PartLin._raw(k, m, terms)
 
 
 def _integer_terms(x: PartLin):
     """(D, rows) with row t holding the integers over D of the coefficients
     of x's term t, from the constant up, padded with zeros to one length."""
-    den = lcm(1, *(c.denominator for coeff in x.terms.values() for c in coeff.coeffs))
-    width = max(len(coeff.coeffs) for coeff in x.terms.values())
+    coeffs = x.terms.values()
+    den = lcm(*(c.den for c in coeffs))
+    width = max(len(c.numerators) for c in coeffs)
     return den, [
-        [c.numerator * (den // c.denominator) for c in coeff.coeffs]
-        + [0] * (width - len(coeff.coeffs))
-        for coeff in x.terms.values()
+        [v * (den // c.den) for v in c.numerators] + [0] * (width - len(c.numerators))
+        for c in coeffs
     ]
 
 
@@ -638,12 +663,31 @@ def antisymmetrize(x) -> PartLin:
         raise InvalidInputError(
             f"antisymmetrize needs even rows, got shape ({x.k},{x.l})"
         )
+    if x.is_zero():
+        return x
+    # Guard before a row of 2^(k/2) or 2^(l/2) terms is built: the larger
+    # row's own tensor product, then both compositions, the second pairing
+    # at most len(x.terms) * 2^(k/2) terms of the first result with 2^(l/2).
+    if max(x.k, x.l) > 2:
+        _guard_power_of_two(max(x.k, x.l) // 2, "partition tensor product")
+    if x.k or x.l:
+        _guard_power_of_two((x.k + x.l) // 2, "partition composition", len(x.terms))
     out = x
     if x.k:
         out = compose(out, antisym_row(x.k // 2))
     if x.l:
         out = compose(antisym_row(x.l // 2), out)
     return out
+
+
+def _guard_power_of_two(e: int, what: str, factor: int = 1):
+    """guard_dense(factor * 2^e, what) for factor >= 1, without forming 2^e
+    when it alone is over the cap: it may have too many digits to print."""
+    if e >= max_dense().bit_length():
+        raise SizeGuardError(
+            f"{what} needs at least 2^{e} dense entries, over the cap {max_dense()} "
+            f"(raise QSYM_MAX_DENSE to override)")
+    guard_dense(factor << e, what)
 
 
 @lru_cache(maxsize=None)

@@ -252,10 +252,12 @@ _DIGITS = "7" * 5_000
     ("id(2000000)", "partition P(2000000,2000000) needs"),
     ("P(1000000000,0){}", "partition P(1000000000,0) needs"),
     ("scale(poly(n^100000), cap)", "polynomial power needs"),
+    # a row of 2^18 terms on each side: refused before either is built
+    ("asym(id(36))", "partition composition needs at least 2^36 "),
 ], ids=["id-digits", "literal-digits", "poly-digits", "label-digits", "pk-points",
-        "id-points", "literal-points", "poly-power"])
+        "id-points", "literal-points", "poly-power", "asym-rows"])
 def test_partition_eval_oversized_input_is_bad_input(capsys, text, message):
-    # each is refused before a point list or a polynomial is built
+    # each is refused before a point list, a polynomial or a product is built
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "partition", "eval", text)
     assert code == 2 and out == ""

@@ -23,7 +23,7 @@ from qsym.cayley import (
 )
 from qsym.cyclotomic import Cyclotomic, euler_phi
 from qsym.errors import InvalidInputError, SizeGuardError
-from qsym.functors import functor_T
+from qsym.functors import antisym_coisometry, antisymmetrizer, functor_T
 from qsym.groups import make_group
 from qsym.intertwiners import (
     EigenprojectionBasis,
@@ -290,8 +290,13 @@ def _legs_of_block(orders, k, l):
     # one leg of Z_16: the (m, m, phi, phi) twist kernel is the largest array
     ("QSYM_MAX_DENSE", 16**2 * 8**2, "Fourier twist kernel",
      lambda: _legs_of_block([16], 1, 0)),
+    # C(n, k) increasing tuples, each with k! x k! (or k!) arrangements
+    ("QSYM_MAX_SPARSE", 20 * 6**2, "antisymmetrizer k=3, n=6",
+     lambda: antisymmetrizer(3, 6)),
+    ("QSYM_MAX_SPARSE", 120 * 6, "coisometry k=3, n=10",
+     lambda: antisym_coisometry(3, 10, deformed=True)),
 ], ids=["functor_T", "hat_block_intertwiner", "fourier_matrix", "fourier_transform_legs",
-        "twist_kernel"])
+        "twist_kernel", "antisymmetrizer", "antisym_coisometry"])
 def test_builders_guard_before_they_allocate(monkeypatch, cap, count, what, build):
     """One below its guard's count a builder refuses with a small peak and
     caches no kernel; at the count it builds at most that many entries."""
@@ -524,3 +529,12 @@ def test_projected_fork_intertwines_restricted_automorphism():
     u = perm_matrix(coordinate_perm(g, [1, 2, 3, 0]))
     v = project(u, basis, basis)
     assert fork @ v == v.tensor(v) @ fork
+
+
+def test_twist_kernel_cache_is_bounded():
+    # 40 distinct (m, step, M) keys, more than the cache keeps
+    _twist_kernel.cache_clear()
+    for M in range(1, 41):
+        _twist_kernel(1, 1, M)
+    assert _twist_kernel.cache_info().currsize <= 32
+    _twist_kernel.cache_clear()

@@ -504,3 +504,32 @@ def test_compose_guard_fires_before_allocating(monkeypatch):
 
     below, at_cap = peak(120 * 100 - 1, refused), peak(120 * 100, lambda: compose(q, p))
     assert below < 16 * 1024 and 50 * below < at_cap
+
+
+@pytest.mark.parametrize("count, what, build", [
+    (20 * 15, "partition tensor product needs 300 ",
+     lambda a, b: a.tensor(b)),
+    # a row of 2^6 terms on each side, the second product pairing at most
+    # 2^6 x 2^6 terms
+    (2**12, r"partition composition needs at least 2\^12 ",
+     lambda a, b: antisymmetrize(PartLin.of(Partition.identity(12)))),
+], ids=["tensor", "antisymmetrize"])
+def test_products_guard_before_they_allocate(monkeypatch, count, what, build):
+    """One below its guard's count a product refuses with a small peak and
+    caches no antisymmetrizer row; at the count it builds at most that many
+    terms."""
+    a = spread(distinct_partitions(3, 3, 20))
+    b = spread(distinct_partitions(2, 2, 15))
+    antisym_row.cache_clear()
+    monkeypatch.setenv("QSYM_MAX_DENSE", str(count - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=what):
+            build(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
+    assert antisym_row.cache_info().currsize == 0
+    monkeypatch.setenv("QSYM_MAX_DENSE", str(count))
+    assert 0 < len(build(a, b).terms) <= count
