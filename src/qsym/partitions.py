@@ -467,11 +467,10 @@ def compose(q, p) -> PartLin:
     One vectorised route: ``_glue_pairs`` glues all term pairs at once in
     numpy blocks, and ``compose_partitions``, one pair by union-find, is the
     oracle it is tested against.  Each factor's coefficients are cleared to
-    integers over one denominator, and the products are summed per output
-    partition and power of n; each output's integer row becomes its PolyQ
-    with one gcd.  Output
-    terms keep the order in which the pairs (q's terms outer, p's inner)
-    first reach them.
+    integers over one denominator, the products are summed per output
+    partition and power of n, and each output's integer row becomes its
+    PolyQ with one gcd.  Output terms keep the order in which the pairs
+    (q's terms outer, p's inner) first reach them.
     """
     q, p = PartLin.coerce(q), PartLin.coerce(p)
     if p.l != q.k:
