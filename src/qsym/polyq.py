@@ -113,7 +113,7 @@ class PolyQ:
             raise InvalidInputError("negative polynomial power")
         # k multiplications of at most len*k by len coefficients each
         guard_dense((len(self.numerators) * k) ** 2, "polynomial power")
-        out = PolyQ._raw((1,), 1)
+        out = PolyQ.const(1)
         for _ in range(k):
             out = out * self
         return out
