@@ -131,8 +131,12 @@ def cmd_partition(args) -> int:
             print(json.dumps(stats, sort_keys=True))
         return EXIT_OK
     # action == check: the checker of `qsym verify lemmas`
-    with open(args.file, "r", encoding="utf-8") as fh:
-        checks = load_fixture_file(fh.read())
+    try:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read {args.file}: {exc}") from None
+    checks = load_fixture_file(text)
     rep = check_identities(VerificationReport(args.file), checks)
     _emit_report(rep, False)
     return rep.exit_code()
@@ -219,7 +223,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (QsymError, FileNotFoundError) as exc:
+    except QsymError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # a bug, not a verdict: keep it apart from exit 1

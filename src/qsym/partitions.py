@@ -6,8 +6,9 @@ formal Q[n]-linear combination of partitions of a common shape.  Composition
 glues the lower row of the first factor to the upper row of the second and
 replaces each closed middle component ("loop") by a factor n, so identities
 between combinations hold with polynomial coefficients in n.  ``compose``
-glues all term pairs of a product at once in numpy; ``compose_partitions``
-is the one-pair union-find it is checked against.
+is the one composition route: it glues all term pairs of a product at once
+in numpy, and ``verify functoriality`` checks it against the tensor functor.
+Two-point antisymmetrizer rows are written down term by term.
 
 Points are written 1..k for the upper row and 1'..l' for the lower row, as in
 the text format ``P(2,2){1 2' | 2 1'}``.
@@ -16,7 +17,6 @@ the text format ``P(2,2){1 2' | 2 1'}``.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -256,50 +256,6 @@ def _point_position(p, k, l):
     raise InvalidInputError(f"bad point label {p!r}")
 
 
-def compose_partitions(q: Partition, p: Partition) -> tuple[Partition, int]:
-    """q after p: glue p's lower row to q's upper row.
-
-    Returns the composed partition in P(p.k, q.l) together with the number of
-    closed middle-row loops (components meeting neither outer row).  This is
-    the union-find oracle for the vectorised ``compose``.
-    """
-    if p.l != q.k:
-        raise InvalidInputError(
-            f"arity mismatch: cannot compose P({q.k},{q.l}) after P({p.k},{p.l})"
-        )
-    assign, loops = _glue(q.assign, p.assign, p.k, p.l, p.n_blocks)
-    return Partition._raw(p.k, q.l, assign), loops
-
-
-def _glue(qa, pa, k: int, l: int, offset: int) -> tuple[tuple, int]:
-    """Canonical assignment and loop count of q after p, from their
-    assignments, p's shape (k, l) and p's block count ``offset``.
-
-    Union-find over blocks: p's block b is node b, q's block b is node
-    offset + b, and middle point j joins p's block of lower point j to q's
-    block of upper point j.  A component that reaches no outer point is a
-    loop.
-    """
-    parent = list(range(offset + max(qa, default=-1) + 1))
-    components = len(parent)
-    for j in range(l):
-        x, y = pa[k + j], offset + qa[j]
-        while parent[x] != x:
-            x = parent[x]
-        while parent[y] != y:
-            y = parent[y]
-        if x != y:
-            parent[x] = y
-            components -= 1
-    roots = {}
-    assign = []
-    for node in pa[:k] + tuple(offset + b for b in qa[l:]):
-        while parent[node] != node:
-            node = parent[node]
-        assign.append(roots.setdefault(node, len(roots)))
-    return tuple(assign), components - len(roots)
-
-
 class PartLin:
     """A formal Q[n]-linear combination of partitions of one shape (k,l)."""
 
@@ -464,13 +420,13 @@ class PartLin:
 def compose(q, p) -> PartLin:
     """q after p, bilinearly, with a factor n per closed loop.
 
-    One vectorised route: ``_glue_pairs`` glues all term pairs at once in
-    numpy blocks, and ``compose_partitions``, one pair by union-find, is the
-    oracle it is tested against.  Each factor's coefficients are cleared to
-    integers over one denominator, the products are summed per output
-    partition and power of n, and each output's integer row becomes its
-    PolyQ with one gcd.  Output terms keep the order in which the pairs
-    (q's terms outer, p's inner) first reach them.
+    The only composition route: ``_glue_pairs`` glues all term pairs at
+    once in numpy blocks, and ``verify functoriality`` checks its partition
+    and loop count through T_q T_p = N^loops T_(q after p).  Each factor's
+    coefficients are cleared to integers over one denominator, the products
+    are summed per output partition and power of n, and each output's
+    integer row becomes its PolyQ with one gcd.  Output terms keep the
+    order in which the pairs (q's terms outer, p's inner) first reach them.
     """
     q, p = PartLin.coerce(q), PartLin.coerce(p)
     if p.l != q.k:
@@ -630,25 +586,24 @@ def _sum_products(gid, groups: int, loops, q_rows, p_rows):
 
 
 @lru_cache(maxsize=None)
-def antisym2() -> PartLin:
-    """The two-point antisymmetrizer 1/2 (id - crossing) in P(2,2)."""
-    return PartLin(
-        2,
-        2,
-        {
-            Partition.identity(2): PolyQ.const(Fraction(1, 2)),
-            Partition.crossing(): PolyQ.const(Fraction(-1, 2)),
-        },
-    )
-
-
-@lru_cache(maxsize=None)
 def antisym_row(r: int) -> PartLin:
-    """antisym2^(x r), acting on a row of r two-points (2r actual points)."""
-    out = PartLin.of(Partition.identity(0)) if r == 0 else antisym2()
-    for _ in range(r - 1):
-        out = out.tensor(antisym2())
-    return out
+    """The two-point antisymmetrizer 1/2 (id - crossing) tensored r times,
+    acting on a row of r two-points (2r actual points).
+
+    Written down directly: the term of a subset S of the two-points crosses
+    each two-point in S and has coefficient (-1)^|S| / 2^r.  Terms come in
+    the tensor product's order, the last two-point varying fastest.
+    """
+    # term t crosses two-point j when bit r-1-j of t is set
+    crossed = (np.arange(2**r)[:, None] >> np.arange(r - 1, -1, -1)) & 1
+    # crossing two-point j joins lower point 2j to upper 2j+1 and back
+    lower = np.arange(2 * r).reshape(r, 2) + crossed[:, :, None] * [1, -1]
+    upper = tuple(range(2 * r))
+    signs = tuple(PolyQ._raw((s,), 2**r) for s in (1, -1))
+    odd = (crossed.sum(axis=1) % 2).tolist()
+    return PartLin._raw(2 * r, 2 * r, {
+        Partition._raw(2 * r, 2 * r, upper + tuple(row)): signs[o]
+        for row, o in zip(lower.reshape(2**r, 2 * r).tolist(), odd)})
 
 
 def antisymmetrize(x) -> PartLin:
@@ -665,8 +620,9 @@ def antisymmetrize(x) -> PartLin:
     if x.is_zero():
         return x
     # Guard before a row of 2^(k/2) or 2^(l/2) terms is built: the larger
-    # row's own tensor product, then both compositions, the second pairing
-    # at most len(x.terms) * 2^(k/2) terms of the first result with 2^(l/2).
+    # row, counted as the tensor product of two-point antisymmetrizers it
+    # equals, then both compositions, the second pairing at most
+    # len(x.terms) * 2^(k/2) terms of the first result with 2^(l/2).
     if max(x.k, x.l) > 2:
         _guard_power_of_two(max(x.k, x.l) // 2, "partition tensor product")
     if x.k or x.l:
@@ -692,22 +648,14 @@ def _guard_power_of_two(e: int, what: str, factor: int = 1):
 @lru_cache(maxsize=None)
 def _twopoint_swap_element(r: int, i: int) -> PartLin:
     """Antisymmetrized crossing of adjacent two-points i, i+1 (1-based) in a
-    row of r two-points."""
+    row of r two-points: the permutation partition that trades the two
+    two-points and fixes every other point, antisymmetrized."""
     if not 1 <= i < r:
         raise InvalidInputError(f"two-point position {i} out of range 1..{r - 1}")
-    swap = Partition.from_blocks(4, 4, [[1, "3'"], [2, "4'"], [3, "1'"], [4, "2'"]])
-    factors = []
-    for j in range(1, r + 1):
-        if j == i:
-            factors.append(PartLin.of(swap))
-        elif j == i + 1:
-            continue
-        else:
-            factors.append(PartLin.of(Partition.identity(2)))
-    out = factors[0]
-    for f in factors[1:]:
-        out = out.tensor(f)
-    return antisymmetrize(out)
+    lower = list(range(2 * r))
+    j = 2 * i - 2
+    lower[j:j + 4] = lower[j + 2:j + 4] + lower[j:j + 2]
+    return antisymmetrize(Partition._raw(2 * r, 2 * r, tuple(range(2 * r)) + tuple(lower)))
 
 
 def two_point_swap(e: PartLin, i: int, row: str = "lower") -> PartLin:

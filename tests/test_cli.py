@@ -198,6 +198,20 @@ def test_partition_check_error_names_its_line(tmp_path, capsys):
 def test_partition_check_missing_file(capsys):
     code, _, err = run_cli(capsys, "partition", "check", "/nonexistent.pcalc")
     assert code == 2
+    assert err.startswith("error: cannot read /nonexistent.pcalc: ")
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"check a: cap == cap\n\xff\xfe\n"),
+], ids=["directory", "not-utf8"])
+def test_partition_check_unreadable_file_is_invalid_input(tmp_path, capsys, make):
+    path = tmp_path / "fixture.pcalc"
+    make(path)
+    code, out, err = run_cli(capsys, "partition", "check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_verify_lemmas(capsys):

@@ -7,7 +7,7 @@ import pytest
 from qsym.dsl import eval_text, load_fixture_file
 from qsym.errors import ParseError
 from qsym.lemmas import load_all_fixtures
-from qsym.partitions import Partition, PartLin, antisym2, antisymmetrize, compose
+from qsym.partitions import Partition, PartLin, antisym_row, antisymmetrize, compose
 from qsym.polyq import N_POLY
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -37,7 +37,7 @@ def test_eval_loop():
 
 
 def test_eval_asym_id2():
-    assert eval_text("asym(id(2))") == antisym2()
+    assert eval_text("asym(id(2))") == antisym_row(1)
 
 
 def test_eval_pk2():

@@ -21,9 +21,10 @@ from qsym.functors import (
 )
 from qsym.dsl import eval_text
 from qsym.errors import InvalidInputError, SizeGuardError
-from qsym.partitions import Partition, PartLin, compose, compose_partitions
+from qsym.partitions import Partition, PartLin, compose
 from qsym.polyq import N_POLY, PolyQ
 from qsym.sparse import SparseTensor
+from qsym.verify import suite_functoriality
 
 
 def test_functor_identity_strand():
@@ -304,24 +305,8 @@ def test_block_compose_oracle(N):
 
 
 def test_functoriality_random_pairs():
-    rng = random.Random(20240817)
-    checked = 0
-    while checked < 60:
-        k = rng.randint(0, 3)
-        l = rng.randint(1, 3)
-        m = rng.randint(0, 3)
-        if k + l + m > 8 or (k + l == 0) or (l + m == 0):
-            continue
-        N = rng.randint(4, 7)
-        p = random_partition(rng, k, l)
-        q = random_partition(rng, l, m)
-        if N ** p.n_blocks > 2 * 10**5 or N ** q.n_blocks > 2 * 10**5:
-            continue
-        r, loops = compose_partitions(q, p)
-        lhs = functor_T(q, N) @ functor_T(p, N)
-        rhs = functor_T(r, N).scale(Fraction(N**loops))
-        assert lhs == rhs, (p, q, N)
-        checked += 1
+    rep = suite_functoriality(60)
+    assert rep.passed, rep.render()
 
 
 def test_partlin_evaluate_matches_terms():

@@ -14,14 +14,15 @@ from qsym.functors import evaluate_partlin, partlin_evaluates_to_zero
 from qsym.partitions import (
     Partition,
     PartLin,
-    antisym2,
+    _twopoint_swap_element,
     antisym_row,
     antisymmetrize,
     compose,
-    compose_partitions,
     two_point_swap,
 )
 from qsym.polyq import N_POLY, PolyQ
+
+from oracles import compose_partitions
 
 
 def test_make_partition_examples():
@@ -121,7 +122,7 @@ def test_compose_distributes():
 
 
 def test_antisym2_form():
-    a = antisym2()
+    a = antisym_row(1)
     expected = PartLin(
         2,
         2,
@@ -134,14 +135,41 @@ def test_antisym2_form():
 
 
 def test_antisym2_idempotent_selfadjoint():
-    a = antisym2()
+    a = antisym_row(1)
     assert compose(a, a) == a
     assert a.adjoint() == a
 
 
+def tensor_chain(factors) -> PartLin:
+    """The tensor product of the factors through ``PartLin.tensor``, left to
+    right, starting from the empty partition."""
+    out = PartLin.of(Partition.identity(0))
+    for f in factors:
+        out = out.tensor(f)
+    return out
+
+
+@pytest.mark.parametrize("r", range(9))
+def test_closed_form_rows_match_tensor_chain(r):
+    """``antisym_row(r)`` is 1/2 (id - crossing) tensored r times, term order
+    and all, and the swap element antisymmetrizes the tensor product of
+    identities with one four-point swap."""
+    half = PartLin(2, 2, {Partition.identity(2): Fraction(1, 2),
+                          Partition.crossing(): Fraction(-1, 2)})
+    row, chain = antisym_row(r), tensor_chain([half] * r)
+    assert row == chain
+    assert list(row.terms) == list(chain.terms)
+    assert row.to_json() == chain.to_json()
+    swap = PartLin.of(Partition.parse("P(4,4){1 3' | 2 4' | 3 1' | 4 2'}"))
+    for i in range(1, r):
+        factors = [PartLin.of(Partition.identity(2))] * (r - 1)
+        factors[i - 1] = swap
+        assert _twopoint_swap_element(r, i) == antisymmetrize(tensor_chain(factors))
+
+
 def test_antisymmetrize_identity_and_crossing():
-    assert antisymmetrize(Partition.identity(2)) == antisym2()
-    assert antisymmetrize(Partition.crossing()) == -antisym2()
+    assert antisymmetrize(Partition.identity(2)) == antisym_row(1)
+    assert antisymmetrize(Partition.crossing()) == -antisym_row(1)
 
 
 def test_antisymmetrize_idempotent():
@@ -236,8 +264,8 @@ def test_tensor_associative(p, q):
 # -- the vectorised composition against its oracles -------------------------------
 #
 # ``compose`` glues every term pair in numpy blocks and sums integer
-# coefficients; the oracles are the union-find ``compose_partitions`` and a
-# term-by-term sum of PolyQ products.
+# coefficients; the oracles are the union-find ``compose_partitions`` (in
+# ``oracles.py``) and a term-by-term sum of PolyQ products.
 
 
 @st.composite

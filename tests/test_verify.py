@@ -1,14 +1,17 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import qsym.verify
+from qsym import partitions
 from qsym.errors import InvalidInputError
 from qsym.verify import (
     run_suite,
     six_pairing_combination,
     suite_folded,
     suite_fourier_check,
+    suite_functoriality,
     suite_hamming,
 )
 
@@ -24,6 +27,19 @@ def test_folded_closed_form_verdict_is_computed(monkeypatch):
                         lambda n, d: n - 4 * ((d + 1) // 2))
     assert verdicts(suite_folded(4))["closed-form"] == "pass"
     assert verdicts(suite_fourier_check("folded", 4))["closed-form"] == "pass"
+
+
+def test_functoriality_suite_checks_the_production_compose(monkeypatch):
+    """With ``compose`` dropping its loop factors, T_q T_p = N^loops T_(q
+    after p) fails on the suite's pairs."""
+    glue_block = partitions._glue_block
+
+    def loops_dropped(*args):
+        rows, loops = glue_block(*args)
+        return rows, np.zeros_like(loops)
+
+    monkeypatch.setattr(partitions, "_glue_block", loops_dropped)
+    assert verdicts(suite_functoriality(20)) == {"compose": "fail"}
 
 
 def test_hamming_suite_records_both_discrepancies():
