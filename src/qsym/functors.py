@@ -18,8 +18,10 @@ repeated indices) are built here together with their coisometry
 factorizations, which certify their rank exactly.
 
 Indices are gathered from one array of all block values: per partition in
-``functor_T``, per block count in ``evaluate_partlin``, which then sums the
-rows of all terms at once; both hand their index columns to
+``functor_T``, per block count in ``evaluate_partlin``, which reads the
+combination's assignment array and evaluates its coefficient rows at N
+without building a Partition or PolyQ per term, then sums the rows of all
+terms at once; both hand their index columns to
 ``SparseTensor._from_columns``.  The antisymmetrizers build their keys in
 Python, reading the signs from a table of the k! permutation signs made once
 per call: there the array route measured slower.
@@ -43,9 +45,9 @@ def functor_T(p: Partition, N: int) -> SparseTensor:
     """Blockwise Kronecker delta of p on index set {0..N-1}."""
     if N < 1:
         raise InvalidInputError(f"functor needs N >= 1, got {N}")
-    guard_sparse(N**p.n_blocks, f"functor tensor for {p} at N={N}")
+    guard_sparse(N**p.n_blocks, f"functor tensor for P({p.k},{p.l}) at N={N}")
     values = _block_values(p.n_blocks, N)
-    cols = values[np.array(_leg_blocks(p), dtype=np.intp)]
+    cols = values[np.array(p.assign[p.k:] + p.assign[: p.k], dtype=np.intp)]
     return SparseTensor._from_columns((N,) * (p.l + p.k), p.l, cols)
 
 
@@ -55,25 +57,16 @@ def _block_values(nb: int, N: int) -> np.ndarray:
     return np.indices((N,) * nb, dtype=np.min_scalar_type(N)).reshape(nb, N**nb)
 
 
-def _leg_blocks(p: Partition) -> tuple:
-    """The block of each leg of T_p, outputs (lower row) first."""
-    return p.assign[p.k:] + p.assign[: p.k]
-
-
 def sign_sigma(indices) -> int:
     """-1 when the number of strict inversions is odd, else +1 (ties ignored)."""
-    indices = tuple(indices)
-    inv = 0
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            if indices[a] > indices[b]:
-                inv += 1
+    inv = sum(a > b for a, b in itertools.combinations(indices, 2))
     return -1 if inv % 2 else 1
 
 
-def _odd_block_pairs(p: Partition) -> list[tuple[int, int]]:
+def _odd_block_pairs(legs: list, l: int) -> list[tuple[int, int]]:
     """The ordered block pairs (B, C) that have an odd number of point pairs
-    in one row with B's point left of C's.
+    in one row with B's point left of C's, for the blocks ``legs`` of a
+    term's legs, its l lower points first.
 
     Points of one block carry one value and ties are no inversions, so the
     sign sigma_i sigma_j of an index of T_p is -1 to the number of these
@@ -81,7 +74,7 @@ def _odd_block_pairs(p: Partition) -> list[tuple[int, int]]:
     per partition.
     """
     parity = {}
-    for row in (p.assign[p.k:], p.assign[: p.k]):
+    for row in (legs[:l], legs[l:]):
         for i, b in enumerate(row):
             for c in row[i + 1:]:
                 if c != b:
@@ -92,63 +85,61 @@ def _odd_block_pairs(p: Partition) -> list[tuple[int, int]]:
 def evaluate_partlin(e: PartLin, N: int, deformed: bool = False) -> SparseTensor:
     """Evaluate a formal combination at loop parameter n := N.
 
-    One numpy pass over all terms: each group of terms with one block count
-    gathers its index columns from one array of block values, ``deformed``
+    One numpy pass over the stored arrays: the terms of each block count
+    gather their index columns from one array of block values, ``deformed``
     flips the sign of a row once per odd block pair (``_odd_block_pairs``)
-    whose values are inverted, and every row carries its term's integer
-    numerator over the common denominator of the coefficients.  Rows with
-    equal indices are summed after a ``lexsort`` over the index columns.
+    whose values are inverted, and every row carries its term's coefficient
+    row at N over ``e.den``.  Equal indices are summed after a ``lexsort``.
     """
     e = PartLin.coerce(e)
     if N < 1:
         raise InvalidInputError(f"functor needs N >= 1, got {N}")
-    parts = list(e.terms)
+    terms, legs = len(e.assign), e.k + e.l
     if deformed:
-        for part in parts:
-            if part.has_odd_block():
-                raise InvalidInputError(
-                    f"deformed functor needs even block sizes, got {part}"
-                )
-    guard_sparse(sum(N**part.n_blocks for part in parts),
-                 f"evaluation of {len(parts)} partition terms at N={N}")
-    coeffs = [Fraction(coeff(N)) for coeff in e.terms.values()]
-    den = lcm(1, *(c.denominator for c in coeffs))
-    weights = [c.numerator * (den // c.denominator) for c in coeffs]
-    cols, vals = _term_rows(parts, weights, e.l + e.k, N, deformed)
-    if len(parts) > 1:  # the rows of one term are distinct indices
+        flat = (e.assign + np.arange(terms)[:, None] * legs).ravel()
+        odd = (np.bincount(flat, minlength=terms * legs).reshape(terms, legs) % 2).any(axis=1)
+        if odd.any():
+            bad = Partition._raw(e.k, e.l, tuple(e.assign[odd.argmax()].tolist()))
+            raise InvalidInputError(f"deformed functor needs even block sizes, got {bad}")
+    blocks = e.block_counts()
+    guard_sparse(sum(N**int(b) for b in blocks),
+                 f"evaluation of {terms} partition terms at N={N}")
+    powers = [N**i for i in range(e.num.shape[1])]
+    weights = [sum(c * x for c, x in zip(row, powers)) for row in e.num.tolist()]
+    leg_blocks = np.concatenate((e.assign[:, e.k:], e.assign[:, :e.k]), axis=1)
+    cols, vals = _term_rows(leg_blocks, blocks, weights, e.l, N, deformed)
+    if terms > 1:  # the rows of one term are distinct indices
         cols, vals = _sum_equal_rows(cols, vals)
-    return SparseTensor._from_columns((N,) * (e.l + e.k), e.l, cols, vals, den)
+    return SparseTensor._from_columns((N,) * legs, e.l, cols, vals, e.den)
 
 
-def _term_rows(parts, weights, legs: int, N: int, deformed: bool):
-    """(cols, vals): the (legs, rows) index columns of every term's T_p,
-    lower row first, and each row's weight, negated when ``deformed`` and
-    the row's sign is -1.  Weights are int64 when no sum of one weight per
-    term can overflow, Python integers otherwise."""
+def _term_rows(leg_blocks, blocks, weights, l: int, N: int, deformed: bool):
+    """(cols, vals): the (legs, rows) index columns of every term's T_p from
+    the block of each of its legs (``leg_blocks``, lower row first) and its
+    block count, and each row's weight, negated when ``deformed`` and the
+    row's sign is -1.  Weights are int64 when no sum of one weight per term
+    can overflow, Python integers otherwise."""
+    terms, legs = leg_blocks.shape
     top = max(map(abs, weights), default=0)
-    wtype = np.int64 if top * len(parts) < 2**63 else object
-    groups = {}
-    for t, part in enumerate(parts):
-        groups.setdefault(part.n_blocks, []).append(t)
-    cols = np.empty((legs, sum(N**part.n_blocks for part in parts)),
-                    dtype=np.min_scalar_type(N))
+    wtype = np.int64 if top * terms < 2**63 else object
+    weights = np.array(weights, dtype=wtype)
+    cols = np.empty((legs, sum(N**int(b) for b in blocks)), dtype=np.min_scalar_type(N))
     vals = np.empty(cols.shape[1], dtype=wtype)
     start = 0
-    for nb, terms in groups.items():
+    for nb in np.unique(blocks).tolist():
+        group = np.flatnonzero(blocks == nb)
         values = _block_values(nb, N)
         size = values.shape[1]
-        stop = start + len(terms) * size
-        assign = np.array([_leg_blocks(parts[t]) for t in terms],
-                          dtype=np.intp).reshape(len(terms), legs)
+        stop = start + len(group) * size
         for x in range(legs):  # gathered in place, one leg at a time
-            np.take(values, assign[:, x], axis=0,
-                    out=cols[x, start:stop].reshape(len(terms), size))
-        rows = vals[start:stop].reshape(len(terms), size)
-        rows[...] = np.array([weights[t] for t in terms], dtype=wtype)[:, None]
+            np.take(values, leg_blocks[group, x], axis=0,
+                    out=cols[x, start:stop].reshape(len(group), size))
+        rows = vals[start:stop].reshape(len(group), size)
+        rows[...] = weights[group][:, None]
         if deformed:  # one comparison per odd block pair, for all terms with it
             with_pair = {}
-            for i, t in enumerate(terms):
-                for pair in _odd_block_pairs(parts[t]):
+            for i, t in enumerate(leg_blocks[group].tolist()):
+                for pair in _odd_block_pairs(t, l):
                     with_pair.setdefault(pair, []).append(i)
             odd = np.zeros(rows.shape, dtype=bool)
             for (b, c), ts in with_pair.items():
@@ -191,14 +182,7 @@ def _coarsenings(blocks):
 
 def _refines(p: Partition, kernel_assign) -> bool:
     seen = {}
-    for pos, b in enumerate(p.assign):
-        kb = kernel_assign[pos]
-        if b in seen:
-            if seen[b] != kb:
-                return False
-        else:
-            seen[b] = kb
-    return True
+    return all(seen.setdefault(b, kb) == kb for b, kb in zip(p.assign, kernel_assign))
 
 
 def partlin_evaluates_to_zero(e: PartLin, N: int) -> bool:
@@ -210,28 +194,18 @@ def partlin_evaluates_to_zero(e: PartLin, N: int) -> bool:
     parts that coarsens some term of e, that the coefficients of the refining
     terms sum to zero.  This avoids materializing N^points entries.
     """
-    e = PartLin.coerce(e)
-    npts = e.k + e.l
+    terms = PartLin.coerce(e).terms
     kernels = {}
-    for part in e.terms:
-        blocks = [set(b) for b in part.blocks()]
-        for merged in _coarsenings(blocks):
-            assign = [0] * npts
+    for part in terms:
+        for merged in _coarsenings([set(b) for b in part.blocks()]):
+            assign = [0] * (part.k + part.l)
             for bid, blk in enumerate(merged):
                 for pos in blk:
                     assign[pos] = bid
-            key = Partition(e.k, e.l, assign)
-            kernels[key] = None
-    for kernel in kernels:
-        if kernel.n_blocks > N:
-            continue
-        total = Fraction(0)
-        for part, coeff in e.terms.items():
-            if _refines(part, kernel.assign):
-                total += coeff(N)
-        if total:
-            return False
-    return True
+            kernels[Partition(part.k, part.l, assign)] = None
+    return not any(
+        sum(coeff(N) for part, coeff in terms.items() if _refines(part, kernel.assign))
+        for kernel in kernels if kernel.n_blocks <= N)
 
 
 # -- antisymmetrizers -----------------------------------------------------------

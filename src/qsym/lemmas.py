@@ -56,7 +56,7 @@ def check_identities(report: VerificationReport, checks, prefix: str = "",
                 report.add(cid, "flagged identity holds after all", "pass")
             else:
                 detail = (
-                    f"residual has {len(diff.terms)} partition terms; the "
+                    f"residual has {len(diff.assign)} partition terms; the "
                     f"corrected identity in the same fixture pins it exactly"
                 )
                 report.add(cid, "identity as drawn does not hold", "finding", detail)

@@ -2,13 +2,17 @@
 
 A ``Partition`` divides k upper and l lower points into blocks; it is the
 combinatorial shadow of a tensor mapping k legs to l legs.  ``PartLin`` is a
-formal Q[n]-linear combination of partitions of a common shape.  Composition
-glues the lower row of the first factor to the upper row of the second and
-replaces each closed middle component ("loop") by a factor n, so identities
-between combinations hold with polynomial coefficients in n.  ``compose``
-is the one composition route: it glues all term pairs of a product at once
-in numpy, and ``verify functoriality`` checks it against the tensor functor.
-Two-point antisymmetrizer rows are written down term by term.
+formal Q[n]-linear combination of partitions of a common shape, held as
+arrays: one canonical block assignment per term and an integer coefficient
+matrix over one denominator.  Composition glues the lower row of the first
+factor to the upper row of the second and replaces each closed middle
+component ("loop") by a factor n, so identities between combinations hold
+with polynomial coefficients in n.  Every operation reads and writes the
+arrays in numpy; ``Partition`` and ``PolyQ`` are boundary types, built for
+parsing, printing, JSON and the ``terms`` view.  ``compose`` glues all term
+pairs of a product at once, and ``verify functoriality`` checks it against
+the tensor functor.  Two-point antisymmetrizer rows are written down
+directly.
 
 Points are written 1..k for the upper row and 1'..l' for the lower row, as in
 the text format ``P(2,2){1 2' | 2 1'}``.
@@ -17,14 +21,13 @@ the text format ``P(2,2){1 2' | 2 1'}``.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
 from .config import guard_dense, max_dense
 from .errors import InvalidInputError, SizeGuardError
-from .polyq import PolyQ
+from .polyq import PolyQ, _lowest
 
 
 class Partition:
@@ -45,20 +48,17 @@ class Partition:
             raise InvalidInputError(
                 f"assignment covers {len(assign)} points, expected {k}+{l}"
             )
-        assign = _canonical(assign)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "assign", assign)
-        object.__setattr__(self, "_hash", hash((k, l, assign)))
+        self._fill(k, l, _canonical(assign))
+
+    def _fill(self, k: int, l: int, assign: tuple):
+        for name, value in zip(Partition.__slots__, (k, l, assign, hash((k, l, assign)))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _raw(cls, k: int, l: int, assign: tuple) -> "Partition":
         """Trusted construction from an assignment already in canonical form."""
         self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "assign", assign)
-        object.__setattr__(self, "_hash", hash((k, l, assign)))
+        self._fill(k, l, assign)
         return self
 
     def __setattr__(self, *a):
@@ -132,11 +132,7 @@ class Partition:
         cup^(x k), a single cycle through k two-points."""
         if k < 1:
             raise InvalidInputError("cycle needs k >= 1")
-        assign = [0] * (2 * k)
-        for i in range(1, k):
-            assign[2 * i - 1] = i
-            assign[2 * i] = i
-        return cls(0, 2 * k, assign)
+        return cls(0, 2 * k, [(j + 1) // 2 % k for j in range(2 * k)])
 
     # -- structure ---------------------------------------------------------------
 
@@ -150,41 +146,6 @@ class Partition:
         for pos, b in enumerate(self.assign):
             out[b].append(pos)
         return out
-
-    def block_sizes(self) -> list[int]:
-        sizes = [0] * self.n_blocks
-        for b in self.assign:
-            sizes[b] += 1
-        return sizes
-
-    def has_odd_block(self) -> bool:
-        return any(s % 2 for s in self.block_sizes())
-
-    # -- category operations --------------------------------------------------------
-
-    def tensor(self, other: "Partition") -> "Partition":
-        off = self.n_blocks
-        upper = self.assign[: self.k] + tuple(b + off for b in other.assign[: other.k])
-        lower = self.assign[self.k:] + tuple(b + off for b in other.assign[other.k:])
-        return Partition(self.k + other.k, self.l + other.l, upper + lower)
-
-    def adjoint(self) -> "Partition":
-        """Vertical reflection: upper and lower rows trade places."""
-        return Partition(self.l, self.k, self.assign[self.k:] + self.assign[: self.k])
-
-    def rotate(self, side: str) -> "Partition":
-        """Move the extreme upper point on one side to that side of the lower row."""
-        up = self.assign[: self.k]
-        lo = self.assign[self.k:]
-        if not up:
-            raise InvalidInputError("cannot rotate down: upper row is empty")
-        if side == "left":
-            up, lo = up[1:], (up[0],) + lo
-        elif side == "right":
-            up, lo = up[:-1], lo + (up[-1],)
-        else:
-            raise InvalidInputError(f"unknown side {side!r}")
-        return Partition(self.k - 1, self.l + 1, up + lo)
 
     # -- text format --------------------------------------------------------------
 
@@ -227,12 +188,7 @@ class Partition:
 
 def _canonical(assign):
     remap = {}
-    out = []
-    for b in assign:
-        if b not in remap:
-            remap[b] = len(remap)
-        out.append(remap[b])
-    return tuple(out)
+    return tuple(remap.setdefault(b, len(remap)) for b in assign)
 
 
 def _point_position(p, k, l):
@@ -257,32 +213,43 @@ def _point_position(p, k, l):
 
 
 class PartLin:
-    """A formal Q[n]-linear combination of partitions of one shape (k,l)."""
+    """A formal Q[n]-linear combination of partitions of one shape (k,l).
 
-    __slots__ = ("k", "l", "terms")
+    Term t is the partition with canonical assignment ``assign[t]`` (first
+    occurrence order, int8/int16/int32 by k + l) and the coefficient
+    sum_i num[t, i] n^i / den.  ``num`` is int64 when its entries stay below
+    2^62 and Python integers (``dtype=object``) otherwise.  The arrays are
+    normal: no row repeats, no coefficient row is zero, the last column of
+    ``num`` is not all zero and gcd(den, num) = 1, so equal combinations
+    hold the same rows up to their order.
+    """
+
+    __slots__ = ("k", "l", "assign", "num", "den")
 
     def __init__(self, k: int, l: int, terms=None):
-        tmap = {}
-        for part, coeff in (terms or {}).items():
-            coeff = PolyQ.coerce(coeff)
+        terms = {part: PolyQ.coerce(coeff) for part, coeff in (terms or {}).items()}
+        for part in terms:
             if part.k != k or part.l != l:
                 raise InvalidInputError(
-                    f"term {part} has shape ({part.k},{part.l}), expected ({k},{l})"
-                )
-            if not coeff.is_zero():
-                tmap[part] = coeff
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "terms", tmap)
+                    f"term {part} has shape ({part.k},{part.l}), expected ({k},{l})")
+        den = lcm(1, *(c.den for c in terms.values()))
+        num = np.zeros((len(terms), max((len(c.numerators) for c in terms.values()), default=0)),
+                       dtype=object)
+        for row, c in zip(num, terms.values()):
+            row[:len(c.numerators)] = [v * (den // c.den) for v in c.numerators]
+        assign = np.array([part.assign for part in terms], dtype=_label_type(k + l))
+        self._fill(k, l, *_normal(assign.reshape(len(terms), k + l), num, den))
+
+    def _fill(self, k: int, l: int, assign, num, den: int):
+        assign.flags.writeable = num.flags.writeable = False
+        for name, value in zip(PartLin.__slots__, (k, l, assign, num, den)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _raw(cls, k: int, l: int, terms: dict) -> "PartLin":
-        """Trusted construction from a dict of partitions of shape (k,l) to
-        nonzero PolyQ coefficients, which it keeps without a copy."""
+    def _raw(cls, k: int, l: int, assign, num, den: int) -> "PartLin":
+        """Trusted construction from normal arrays, kept without a copy."""
         self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "terms", terms)
+        self._fill(k, l, assign, num, den)
         return self
 
     def __setattr__(self, *a):
@@ -306,162 +273,186 @@ class PartLin:
             return PartLin.of(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to PartLin")
 
+    @property
+    def terms(self) -> dict:
+        """{Partition: PolyQ} in row order, built on each call."""
+        k, l, den = self.k, self.l, self.den
+        return {Partition._raw(k, l, tuple(row)): PolyQ._raw(*_lowest(c, den))
+                for row, c in zip(self.assign.tolist(), self.num.tolist())}
+
+    def block_counts(self) -> np.ndarray:
+        """The number of blocks of each term's partition."""
+        return np.add(self.assign.max(axis=1, initial=-1), 1, dtype=np.intp)
+
     # -- linear structure ----------------------------------------------------------
 
     def __add__(self, other):
         other = self.coerce(other)
-        self._check_shape(other)
-        terms = dict(self.terms)
-        cancelled = False
-        for part, c in other.terms.items():
-            mine = terms.get(part)
-            if mine is not None:
-                c = mine + c
-                cancelled = cancelled or c.is_zero()
-            terms[part] = c
-        if cancelled:
-            terms = {p: c for p, c in terms.items() if not c.is_zero()}
-        return PartLin._raw(self.k, self.l, terms)
+        if (self.k, self.l) != (other.k, other.l):
+            raise InvalidInputError(
+                f"shape mismatch: ({self.k},{self.l}) vs ({other.k},{other.l})")
+        den = lcm(self.den, other.den)
+        rows = np.concatenate((self.assign, other.assign))
+        if not len(rows):
+            return self
+        num = np.zeros((len(rows), max(self.num.shape[1], other.num.shape[1])), dtype=object)
+        for x, part in ((self, num[:len(self.assign)]), (other, num[len(self.assign):])):
+            part[:, :x.num.shape[1]] = x.num
+            part *= den // x.den
+        gid, firsts = _group_rows(rows)
+        sums = _sum_products(gid, len(firsts), np.zeros(len(rows), dtype=np.intp), num, _ONE)
+        return PartLin._raw(self.k, self.l, *_normal(rows[firsts], sums, den))
 
     def __neg__(self):
-        return PartLin._raw(self.k, self.l, {p: -c for p, c in self.terms.items()})
+        return PartLin._raw(self.k, self.l, self.assign, -self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self.coerce(other))
 
     def scale(self, factor) -> "PartLin":
         factor = PolyQ.coerce(factor)
-        if factor.is_zero():
+        if factor.is_zero() or self.is_zero():
             return PartLin.zero(self.k, self.l)
-        return PartLin._raw(self.k, self.l, {p: c * factor for p, c in self.terms.items()})
+        scaled = _pair_products(self.num, np.array([factor.numerators], dtype=object))
+        return PartLin._raw(self.k, self.l, *_normal(self.assign, scaled, self.den * factor.den))
 
     __mul__ = scale
     __rmul__ = scale
 
-    def _check_shape(self, other):
-        if (self.k, self.l) != (other.k, other.l):
-            raise InvalidInputError(
-                f"shape mismatch: ({self.k},{self.l}) vs ({other.k},{other.l})"
-            )
-
     # -- category operations ----------------------------------------------------------
 
     def tensor(self, other) -> "PartLin":
+        """Side by side, self's points left of other's; term pairs in the
+        order (self's terms outer, other's inner)."""
         other = self.coerce(other)
-        guard_dense(len(self.terms) * len(other.terms), "partition tensor product")
-        terms = {}
-        for p, cp in self.terms.items():
-            for q, cq in other.terms.items():
-                r = p.tensor(q)
-                c = cp * cq
-                terms[r] = terms.get(r, PolyQ()) + c
-        return PartLin(self.k + other.k, self.l + other.l, terms)
+        pairs = len(self.assign) * len(other.assign)
+        guard_dense(pairs, "partition tensor product")
+        k, l = self.k + other.k, self.l + other.l
+        if not pairs:
+            return PartLin.zero(k, l)
+        a, b = np.divmod(np.arange(pairs), len(other.assign))
+        x = self.assign[a]
+        y = other.assign[b].astype(np.intp) + self.block_counts()[a, None]
+        rows = np.concatenate(
+            (x[:, :self.k], y[:, :other.k], x[:, self.k:], y[:, other.k:]), axis=1)
+        return PartLin._raw(k, l, *_normal(_canonical_rows(rows),
+                                           _pair_products(self.num, other.num),
+                                           self.den * other.den))
 
     def adjoint(self) -> "PartLin":
-        return PartLin(
-            self.l, self.k, {p.adjoint(): c for p, c in self.terms.items()}
-        )
+        """Vertical reflection: upper and lower rows trade places."""
+        rows = np.concatenate((self.assign[:, self.k:], self.assign[:, :self.k]), axis=1)
+        return PartLin._raw(self.l, self.k, _canonical_rows(rows), self.num, self.den)
 
     def rotate(self, side: str) -> "PartLin":
-        terms = {}
-        for p, c in self.terms.items():
-            r = p.rotate(side)
-            terms[r] = terms.get(r, PolyQ()) + c
-        return PartLin(self.k - 1, self.l + 1, terms)
+        """Move the extreme upper point on one side to that side of the lower row."""
+        if not self.k:
+            raise InvalidInputError("cannot rotate down: upper row is empty")
+        up, lo = self.assign[:, :self.k], self.assign[:, self.k:]
+        if side == "left":
+            rows = np.concatenate((up[:, 1:], up[:, :1], lo), axis=1)
+        elif side == "right":
+            rows = np.concatenate((up[:, :-1], lo, up[:, -1:]), axis=1)
+        else:
+            raise InvalidInputError(f"unknown side {side!r}")
+        return PartLin._raw(self.k - 1, self.l + 1, _canonical_rows(rows), self.num, self.den)
 
     # -- queries -------------------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.assign)
 
     def __eq__(self, other):
         if isinstance(other, Partition):
             other = PartLin.of(other)
         if not isinstance(other, PartLin):
             return NotImplemented
-        return (self.k, self.l) == (other.k, other.l) and self.terms == other.terms
+        return (self.k, self.l) == (other.k, other.l) and (self - other).is_zero()
 
     def __hash__(self):
-        return hash((self.k, self.l, frozenset(self.terms.items())))
+        return hash((self.k, self.l, self.den, frozenset(
+            zip(map(tuple, self.assign.tolist()), map(tuple, self.num.tolist())))))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: str(kv[0]))
 
     def __str__(self):
-        if not self.terms:
+        if self.is_zero():
             return f"0 [shape ({self.k},{self.l})]"
         bits = []
         for part, coeff in self.sorted_terms():
             cs = str(coeff)
-            if cs == "1":
-                bits.append(str(part))
-            elif cs == "-1":
-                bits.append(f"-{part}")
-            else:
-                cs = f"({cs})" if (" " in cs) else cs
-                bits.append(f"{cs} * {part}")
-        out = bits[0]
-        for b in bits[1:]:
-            out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-        return out
+            cs = f"({cs})" if " " in cs else cs
+            bits.append(str(part) if cs == "1" else f"-{part}" if cs == "-1" else f"{cs} * {part}")
+        return bits[0] + "".join(f" - {b[1:]}" if b[0] == "-" else f" + {b}" for b in bits[1:])
 
     __repr__ = __str__
 
     def to_json(self):
-        return {
-            "k": self.k,
-            "l": self.l,
-            "terms": [
-                {"partition": str(p), "coeff": str(c)} for p, c in self.sorted_terms()
-            ],
-        }
+        return {"k": self.k, "l": self.l, "terms": [
+            {"partition": str(p), "coeff": str(c)} for p, c in self.sorted_terms()]}
+
+
+def _label_type(labels: int):
+    """The smallest integer type that holds every label 0..labels-1."""
+    return np.int8 if labels <= 2**7 else np.int16 if labels <= 2**15 else np.int32
+
+
+def _int_type(top: int):
+    """int64 for integers whose absolute values stay at or below top < 2^62,
+    Python integers otherwise."""
+    return np.int64 if top < 2**62 else object
+
+
+def _top(num) -> int:
+    return int(np.abs(num).max()) if num.size else 0
+
+
+def _normal(assign, num, den: int):
+    """(assign, num, den) made normal from distinct canonical rows and integer
+    coefficient rows over den > 0: zero rows and trailing zero columns go,
+    gcd(den, num) is divided out and num is int64 where it fits."""
+    nonzero = num != 0
+    keep = nonzero.any(axis=1)
+    if not keep.all():
+        assign, num, nonzero = assign[keep], num[keep], nonzero[keep]
+    width = num.shape[1]
+    while width and not nonzero[:, width - 1].any():
+        width -= 1
+    g = gcd(den, int(np.gcd.reduce(num[:, :width], axis=None))) if den != 1 else 1
+    num = num[:, :width] // g
+    if num.dtype == object:
+        num = num.astype(_int_type(_top(num)))
+    return assign.astype(_label_type(assign.shape[1]), copy=False), num, den // g
+
+
+_ONE = np.ones((1, 1), dtype=np.int64)
 
 
 def compose(q, p) -> PartLin:
     """q after p, bilinearly, with a factor n per closed loop.
 
-    The only composition route: ``_glue_pairs`` glues all term pairs at
-    once in numpy blocks, and ``verify functoriality`` checks its partition
-    and loop count through T_q T_p = N^loops T_(q after p).  Each factor's
-    coefficients are cleared to integers over one denominator, the products
-    are summed per output partition and power of n, and each output's
-    integer row becomes its PolyQ with one gcd.  Output terms keep the
-    order in which the pairs (q's terms outer, p's inner) first reach them.
+    The only composition route, on the stored arrays: ``_glue_pairs`` glues
+    all term pairs at once in numpy blocks, and ``verify functoriality``
+    checks its partition and loop count through T_q T_p = N^loops
+    T_(q after p).  ``_group_rows`` numbers the distinct output rows and
+    ``_sum_products`` sums the products of the factors' integer coefficient
+    rows per output and power of n, over the product of the denominators.
+    Output terms keep the order in which the pairs (q's terms outer, p's
+    inner) first reach them.
     """
     q, p = PartLin.coerce(q), PartLin.coerce(p)
     if p.l != q.k:
         raise InvalidInputError(
-            f"arity mismatch: cannot compose shapes ({q.k},{q.l}) after ({p.k},{p.l})"
-        )
-    pairs = len(q.terms) * len(p.terms)
+            f"arity mismatch: cannot compose shapes ({q.k},{q.l}) after ({p.k},{p.l})")
+    pairs = len(q.assign) * len(p.assign)
     guard_dense(pairs, "partition composition")
-    k, l, m = p.k, p.l, q.l
     if not pairs:
-        return PartLin.zero(k, m)
-    q_den, q_rows = _integer_terms(q)
-    p_den, p_rows = _integer_terms(p)
-    rows, loops = _glue_pairs(list(q.terms), list(p.terms), k, l, m)
+        return PartLin.zero(p.k, q.l)
+    rows, loops = _glue_pairs(q, p)
     gid, firsts = _group_rows(rows)
-    sums = _sum_products(gid, len(firsts), loops, q_rows, p_rows)
-    den = q_den * p_den
-    terms = {}
-    for r, cs in zip(rows[firsts].tolist(), sums.tolist()):
-        coeff = PolyQ._from_ints(cs, den)
-        if not coeff.is_zero():
-            terms[Partition._raw(k, m, tuple(r))] = coeff
-    return PartLin._raw(k, m, terms)
-
-
-def _integer_terms(x: PartLin):
-    """(D, rows) with row t holding the integers over D of the coefficients
-    of x's term t, from the constant up, padded with zeros to one length."""
-    coeffs = x.terms.values()
-    den = lcm(*(c.den for c in coeffs))
-    width = max(len(c.numerators) for c in coeffs)
-    return den, [
-        [v * (den // c.den) for v in c.numerators] + [0] * (width - len(c.numerators))
-        for c in coeffs
-    ]
+    sums = _sum_products(gid, len(firsts), loops, q.num, p.num)
+    return PartLin._raw(p.k, q.l, *_normal(rows[firsts], sums, q.den * p.den))
 
 
 # Label nodes per block of pairs glued together.  It bounds the temporaries
@@ -470,31 +461,27 @@ def _integer_terms(x: PartLin):
 _BLOCK_ENTRIES = 2**13
 
 
-def _glue_pairs(q_parts, p_parts, k: int, l: int, m: int):
-    """Canonical outer rows (pairs x (k+m)) and loop counts of q after p for
-    every pair of partitions q in q_parts (shape (l, m)) and p in p_parts
-    (shape (k, l)); pair a * len(p_parts) + b glues q_parts[a] after
-    p_parts[b].
+def _glue_pairs(q: PartLin, p: PartLin):
+    """Canonical outer rows (pairs x (k+m)) and loop counts of q's term a
+    after p's term b for every pair a * len(p.assign) + b, where p has shape
+    (k, l) and q shape (l, m).
 
     A pair has V = k + 2l + m label nodes: p's block b is node b and q's
     block b is node k + l + b, so unused labels are isolated nodes.  Pairs
     are glued a block of rows at a time.
     """
+    k, l, m = p.k, p.l, q.l
     V = k + 2 * l + m
-    # the smallest integer type that holds every label, 0..V-1
-    dtype = np.int8 if V <= 2**7 else np.int16 if V <= 2**15 else np.int32
-    n_p = len(p_parts)
-    qa = np.array([part.assign for part in q_parts], dtype=dtype).reshape(len(q_parts), l + m)
-    pa = np.array([part.assign for part in p_parts], dtype=dtype).reshape(n_p, k + l)
-    q_blocks = np.array([part.n_blocks for part in q_parts])
-    p_blocks = np.array([part.n_blocks for part in p_parts])
-    pairs = len(q_parts) * n_p
+    dtype = _label_type(V)
+    qa, pa = q.assign.astype(dtype, copy=False), p.assign.astype(dtype, copy=False)
+    q_blocks, p_blocks = q.block_counts(), p.block_counts()
+    pairs = len(qa) * len(pa)
     rows = np.empty((pairs, k + m), dtype=dtype)
     loops = np.empty(pairs, dtype=np.intp)
     step = max(1, _BLOCK_ENTRIES // max(V, 1))
     nodes = np.arange(min(step, pairs) * V)
     for start in range(0, pairs, step):
-        a, b = np.divmod(np.arange(start, min(start + step, pairs)), n_p)
+        a, b = np.divmod(np.arange(start, min(start + step, pairs)), len(pa))
         block = slice(start, start + len(a))
         rows[block], loops[block] = _glue_block(
             qa[a], pa[b], q_blocks[a] + p_blocks[b], k, l, V, nodes[:len(a) * V])
@@ -530,22 +517,33 @@ def _glue_block(qa, pa, used, k: int, l: int, V: int, nodes):
         u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
         hi, lo = np.maximum(ru, rv), np.minimum(ru, rv)
     outer = np.concatenate((pa[:, :k] + base, qa[:, l:] + lower), axis=1)
-    roots = parent[outer.ravel()]
-    # the first outer entry of each root; ufunc.at is given values of the
-    # full index shape, as it may misread broadcast ones
-    entries = np.arange(roots.size)
-    first = np.full(len(nodes), roots.size)
-    np.minimum.at(first, roots, entries)
-    at = first[roots]
-    opens = at == entries
-    # a label is the rank of its first entry among the row's first entries
-    rank = np.empty(roots.size, dtype=np.intp)
-    starts = opens.nonzero()[0]
-    rank[starts] = np.arange(len(starts))
-    label = rank[at].reshape(outer.shape)
+    label, distinct = _first_reach(parent[outer], len(nodes))
     hooked = (parent != nodes).reshape(R, V).sum(axis=1)
-    distinct = opens.reshape(outer.shape).sum(axis=1)
-    return label - label[:, :1], used - hooked - distinct
+    return label, used - hooked - distinct
+
+
+def _first_reach(ids, size: int):
+    """(labels, counts) for an (R, C) array of ids below ``size``, no id in
+    two rows: each row's ids numbered 0, 1, ... in the order the row first
+    reaches them, and the number of distinct ids in each row."""
+    flat = ids.ravel()
+    entries = np.arange(flat.size)
+    # the first entry of each id; ufunc.at is given values of the full index
+    # shape, as it may misread broadcast ones
+    first = np.full(size, flat.size)
+    np.minimum.at(first, flat, entries)
+    at = first[flat]
+    opens = at == entries
+    label = (opens.cumsum() - 1)[at].reshape(ids.shape)
+    return label - label[:, :1], opens.reshape(ids.shape).sum(axis=1)
+
+
+def _canonical_rows(rows):
+    """Each row of block labels (each below the row length) relabelled in
+    first-occurrence order."""
+    R, C = rows.shape
+    label, _ = _first_reach(rows + np.arange(R)[:, None] * C, R * C)
+    return label.astype(_label_type(C))
 
 
 def _group_rows(rows):
@@ -557,27 +555,22 @@ def _group_rows(rows):
     ranked = keys[order]
     opens = np.ones(pairs, dtype=bool)
     opens[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    starts = opens.nonzero()[0]
-    firsts = order[starts]  # lexsort is stable: a run's first row is its least
-    is_first = np.zeros(pairs, dtype=bool)
-    is_first[firsts] = True
-    ordered = is_first.nonzero()[0]  # the first rows in row order; group g starts at ordered[g]
-    rank = np.empty(pairs, dtype=np.intp)
-    rank[ordered] = np.arange(len(ordered))
+    firsts = order[opens]  # lexsort is stable: a run's first row is its least
+    by_first = firsts.argsort()  # group g is the run with the g-th least first row
+    rank = np.empty(len(firsts), dtype=np.intp)
+    rank[by_first] = np.arange(len(firsts))
     gid = np.empty(pairs, dtype=np.intp)
-    gid[order] = rank[firsts][opens.cumsum() - 1]
-    return gid, ordered
+    gid[order] = rank[opens.cumsum() - 1]
+    return gid, firsts[by_first]
 
 
-def _sum_products(gid, groups: int, loops, q_rows, p_rows):
+def _sum_products(gid, groups: int, loops, q_num, p_num):
     """Per group and power of n, the sum over its pairs (a, b) of
-    q_rows[a][i] * p_rows[b][j] at power i + j + loops; int64 when no sum
+    q_num[a, i] * p_num[b, j] at power i + j + loops; int64 when no sum
     can reach 2^62, Python integers otherwise."""
-    Dq, Dp = len(q_rows[0]), len(p_rows[0])
-    top = max(abs(c) for row in q_rows for c in row) * max(
-        abs(c) for row in p_rows for c in row)
-    dtype = np.int64 if top * len(gid) * Dq * Dp < 2**62 else object
-    Cq, Cp = np.array(q_rows, dtype=dtype), np.array(p_rows, dtype=dtype)
+    Dq, Dp = q_num.shape[1], p_num.shape[1]
+    dtype = _int_type(_top(q_num) * _top(p_num) * len(gid) * Dq * Dp)
+    Cq, Cp = q_num.astype(dtype), p_num.astype(dtype)
     sums = np.zeros((groups, Dq + Dp - 1 + int(loops.max())), dtype=dtype)
     for i in range(Dq):
         for j in range(Dp):
@@ -585,7 +578,13 @@ def _sum_products(gid, groups: int, loops, q_rows, p_rows):
     return sums
 
 
-@lru_cache(maxsize=None)
+def _pair_products(q_num, p_num):
+    """The product of the coefficient rows of every pair (a, b), row
+    a * len(p_num) + b."""
+    pairs = len(q_num) * len(p_num)
+    return _sum_products(np.arange(pairs), pairs, np.zeros(pairs, dtype=np.intp), q_num, p_num)
+
+
 def antisym_row(r: int) -> PartLin:
     """The two-point antisymmetrizer 1/2 (id - crossing) tensored r times,
     acting on a row of r two-points (2r actual points).
@@ -594,16 +593,17 @@ def antisym_row(r: int) -> PartLin:
     each two-point in S and has coefficient (-1)^|S| / 2^r.  Terms come in
     the tensor product's order, the last two-point varying fastest.
     """
-    # term t crosses two-point j when bit r-1-j of t is set
-    crossed = (np.arange(2**r)[:, None] >> np.arange(r - 1, -1, -1)) & 1
-    # crossing two-point j joins lower point 2j to upper 2j+1 and back
-    lower = np.arange(2 * r).reshape(r, 2) + crossed[:, :, None] * [1, -1]
-    upper = tuple(range(2 * r))
-    signs = tuple(PolyQ._raw((s,), 2**r) for s in (1, -1))
-    odd = (crossed.sum(axis=1) % 2).tolist()
-    return PartLin._raw(2 * r, 2 * r, {
-        Partition._raw(2 * r, 2 * r, upper + tuple(row)): signs[o]
-        for row, o in zip(lower.reshape(2**r, 2 * r).tolist(), odd)})
+    terms = np.arange(2**r)
+    assign = np.empty((2**r, 4 * r), dtype=_label_type(4 * r))
+    assign[:, :2 * r] = np.arange(2 * r)
+    odd = np.zeros(2**r, dtype=np.int64)
+    for j in range(r):  # term t crosses two-point j when bit r-1-j of t is set
+        crossed = (terms >> (r - 1 - j)) & 1
+        # crossing two-point j joins lower point 2j to upper 2j+1 and back
+        assign[:, 2 * r + 2 * j] = 2 * j + crossed
+        assign[:, 2 * r + 2 * j + 1] = 2 * j + 1 - crossed
+        odd ^= crossed
+    return PartLin._raw(2 * r, 2 * r, assign, (1 - 2 * odd)[:, None], 2**r)
 
 
 def antisymmetrize(x) -> PartLin:
@@ -622,11 +622,11 @@ def antisymmetrize(x) -> PartLin:
     # Guard before a row of 2^(k/2) or 2^(l/2) terms is built: the larger
     # row, counted as the tensor product of two-point antisymmetrizers it
     # equals, then both compositions, the second pairing at most
-    # len(x.terms) * 2^(k/2) terms of the first result with 2^(l/2).
+    # len(x.assign) * 2^(k/2) terms of the first result with 2^(l/2).
     if max(x.k, x.l) > 2:
         _guard_power_of_two(max(x.k, x.l) // 2, "partition tensor product")
     if x.k or x.l:
-        _guard_power_of_two((x.k + x.l) // 2, "partition composition", len(x.terms))
+        _guard_power_of_two((x.k + x.l) // 2, "partition composition", len(x.assign))
     out = x
     if x.k:
         out = compose(out, antisym_row(x.k // 2))
@@ -645,17 +645,16 @@ def _guard_power_of_two(e: int, what: str, factor: int = 1):
     guard_dense(factor << e, what)
 
 
-@lru_cache(maxsize=None)
 def _twopoint_swap_element(r: int, i: int) -> PartLin:
     """Antisymmetrized crossing of adjacent two-points i, i+1 (1-based) in a
     row of r two-points: the permutation partition that trades the two
     two-points and fixes every other point, antisymmetrized."""
     if not 1 <= i < r:
         raise InvalidInputError(f"two-point position {i} out of range 1..{r - 1}")
-    lower = list(range(2 * r))
-    j = 2 * i - 2
-    lower[j:j + 4] = lower[j + 2:j + 4] + lower[j:j + 2]
-    return antisymmetrize(Partition._raw(2 * r, 2 * r, tuple(range(2 * r)) + tuple(lower)))
+    assign = np.arange(4 * r, dtype=_label_type(4 * r)) % (2 * r)
+    j = 2 * r + 2 * i - 2
+    assign[j:j + 4] = assign[j + 2:j + 4].tolist() + assign[j:j + 2].tolist()
+    return antisymmetrize(PartLin._raw(2 * r, 2 * r, assign[None], _ONE, 1))
 
 
 def two_point_swap(e: PartLin, i: int, row: str = "lower") -> PartLin:

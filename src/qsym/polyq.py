@@ -7,6 +7,9 @@ denominator, in lowest terms (gcd of the denominator and every numerator
 is 1) with trailing zeros stripped, so each value has one representation
 and arithmetic runs on Python ints.  ``coeffs`` is a read-only Fraction view
 for printing; a constant equals and hashes as its Fraction.
+
+A boundary type: polynomial literals, ``PartLin.scale`` factors and the
+``PartLin.terms`` view use it; a ``PartLin`` itself keeps an integer matrix.
 """
 
 from __future__ import annotations
@@ -36,11 +39,6 @@ class PolyQ:
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "den", den)
         return self
-
-    @classmethod
-    def _from_ints(cls, numerators, den: int) -> "PolyQ":
-        """sum_i numerators[i] n^i / den, for ints and den > 0."""
-        return cls._raw(*_lowest(numerators, den))
 
     def __setattr__(self, *a):
         raise AttributeError("PolyQ values are immutable")
@@ -81,7 +79,7 @@ class PolyQ:
             b = [c * (den // other.den) for c in b]
         if len(a) < len(b):
             a, b = b, a
-        return PolyQ._from_ints([x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
+        return PolyQ._raw(*_lowest([x + y for x, y in zip(a, b)] + list(a[len(b):]), den))
 
     __radd__ = __add__
 
@@ -104,7 +102,7 @@ class PolyQ:
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return PolyQ._from_ints(out, self.den * other.den)
+        return PolyQ._raw(*_lowest(out, self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -148,9 +146,7 @@ class PolyQ:
         nums = self.numerators
         if len(nums) > 1:
             return hash((nums, self.den))
-        if self.den == 1:
-            return hash(nums[0] if nums else 0)
-        return hash(Fraction(nums[0], self.den))
+        return hash(Fraction(nums[0] if nums else 0, self.den))
 
     # -- presentation --------------------------------------------------------------
 

@@ -2,11 +2,16 @@
 
 ``compose_partitions`` glues one pair of partitions by union-find over
 their blocks; it shares no code with ``partitions.compose``, which glues
-all term pairs of a product at once in numpy.
+all term pairs of a product at once in numpy.  ``RefLin`` is the formal
+calculus on a dict of ``Partition`` keys and ``PolyQ`` coefficients, one
+object per term, against which the array ``PartLin`` is checked.
 """
 
+from fractions import Fraction
+
 from qsym.errors import InvalidInputError
-from qsym.partitions import Partition
+from qsym.partitions import Partition, PartLin
+from qsym.polyq import N_POLY, PolyQ
 
 
 def compose_partitions(q: Partition, p: Partition) -> tuple[Partition, int]:
@@ -50,3 +55,118 @@ def _glue(qa, pa, k: int, l: int, offset: int) -> tuple[tuple, int]:
             node = parent[node]
         assign.append(roots.setdefault(node, len(roots)))
     return tuple(assign), components - len(roots)
+
+
+def block_sizes(p: Partition) -> list[int]:
+    return [p.assign.count(b) for b in range(p.n_blocks)]
+
+
+def has_odd_block(p: Partition) -> bool:
+    return any(s % 2 for s in block_sizes(p))
+
+
+def partition_tensor(p: Partition, q: Partition) -> Partition:
+    off = p.n_blocks
+    upper = p.assign[: p.k] + tuple(b + off for b in q.assign[: q.k])
+    lower = p.assign[p.k:] + tuple(b + off for b in q.assign[q.k:])
+    return Partition(p.k + q.k, p.l + q.l, upper + lower)
+
+
+def partition_adjoint(p: Partition) -> Partition:
+    """Vertical reflection: upper and lower rows trade places."""
+    return Partition(p.l, p.k, p.assign[p.k:] + p.assign[: p.k])
+
+
+def partition_rotate(p: Partition, side: str) -> Partition:
+    """Move the extreme upper point on one side to that side of the lower row."""
+    up, lo = p.assign[: p.k], p.assign[p.k:]
+    if not up:
+        raise InvalidInputError("cannot rotate down: upper row is empty")
+    if side == "left":
+        up, lo = up[1:], (up[0],) + lo
+    elif side == "right":
+        up, lo = up[:-1], lo + (up[-1],)
+    else:
+        raise InvalidInputError(f"unknown side {side!r}")
+    return Partition(p.k - 1, p.l + 1, up + lo)
+
+
+class RefLin:
+    """A formal combination as a dict {Partition: PolyQ}, nonzero
+    coefficients only, in the order its terms were first reached."""
+
+    def __init__(self, k: int, l: int, terms: dict):
+        self.k, self.l = k, l
+        self.terms = {p: c for p, c in terms.items() if not c.is_zero()}
+
+    @classmethod
+    def of(cls, x: PartLin) -> "RefLin":
+        return cls(x.k, x.l, x.terms)
+
+    def __add__(self, other: "RefLin") -> "RefLin":
+        terms = dict(self.terms)
+        for part, c in other.terms.items():
+            terms[part] = terms.get(part, PolyQ()) + c
+        return RefLin(self.k, self.l, terms)
+
+    def __neg__(self) -> "RefLin":
+        return RefLin(self.k, self.l, {p: -c for p, c in self.terms.items()})
+
+    def __sub__(self, other: "RefLin") -> "RefLin":
+        return self + (-other)
+
+    def scale(self, factor) -> "RefLin":
+        factor = PolyQ.coerce(factor)
+        return RefLin(self.k, self.l, {p: c * factor for p, c in self.terms.items()})
+
+    def tensor(self, other: "RefLin") -> "RefLin":
+        terms = {}
+        for p, cp in self.terms.items():
+            for q, cq in other.terms.items():
+                r = partition_tensor(p, q)
+                terms[r] = terms.get(r, PolyQ()) + cp * cq
+        return RefLin(self.k + other.k, self.l + other.l, terms)
+
+    def adjoint(self) -> "RefLin":
+        return RefLin(self.l, self.k, {partition_adjoint(p): c for p, c in self.terms.items()})
+
+    def rotate(self, side: str) -> "RefLin":
+        if not self.k:
+            raise InvalidInputError("cannot rotate down: upper row is empty")
+        return RefLin(self.k - 1, self.l + 1,
+                      {partition_rotate(p, side): c for p, c in self.terms.items()})
+
+    def compose_after(self, p: "RefLin") -> "RefLin":
+        """self after p: term-by-term PolyQ products with a factor n per
+        loop, glued by union-find."""
+        terms = {}
+        for qp, qc in self.terms.items():
+            for pp, pc in p.terms.items():
+                r, loops = compose_partitions(qp, pp)
+                terms[r] = terms.get(r, PolyQ()) + qc * pc * N_POLY**loops
+        return RefLin(p.k, self.l, terms)
+
+    def antisymmetrize(self) -> "RefLin":
+        """A^(x l/2) . self . A^(x k/2), each row a tensor chain of
+        1/2 (id - crossing)."""
+        out = self
+        if self.k:
+            out = out.compose_after(ref_antisym_row(self.k // 2))
+        if self.l:
+            out = ref_antisym_row(self.l // 2).compose_after(out)
+        return out
+
+
+def ref_antisym_row(r: int) -> RefLin:
+    half = RefLin(2, 2, {Partition.identity(2): PolyQ.const(Fraction(1, 2)),
+                         Partition.crossing(): PolyQ.const(Fraction(-1, 2))})
+    out = RefLin(0, 0, {Partition.identity(0): PolyQ.const(1)})
+    for _ in range(r):
+        out = out.tensor(half)
+    return out
+
+
+def reference_compose(q: PartLin, p: PartLin) -> PartLin:
+    """q after p through ``RefLin``."""
+    ref = RefLin.of(PartLin.coerce(q)).compose_after(RefLin.of(PartLin.coerce(p)))
+    return PartLin(ref.k, ref.l, ref.terms)

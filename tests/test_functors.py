@@ -26,6 +26,8 @@ from qsym.polyq import N_POLY, PolyQ
 from qsym.sparse import SparseTensor
 from qsym.verify import suite_functoriality
 
+from oracles import has_odd_block
+
 
 def test_functor_identity_strand():
     t = functor_T(Partition.identity(1), 3)
@@ -47,6 +49,22 @@ def test_functor_worked_example():
         for j in itertools.product(range(2), repeat=4):
             expected = 1 if (i[1] == j[2] == j[3] and i[2] == j[1]) else 0
             assert t[j + i] == expected
+
+
+def test_functor_does_not_print_its_partition(monkeypatch):
+    """The guard text names the shape only: no call formats the partition,
+    and a refused call still says which tensor it refused."""
+    p = Partition.parse("P(3,3){1 2' | 2 3 1' | 3'}")
+    expected = functor_T(p, 3)
+
+    def refuse(self):
+        raise AssertionError("Partition.__str__ called")
+
+    monkeypatch.setattr(Partition, "__str__", refuse)
+    assert functor_T(p, 3) == expected
+    monkeypatch.setenv("QSYM_MAX_SPARSE", "26")
+    with pytest.raises(SizeGuardError, match=r"functor tensor for P\(3,3\) at N=3"):
+        functor_T(p, 3)
 
 
 def test_sign_sigma():
@@ -141,7 +159,7 @@ def test_functor_on_one_sided_partitions(text, N):
     assert t == _as_tensor(p, N, _functor_oracle(p, N))
     if p.k + p.l == 0:
         assert dict(t.numerators) == {(): 1}
-    if not p.has_odd_block():
+    if not has_odd_block(p):
         expected = {idx: sign_sigma(idx[p.l:]) * sign_sigma(idx[: p.l])
                     for idx in _functor_oracle(p, N)}
         assert evaluate_partlin(PartLin.of(p), N, deformed=True) == _as_tensor(p, N, expected)
@@ -214,7 +232,7 @@ def test_evaluate_partlin_matches_per_term_oracle(deformed_e, N):
 ])
 def test_evaluate_partlin_edge_cases(text, N, zero, deformed):
     e = eval_text(text)
-    if deformed and any(p.has_odd_block() for p in e.terms):
+    if deformed and any(has_odd_block(p) for p in e.terms):
         with pytest.raises(InvalidInputError, match="even block sizes"):
             evaluate_partlin(e, N, deformed)
         return

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from qsym.partitions import (
 )
 from qsym.polyq import N_POLY, PolyQ
 
-from oracles import compose_partitions
+from oracles import RefLin, compose_partitions, partition_adjoint, reference_compose
 
 
 def test_make_partition_examples():
@@ -85,14 +86,18 @@ def test_compose_arity_mismatch():
 
 
 def test_tensor_adjoint_rotate():
-    idp = Partition.identity(1)
+    idp = PartLin.of(Partition.identity(1))
     assert idp.tensor(idp) == Partition.identity(2)
-    assert Partition.cap().adjoint() == Partition.cup()
+    assert PartLin.of(Partition.cap()).adjoint() == Partition.cup()
     # rotating the one-block P(2,1) down on the right gives P(1,2)
-    b21 = Partition.block(2, 1)
+    b21 = PartLin.of(Partition.block(2, 1))
     assert b21.rotate("right") == Partition.block(1, 2)
-    with pytest.raises(InvalidInputError):
-        Partition.cup().rotate("left")
+    with pytest.raises(InvalidInputError, match="upper row is empty"):
+        PartLin.of(Partition.cup()).rotate("left")
+    with pytest.raises(InvalidInputError, match="upper row is empty"):
+        PartLin.zero(0, 2).rotate("left")
+    with pytest.raises(InvalidInputError, match="unknown side"):
+        b21.rotate("down")
 
 
 def test_cycle_partition():
@@ -252,12 +257,13 @@ def test_compose_associative_with_loops(r, q, p):
 @given(partitions_kl(3, 2))
 @settings(max_examples=60, deadline=None)
 def test_adjoint_involution(p):
-    assert p.adjoint().adjoint() == p
+    assert PartLin.of(p).adjoint().adjoint() == p
 
 
 @given(partitions_kl(2, 2), partitions_kl(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_tensor_associative(p, q):
+    p, q = PartLin.of(p), PartLin.of(q)
     assert p.tensor(q).tensor(p) == p.tensor(q.tensor(p))
 
 
@@ -320,17 +326,6 @@ def partlins(draw, k, l, max_terms=4):
     for part, coeff in terms:
         out = out + PartLin.of(part, coeff)
     return out
-
-
-def reference_compose(q: PartLin, p: PartLin) -> PartLin:
-    """Term-by-term PolyQ products with a factor n per loop, glued by
-    union-find."""
-    terms = {}
-    for qp, qc in q.terms.items():
-        for pp, pc in p.terms.items():
-            r, loops = compose_partitions(qp, pp)
-            terms[r] = terms.get(r, PolyQ()) + qc * pc * N_POLY**loops
-    return PartLin(p.k, q.l, terms)
 
 
 @st.composite
@@ -441,8 +436,8 @@ def test_products_without_outer_points(r):
     """Only loops survive: every output is P(0,0) with a power of n."""
     ring = Partition.cycle(r)
     out = eval_text(f"adj(pk({r})) * pk({r})")
-    assert out == compose(ring.adjoint(), ring) == reference_compose(
-        PartLin.of(ring.adjoint()), PartLin.of(ring))
+    assert out == compose(partition_adjoint(ring), ring) == reference_compose(
+        partition_adjoint(ring), ring)
     assert set(out.terms) == {Partition.identity(0)}
     mixed = spread(distinct_partitions(0, 2 * r, 7))
     assert compose(mixed.adjoint(), mixed) == reference_compose(mixed.adjoint(), mixed)
@@ -543,12 +538,10 @@ def test_compose_guard_fires_before_allocating(monkeypatch):
      lambda a, b: antisymmetrize(PartLin.of(Partition.identity(12)))),
 ], ids=["tensor", "antisymmetrize"])
 def test_products_guard_before_they_allocate(monkeypatch, count, what, build):
-    """One below its guard's count a product refuses with a small peak and
-    caches no antisymmetrizer row; at the count it builds at most that many
-    terms."""
+    """One below its guard's count a product refuses with a small peak; at
+    the count it builds at most that many terms."""
     a = spread(distinct_partitions(3, 3, 20))
     b = spread(distinct_partitions(2, 2, 15))
-    antisym_row.cache_clear()
     monkeypatch.setenv("QSYM_MAX_DENSE", str(count - 1))
     tracemalloc.start()
     try:
@@ -558,6 +551,136 @@ def test_products_guard_before_they_allocate(monkeypatch, count, what, build):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 1024
-    assert antisym_row.cache_info().currsize == 0
     monkeypatch.setenv("QSYM_MAX_DENSE", str(count))
     assert 0 < len(build(a, b).terms) <= count
+
+
+# -- the array PartLin against the dict-of-objects reference -----------------------
+#
+# ``RefLin`` (in ``oracles.py``) keeps one Partition and one PolyQ per term;
+# every operation of the array ``PartLin`` must give its terms in its order,
+# in the normal form the class promises.
+
+BIG = 2**64 + 7  # past int64, so coefficients fall back to Python integers
+
+
+def assert_normal(x: PartLin):
+    """Distinct canonical rows of the smallest label type, no zero row, no
+    trailing zero column, gcd(den, num) = 1, num int64 where it fits."""
+    rows, num = [tuple(r) for r in x.assign.tolist()], x.num.tolist()
+    assert x.assign.shape == (len(rows), x.k + x.l)
+    assert x.assign.dtype == partitions._label_type(x.k + x.l)
+    assert len(set(rows)) == len(rows)
+    assert all(Partition(x.k, x.l, r).assign == r for r in rows)
+    assert len(num) == len(rows) and all(any(row) for row in num)
+    assert not rows or any(row[-1] for row in num)
+    assert x.den > 0 and gcd(x.den, *(c for row in num for c in row)) == 1
+    top = max((abs(c) for row in num for c in row), default=0)
+    assert x.num.dtype == (np.int64 if top < 2**62 else object)
+
+
+@st.composite
+def coefficients(draw):
+    """Fractional, non-constant, zero, and past 2^63."""
+    return draw(st.one_of(polys(), st.sampled_from(
+        [PolyQ.const(BIG), PolyQ([Fraction(-BIG, 3), 0, 1]), PolyQ()])))
+
+
+@st.composite
+def combos(draw, k, l, max_terms=3):
+    """Combinations of shape (k,l), the zero one and k + l = 0 included."""
+    kinds = [partitions_kl(k, l)] + ([permutation_partitions(k)] if k == l else [])
+    terms = draw(st.lists(st.tuples(st.one_of(*kinds), coefficients()), max_size=max_terms))
+    return PartLin(k, l, dict(terms))
+
+
+CALCULUS = {
+    "add": (lambda a, b: a + b, lambda a, b: a + b),
+    "sub": (lambda a, b: a - b, lambda a, b: a - b),
+    "scale": (PartLin.scale, RefLin.scale),
+    "compose": (compose, RefLin.compose_after),
+    "tensor": (PartLin.tensor, RefLin.tensor),
+    "adjoint": (PartLin.adjoint, RefLin.adjoint),
+    "rotate": (PartLin.rotate, RefLin.rotate),
+    "antisymmetrize": (antisymmetrize, RefLin.antisymmetrize),
+}
+
+
+@st.composite
+def calculus_args(draw, op):
+    k, l = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if op in ("add", "sub"):
+        return draw(combos(k, l)), draw(combos(k, l))
+    if op == "scale":
+        return draw(combos(k, l)), draw(coefficients())
+    if op == "compose":
+        return draw(combos(l, draw(st.integers(0, 3)))), draw(combos(k, l))
+    if op == "tensor":
+        return draw(combos(k, l)), draw(combos(draw(st.integers(0, 2)), draw(st.integers(0, 2))))
+    if op == "rotate":
+        return draw(combos(k + 1, l)), draw(st.sampled_from(["left", "right"]))
+    if op == "antisymmetrize":
+        return (draw(combos(2 * draw(st.integers(0, 2)), 2 * draw(st.integers(0, 2)))),)
+    return (draw(combos(k, l)),)
+
+
+def check_against_reference(op, *args):
+    fast, slow = CALCULUS[op]
+    out = fast(*args)
+    ref = slow(*(RefLin.of(a) if isinstance(a, PartLin) else a for a in args))
+    assert_normal(out)
+    assert (out.k, out.l) == (ref.k, ref.l)
+    assert list(out.terms.items()) == list(ref.terms.items())
+    assert out == PartLin(ref.k, ref.l, ref.terms)
+
+
+@pytest.mark.parametrize("op", CALCULUS)
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_array_calculus_matches_dict_reference(op, data):
+    check_against_reference(op, *data.draw(calculus_args(op)))
+
+
+def test_array_calculus_edge_inputs():
+    """Empty shapes, the zero combination, fractional and non-constant
+    coefficients and one past 2^63, through every operation."""
+    id0 = PartLin.of(Partition.identity(0), 3)
+    empty = PartLin.of(Partition.parse("P(0,0){}"), N_POLY - Fraction(1, 2))
+    zero = PartLin.zero(2, 2)
+    big = PartLin.of(Partition.crossing(), BIG) + PartLin.of(
+        Partition.identity(2), N_POLY * Fraction(1, 3))
+    frac = antisym_row(1).scale(N_POLY**2 - Fraction(2, 3))
+    assert big.num.dtype == object and id0 == empty.scale(0) + id0
+    for op, *args in [
+        ("add", id0, empty), ("sub", empty, empty), ("add", zero, big), ("sub", big, big),
+        ("scale", big, PolyQ()), ("scale", frac, PolyQ.const(BIG)), ("scale", zero, N_POLY),
+        ("scale", PartLin.of(Partition.cap(), BIG), PolyQ.const(Fraction(1, BIG))),
+        ("compose", big, frac), ("compose", id0, empty), ("compose", zero, big),
+        ("compose", PartLin.of(Partition.cap()), big),
+        ("tensor", id0, big), ("tensor", big, empty), ("tensor", zero, big), ("tensor", big, frac),
+        ("adjoint", zero), ("adjoint", big), ("adjoint", empty),
+        ("rotate", big, "left"), ("rotate", frac, "right"),
+        ("antisymmetrize", big), ("antisymmetrize", id0), ("antisymmetrize", zero),
+        ("antisymmetrize", big.tensor(frac)),
+    ]:
+        check_against_reference(op, *args)
+
+
+def test_calculus_builds_no_partition_objects(monkeypatch):
+    """Partition is a boundary type: the operations read and write arrays."""
+    x = eval_text("scale(poly(n - 2), merge) + P(2,1){1 | 2 1'} - scale(poly(3), merge * cross)")
+    y = eval_text("scale(poly(n^2), fork) + P(1,2){1 1' | 2'}")
+    ring = eval_text("pk(2) + P(0,4){1' 2' | 3' 4'}")
+    big = x.scale(BIG)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Partition was built")
+
+    monkeypatch.setattr(Partition, "__init__", refuse)
+    monkeypatch.setattr(Partition, "_raw", refuse)
+    for value in (compose(y, x), compose(x, y), x + big, x - x, x.scale(N_POLY - 1),
+                  x.tensor(y), x.adjoint(), x.rotate("left"), y.rotate("right"),
+                  antisym_row(3), antisymmetrize(ring), antisymmetrize(x.tensor(x))):
+        assert isinstance(value, PartLin)
+    with pytest.raises(AssertionError, match="a Partition was built"):
+        x.terms

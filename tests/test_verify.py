@@ -15,6 +15,8 @@ from qsym.verify import (
     suite_hamming,
 )
 
+from oracles import block_sizes
+
 
 def verdicts(rep):
     return {r.check_id: r.verdict for r in rep.results}
@@ -61,7 +63,7 @@ def test_run_suite_dispatch():
 def test_six_pairing_combination_shape():
     combo = six_pairing_combination()
     assert (combo.k, combo.l) == (0, 8)
-    assert all(p.block_sizes() == [2] * 4 for p in combo.terms)
+    assert all(block_sizes(p) == [2] * 4 for p in combo.terms)
 
 
 def _pairable(*index_pairs) -> bool:
