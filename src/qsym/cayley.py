@@ -14,8 +14,10 @@ runs on integer arrays of power-basis coordinates in Q(zeta_M), one cyclic
 factor at a time, each factor one contraction with a cached twist kernel that
 multiplies by zeta_M^e; its guards count that array and those kernels.
 Conjugation by F takes rational matrices only: an integer +-1 fast path for
-groups of exponent <= 2, the kernel otherwise.  Graphs, F and both conjugation
-routes turn index arrays into tensors through ``SparseTensor._from_columns``.
+groups of exponent <= 2, the kernel otherwise.  Both conjugation routes
+scatter the tensor's index array into their dense array, and graphs, F, both
+routes and the wreath matrices hand index arrays to
+``SparseTensor._from_columns``; no route builds an index tuple per entry.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from math import prod
 
 import numpy as np
 
-from .config import guard_dense, guard_n
+from .config import guard_dense, guard_n, int_dtype, max_abs
 from .cyclotomic import Cyclotomic, euler_phi, power_rows
 from .errors import InvalidInputError
 from .groups import AbelianGroup, GroupElement, as_int, make_group
@@ -223,14 +225,12 @@ def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor
                for leg in range(legs) for m in orders]
     # Each contraction multiplies the largest coefficient by at most the
     # kernel's largest absolute column sum.
-    bound = max(map(abs, t.numerators.values()), default=0)
+    bound = max_abs(t._num)
     for factor in factors:
         bound *= _twist_kernel_col_sum(*factor)
-    dtype = np.int64 if bound < 2**63 else object
 
-    arr = np.zeros((N,) * legs + (phi,), dtype=dtype)
-    for idx, v in t.numerators.items():
-        arr[idx + (0,)] = v
+    arr = np.zeros((N,) * legs + (phi,), dtype=int_dtype(bound))
+    arr[(*t._idx, np.zeros(t.nnz(), dtype=np.intp))] = t._num[:, 0]
     arr = arr.reshape(orders * legs + (phi,))  # one axis per leg and cyclic factor
     for ax, factor in enumerate(factors):
         kernel = _twist_kernel(*factor)
@@ -239,8 +239,7 @@ def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor
     flat = arr.reshape(N**legs, phi)
     nonzero = (flat != 0).any(axis=1)
     cols = np.argwhere(nonzero.reshape((N,) * legs)).T  # a 0-d argwhere is (1, 0)
-    values = flat[nonzero] if phi > 1 else flat[nonzero, 0]
-    return SparseTensor._from_columns(t.shape, t.out_axes, cols, values,
+    return SparseTensor._from_columns(t.shape, t.out_axes, cols, flat[nonzero],
                                       t.den * N**t.out_axes, M)
 
 
@@ -284,15 +283,13 @@ def _conjugate_hadamard_int(group: AbelianGroup, mx: SparseTensor) -> SparseTens
     then divided by N exactly.  Past the bound the twist kernel takes over."""
     N = group.order
     guard_dense(N * N, "exponent-2 Fourier conjugation")
-    max_num = max((abs(v) for v in mx.numerators.values()), default=0)
     # |(F* M F)_{ij}| <= N^2 * max numerator; keep comfortably inside int64
-    if max_num * N * N >= 2**62:
+    if max_abs(mx._num) * N * N >= 2**62:
         return fourier_transform_legs(group, mx)
     pos = np.arange(N)
     F = np.where(group.char_exponents(pos[None, :], pos[:, None]) == 0, 1, -1)
     M = np.zeros((N, N), dtype=np.int64)
-    for (i, j), v in mx.numerators.items():
-        M[i, j] = v
+    M[tuple(mx._idx)] = mx._num[:, 0]
     C = F.T @ M @ F  # F is symmetric and real here, F* = F^T = F
     nonzero = C != 0
     return SparseTensor._from_columns((N, N), 1, np.argwhere(nonzero).T, C[nonzero],
@@ -388,7 +385,7 @@ def perm_matrix(perm) -> SparseTensor:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise InvalidInputError("permutation must be a bijection of 0..n-1")
-    return SparseTensor._raw((n, n), 1, {(perm[i], i): 1 for i in range(n)})
+    return SparseTensor._from_columns((n, n), 1, np.array([perm, range(n)]).reshape(2, n))
 
 
 def translation_perm(group: AbelianGroup, beta: GroupElement):
@@ -435,14 +432,11 @@ def wreath_rep(v_list, w) -> SparseTensor:
         raise InvalidInputError("w must be a permutation of 0..n-1")
     guard_dense(m ** (2 * n), "wreath representation matrix")
     t = functools.reduce(SparseTensor.tensor, v_list)
-    dims = [m] * n
-    num = {}
-    for idx, v in t.numerators.items():
-        b = [0] * n
-        for i in range(n):
-            b[w[i]] = idx[i]
-        num[(_flatten(b, dims), _flatten(idx[n:], dims))] = v
-    return SparseTensor._raw((m**n, m**n), 1, num, t.den, t.level)
+    # output slot w(i) takes t's output leg i; both sides flatten big-endian
+    weights = m ** (n - 1 - np.array([w, range(n)]))
+    legs = t._idx.astype(np.int64).reshape(2, n, -1)
+    cols = np.einsum("sl,sle->se", weights, legs)
+    return SparseTensor._from_columns((m**n, m**n), 1, cols, t._num, t.den, t.level)
 
 
 def product_action_perm(v_perms, w, m: int):

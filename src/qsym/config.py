@@ -1,11 +1,15 @@
-"""Configurable size guards.
+"""Configurable size guards, and the one rule for exact integer arrays.
 
 All caps can be overridden through environment variables so that the command
 line tools stay usable on small machines; library callers may also pass
-explicit limits where an operation takes one.
+explicit limits where an operation takes one.  ``int_dtype`` decides for
+every integer array of the package whether it holds int64 or Python
+integers.
 """
 
 import os
+
+import numpy as np
 
 from .errors import InvalidInputError, SizeGuardError
 
@@ -65,3 +69,15 @@ def guard_n(n, what):
             f"{what} needs a space of dimension {n}, over the cap {max_n()} "
             f"(raise QSYM_MAX_N to override)"
         )
+
+
+def int_dtype(top: int):
+    """int64 for integers whose absolute values stay at or below top < 2^62,
+    Python integers (``dtype=object``) otherwise: below 2^62 two values can
+    still be added in int64."""
+    return np.int64 if top < 2**62 else object
+
+
+def max_abs(num) -> int:
+    """The largest absolute value in an integer array, 0 when it is empty."""
+    return int(np.abs(num).max()) if num.size else 0

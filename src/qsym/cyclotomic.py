@@ -8,10 +8,10 @@ of the two, as ``SparseTensor`` entries are compared.  A value hashes as its
 normalised trace Tr(x)/phi(M), a rational that does not depend on the level
 the value is written at.
 
-``SparseTensor`` does not store ``Cyclotomic`` values: it keeps integer
-numerators over one shared denominator at one level and works on them with
-the integer helpers ``power_rows`` and ``recombine`` below.  A numerator at
-level L is a plain int when phi(L) = 1 and a tuple of phi(L) ints otherwise.
+``SparseTensor`` does not store ``Cyclotomic`` values: it keeps a matrix of
+integer power-basis numerators over one shared denominator at one level, and
+lifts, conjugates and reduces its rows by matrix products with
+``power_rows`` below.
 
 Floating point only ever appears as a display/diagnostic channel
 (:meth:`Cyclotomic.to_complex`); all arithmetic is exact.
@@ -131,32 +131,6 @@ def power_rows(level: int, step: int, count: int) -> tuple:
     rows = _reduction_rows(level)
     out = tuple(rows[(step * j) % level] for j in range(count))
     return tuple(r[0] for r in out) if euler_phi(level) == 1 else out
-
-
-def recombine(num: dict, rows) -> dict:
-    """Map every numerator v of ``num`` to sum_j v[j] * rows[j].
-
-    An int v counts as the one-term series (v,); ``rows`` comes from
-    :func:`power_rows` and fixes the target level and numerator form.
-    """
-    if isinstance(rows[0], int):
-        return {
-            k: v * rows[0] if isinstance(v, int) else sum(c * r for c, r in zip(v, rows))
-            for k, v in num.items()
-        }
-    width = len(rows[0])
-    terms = [tuple((i, r) for i, r in enumerate(row) if r) for row in rows]
-    out = {}
-    for k, v in num.items():
-        if isinstance(v, int):
-            v = (v,)
-        acc = [0] * width
-        for j, c in enumerate(v):
-            if c:
-                for i, r in terms[j]:
-                    acc[i] += c * r
-        out[k] = tuple(acc)
-    return out
 
 
 class Cyclotomic:

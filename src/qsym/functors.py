@@ -20,11 +20,10 @@ factorizations, which certify their rank exactly.
 Indices are gathered from one array of all block values: per partition in
 ``functor_T``, per block count in ``evaluate_partlin``, which reads the
 combination's assignment array and evaluates its coefficient rows at N
-without building a Partition or PolyQ per term, then sums the rows of all
-terms at once; both hand their index columns to
-``SparseTensor._from_columns``.  The antisymmetrizers build their keys in
-Python, reading the signs from a table of the k! permutation signs made once
-per call: there the array route measured slower.
+without building a Partition or PolyQ per term.  The antisymmetrizers index
+one array of the arrangements of every increasing k-tuple and take their
+signs from a table of the k! permutation signs.  Every builder hands its
+index columns to ``SparseTensor._from_columns``, which sums equal indices.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from math import comb, factorial, lcm
 
 import numpy as np
 
-from .config import guard_sparse
+from .config import guard_sparse, int_dtype
 from .errors import InvalidInputError
 from .partitions import Partition, PartLin
 from .sparse import SparseTensor
@@ -108,8 +107,6 @@ def evaluate_partlin(e: PartLin, N: int, deformed: bool = False) -> SparseTensor
     weights = [sum(c * x for c, x in zip(row, powers)) for row in e.num.tolist()]
     leg_blocks = np.concatenate((e.assign[:, e.k:], e.assign[:, :e.k]), axis=1)
     cols, vals = _term_rows(leg_blocks, blocks, weights, e.l, N, deformed)
-    if terms > 1:  # the rows of one term are distinct indices
-        cols, vals = _sum_equal_rows(cols, vals)
     return SparseTensor._from_columns((N,) * legs, e.l, cols, vals, e.den)
 
 
@@ -120,8 +117,7 @@ def _term_rows(leg_blocks, blocks, weights, l: int, N: int, deformed: bool):
     row's sign is -1.  Weights are int64 when no sum of one weight per term
     can overflow, Python integers otherwise."""
     terms, legs = leg_blocks.shape
-    top = max(map(abs, weights), default=0)
-    wtype = np.int64 if top * terms < 2**63 else object
+    wtype = int_dtype(max(map(abs, weights), default=0) * terms)
     weights = np.array(weights, dtype=wtype)
     cols = np.empty((legs, sum(N**int(b) for b in blocks)), dtype=np.min_scalar_type(N))
     vals = np.empty(cols.shape[1], dtype=wtype)
@@ -147,23 +143,6 @@ def _term_rows(leg_blocks, blocks, weights, l: int, N: int, deformed: bool):
             np.negative(rows, out=rows, where=odd)
         start = stop
     return cols, vals
-
-
-def _sum_equal_rows(cols, vals):
-    """The distinct index columns in lexicographic order with the sums of
-    their rows' values, zero sums dropped."""
-    if not vals.size:
-        return cols, vals
-    order = np.lexsort(cols[::-1]) if len(cols) else np.arange(vals.size)
-    new = np.zeros(vals.size, dtype=bool)
-    new[0] = True
-    for leg in cols:
-        leg = leg[order]
-        new[1:] |= leg[1:] != leg[:-1]
-    starts = np.flatnonzero(new)
-    sums = np.add.reduceat(vals[order], starts)
-    keep = sums != 0
-    return cols[:, order[starts[keep]]], sums[keep]
 
 
 # -- fast exact zero test for (undeformed) evaluations -------------------------
@@ -210,10 +189,14 @@ def partlin_evaluates_to_zero(e: PartLin, N: int) -> bool:
 
 # -- antisymmetrizers -----------------------------------------------------------
 
-def _perm_signs(k: int) -> list[int]:
-    """Signs of the k! permutations of range(k) in lexicographic order, the
-    order in which ``itertools.permutations`` arranges any k-tuple."""
-    return [sign_sigma(s) for s in itertools.permutations(range(k))]
+def _arrangements(k: int, n: int):
+    """(arr, signs): arr[c, j] is the j-th arrangement, in lexicographic
+    order, of the c-th increasing k-tuple of range(n), and signs[j] is the
+    sign of the permutation that arranges it."""
+    perms = list(itertools.permutations(range(k)))
+    subsets = np.array(list(itertools.combinations(range(n), k)),
+                       dtype=np.min_scalar_type(n)).reshape(-1, k)
+    return subsets[:, np.array(perms, dtype=np.intp)], np.array([sign_sigma(p) for p in perms])
 
 
 def antisymmetrizer(k: int, n: int, deformed: bool = False) -> SparseTensor:
@@ -222,34 +205,37 @@ def antisymmetrizer(k: int, n: int, deformed: bool = False) -> SparseTensor:
     distinct-index tuples when ``deformed``.
 
     The signed entry at (sigma.S, pi.S), for S an increasing k-tuple, is the
-    sign of the permutation taking pi.S to sigma.S: sign(sigma) sign(pi)."""
+    sign of the permutation taking pi.S to sigma.S: sign(sigma) sign(pi).
+    The output tuples are sorted once; the input tuples of each are the
+    arrangements of its S, already in order, so the columns come out in
+    lexicographic order."""
     if k < 0 or n < 1:
         raise InvalidInputError("antisymmetrizer needs k >= 0, n >= 1")
     if k == 0:
-        return SparseTensor._raw((), 0, {(): 1})
+        return SparseTensor._from_columns((), 0, np.zeros((0, 1), dtype=np.intp))
     guard_sparse(comb(n, k) * factorial(k) ** 2, f"antisymmetrizer k={k}, n={n}")
-    signs = _perm_signs(k)
-    num = {}
-    for subset in itertools.combinations(range(n), k):
-        arrangements = list(itertools.permutations(subset))
-        for out, s_out in zip(arrangements, signs):
-            for inn, s_in in zip(arrangements, signs):
-                num[out + inn] = 1 if deformed else s_out * s_in
-    return SparseTensor._raw((n,) * (2 * k), k, num, factorial(k))
+    arr, signs = _arrangements(k, n)
+    outs = arr.reshape(-1, k)
+    order = np.lexsort(outs.T[::-1])
+    subset, sigma = np.divmod(order, len(signs))
+    cols = np.empty((2 * k, len(order) * len(signs)), dtype=arr.dtype)
+    cols[:k] = np.repeat(outs[order].T, len(signs), axis=1)
+    cols[k:] = arr[subset].reshape(-1, k).T
+    num = 1 if deformed else np.multiply.outer(signs[sigma], signs).ravel()
+    return SparseTensor._from_columns((n,) * (2 * k), k, cols, num, factorial(k))
 
 
 def antisym_coisometry(k: int, n: int, deformed: bool = False) -> SparseTensor:
     """W with one output leg indexed by increasing k-tuples: A = k! W* W and
     W W* = (1/k!) I, which together certify rank(A) = C(n, k)."""
     if k == 0:
-        return SparseTensor._raw((1,), 1, {(0,): 1})
+        return SparseTensor._from_columns((1,), 1, np.zeros((1, 1), dtype=np.intp))
     guard_sparse(comb(n, k) * factorial(k), f"coisometry k={k}, n={n}")
-    signs = _perm_signs(k)
-    num = {}
-    for r, subset in enumerate(itertools.combinations(range(n), k)):
-        for arr, s in zip(itertools.permutations(subset), signs):
-            num[(r,) + arr] = 1 if deformed else s
-    return SparseTensor._raw((comb(n, k),) + (n,) * k, 1, num, factorial(k))
+    arr, signs = _arrangements(k, n)
+    rows = np.repeat(np.arange(len(arr)), len(signs))
+    cols = np.concatenate((rows[None], arr.reshape(-1, k).T))
+    num = 1 if deformed else np.tile(signs, len(arr))
+    return SparseTensor._from_columns((comb(n, k),) + (n,) * k, 1, cols, num, factorial(k))
 
 
 def permanent_direct(rows) -> Fraction:

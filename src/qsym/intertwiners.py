@@ -17,7 +17,6 @@ identities are asserted.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from fractions import Fraction
 from math import prod
@@ -188,10 +187,13 @@ class HammingOperators:
                      f"Hamming operators m={m}, n={n}")
         self._labels = [(a, i) for i in reversed(range(n)) for a in range(1, m)]
         self._index = {lab: x for x, lab in enumerate(self._labels)}
-        pos = [i for _, i in self._labels]
-        pairs = list(itertools.product(range(self.dim), repeat=2))
-        self._same = [(x, y) for x, y in pairs if pos[x] == pos[y]]
-        self._apart = [(x, y) for x, y in pairs if pos[x] != pos[y]]
+        # the cyclic value and the position of every label, and the label
+        # pairs (x, y) as columns: ``same`` pairs share a position
+        self._a = np.arange(self.dim) % (m - 1) + 1
+        self._pos = n - 1 - np.arange(self.dim) // (m - 1)
+        pairs = np.indices((self.dim, self.dim)).reshape(2, -1)
+        same = self._pos[pairs[0]] == self._pos[pairs[1]]
+        self._same, self._apart = pairs[:, same], pairs[:, ~same]
 
     def idx(self, a: int, i: int) -> int:
         return self._index[(a, i)]
@@ -199,53 +201,54 @@ class HammingOperators:
     def labels(self):
         return list(self._labels)
 
-    def _sum(self, x: int, y: int) -> int:
-        return (self._labels[x][0] + self._labels[y][0]) % self.m
+    def _sum(self, x, y):
+        return (self._a[x] + self._a[y]) % self.m
 
-    def _four_leg(self, keys) -> SparseTensor:
-        return SparseTensor._raw((self.dim,) * 4, 2, dict.fromkeys(keys, 1))
+    def _four_leg(self, cols) -> SparseTensor:
+        return SparseTensor._from_columns((self.dim,) * 4, 2, cols)
 
     def merge(self) -> SparseTensor:
         """[R]^{b j}_{a1 i1, a2 i2} = [i1 = i2 = j][a1 + a2 = b mod m]."""
-        keys = [
-            (self.idx(b, self._labels[x][1]), x, y)
-            for x, y in self._same if (b := self._sum(x, y))
-        ]
-        return SparseTensor._raw((self.dim,) * 3, 1, dict.fromkeys(keys, 1))
+        x, y = self._same
+        b = self._sum(x, y)
+        # label (b, i) sits b - a places after label (a, i)
+        cols = np.stack((x - self._a[x] + b, x, y))[:, b != 0]
+        return SparseTensor._from_columns((self.dim,) * 3, 1, cols)
 
     def connecter(self) -> SparseTensor:
-        """[i1 = i2 = j1 = j2][a1 + a2 = b1 + b2 mod m]."""
-        groups = {}
-        for x, y in self._same:
-            groups.setdefault((self._labels[x][1], self._sum(x, y)), []).append((x, y))
-        return self._four_leg(p + q for group in groups.values() for p in group for q in group)
+        """[i1 = i2 = j1 = j2][a1 + a2 = b1 + b2 mod m]: C C* for the
+        indicator C of a same pair (x, y) and its group (position, sum)."""
+        x, y = self._same
+        group = self._pos[x] * self.m + self._sum(x, y)
+        c = SparseTensor._from_columns((self.dim, self.dim, self.n * self.m), 2,
+                                       np.stack((x, y, group)))
+        return c @ c.adjoint()
 
-    def _zero_sum_keys(self):
-        """[a1 + a2 = 0 = b1 + b2 mod m][i1 = i2 != j1 = j2], as index keys."""
-        zero = [p for p in self._same if not self._sum(*p)]
-        return [
-            p + q for p in zero for q in zero
-            if self._labels[p[0]][1] != self._labels[q[0]][1]
-        ]
+    def _zero_sum_cols(self):
+        """[a1 + a2 = 0 = b1 + b2 mod m][i1 = i2 != j1 = j2], as index columns."""
+        x, y = self._same[:, self._sum(*self._same) == 0]
+        p, q = np.indices((len(x), len(x))).reshape(2, -1)
+        apart = self._pos[x[p]] != self._pos[x[q]]
+        return np.stack((x[p], y[p], x[q], y[q]))[:, apart]
 
     def aabb(self) -> SparseTensor:
-        return self._four_leg(self._zero_sum_keys())
+        return self._four_leg(self._zero_sum_cols())
 
     def abab(self) -> SparseTensor:
         """[a1 = b2, a2 = b1][i1 = j2 != i2 = j1]."""
-        return self._four_leg(p[::-1] + p for p in self._apart)
+        x, y = self._apart
+        return self._four_leg(np.stack((y, x, x, y)))
 
     def abba(self) -> SparseTensor:
         """[a1 = b1, a2 = b2][i1 = j1 != i2 = j2]."""
-        return self._four_leg(p + p for p in self._apart)
+        x, y = self._apart
+        return self._four_leg(np.stack((x, y, x, y)))
 
     def aabb_capital(self) -> SparseTensor:
         """All four cyclic values equal with vanishing sums; the i,j pattern
         follows the two-block reading (i1 = i2 != j1 = j2)."""
-        return self._four_leg(
-            key for key in self._zero_sum_keys()
-            if len({self._labels[x][0] for x in key}) == 1
-        )
+        cols = self._zero_sum_cols()
+        return self._four_leg(cols[:, (self._a[cols] == self._a[cols[0]]).all(axis=0)])
 
     def all_named(self) -> dict[str, SparseTensor]:
         return {

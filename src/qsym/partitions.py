@@ -25,7 +25,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .config import guard_dense, max_dense
+from .config import guard_dense, int_dtype, max_abs, max_dense
 from .errors import InvalidInputError, SizeGuardError
 from .polyq import PolyQ, _lowest
 
@@ -398,16 +398,6 @@ def _label_type(labels: int):
     return np.int8 if labels <= 2**7 else np.int16 if labels <= 2**15 else np.int32
 
 
-def _int_type(top: int):
-    """int64 for integers whose absolute values stay at or below top < 2^62,
-    Python integers otherwise."""
-    return np.int64 if top < 2**62 else object
-
-
-def _top(num) -> int:
-    return int(np.abs(num).max()) if num.size else 0
-
-
 def _normal(assign, num, den: int):
     """(assign, num, den) made normal from distinct canonical rows and integer
     coefficient rows over den > 0: zero rows and trailing zero columns go,
@@ -422,7 +412,7 @@ def _normal(assign, num, den: int):
     g = gcd(den, int(np.gcd.reduce(num[:, :width], axis=None))) if den != 1 else 1
     num = num[:, :width] // g
     if num.dtype == object:
-        num = num.astype(_int_type(_top(num)))
+        num = num.astype(int_dtype(max_abs(num)))
     return assign.astype(_label_type(assign.shape[1]), copy=False), num, den // g
 
 
@@ -569,7 +559,7 @@ def _sum_products(gid, groups: int, loops, q_num, p_num):
     q_num[a, i] * p_num[b, j] at power i + j + loops; int64 when no sum
     can reach 2^62, Python integers otherwise."""
     Dq, Dp = q_num.shape[1], p_num.shape[1]
-    dtype = _int_type(_top(q_num) * _top(p_num) * len(gid) * Dq * Dp)
+    dtype = int_dtype(max_abs(q_num) * max_abs(p_num) * len(gid) * Dq * Dp)
     Cq, Cp = q_num.astype(dtype), p_num.astype(dtype)
     sums = np.zeros((groups, Dq + Dp - 1 + int(loops.max())), dtype=dtype)
     for i in range(Dq):

@@ -1,78 +1,134 @@
 """Exact sparse tensors with cyclotomic entries.
 
-A tensor maps k input legs to l output legs; entries are keyed by the full
-index tuple (output indices first, then input indices) and absent keys are
-zero.  ``shape`` lists the axis dimensions in the same order and ``out_axes``
-records how many leading axes are outputs, which fixes how composition
-contracts.  All arithmetic is exact; equality is entrywise.
+A tensor maps k input legs to l output legs.  ``shape`` lists the axis
+dimensions, outputs first, and ``out_axes`` records how many leading axes
+are outputs, which fixes how composition contracts.  Absent indices are
+zero.  All arithmetic is exact; equality is entrywise.
 
-Storage is one layout per tensor: a level L, a denominator ``den > 0`` and
-a dict of integer numerators, so the entry at ``idx`` is
-``numerators[idx] / den`` in Q(zeta_L).  A numerator is a plain int when L = 1
-and a tuple of phi(L) power-basis coefficients otherwise.  Every operation
-leaves the layout normalised: no zero numerators, gcd(den, numerators) = 1,
-and L = 1 whenever every entry is rational.  Power-basis coordinates are
-unique at a fixed level, so two normalised tensors at the same level are
-equal exactly when their denominators and numerator dicts are.
-``Cyclotomic`` values appear only at the boundary: ``__getitem__``,
-``entries``, ``trace`` and JSON.  Index arrays become keys in ``_from_columns``.
+Storage is three arrays-and-numbers fields beside the level L:
+- ``_idx``, a (legs, nnz) index array whose columns are the nonzero indices
+  in lexicographic order, in the smallest unsigned dtype that holds
+  max(shape) - 1;
+- ``_num``, an (nnz, phi(L)) matrix of power-basis numerators in
+  Q(zeta_L), int64 or Python integers by ``config.int_dtype``;
+- ``den > 0``, so column j holds the entry ``_num[j] / den``.
+
+A rational tensor is the phi = 1 case.  Every operation leaves the layout
+normal: no zero rows, L = 1 whenever every entry is rational, and
+gcd(den, numerators) = 1.  Power-basis coordinates are unique at a fixed
+level, so two normal tensors at one level are equal exactly when their
+arrays and denominators are.
+
+``compose``, ``tensor``, ``scale`` and the leg transforms are one
+sort-merge join, ``_join``.  It pairs the rows that agree on the contracted
+columns, convolves their numerator rows, sums equal indices and reduces the
+sums once into Q(zeta_L).  Dicts, tuple keys and ``Cyclotomic`` values exist
+only at the boundary: the dict constructor, ``from_json``, ``t[idx]``,
+``entries``, ``numerators``, ``rational_entries``, ``trace`` and ``to_json``.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 from types import MappingProxyType
 
-from .config import guard_sparse
-from .cyclotomic import ZERO, Cyclotomic, euler_phi, power_rows, recombine
+import numpy as np
+
+from .config import guard_sparse, int_dtype, max_abs
+from .cyclotomic import ZERO, Cyclotomic, euler_phi, power_rows
 from .errors import InvalidInputError
 
-# Index columns turned into key tuples at a time by ``_from_columns``: the
-# column lists of one chunk are all that exists beside the finished keys.
-_KEY_CHUNK = 2**16
+
+def _index_type(shape):
+    """The smallest unsigned dtype that holds every index of ``shape``."""
+    return np.min_scalar_type(max((1, *shape)) - 1)
+
+
+@lru_cache(maxsize=None)  # like power_rows': a level, a step and a short row count
+def _powers(level: int, step: int, count: int):
+    """(rows, colsum): ``power_rows(level, step, count)`` as a read-only
+    (count, phi(level)) int64 matrix, and its largest absolute column sum."""
+    rows = np.array(power_rows(level, step, count), dtype=np.int64).reshape(count, -1)
+    rows.flags.writeable = False
+    return rows, int(np.abs(rows).sum(axis=0).max())
+
+
+def _apply(num, level: int, step: int, factor: int = 1):
+    """``factor`` times the rows of ``num`` with coefficient j moved to
+    zeta_level^(step*j): one matrix product with ``power_rows``, in a dtype
+    that holds it.  The step level // L lifts rows of level L to ``level``;
+    the step level - 1 conjugates."""
+    rows, colsum = _powers(level, step, num.shape[1])
+    dtype = int_dtype(max(1, max_abs(num)) * colsum * factor)
+    return num.astype(dtype, copy=False) @ (rows.astype(dtype) * factor)
+
+
+def _lift(t, level: int, factor: int = 1):
+    """``factor`` times t's numerator matrix at ``level``, a multiple of t.level."""
+    return _apply(t._num, level, level // t.level, factor)
+
+
+def _sum_equal(idx, num):
+    """The columns of ``idx`` in lexicographic order, the ``num`` rows of
+    equal columns summed.  A strictly increasing ``idx`` is kept as it is:
+    from the last leg to the first, a neighbouring pair rises where its leg
+    rises, or ties and rose on the later legs."""
+    rising = np.zeros(max(idx.shape[1] - 1, 0), dtype=bool)
+    for row in idx[::-1]:
+        rising = (row[1:] > row[:-1]) | ((row[1:] == row[:-1]) & rising)
+    if rising.all():
+        return idx, num
+    if len(idx):
+        order = np.lexsort(idx[::-1])
+        idx, num = idx[:, order], num[order]
+    starts = np.concatenate(([True], (idx[:, 1:] != idx[:, :-1]).any(axis=0))).nonzero()[0]
+    return idx[:, starts], np.add.reduceat(num, starts, axis=0)
+
+
+def _group_ids(cols):
+    """One id per column of ``cols``, equal exactly where the columns are."""
+    ids = np.zeros(cols.shape[1], dtype=np.intp)
+    if len(cols) and cols.shape[1]:
+        order = np.lexsort(cols[::-1])
+        s = cols[:, order]
+        new = np.concatenate(([False], (s[:, 1:] != s[:, :-1]).any(axis=0)))
+        ids[order] = new.cumsum()
+    return ids
 
 
 class _Layout:
-    """Normalised (level, den, numerators), handed to ``SparseTensor``
-    without the index checks of public construction."""
+    """Normal (_idx, _num, den, level) from distinct index columns in
+    lexicographic order, handed to ``SparseTensor`` without the index checks
+    of public construction."""
 
-    __slots__ = ("level", "den", "num")
+    __slots__ = ("_idx", "_num", "den", "level")
 
-    def __init__(self, level: int, den: int, num: dict):
-        self.level, self.den, self.num = _normalise(level, den, num)
+    def __init__(self, idx, num, den: int = 1, level: int = 1):
+        nonzero = num != 0
+        keep = nonzero.any(axis=1)
+        if not keep.all():
+            idx, num, nonzero = idx[:, keep], num[keep], nonzero[keep]
+        if not nonzero[:, 1:].any():
+            level, num = 1, num[:, :1]
+        g = gcd(den, int(np.gcd.reduce(num, axis=None))) if den != 1 else 1
+        if g != 1:
+            den, num = den // g, num // g
+        if num.dtype == object:
+            num = num.astype(int_dtype(max_abs(num)))
+        self._idx, self._num, self.den, self.level = idx, num, den, level
 
     def __len__(self):
-        return len(self.num)
+        return len(self._num)
 
 
-def _normalise(level: int, den: int, num: dict):
-    """Drop zeros, collapse all-rational numerators to level 1, and divide
-    out gcd(den, numerators); ``num`` is taken over, not copied."""
-    if euler_phi(level) == 1:
-        level = 1
-    zero = 0 if level == 1 else (0,) * euler_phi(level)
-    if zero in num.values():
-        num = {k: v for k, v in num.items() if v != zero}
-    if level > 1 and not any(any(v[1:]) for v in num.values()):
-        level, num = 1, {k: v[0] for k, v in num.items()}
-    if not num:
-        return 1, 1, num
-    if den != 1:
-        g = den
-        for v in num.values():
-            g = gcd(g, v) if level == 1 else gcd(g, *v)
-            if g == 1:
-                break
-        if g != 1:
-            den //= g
-            if level == 1:
-                num = {k: v // g for k, v in num.items()}
-            else:
-                num = {k: tuple(c // g for c in v) for k, v in num.items()}
-    return level, den, num
+def _layout(shape, idx, num, den: int = 1, level: int = 1) -> _Layout:
+    """The layout of index columns ``idx`` (any order, equal columns summed)
+    with numerator rows ``num``."""
+    idx = np.ascontiguousarray(idx, dtype=_index_type(shape))
+    return _Layout(*_sum_equal(idx, num), den, level)
 
 
 def _scalar_parts(x):
@@ -84,88 +140,83 @@ def _scalar_parts(x):
     raise TypeError(f"cannot coerce {type(x).__name__} to Cyclotomic")
 
 
-def _layout_of_values(values: dict) -> _Layout:
-    """The layout of {key: int | Fraction | Cyclotomic}."""
-    parts = {k: _scalar_parts(v) for k, v in values.items()}
-    level = lcm(1, *(lv for lv, _ in parts.values()))
-    den = lcm(1, *(c.denominator for _, cs in parts.values() for c in cs))
-    by_level = {}
-    for k, (lv, cs) in parts.items():
-        ints = tuple(c.numerator * (den // c.denominator) for c in cs)
-        by_level.setdefault(lv, {})[k] = ints[0] if lv == 1 else ints
-    num = {}
-    for lv, group in by_level.items():
-        num.update(_lift(group, lv, level))
-    return _Layout(level, den, num)
+def _layout_of_values(shape, values) -> _Layout:
+    """The layout of {index: int | Fraction | Cyclotomic}, every index
+    checked against ``shape``."""
+    keys = [tuple(idx) for idx in values]
+    for idx in keys:
+        if len(idx) != len(shape) or not all(0 <= i < d for i, d in zip(idx, shape)):
+            raise InvalidInputError(f"index {idx} out of bounds for shape {shape}")
+    parts = [_scalar_parts(v) for v in values.values()]
+    level = lcm(1, *(lv for lv, _ in parts))
+    den = lcm(1, *(c.denominator for _, cs in parts for c in cs))
+    num = np.zeros((len(parts), euler_phi(level)), dtype=object)
+    for lv in {lv for lv, _ in parts}:
+        rows = [j for j, part in enumerate(parts) if part[0] == lv]
+        own = np.array([[c.numerator * (den // c.denominator) for c in parts[j][1]]
+                        for j in rows], dtype=object)
+        num[rows] = own if lv == level else _apply(own, level, level // lv)
+    idx = np.array(keys, dtype=np.int64).reshape(len(keys), len(shape)).T
+    return _layout(shape, idx, num, den, level)
 
 
-def _lift(num: dict, src: int, dst: int) -> dict:
-    """Numerators at level ``src`` re-expressed at ``dst``, a multiple of src."""
-    if src == dst:
-        return num
-    return recombine(num, power_rows(dst, dst // src, euler_phi(src)))
+# Pairs a join forms at a time.  A block's temporaries take about 80 bytes a
+# pair, so a product with few outputs and many pairs stays within a few MiB;
+# the certificates of ``verify antisym`` ran fastest at 2**16 among
+# 2**12..2**20 (0.33 s against 0.40 s at 2**14, 2-vCPU Xeon).
+_BLOCK_PAIRS = 2**16
 
 
-def _operands(a: "SparseTensor", b: "SparseTensor"):
-    """(level, na, nb) for a product of a and b: an irrational side is lifted
-    to the common level, a rational side keeps its int numerators."""
+def _join(a, b, keys_a, keys_b, order, shape, what: str) -> _Layout:
+    """The products of the rows of a and b that agree on a's columns
+    ``keys_a`` and b's columns ``keys_b``; with no key columns every row
+    meets every row.  Output column j of a product is column ``order[j]``
+    of a's columns followed by b's.  Its numerator row is the convolution of
+    the two rows, each exponent scaled to the common level; the rows of
+    equal indices are summed, block by block of pairs and then across the
+    blocks, and reduced once through ``power_rows``.  The guard fires before
+    any array of the pairs' size exists."""
+    na, nb = len(a._num), len(b._num)
+    ids = _group_ids(np.concatenate((a._idx[keys_a], b._idx[keys_b]), axis=1))
+    ga, gb = ids[:na], ids[na:]
+    per_group = np.bincount(gb, minlength=na + nb)
+    reps = per_group[ga]
+    ends = reps.cumsum()
+    pairs = int(reps.sum())
+    guard_sparse(min(pairs, prod(shape)), what)
+    # pair p belongs to a's row i with ends[i - 1] <= p < ends[i] and meets
+    # the b row at position p - ends[i - 1] of i's group in ``by_group``
+    by_group, offset = gb.argsort(kind="stable"), per_group.cumsum()[ga] - ends
+
     level = lcm(a.level, b.level)
-    na = a._num if a.level == 1 else _lift(a._num, a.level, level)
-    nb = b._num if b.level == 1 else _lift(b._num, b.level, level)
-    return level, na, nb
-
-
-def _products(groups, level: int, rat_a: bool, rat_b: bool) -> dict:
-    """Sum the products v * w of a grouped join into {key: numerator at
-    level}: each group is (lefts, rights), lists of (key part, v) and
-    (key part, w), and every left meets every right under the key
-    ``left part + right part``.  ``rat_a``/``rat_b`` say whether the v/w are
-    ints (rational) or power-basis tuples.  Products of two tuples are summed
-    as unreduced convolutions and reduced once per key."""
-    acc = {}
-    get = acc.get
-    if rat_a and rat_b:
-        for lefts, rights in groups:
-            for lk, v in lefts:
-                for rk, w in rights:
-                    key = lk + rk
-                    acc[key] = get(key, 0) + v * w
-        return acc
-    if rat_a or rat_b:
-        for lefts, rights in groups:
-            for lk, v in lefts:
-                for rk, w in rights:
-                    key = lk + rk
-                    cs, r = (w, v) if rat_a else (v, w)
-                    s = get(key)
-                    if s is None:
-                        acc[key] = [c * r for c in cs]
-                    else:
-                        for i, c in enumerate(cs):
-                            if c:
-                                s[i] += c * r
-        return {k: tuple(s) for k, s in acc.items()}
-    phi = euler_phi(level)
-    width = 2 * phi - 1
-    for lefts, rights in groups:
-        for lk, v in lefts:
-            for rk, w in rights:
-                key = lk + rk
-                s = get(key)
-                if s is None:
-                    s = acc[key] = [0] * width
-                for i, x in enumerate(v):
-                    if x:
-                        for j, y in enumerate(w):
-                            if y:
-                                s[i + j] += x * y
-    return recombine(acc, power_rows(level, 1, width))
+    (pa, sa), (pb, sb) = (a._num.shape[1], level // a.level), (b._num.shape[1], level // b.level)
+    rows, colsum = _powers(level, 1, sa * (pa - 1) + sb * (pb - 1) + 1)
+    # a sum of one index has at most min(na, nb) pairs of min(pa, pb) products
+    dtype = int_dtype(max_abs(a._num) * max_abs(b._num) * min(pa, pb) * min(na, nb) * colsum)
+    parts, la = [], len(a._idx)
+    for start in range(0, max(pairs, 1), _BLOCK_PAIRS):
+        p = np.arange(start, min(start + _BLOCK_PAIRS, pairs))
+        left = ends.searchsorted(p, "right")
+        right = by_group[offset[left] + p]
+        av, bv = a._num[left].astype(dtype, copy=False), b._num[right].astype(dtype, copy=False)
+        conv = np.zeros((len(p), len(rows)), dtype=dtype)
+        for i in range(pa):
+            conv[:, sa * i: sa * i + sb * (pb - 1) + 1: sb] += av[:, i:i + 1] * bv
+        idx = np.empty((len(order), len(p)), dtype=_index_type(shape))
+        for row, col in zip(idx, order):
+            row[:] = a._idx[col].take(left) if col < la else b._idx[col - la].take(right)
+        parts.append(_sum_equal(idx, conv))
+    idx, conv = parts[0]
+    if len(parts) > 1:
+        idx, conv = _sum_equal(np.concatenate([i for i, _ in parts], axis=1),
+                               np.concatenate([c for _, c in parts]))
+    return _Layout(idx, conv @ rows.astype(dtype), a.den * b.den, level)
 
 
 class _Entries(Mapping):
-    """Read-only {index: Cyclotomic} view of a tensor.  ``len``, ``in`` and
-    key iteration read the index set only; values are boxed on access and
-    never kept."""
+    """Read-only {index: Cyclotomic} view of a tensor.  Keys are index
+    tuples in lexicographic order; values are boxed on access and never
+    kept."""
 
     __slots__ = ("_t",)
 
@@ -173,74 +224,56 @@ class _Entries(Mapping):
         self._t = t
 
     def __len__(self):
-        return len(self._t._num)
+        return self._t.nnz()
 
     def __iter__(self):
-        return iter(self._t._num)
+        return self._t._keys()
 
     def __contains__(self, idx):
-        return idx in self._t._num
+        return self._t._find(idx) is not None
 
     def __getitem__(self, idx):
-        return self._t._box(self._t._num[idx])
+        j = self._t._find(idx)
+        if j is None:
+            raise KeyError(idx)
+        return self._t._box(self._t._num[j])
 
     def __repr__(self):
         return f"<entries of {self._t!r}>"
 
 
 class SparseTensor:
-    __slots__ = ("shape", "out_axes", "level", "den", "_num")
+    __slots__ = ("shape", "out_axes", "level", "den", "_idx", "_num")
 
     def __init__(self, shape, out_axes: int, entries=None):
         if isinstance(entries, _Layout):
             shape = tuple(shape)
-            layout = entries
         else:
             shape = tuple(int(d) for d in shape)
-            entries = entries or {}
-            nd = len(shape)
-            values = {}
-            for idx, val in entries.items():
-                idx = tuple(idx)
-                if len(idx) != nd:
-                    raise InvalidInputError(f"index {idx} out of bounds for shape {shape}")
-                for i, d in zip(idx, shape):
-                    if not 0 <= i < d:
-                        raise InvalidInputError(
-                            f"index {idx} out of bounds for shape {shape}"
-                        )
-                values[idx] = val
-            layout = _layout_of_values(values)
+            entries = _layout_of_values(shape, entries or {})
         if not 0 <= out_axes <= len(shape):
             raise InvalidInputError(f"out_axes {out_axes} out of range for {shape}")
-        guard_sparse(len(layout.num), "tensor construction")
+        guard_sparse(len(entries), "tensor construction")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "out_axes", out_axes)
-        object.__setattr__(self, "level", layout.level)
-        object.__setattr__(self, "den", layout.den)
-        object.__setattr__(self, "_num", layout.num)
-
-    @classmethod
-    def _raw(cls, shape, out_axes: int, num: dict, den: int = 1, level: int = 1):
-        """Trusted construction from numerators (taken over and normalised);
-        indices are not checked."""
-        return cls(shape, out_axes, _Layout(level, den, num))
+        object.__setattr__(self, "level", entries.level)
+        object.__setattr__(self, "den", entries.den)
+        object.__setattr__(self, "_idx", entries._idx)
+        object.__setattr__(self, "_num", entries._num)
 
     @classmethod
     def _from_columns(cls, shape, out_axes: int, cols, num=1, den: int = 1, level: int = 1):
-        """Trusted construction from a (legs, nnz) integer array of distinct
-        index columns.  ``num`` is one int shared by every entry, or an array
-        whose row j is column j's numerator: an int when 1-D, the phi(level)
-        power-basis coefficients when 2-D."""
-        chunks = [slice(s, s + _KEY_CHUNK) for s in range(0, cols.shape[1], _KEY_CHUNK)]
-        keys = itertools.chain.from_iterable(zip(*cols[:, c].tolist()) for c in chunks)
-        if not len(cols):  # zip of no columns gives no key; a 0-leg tensor's is ()
-            keys = [()] * cols.shape[1]
+        """Trusted construction from a (legs, n) integer array of index
+        columns, in any order, the numerators of equal columns summed.
+        ``num`` is one int shared by every column, or an array whose row j
+        is column j's numerator: an int when 1-D, the phi(level) power-basis
+        coefficients when 2-D."""
+        shape = tuple(shape)
         if isinstance(num, int):
-            return cls._raw(shape, out_axes, dict.fromkeys(keys, num), den, level)
-        values = itertools.chain.from_iterable(num[c].tolist() for c in chunks)
-        values = map(tuple, values) if num.ndim == 2 else values
-        return cls._raw(shape, out_axes, dict(zip(keys, values)), den, level)
+            num = np.full(cols.shape[1], num, dtype=int_dtype(abs(num)))
+        if num.ndim == 1:
+            num = num[:, None]
+        return cls(shape, out_axes, _layout(shape, cols, num, den, level))
 
     def __setattr__(self, *a):
         raise AttributeError("SparseTensor instances are immutable")
@@ -261,9 +294,10 @@ class SparseTensor:
 
     @property
     def numerators(self):
-        """Read-only {index: int | tuple of phi(level) ints}; the entry is the
-        numerator over ``den`` in Q(zeta_level)."""
-        return MappingProxyType(self._num)
+        """Read-only {index: int | tuple of phi(level) ints}, built on each
+        call; the entry is the numerator over ``den`` in Q(zeta_level)."""
+        values = self._num[:, 0].tolist() if self.level == 1 else map(tuple, self._num.tolist())
+        return MappingProxyType(dict(zip(self._keys(), values)))
 
     @property
     def entries(self) -> Mapping:
@@ -274,16 +308,32 @@ class SparseTensor:
         return len(self._num)
 
     def is_zero(self) -> bool:
-        return not self._num
+        return not len(self._num)
 
-    def _box(self, v) -> Cyclotomic:
-        if self.level == 1:
-            return Cyclotomic(1, (Fraction(v, self.den),))
-        return Cyclotomic(self.level, [Fraction(c, self.den) for c in v])
+    def _keys(self):
+        """The index tuples of the nonzero entries, in lexicographic order."""
+        return map(tuple, self._idx.T.tolist())
+
+    def _find(self, idx):
+        """The column holding index tuple ``idx``, or None: a binary search
+        of each leg within the run of columns that match the legs before it."""
+        idx = tuple(idx)
+        if len(idx) != len(self.shape):
+            return None
+        lo, hi = 0, self.nnz()
+        for row, i, d in zip(self._idx, idx, self.shape):
+            if not 0 <= i < d:
+                return None
+            run = row[lo:hi]
+            lo, hi = lo + int(run.searchsorted(i)), lo + int(run.searchsorted(i, "right"))
+        return lo if lo < hi else None
+
+    def _box(self, row) -> Cyclotomic:
+        return Cyclotomic(self.level, [Fraction(int(c), self.den) for c in row])
 
     def __getitem__(self, idx):
-        v = self._num.get(tuple(idx))
-        return ZERO if v is None else self._box(v)
+        j = self._find(idx)
+        return ZERO if j is None else self._box(self._num[j])
 
     # -- constructors ----------------------------------------------------------------
 
@@ -295,8 +345,8 @@ class SparseTensor:
     def identity(cls, dims) -> "SparseTensor":
         """Identity operator on a tensor product of legs with the given dims."""
         dims = tuple(dims)
-        num = {p + p: 1 for p in itertools.product(*(range(d) for d in dims))}
-        return cls._raw(dims + dims, len(dims), num)
+        cols = np.indices(dims).reshape(len(dims), prod(dims))
+        return cls._from_columns(dims + dims, len(dims), np.concatenate((cols, cols)))
 
     # -- linear operations --------------------------------------------------------------
 
@@ -308,51 +358,27 @@ class SparseTensor:
             )
 
     def __add__(self, other):
+        """Both row sets at the common level and denominator, concatenated;
+        the rows of equal indices are summed."""
         self._check_same_shape(other)
         guard_sparse(min(self.nnz() + other.nnz(), prod(self.shape)), "tensor sum")
-        level = lcm(self.level, other.level)
-        a, b = _lift(self._num, self.level, level), _lift(other._num, other.level, level)
-        den = lcm(self.den, other.den)
-        ma, mb = den // self.den, den // other.den
-        if level == 1:
-            acc = {k: v * ma for k, v in a.items()}
-            get = acc.get
-            for k, w in b.items():
-                acc[k] = get(k, 0) + w * mb
-        else:
-            acc = {k: tuple(c * ma for c in v) for k, v in a.items()}
-            for k, w in b.items():
-                s = acc.get(k)
-                acc[k] = (tuple(c * mb for c in w) if s is None
-                          else tuple(x + y * mb for x, y in zip(s, w)))
-        return SparseTensor._raw(self.shape, self.out_axes, acc, den, level)
+        level, den = lcm(self.level, other.level), lcm(self.den, other.den)
+        num = np.concatenate((_lift(self, level, den // self.den),
+                              _lift(other, level, den // other.den)))
+        idx = np.concatenate((self._idx, other._idx), axis=1)
+        return SparseTensor(self.shape, self.out_axes, _layout(self.shape, idx, num, den, level))
 
     def __neg__(self):
-        if self.level == 1:
-            num = {k: -v for k, v in self._num.items()}
-        else:
-            num = {k: tuple(-c for c in v) for k, v in self._num.items()}
-        return SparseTensor._raw(self.shape, self.out_axes, num, self.den, self.level)
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, factor) -> "SparseTensor":
-        f = _layout_of_values({(): factor})
-        if not f.num:
-            return SparseTensor.zeros(self.shape, self.out_axes)
-        # a rational p/q first cancels g = gcd(p, den): then a factor that
-        # only changes the denominator copies the numerators
-        g = gcd(f.num[()], self.den) if f.level == 1 else 1
-        den = self.den // g * f.den
-        if f.num[()] == g:
-            return SparseTensor._raw(self.shape, self.out_axes, dict(self._num), den, self.level)
-        level = lcm(self.level, f.level)
-        a = self._num if self.level == 1 else _lift(self._num, self.level, level)
-        w = f.num[()] // g if f.level == 1 else _lift(f.num, f.level, level)[()]
-        num = _products([(list(a.items()), [((), w)])], level,
-                        self.level == 1, f.level == 1)
-        return SparseTensor._raw(self.shape, self.out_axes, num, den, level)
+        f = _layout_of_values((), {(): factor})
+        legs = range(len(self.shape))
+        return SparseTensor(self.shape, self.out_axes,
+                            _join(self, f, [], [], legs, self.shape, "scaling"))
 
     __mul__ = scale
     __rmul__ = scale
@@ -366,51 +392,31 @@ class SparseTensor:
                 f"cannot compose: input shape {self.in_shape} vs "
                 f"output shape {other.out_shape}"
             )
-        level, a, b = _operands(self, other)
-        k, ko = self.out_axes, other.out_axes
-        left, right = {}, {}
-        for idx, v in a.items():
-            left.setdefault(idx[k:], []).append((idx[:k], v))
-        for idx, w in b.items():
-            right.setdefault(idx[:ko], []).append((idx[ko:], w))
-        joined = [(outs, right[mid]) for mid, outs in left.items() if mid in right]
+        k, la, lb = self.out_axes, len(self.shape), len(other.shape)
         shape = self.out_shape + other.in_shape
-        products = sum(len(outs) * len(tails) for outs, tails in joined)
-        guard_sparse(min(products, prod(shape)), "composition")
-        num = _products(joined, level, self.level == 1, other.level == 1)
-        return SparseTensor._raw(shape, k, num, self.den * other.den, level)
+        order = [*range(k), *range(la + other.out_axes, la + lb)]
+        layout = _join(self, other, list(range(k, la)), list(range(other.out_axes)),
+                       order, shape, "composition")
+        return SparseTensor(shape, k, layout)
 
     def __matmul__(self, other):
         return self.compose(other)
 
     def tensor(self, other: "SparseTensor") -> "SparseTensor":
         """Horizontal juxtaposition: outputs then outputs, inputs then inputs."""
-        guard_sparse(self.nnz() * other.nnz(), "tensor product")
-        level, a, b = _operands(self, other)
-        k1, k2 = self.out_axes, other.out_axes
-        left = {}
-        for i1, v in a.items():
-            left.setdefault(i1[k1:], []).append((i1[:k1], v))
-        right = [(i2[:k2], i2[k2:], w) for i2, w in b.items()]
-        groups = (
-            (outs, [(o2 + in1 + in2, w) for o2, in2, w in right])
-            for in1, outs in left.items()
-        )
-        num = _products(groups, level, self.level == 1, other.level == 1)
-        return SparseTensor._raw(
-            self.out_shape + other.out_shape + self.in_shape + other.in_shape,
-            k1 + k2, num, self.den * other.den, level,
-        )
+        k1, k2, la, lb = self.out_axes, other.out_axes, len(self.shape), len(other.shape)
+        shape = self.out_shape + other.out_shape + self.in_shape + other.in_shape
+        order = [*range(k1), *range(la, la + k2), *range(k1, la), *range(la + k2, la + lb)]
+        return SparseTensor(shape, k1 + k2,
+                            _join(self, other, [], [], order, shape, "tensor product"))
 
     def adjoint(self) -> "SparseTensor":
         """Conjugate transpose: swap leg roles and conjugate entries."""
-        k, level = self.out_axes, self.level
-        num = self._num
-        if level > 1:
-            num = recombine(num, power_rows(level, level - 1, euler_phi(level)))
-        num = {idx[k:] + idx[:k]: v for idx, v in num.items()}
-        return SparseTensor._raw(self.in_shape + self.out_shape, self.in_axes, num,
-                                 self.den, level)
+        k, legs, level = self.out_axes, len(self.shape), self.level
+        idx, num = _sum_equal(self._idx[[*range(k, legs), *range(k)]],
+                              _apply(self._num, level, level - 1))
+        return SparseTensor(self.in_shape + self.out_shape, self.in_axes,
+                            _Layout(idx, num, self.den, level))
 
     def _transform_leg(self, axis: int, matrix, new_dim: int, key_pos: int):
         """new[.., x ,..] = sum_y old[.., y ,..] * m(y, x), where the matrix
@@ -418,26 +424,14 @@ class SparseTensor:
         m = matrix._t if isinstance(matrix, _Entries) else _matrix_tensor(matrix)
         if len(m.shape) != 2:
             raise InvalidInputError("a leg transform needs a two-index matrix")
-        level, a, mnum = _operands(self, m)
-        fan = {}
-        for key, w in mnum.items():
-            x, y = key[key_pos], key[1 - key_pos]
-            if not 0 <= x < new_dim:
-                raise InvalidInputError(f"matrix index {x} out of range for dim {new_dim}")
-            fan.setdefault(y, []).append((x, w))
+        if m.nnz() and int(m._idx[key_pos].max()) >= new_dim:
+            raise InvalidInputError(
+                f"matrix index {int(m._idx[key_pos].max())} out of range for dim {new_dim}")
+        legs = len(self.shape)
         shape = self.shape[:axis] + (new_dim,) + self.shape[axis + 1:]
-        products = sum(len(fan.get(idx[axis], ())) for idx in a)
-        guard_sparse(min(products, prod(shape)), "leg transform")
-        heads = {}
-        for idx, v in a.items():
-            if idx[axis] in fan:
-                heads.setdefault(idx[axis:], []).append((idx[:axis], v))
-        groups = (
-            (pres, [((x,) + rest[1:], w) for x, w in fan[rest[0]]])
-            for rest, pres in heads.items()
-        )
-        num = _products(groups, level, self.level == 1, m.level == 1)
-        return SparseTensor._raw(shape, self.out_axes, num, self.den * m.den, level)
+        order = [*range(axis), legs + key_pos, *range(axis + 1, legs)]
+        return SparseTensor(shape, self.out_axes, _join(
+            self, m, [axis], [1 - key_pos], order, shape, "leg transform"))
 
     def transform_in_leg(self, leg: int, matrix, new_dim: int) -> "SparseTensor":
         """Substitute input leg ``leg`` (0-based among inputs) through
@@ -454,15 +448,8 @@ class SparseTensor:
         if self.out_shape != self.in_shape:
             raise InvalidInputError("trace needs matching input/output shapes")
         k = self.out_axes
-        if not k:
-            return self[()]
-        diag = [v for idx, v in self._num.items()
-                if idx[0] == idx[k] and idx[:k] == idx[k:]]
-        if not diag:
-            return ZERO
-        if self.level == 1:
-            return self._box(sum(diag))
-        return self._box([sum(cs) for cs in zip(*diag)])
+        diag = self._num[(self._idx[:k] == self._idx[k:]).all(axis=0)]
+        return self._box(diag.astype(int_dtype(max_abs(diag) * len(diag))).sum(axis=0))
 
     # -- comparison and export -------------------------------------------------------------
 
@@ -471,16 +458,12 @@ class SparseTensor:
             return NotImplemented
         if self.shape != other.shape or self.out_axes != other.out_axes:
             return False
-        if self.level == other.level:
-            return self.den == other.den and self._num == other._num
-        level = lcm(self.level, other.level)
-        a, b = _lift(self._num, self.level, level), _lift(other._num, other.level, level)
-        if a.keys() != b.keys():
+        if self.nnz() != other.nnz() or not (self._idx == other._idx).all():
             return False
-        da, db = self.den, other.den
-        return all(
-            all(x * db == y * da for x, y in zip(v, b[k])) for k, v in a.items()
-        )
+        if self.level == other.level:
+            return self.den == other.den and bool((self._num == other._num).all())
+        level = lcm(self.level, other.level)
+        return bool((_lift(self, level, other.den) == _lift(other, level, self.den)).all())
 
     def __hash__(self):
         raise TypeError("SparseTensor is not hashable")
@@ -496,8 +479,8 @@ class SparseTensor:
             "shape": list(self.shape),
             "out_axes": self.out_axes,
             "entries": [
-                {"idx": list(idx), "value": self._box(self._num[idx]).to_json()}
-                for idx in sorted(self._num)
+                {"idx": list(idx), "value": self._box(row).to_json()}
+                for idx, row in zip(self._keys(), self._num.tolist())
             ],
         }
 
@@ -518,7 +501,7 @@ class SparseTensor:
     def rational_entries(self) -> dict[tuple, Fraction]:
         if self.level != 1:
             raise InvalidInputError(f"tensor of level {self.level} is not rational")
-        return {i: Fraction(v, self.den) for i, v in self._num.items()}
+        return {i: Fraction(v, self.den) for i, v in zip(self._keys(), self._num[:, 0].tolist())}
 
 
 def _matrix_tensor(matrix) -> SparseTensor:

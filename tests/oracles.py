@@ -5,11 +5,16 @@ their blocks; it shares no code with ``partitions.compose``, which glues
 all term pairs of a product at once in numpy.  ``RefLin`` is the formal
 calculus on a dict of ``Partition`` keys and ``PolyQ`` coefficients, one
 object per term, against which the array ``PartLin`` is checked.
+``peak_bytes`` is the one ``tracemalloc`` measurement of the tests that
+check a size guard refuses before it allocates.
 """
 
+import tracemalloc
 from fractions import Fraction
 
-from qsym.errors import InvalidInputError
+import pytest
+
+from qsym.errors import InvalidInputError, SizeGuardError
 from qsym.partitions import Partition, PartLin
 from qsym.polyq import N_POLY, PolyQ
 
@@ -170,3 +175,19 @@ def reference_compose(q: PartLin, p: PartLin) -> PartLin:
     """q after p through ``RefLin``."""
     ref = RefLin.of(PartLin.coerce(q)).compose_after(RefLin.of(PartLin.coerce(p)))
     return PartLin(ref.k, ref.l, ref.terms)
+
+
+def peak_bytes(call, refusal=None) -> int:
+    """The peak bytes ``tracemalloc`` traces while ``call()`` runs.  With a
+    ``refusal`` pattern the call must raise ``SizeGuardError`` with a
+    message that matches it."""
+    tracemalloc.start()
+    try:
+        if refusal is None:
+            call()
+        else:
+            with pytest.raises(SizeGuardError, match=refusal):
+                call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

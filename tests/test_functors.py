@@ -1,6 +1,5 @@
 import itertools
 import random
-import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -26,7 +25,7 @@ from qsym.polyq import N_POLY, PolyQ
 from qsym.sparse import SparseTensor
 from qsym.verify import suite_functoriality
 
-from oracles import has_odd_block
+from oracles import has_odd_block, peak_bytes
 
 
 def test_functor_identity_strand():
@@ -254,13 +253,8 @@ def test_evaluate_partlin_is_guarded_before_it_allocates(monkeypatch):
     count = sum(5**p.n_blocks for p in e.terms)
     assert count == 10**6
     monkeypatch.setenv("QSYM_MAX_SPARSE", str(count - 1))
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeGuardError, match="evaluation of 64 partition terms"):
-            evaluate_partlin(e, 5, deformed=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: evaluate_partlin(e, 5, deformed=True),
+                      "evaluation of 64 partition terms")
     assert peak < 2**16  # the index columns alone would take 12 MB
 
 

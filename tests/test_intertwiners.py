@@ -1,6 +1,5 @@
 import itertools
 import re
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -35,6 +34,8 @@ from qsym.intertwiners import (
 from qsym.partitions import Partition
 from qsym.sparse import SparseTensor
 from qsym.verify import suite_hamming
+
+from oracles import peak_bytes
 
 ALL_GROUPS_UP_TO_9 = [
     [1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [4, 2], [2, 2, 2], [9], [3, 3],
@@ -248,26 +249,14 @@ def test_hadamard_conjugation_past_its_int64_bound():
     assert got.to_json() == expected.to_json()
 
 
-def _guard_peak_bytes(build, what):
-    """Call ``build``, which must raise SizeGuardError naming ``what``, and
-    return the peak bytes traced meanwhile."""
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeGuardError, match=what):
-            build()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_hadamard_conjugation_guards_before_it_allocates(monkeypatch):
     # N = 64: the fast path would build 64 x 64 int64 arrays (32 KiB each)
     gr = family_graph("hypercube", 6)
     a = gr.adjacency()
     expected = conjugate_by_fourier(gr.group, a)
     monkeypatch.setenv("QSYM_MAX_DENSE", str(64 * 64 - 1))
-    peak = _guard_peak_bytes(lambda: conjugate_by_fourier(gr.group, a),
-                             "exponent-2 Fourier conjugation needs 4096 ")
+    peak = peak_bytes(lambda: conjugate_by_fourier(gr.group, a),
+                      "exponent-2 Fourier conjugation needs 4096 ")
     assert peak < 16 * 1024
     monkeypatch.setenv("QSYM_MAX_DENSE", str(64 * 64))
     assert conjugate_by_fourier(gr.group, a) == expected
@@ -303,7 +292,7 @@ def test_builders_guard_before_they_allocate(monkeypatch, cap, count, what, buil
     _twist_kernel.cache_clear()
     _twist_kernel_col_sum.cache_clear()
     monkeypatch.setenv(cap, str(count - 1))
-    assert _guard_peak_bytes(build, f"{what}.* needs {count} ") < 16 * 1024
+    assert peak_bytes(build, f"{what}.* needs {count} ") < 16 * 1024
     assert _twist_kernel.cache_info().currsize == 0
     monkeypatch.setenv(cap, str(count))
     assert 0 < build().nnz() <= count
@@ -507,7 +496,7 @@ def test_hamming_operators_guard_counts_what_they_build(monkeypatch, m, n):
     assert max(ops.dim**2, largest) <= count <= ops.dim**2 + largest
     # one below it, the guard fires before the pair lists are built
     monkeypatch.setenv("QSYM_MAX_SPARSE", str(count - 1))
-    assert _guard_peak_bytes(lambda: HammingOperators(m, n), "Hamming operators") < 16 * 1024
+    assert peak_bytes(lambda: HammingOperators(m, n), "Hamming operators") < 16 * 1024
 
 
 def test_hamming_operators_guard_input():

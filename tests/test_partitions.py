@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from qsym import partitions
 from qsym.dsl import eval_text
-from qsym.errors import InvalidInputError, SizeGuardError
+from qsym.errors import InvalidInputError
 from qsym.functors import evaluate_partlin, partlin_evaluates_to_zero
 from qsym.partitions import (
     Partition,
@@ -23,7 +22,7 @@ from qsym.partitions import (
 )
 from qsym.polyq import N_POLY, PolyQ
 
-from oracles import RefLin, compose_partitions, partition_adjoint, reference_compose
+from oracles import RefLin, compose_partitions, partition_adjoint, peak_bytes, reference_compose
 
 
 def test_make_partition_examples():
@@ -510,22 +509,10 @@ def test_compose_guard_fires_before_allocating(monkeypatch):
     q = spread(distinct_partitions(6, 6, 120))
     p = spread(distinct_partitions(6, 6, 100))
 
-    def peak(cap, call):
-        """Bytes ``call`` allocates at most with QSYM_MAX_DENSE = cap."""
-        monkeypatch.setenv("QSYM_MAX_DENSE", str(cap))
-        tracemalloc.start()
-        try:
-            held, _ = tracemalloc.get_traced_memory()
-            call()
-            return tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
-
-    def refused():
-        with pytest.raises(SizeGuardError, match="partition composition"):
-            compose(q, p)
-
-    below, at_cap = peak(120 * 100 - 1, refused), peak(120 * 100, lambda: compose(q, p))
+    monkeypatch.setenv("QSYM_MAX_DENSE", str(120 * 100 - 1))
+    below = peak_bytes(lambda: compose(q, p), "partition composition")
+    monkeypatch.setenv("QSYM_MAX_DENSE", str(120 * 100))
+    at_cap = peak_bytes(lambda: compose(q, p))
     assert below < 16 * 1024 and 50 * below < at_cap
 
 
@@ -543,14 +530,7 @@ def test_products_guard_before_they_allocate(monkeypatch, count, what, build):
     a = spread(distinct_partitions(3, 3, 20))
     b = spread(distinct_partitions(2, 2, 15))
     monkeypatch.setenv("QSYM_MAX_DENSE", str(count - 1))
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeGuardError, match=what):
-            build(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 1024
+    assert peak_bytes(lambda: build(a, b), what) < 16 * 1024
     monkeypatch.setenv("QSYM_MAX_DENSE", str(count))
     assert 0 < len(build(a, b).terms) <= count
 

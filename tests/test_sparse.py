@@ -10,7 +10,6 @@ import itertools
 import json
 from fractions import Fraction
 from math import factorial, gcd
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,9 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsym.cyclotomic import ZERO, Cyclotomic, euler_phi
-from qsym import sparse
-from qsym.errors import InvalidInputError, SizeGuardError
+from qsym.errors import InvalidInputError
 from qsym.sparse import SparseTensor
+
+from oracles import peak_bytes
 
 LEVELS = (1, 3, 4, 8, 12)
 
@@ -290,6 +290,85 @@ def test_equality_across_levels_and_json(pair):
         assert ta.rational_entries() == {k: v.as_fraction() for k, v in nonzero(a).items()}
 
 
+# -- edges of the array layout: index dtypes, numerators past int64, no legs -------------
+
+# legs of 256 and 257 hold their last index in uint8 and uint16
+WIDE = (1, 2, 256, 257)
+big_rats = st.builds(Fraction, st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63)),
+                     st.integers(1, 5))
+
+
+@st.composite
+def wide_references(draw, shape):
+    """{index: Cyclotomic} at up to 5 indices of ``shape``, each index near
+    a leg's ends or anywhere; coefficients are small or past int64."""
+    leg = [st.sampled_from(sorted({0, d // 2, d - 1})) | st.integers(0, d - 1) for d in shape]
+    keys = draw(st.lists(st.tuples(*leg), unique=True, max_size=5))
+    coeffs = small_rats | big_rats
+    out = {}
+    for key in keys:
+        level = draw(st.sampled_from((1, 4, 8)))
+        phi = euler_phi(level)
+        out[key] = Cyclotomic(level, draw(st.lists(coeffs, min_size=phi, max_size=phi)))
+    return out
+
+
+wide_dims = st.lists(st.sampled_from(WIDE), max_size=2).map(tuple)
+
+
+def assert_index_width(t):
+    assert t._idx.dtype.itemsize == (1 if max(t.shape, default=1) <= 256 else 2), t.shape
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_wide_legs_big_numerators_and_no_legs(data):
+    out_d, mid, in_d = data.draw(wide_dims), data.draw(wide_dims), data.draw(wide_dims)
+    a = data.draw(wide_references(out_d + mid))
+    a2 = data.draw(wide_references(out_d + mid))
+    b = data.draw(wide_references(mid + in_d))
+    ta, ta2 = SparseTensor(out_d + mid, len(out_d), a), SparseTensor(out_d + mid, len(out_d), a2)
+    tb = SparseTensor(mid + in_d, len(mid), b)
+    k, kb = len(out_d), len(mid)
+    for t, ref in ((ta, a), (tb, b)):
+        assert_matches(t, ref)
+        assert_index_width(t)
+        assert SparseTensor.from_json(json.loads(json.dumps(t.to_json()))) == t
+    got = ta @ tb
+    assert_matches(got, accumulate((ia[:k] + ib[kb:], va * vb) for ia, va in a.items()
+                                   for ib, vb in b.items() if ia[k:] == ib[:kb]))
+    assert_index_width(got)
+    total = ta + ta2
+    assert_matches(total, {key: a.get(key, ZERO) + a2.get(key, ZERO) for key in set(a) | set(a2)})
+    assert (total == ta) == (not nonzero(a2))
+    product = ta.tensor(tb)
+    assert_matches(product, {i1[:k] + i2[:kb] + i1[k:] + i2[kb:]: v1 * v2
+                             for i1, v1 in a.items() for i2, v2 in b.items()})
+    assert_index_width(product)
+    new_dim = data.draw(st.sampled_from(WIDE))
+    if mid:  # a's first input leg y becomes x through matrix[y, x]
+        matrix = data.draw(wide_references((mid[0], new_dim)))
+        moved = ta.transform_in_leg(0, matrix, new_dim)
+        assert_matches(moved, accumulate(
+            (idx[:k] + (x,) + idx[k + 1:], v * w)
+            for idx, v in a.items() for (y, x), w in matrix.items() if idx[k] == y))
+        assert_index_width(moved)
+    if out_d:  # a's first output leg y becomes x through matrix[x, y]
+        matrix = data.draw(wide_references((new_dim, out_d[0])))
+        moved = ta.transform_out_leg(0, SparseTensor((new_dim, out_d[0]), 1, matrix).entries,
+                                     new_dim)
+        assert_matches(moved, accumulate(
+            ((x,) + idx[1:], w * v)
+            for idx, v in a.items() for (x, y), w in matrix.items() if idx[0] == y))
+        assert_index_width(moved)
+    square = SparseTensor(mid + mid, len(mid), data.draw(wide_references(mid + mid)))
+    expected = ZERO
+    for key, v in square.entries.items():
+        if key[:kb] == key[kb:]:
+            expected = expected + v
+    assert square.trace() == expected
+
+
 def test_zeta4_at_level_8_equals_zeta4():
     z8 = Cyclotomic(8, (0, 0, 1, 0))  # zeta8^2, written at level 8
     at8 = SparseTensor((2,), 1, {(0,): z8, (1,): 1})
@@ -344,9 +423,6 @@ def test_irrational_tensor_has_no_rational_entries():
 
 # -- construction from index columns --------------------------------------------------
 
-CHUNK = 4  # _KEY_CHUNK while the column property runs, so chunk edges are cheap
-
-
 @st.composite
 def column_cases(draw):
     """(shape, out_axes, cols, num, den, level) for ``_from_columns``: distinct
@@ -355,7 +431,7 @@ def column_cases(draw):
     legs = draw(st.integers(0, 3))
     shape = tuple(draw(st.lists(st.integers(2, 3), min_size=legs, max_size=legs)))
     cells = list(itertools.product(*(range(d) for d in shape)))
-    count = draw(st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    count = draw(st.sampled_from([0, 1, 3, 4, 5, 9])
                  .filter(lambda c: c <= len(cells)))
     keys = draw(st.permutations(cells))[:count]
     dtype = draw(st.sampled_from([np.uint8, np.int64]))
@@ -384,21 +460,21 @@ def column_cases(draw):
 @example(((), 0, np.zeros((0, 0), dtype=np.int64), 1, 1, 1))
 def test_from_columns_matches_entrywise_construction(case):
     """``_from_columns`` builds the tensor that the dict of its columns,
-    made entry by entry, builds through ``_raw``: keys, key order, Python
-    int values, den and level."""
+    made entry by entry, builds through the public constructor: keys, key
+    order, Python int values, den and level."""
     shape, out_axes, cols, num, den, level = case
     reference = {}
     for j in range(cols.shape[1]):
         key = tuple(int(i) for i in cols[:, j])
         if isinstance(num, int):
-            reference[key] = num
+            row = (num,)
         elif num.ndim == 2:
-            reference[key] = tuple(int(c) for c in num[j])
+            row = tuple(int(c) for c in num[j])
         else:
-            reference[key] = int(num[j])
-    expected = SparseTensor._raw(shape, out_axes, reference, den, level)
-    with mock.patch.object(sparse, "_KEY_CHUNK", CHUNK):
-        t = SparseTensor._from_columns(shape, out_axes, cols, num, den, level)
+            row = (int(num[j]),)
+        reference[key] = Cyclotomic(level, [Fraction(c, den) for c in row])
+    expected = SparseTensor(shape, out_axes, reference)
+    t = SparseTensor._from_columns(shape, out_axes, cols, num, den, level)
     assert (t.shape, t.out_axes, t.level, t.den) == (
         expected.shape, expected.out_axes, expected.level, expected.den)
     assert list(t.numerators.items()) == list(expected.numerators.items())
@@ -410,20 +486,22 @@ def test_from_columns_matches_entrywise_construction(case):
 # -- size guards fire inside each operation, before its result is built ---------------
 
 def test_size_guards_fire_before_allocation(monkeypatch):
-    ones = SparseTensor((4, 4), 1, {(i, j): 1 for i in range(4) for j in range(4)})
-    matrix = {(i, j): 1 for i in range(4) for j in range(2)}  # 8 stored entries
-    monkeypatch.setenv("QSYM_MAX_SPARSE", "15")
+    """One below its count each guard refuses with a small ``tracemalloc``
+    peak: the composition and leg transforms would pair 262,144 entries
+    (about 5 MB admitted), the tensor product 16.7 M, and the sum would
+    concatenate 8,192 rows (about 300 KB admitted)."""
+    ones = SparseTensor((64, 64), 1, {(i, j): 1 for i in range(64) for j in range(64)})
+    matrix = ones.entries  # a view, so no matrix is converted before the guard
+    monkeypatch.setenv("QSYM_MAX_SPARSE", str(64 * 64 - 1))
     cases = {
-        "composition": lambda: ones @ ones,
-        "tensor sum": lambda: ones + ones,
-        "leg transform": lambda: ones.transform_in_leg(0, matrix, 4),
-        "tensor product": lambda: ones.tensor(ones),
+        "composition": (lambda: ones @ ones, 2**19),
+        "tensor sum": (lambda: ones + ones, 2**14),
+        "leg transform": (lambda: ones.transform_in_leg(0, matrix, 64), 2**19),
+        "tensor product": (lambda: ones.tensor(ones), 2**19),
     }
-    for what, op in cases.items():
-        with pytest.raises(SizeGuardError, match=what):
-            op()
-    with pytest.raises(SizeGuardError, match="leg transform"):
-        ones.transform_out_leg(0, matrix, 4)
-    # the result size, not the product count, is what a cap of 16 must admit
-    monkeypatch.setenv("QSYM_MAX_SPARSE", "16")
-    assert (ones @ ones) == ones.scale(4)
+    for what, (op, bound) in cases.items():
+        assert peak_bytes(op, what) < bound, what
+    assert peak_bytes(lambda: ones.transform_out_leg(0, matrix, 64), "leg transform") < 2**19
+    # the result size, not the product count, is what a cap of 64^2 must admit
+    monkeypatch.setenv("QSYM_MAX_SPARSE", str(64 * 64))
+    assert (ones @ ones) == ones.scale(64)
