@@ -10,9 +10,12 @@ The Fourier matrix F (columns = characters) satisfies F F* = N I;
 ``fourier_matrix`` is the one builder of character-value tensors, for all
 characters or for a chosen list of labels.  ``fourier_transform_legs`` is the
 one exact kernel for transforming every leg of a rational tensor by F: it
-runs on integer arrays of power-basis coordinates in Q(zeta_M), one cyclic
-factor at a time, each factor one contraction with a cached twist kernel that
-multiplies by zeta_M^e; its guards count that array and those kernels.
+runs on arrays of integer power-basis coordinates in Q(zeta_M), one cyclic
+factor at a time, each factor one matrix product with a cached twist kernel
+that multiplies by zeta_M^e.  A bound from the kernels' column sums caps
+every value the products form, so below 2^53 they run in float64, exactly
+and through BLAS, and otherwise in int64 or Python integers; its guards
+count that array and those kernels.
 Conjugation by F takes rational matrices only: an integer +-1 fast path for
 groups of exponent <= 2, the kernel otherwise.  Both conjugation routes
 scatter the tensor's index array into their dense array, and graphs, F, both
@@ -202,13 +205,16 @@ def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor
     F^-1 = F* / N.
 
     Every Fourier coefficient is a root of unity zeta_M^e, so the work runs on
-    a dense integer array of power-basis coordinates in Q(zeta_M), one more
+    a dense array of integer power-basis coordinates in Q(zeta_M), one more
     axis of length phi(M).  F is the tensor product of its cyclic factors'
     transforms, so each leg is split into one axis per factor and contracted
-    one factor at a time, as a multidimensional DFT is, through an
-    (m, m, phi, phi) twist kernel: multiplication by zeta_M^e.  The array
-    holds int64 when a bound taken from the kernels shows that no sum can
-    overflow, and Python ints otherwise.
+    one factor at a time, as a multidimensional DFT is: the array, held as
+    (m, rest, phi), is copied to (rest, m*phi) and multiplied by the
+    (m*phi, m*phi) twist kernel of that factor (multiplication by zeta_M^e)
+    back into its own buffer, which leaves the contracted axis last before
+    phi.  A bound taken from the kernels caps every product and partial
+    sum; below 2^53 the product runs exactly in float64 (in any summation
+    order), otherwise in ``int_dtype`` of the bound.
     """
     if not t.all_rational():
         raise InvalidInputError("Fourier transform of legs needs a rational tensor")
@@ -218,49 +224,57 @@ def fourier_transform_legs(group: AbelianGroup, t: SparseTensor) -> SparseTensor
         raise InvalidInputError("tensor legs must all have the group order as dimension")
     legs = len(t.shape)
     phi = euler_phi(M)
-    guard_dense(N**legs * phi, "group-algebra Fourier transform")
-    if legs:  # each cyclic factor's (m, m, phi, phi) twist kernel, before it is cached
+    size = N**legs * phi
+    guard_dense(size, "group-algebra Fourier transform")
+    if legs:  # each cyclic factor's (m, phi, m, phi) twist kernel, before it is cached
         guard_dense(max(orders) ** 2 * phi**2, "Fourier twist kernel")
-    factors = [(m, (-1 if leg < t.out_axes else 1) * (M // m), M)
+    kernels = [_twist_kernel(m, (-1 if leg < t.out_axes else 1) * (M // m), M)
                for leg in range(legs) for m in orders]
     # Each contraction multiplies the largest coefficient by at most the
-    # kernel's largest absolute column sum.
+    # kernel's largest absolute column sum; no partial sum exceeds that.
     bound = max_abs(t._num)
-    for factor in factors:
-        bound *= _twist_kernel_col_sum(*factor)
+    for _, col_sum in kernels:
+        bound *= col_sum
+    exact = int_dtype(bound)
+    dtype = np.float64 if bound < 2**53 else exact
 
-    arr = np.zeros((N,) * legs + (phi,), dtype=int_dtype(bound))
+    arr = np.zeros((N,) * legs + (phi,), dtype=dtype)
     arr[(*t._idx, np.zeros(t.nnz(), dtype=np.intp))] = t._num[:, 0]
-    arr = arr.reshape(orders * legs + (phi,))  # one axis per leg and cyclic factor
-    for ax, factor in enumerate(factors):
-        kernel = _twist_kernel(*factor)
-        arr = np.moveaxis(np.tensordot(arr, kernel, axes=([ax, -1], [0, 2])), -2, ax)
+    work = np.empty_like(arr)
+    for m, (kernel, _) in zip(orders * legs, kernels):
+        rest = size // (m * phi)
+        work.reshape(rest, m, phi)[...] = arr.reshape(m, rest, phi).transpose(1, 0, 2)
+        np.matmul(work.reshape(rest, m * phi),
+                  kernel.reshape(m * phi, m * phi).astype(dtype, copy=False),
+                  out=arr.reshape(rest, m * phi))
+    del work
 
     flat = arr.reshape(N**legs, phi)
     nonzero = (flat != 0).any(axis=1)
     cols = np.argwhere(nonzero.reshape((N,) * legs)).T  # a 0-d argwhere is (1, 0)
-    return SparseTensor._from_columns(t.shape, t.out_axes, cols, flat[nonzero],
+    return SparseTensor._from_columns(t.shape, t.out_axes, cols,
+                                      flat[nonzero].astype(exact, copy=False),
                                       t.den * N**t.out_axes, M)
 
 
 # One timed pass of any benchmark workload uses at most 20 kernels; the
 # bound keeps a process that walks many group sizes from keeping them all.
 @functools.lru_cache(maxsize=32)
-def _twist_kernel(m: int, step: int, M: int) -> np.ndarray:
-    """K[a, b, i, :] = the power-basis row of zeta_M^(i + step*a*b) for digits
-    a, b < m and i < phi(M): K[a, b] is the matrix of multiplication by
-    zeta_M^(step*a*b) on Q(zeta_M), acting on row vectors.  Read-only."""
+def _twist_kernel(m: int, step: int, M: int) -> tuple[np.ndarray, int]:
+    """The matrix K of multiplication by zeta_M^(step*a*b) for digits a, b < m,
+    acting on row vectors of power-basis coordinates in Q(zeta_M), and its
+    largest absolute column sum max_{b,i'} sum_{a,i} |K[a, i, b, i']|.
+
+    K[a, i, b, :] is the power-basis row of zeta_M^(i + step*a*b) for
+    i < phi(M).  K is a read-only C-contiguous int64 array of shape
+    (m, phi, m, phi), so it reads as an (m*phi, m*phi) matrix without a
+    copy, and K.transpose(0, 2, 1, 3)[a, b] is the phi x phi matrix of
+    multiplication by zeta_M^(step*a*b)."""
     rows = np.array(power_rows(M, 1, M), dtype=np.int64).reshape(M, -1)
-    a, b, i = np.ogrid[:m, :m, :rows.shape[1]]
+    a, i, b = np.ogrid[:m, :rows.shape[1], :m]
     kernel = rows[(i + step * a * b) % M]
     kernel.flags.writeable = False
-    return kernel
-
-
-@functools.cache
-def _twist_kernel_col_sum(m: int, step: int, M: int) -> int:
-    """max_{b,i'} sum_{a,i} |K[a, b, i, i']| of ``_twist_kernel(m, step, M)``."""
-    return int(np.abs(_twist_kernel(m, step, M)).sum(axis=(0, 2)).max())
+    return kernel, int(np.abs(kernel).sum(axis=(0, 1)).max())
 
 
 def conjugate_by_fourier(group: AbelianGroup, mx: SparseTensor) -> SparseTensor:

@@ -4,7 +4,9 @@ All caps can be overridden through environment variables so that the command
 line tools stay usable on small machines; library callers may also pass
 explicit limits where an operation takes one.  ``int_dtype`` decides for
 every integer array of the package whether it holds int64 or Python
-integers.
+integers.  The one exception is the Fourier kernel
+(``cayley.fourier_transform_legs``), which holds its integers in float64
+while its bound stays below 2^53, where float64 arithmetic on them is exact.
 """
 
 import os

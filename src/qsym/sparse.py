@@ -369,7 +369,8 @@ class SparseTensor:
         return SparseTensor(self.shape, self.out_axes, _layout(self.shape, idx, num, den, level))
 
     def __neg__(self):
-        return self.scale(-1)
+        return SparseTensor(self.shape, self.out_axes,
+                            _Layout(self._idx, -self._num, self.den, self.level))
 
     def __sub__(self, other):
         return self + (-other)

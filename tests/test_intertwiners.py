@@ -6,13 +6,12 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qsym.cayley import (
     SpectralDecomposition,
     _twist_kernel,
-    _twist_kernel_col_sum,
     conjugate_by_fourier,
     coordinate_perm,
     family_graph,
@@ -290,7 +289,6 @@ def test_builders_guard_before_they_allocate(monkeypatch, cap, count, what, buil
     """One below its guard's count a builder refuses with a small peak and
     caches no kernel; at the count it builds at most that many entries."""
     _twist_kernel.cache_clear()
-    _twist_kernel_col_sum.cache_clear()
     monkeypatch.setenv(cap, str(count - 1))
     assert peak_bytes(build, f"{what}.* needs {count} ") < 16 * 1024
     assert _twist_kernel.cache_info().currsize == 0
@@ -310,11 +308,11 @@ def test_twist_kernel_multiplies_by_roots_of_unity(M):
     phi = euler_phi(M)
     for m in [m for m in range(1, M + 1) if M % m == 0]:
         for step in (M // m, -(M // m)):
-            kernel = _twist_kernel(m, step, M)
+            stored, col_sum = _twist_kernel(m, step, M)
+            assert stored.flags.c_contiguous and not stored.flags.writeable
+            kernel = stored.transpose(0, 2, 1, 3)  # K[a, b, i, i']
             assert kernel.shape == (m, m, phi, phi)
-            assert not kernel.flags.writeable
-            col_sum = int(np.abs(kernel).sum(axis=(0, 2)).max())
-            assert _twist_kernel_col_sum(m, step, M) == col_sum
+            assert col_sum == int(np.abs(kernel).sum(axis=(0, 2)).max())
             for a, b in itertools.product(range(m), repeat=2):
                 root = Cyclotomic.zeta(M, step * a * b)
                 # row i is zeta_M^i * root in the power basis
@@ -330,7 +328,7 @@ def test_fourier_kernel_at_its_int64_bound(orders):
     N, M = g.order, g.exponent
     col_sum = 1
     for step in (-1, 1):  # the output leg, then the input leg
-        col_sum *= int(np.abs(_twist_kernel(N, step, M)).sum(axis=(0, 2)).max())
+        col_sum *= _twist_kernel(N, step, M)[1]
     below = (2**63 - 1) // col_sum
     # the trivial characters sum all N^2 numerators: 0.34 (Z_7) and 0.56
     # (Z_9) of 2^63
@@ -341,6 +339,81 @@ def test_fourier_kernel_at_its_int64_bound(orders):
         expected = _legwise_fourier(g, t)
         assert got == expected
         assert got.to_json() == expected.to_json()
+
+
+@pytest.mark.parametrize("orders", [[7], [9]])
+def test_fourier_kernel_at_its_float64_bound(orders):
+    # below 2^53 the kernel multiplies in float64; one above it and at the
+    # top of the int64 range, where results pass 2^53, it must not
+    g = make_group(orders)
+    N, M = g.order, g.exponent
+    col_sum = _twist_kernel(N, -1, M)[1] * _twist_kernel(N, 1, M)[1]
+    below = (2**53 - 1) // col_sum
+    for top in (below, below + 1, (2**62 - 1) // col_sum):
+        cells = itertools.product(range(N), repeat=2)
+        t = SparseTensor((N, N), 1, {(i, j): top - (i * j) % 3 for i, j in cells})
+        got = fourier_transform_legs(g, t)
+        expected = _legwise_fourier(g, t)
+        assert got == expected
+        assert got.to_json() == expected.to_json()
+
+
+# the kernel's tiers, float64, int64 and Python integers, by the power of 2
+# that its bound stays below
+BOUND_TIERS = [53, 62, 72]
+
+
+def _kernel_bound(g, t):
+    """The largest numerator of t times each cyclic factor's largest twist
+    kernel column sum, over every leg."""
+    M = g.exponent
+    bound = max((abs(v) for v in t.numerators.values()), default=0)
+    for leg in range(len(t.shape)):
+        for m in g.orders:
+            bound *= _twist_kernel(m, (-1 if leg < t.out_axes else 1) * (M // m), M)[1]
+    return bound
+
+
+@st.composite
+def integer_tensors_and_factors(draw):
+    """A group of order <= 9, a tensor with 0-3 legs of dimension N and small
+    integer entries, and an integer c that puts the kernel's bound for
+    t.scale(c) in the top half of a drawn tier, where the transform's
+    values of up to two legs pass 2^53 in the int64 tier."""
+    g = make_group(draw(small_orders()))
+    legs = draw(st.integers(0, 3))
+    cells = list(itertools.product(range(g.order), repeat=legs))
+    keys = draw(st.lists(st.sampled_from(cells), unique=True, max_size=6))
+    t = SparseTensor((g.order,) * legs, draw(st.integers(0, legs)),
+                     {idx: draw(st.integers(-5, 5)) for idx in keys})
+    high = draw(st.sampled_from(BOUND_TIERS))
+    base = max(_kernel_bound(g, t), 1)
+    c = draw(st.integers(-(-2**(high - 1) // base), (2**high - 1) // base))
+    return g, t, c * draw(st.sampled_from([1, -1]))
+
+
+def _crossing_case(c):
+    g = make_group([7])
+    return g, functor_T(Partition.crossing(), g.order), c
+
+
+@given(integer_tensors_and_factors())
+@example(_crossing_case(2**10))  # bounds 2^24.3, 2^54.3, 2^61.3 and 2^84.3
+@example(_crossing_case(2**40 + 1))
+@example(_crossing_case(-(2**47) - 1))
+@example(_crossing_case(2**70 + 3))
+def test_fourier_kernel_is_linear_in_every_tier(case):
+    g, t, c = case
+    assert fourier_transform_legs(g, t.scale(c)) == fourier_transform_legs(g, t).scale(c)
+
+
+def test_fourier_kernel_peak_is_two_arrays():
+    # Z_7 with the block of 3 + 3 points: 7^6 * 6 power-basis coordinates,
+    # one array and one copy of it at 8 bytes each
+    g = make_group([7])
+    t = functor_T(Partition.block(3, 3), g.order)
+    fourier_transform_legs(g, t)  # the twist kernels are cached
+    assert peak_bytes(lambda: fourier_transform_legs(g, t)) <= 2.25 * 7**6 * 6 * 8
 
 
 def test_brute_hat_guards_its_dense_array(monkeypatch):

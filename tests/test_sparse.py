@@ -84,8 +84,18 @@ def operand_pair(draw):
             SparseTensor(shape, len(out_d), b), b)
 
 
+def _past_int64_pair():
+    """Numerators past 2^63 (Python integers): negation and subtraction
+    act on the object matrix, and one entry cancels in the sum."""
+    big = Cyclotomic(1, [2**64 + 1])
+    a = {(0,): big, (1,): Cyclotomic(1, [-(2**63)]), (2,): Cyclotomic(4, [3, -(2**70)])}
+    b = {(1,): Cyclotomic(1, [2**63]), (2,): big}
+    return SparseTensor((3,), 1, a), a, SparseTensor((3,), 1, b), b
+
+
 @settings(max_examples=60, deadline=None)
 @given(operand_pair())
+@example(_past_int64_pair())
 def test_construction_add_sub_neg(pair):
     ta, a, tb, b = pair
     assert_matches(ta, a)
