@@ -1,20 +1,22 @@
 """A small expression language for partition-calculus elements.
 
-Grammar (lowest to highest precedence):
+The grammar is two tables.  ``_BINARY`` gives each infix operator its
+precedence level, from the loosest to the tightest, and its operation:
 
-    sum    :=  oxterm (("+" | "-") oxterm)*
-    oxterm :=  prod ("ox" prod)*
-    prod   :=  unary ("*" unary)*
-    unary  :=  ("adj" | "rotl" | "rotr" | "asym") "(" sum ")"
-             | "scale" "(" poly "," sum ")"
-             | "compose" "(" sum "," sum ")"
-             | "tensor" "(" sum "," sum ")"
-             | atom
-    atom   :=  builtin | name | literal | "(" sum ")"
+    expr(0) :=  expr(1) (("+" | "-") expr(1))*       sum, difference
+    expr(1) :=  expr(2) ("ox" expr(2))*              tensor
+    expr(2) :=  atom ("*" atom)*                     compose
+    atom    :=  call | constant | name | literal | "(" expr(0) ")"
 
-``a * b`` composes with b applied first; ``ox`` is the horizontal tensor and
-binds more loosely than ``*``.  Builtins: id(k), cap, cup, cross, sing, merge,
-fork, block(k,l), pk(k).  Literals use the partition text format
+``_CALLS`` gives each function the kinds of its arguments, an expression
+(``expr``), a polynomial literal (``poly``) or an integer (``int``):
+
+    adj(expr)  rotl(expr)  rotr(expr)  asym(expr)  scale(poly, expr)
+    compose(expr, expr)  tensor(expr, expr)  id(int)  block(int, int)  pk(int)
+
+Every chain is left-deep.  ``a * b`` composes with b applied first; ``ox`` is
+the horizontal tensor and binds more loosely than ``*``.  Constants: cap,
+cup, cross, sing, merge, fork.  Literals use the partition text format
 ``P(2,2){1 2' | 2 1'}``.  Polynomial literals ``poly(n^2 - 2*n + 1)`` have
 integer coefficients in the loop parameter n.
 
@@ -25,10 +27,10 @@ Fixture files hold one identity per ``check`` line::
     check square-idempotent: half_sq * half_sq == half_sq
 
 The parser evaluates as it reads: each grammar rule returns the exact
-``PartLin`` of its text, and each operator checks the shapes of its operands
-at its own token before the algebra runs, so shape errors carry source
-positions.  Point counts and polynomial powers are size-guarded before they
-are built.
+``PartLin`` of its text, and each operator and call checks the shapes and
+sizes of its operands at its own token before the algebra runs, so shape
+errors carry source positions.  Point counts and polynomial powers are
+size-guarded before they are built.
 """
 
 from __future__ import annotations
@@ -52,18 +54,18 @@ _TOKEN_RE = re.compile(
     re.X,
 )
 
-_UNARY = ("adj", "rotl", "rotr", "asym")
-_CONSTANTS = {
-    "cap": Partition.cap,
-    "cup": Partition.cup,
-    "cross": Partition.crossing,
-    "sing": Partition.singleton,
-    "merge": Partition.merge,
-    "fork": Partition.fork,
+_CONSTANTS = {"cap": Partition.cap, "cup": Partition.cup, "cross": Partition.crossing,
+              "sing": Partition.singleton, "merge": Partition.merge, "fork": Partition.fork}
+# infix token -> (precedence level, loosest first; the operation of _apply)
+_BINARY = {"+": (0, "+"), "-": (0, "-"), "ox": (1, "tensor"), "*": (2, "compose")}
+_ATOM_LEVEL = 1 + max(level for level, _ in _BINARY.values())
+# function name -> the kinds of its arguments
+_CALLS = {
+    "adj": ("expr",), "rotl": ("expr",), "rotr": ("expr",), "asym": ("expr",),
+    "scale": ("poly", "expr"), "compose": ("expr", "expr"), "tensor": ("expr", "expr"),
+    "id": ("int",), "block": ("int", "int"), "pk": ("int",),
 }
-_RESERVED = set(_UNARY) | set(_CONSTANTS) | {
-    "scale", "compose", "tensor", "poly", "ox", "n", "id", "block", "pk",
-}
+_RESERVED = {*_BINARY, *_CALLS, *_CONSTANTS, "poly", "n"}
 
 
 @dataclass
@@ -142,61 +144,20 @@ class Parser:
 
     # expression grammar --------------------------------------------------------
 
-    def parse_expr(self) -> PartLin:
-        depth = self.deeper(self.peek())
-        value = self.parse_oxterm()
-        while self.peek().text in ("+", "-"):
+    def parse_expr(self, level: int = 0) -> PartLin:
+        """The left-deep chain of the operators of ``level`` over operands of
+        the next level.  The outermost level opens one depth level, and each
+        operator of a chain one more."""
+        if level == _ATOM_LEVEL:
+            return self.parse_atom()
+        depth = self.deeper(self.peek()) if level == 0 else self.depth
+        value = self.parse_expr(level + 1)
+        while (op := _BINARY.get(self.peek().text)) and op[0] == level:
             t = self.next()
             self.deeper(t)
-            value = _apply(t, t.text, value, self.parse_oxterm())
+            value = _apply(t, op[1], value, self.parse_expr(level + 1))
         self.depth = depth
         return value
-
-    def parse_oxterm(self) -> PartLin:
-        depth = self.depth
-        value = self.parse_prod()
-        while self.peek().text == "ox":
-            t = self.next()
-            self.deeper(t)
-            value = _apply(t, "tensor", value, self.parse_prod())
-        self.depth = depth
-        return value
-
-    def parse_prod(self) -> PartLin:
-        depth = self.depth
-        value = self.parse_unary()
-        while self.peek().text == "*":
-            t = self.next()
-            self.deeper(t)
-            value = _apply(t, "compose", value, self.parse_unary())
-        self.depth = depth
-        return value
-
-    def parse_unary(self) -> PartLin:
-        t = self.peek()
-        if t.kind == "name" and t.text in _UNARY:
-            self.next()
-            self.expect("(")
-            arg = self.parse_expr()
-            self.expect(")")
-            return _unary(t, arg)
-        if t.kind == "name" and t.text == "scale":
-            self.next()
-            self.expect("(")
-            poly = self.parse_poly_literal()
-            self.expect(",")
-            arg = self.parse_expr()
-            self.expect(")")
-            return arg.scale(poly)
-        if t.kind == "name" and t.text in ("compose", "tensor"):
-            self.next()
-            self.expect("(")
-            lhs = self.parse_expr()
-            self.expect(",")
-            rhs = self.parse_expr()
-            self.expect(")")
-            return _apply(t, t.text, lhs, rhs)
-        return self.parse_atom()
 
     def parse_atom(self) -> PartLin:
         t = self.next()
@@ -212,8 +173,8 @@ class Parser:
             self.expect(")")
             return value
         if t.kind == "name":
-            if t.text in ("id", "block", "pk"):
-                return self.parse_sized(t)
+            if t.text in _CALLS:
+                return self.parse_call(t)
             if t.text in _CONSTANTS:
                 return PartLin.of(_CONSTANTS[t.text]())
             if t.text in _RESERVED:
@@ -223,27 +184,19 @@ class Parser:
             return self.env[t.text]
         raise ParseError(f"unexpected token {t.text or 'end of input'!r}", t.line, t.col)
 
-    def parse_sized(self, t: Token) -> PartLin:
-        """id(k), block(k,l) or pk(k); the point count is size-guarded
-        before any point list is built."""
+    def parse_call(self, t: Token) -> PartLin:
+        """The call of the function named by token t, its arguments read by
+        their kinds in ``_CALLS``; each expression or polynomial argument
+        opens one depth level."""
         self.expect("(")
-        k = self.next_int()
-        if t.text == "block":
-            self.expect(",")
-            l = self.next_int()
+        args = []
+        for kind in _CALLS[t.text]:
+            if args:
+                self.expect(",")
+            args.append(self.parse_expr() if kind == "expr" else
+                        self.parse_poly_literal() if kind == "poly" else self.next_int())
         self.expect(")")
-        if t.text == "id":
-            _guard_points(k, k)
-            return PartLin.of(Partition.identity(k))
-        if t.text == "block":
-            if k + l < 1:
-                raise ParseError("block(k,l) needs at least one point", t.line, t.col)
-            _guard_points(k, l)
-            return PartLin.of(Partition.block(k, l))
-        if k < 1:
-            raise ParseError("pk(k) needs k >= 1", t.line, t.col)
-        _guard_points(0, 2 * k)
-        return PartLin.of(Partition.cycle(k))
+        return _apply(t, t.text, *args)
 
     def next_int(self) -> int:
         t = self.next()
@@ -318,33 +271,49 @@ def _guard_points(k: int, l: int):
     guard_dense(k + l, f"partition P({k},{l})")
 
 
-def _unary(t: Token, arg: PartLin) -> PartLin:
-    """The function named by token t applied to arg, arity-checked at t."""
-    if t.text == "adj":
-        return arg.adjoint()
-    if t.text == "asym":
-        if arg.k % 2 or arg.l % 2:
-            raise ParseError(f"asym needs even rows, got shape ({arg.k},{arg.l})",
-                             t.line, t.col)
-        return antisymmetrize(arg)
-    if arg.k == 0:
-        raise ParseError("cannot rotate: upper row is empty", t.line, t.col)
-    return arg.rotate("left" if t.text == "rotl" else "right")
+def _apply(t: Token, op: str, *args) -> PartLin:
+    """Operation ``op`` of an operator or a call on ``args``: every shape and
+    size error is raised at token t, and a point count is size-guarded
+    before its point list is built."""
+    def fail(message):
+        raise ParseError(message, t.line, t.col)
 
-
-def _apply(t: Token, op: str, lhs: PartLin, rhs: PartLin) -> PartLin:
-    """lhs op rhs for the operator at token t, arity-checked at t."""
+    a, b = args[0], args[-1]
     if op == "compose":
-        if lhs.k != rhs.l:
-            raise ParseError(f"cannot compose: left expects {lhs.k} inputs, "
-                             f"right produces {rhs.l} outputs", t.line, t.col)
-        return compose(lhs, rhs)
+        if a.k != b.l:
+            fail(f"cannot compose: left expects {a.k} inputs, right produces {b.l} outputs")
+        return compose(a, b)
     if op == "tensor":
-        return lhs.tensor(rhs)
-    if (lhs.k, lhs.l) != (rhs.k, rhs.l):
-        raise ParseError(f"cannot add shapes ({lhs.k},{lhs.l}) and ({rhs.k},{rhs.l})",
-                         t.line, t.col)
-    return lhs + rhs if op == "+" else lhs - rhs
+        return a.tensor(b)
+    if op in ("+", "-"):
+        if (a.k, a.l) != (b.k, b.l):
+            fail(f"cannot add shapes ({a.k},{a.l}) and ({b.k},{b.l})")
+        return a + b if op == "+" else a - b
+    if op == "scale":
+        return b.scale(a)
+    if op == "adj":
+        return a.adjoint()
+    if op == "asym":
+        if a.k % 2 or a.l % 2:
+            fail(f"asym needs even rows, got shape ({a.k},{a.l})")
+        return antisymmetrize(a)
+    if op in ("rotl", "rotr"):
+        if a.k == 0:
+            fail("cannot rotate: upper row is empty")
+        return a.rotate("left" if op == "rotl" else "right")
+    if op == "id":
+        _guard_points(a, a)
+        return PartLin.of(Partition.identity(a))
+    if op == "block":
+        if a + b < 1:
+            fail("block(k,l) needs at least one point")
+        _guard_points(a, b)
+        return PartLin.of(Partition.block(a, b))
+    # pk(k), the one operation left
+    if a < 1:
+        fail("pk(k) needs k >= 1")
+    _guard_points(0, 2 * a)
+    return PartLin.of(Partition.cycle(a))
 
 
 def eval_text(text: str, env: dict[str, PartLin] | None = None,

@@ -41,15 +41,14 @@ def load_all_fixtures() -> dict[str, list[FixtureCheck]]:
     return {name: load_fixture_file(fixture_text(name)) for name in FIXTURE_FILES}
 
 
-def check_identities(report: VerificationReport, checks, prefix: str = "",
-                     oracle_sizes=ORACLE_SIZES) -> VerificationReport:
+def check_identities(report: VerificationReport, checks, prefix: str = "") -> VerificationReport:
     """Add one verdict per fixture identity to ``report``: formal, then
-    through the tensor oracle at ``oracle_sizes``.  A ``check`` that fails
+    through the tensor oracle at ``ORACLE_SIZES``.  A ``check`` that fails
     either way fails; a ``flag`` that fails is a finding."""
     for chk in checks:
         diff = chk.lhs - chk.rhs
         formal_ok = diff.is_zero()
-        ok = formal_ok and all(partlin_evaluates_to_zero(diff, n) for n in oracle_sizes)
+        ok = formal_ok and all(partlin_evaluates_to_zero(diff, n) for n in ORACLE_SIZES)
         cid = prefix + chk.name
         if chk.kind == "flag":
             if ok:
@@ -62,19 +61,19 @@ def check_identities(report: VerificationReport, checks, prefix: str = "",
                 report.add(cid, "identity as drawn does not hold", "finding", detail)
         elif ok:
             report.add(cid, "formal + tensor oracle", "pass",
-                       f"oracle sizes {tuple(oracle_sizes)}")
+                       f"oracle sizes {ORACLE_SIZES}")
         elif formal_ok:
             report.add(cid, "tensor oracle disagrees with formal check",
-                       "fail", f"sizes {tuple(oracle_sizes)}")
+                       "fail", f"sizes {ORACLE_SIZES}")
         else:
             report.add(cid, "formal identity fails", "fail",
                        f"difference: {diff}")
     return report
 
 
-def lemma_suite(oracle_sizes=ORACLE_SIZES) -> VerificationReport:
+def lemma_suite() -> VerificationReport:
     """Run every fixture identity, formally and under the tensor oracle."""
     report = VerificationReport("lemmas")
     for fname, checks in load_all_fixtures().items():
-        check_identities(report, checks, f"{fname.removesuffix('.pcalc')}/", oracle_sizes)
+        check_identities(report, checks, f"{fname.removesuffix('.pcalc')}/")
     return report

@@ -69,7 +69,7 @@ class Partition:
     @classmethod
     def from_blocks(cls, k: int, l: int, blocks) -> "Partition":
         """Blocks list points as ints 1..k (upper) and strings "1'".."l'"
-        (lower); negative ints -1..-l also denote lower points."""
+        (lower)."""
         assign = [None] * (k + l)
         for b, block in enumerate(blocks):
             pts = list(block)
@@ -206,8 +206,6 @@ def _point_position(p, k, l):
     if isinstance(p, int):
         if 1 <= p <= k:
             return p - 1
-        if -l <= p <= -1:
-            return k - p - 1  # -j -> position k + j - 1
         raise InvalidInputError(f"point {p} out of range for P({k},{l})")
     raise InvalidInputError(f"bad point label {p!r}")
 

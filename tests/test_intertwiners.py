@@ -320,40 +320,35 @@ def test_twist_kernel_multiplies_by_roots_of_unity(M):
                 assert kernel[a, b].tolist() == expected
 
 
+# the kernel's tier edges: its bound below 2^53 multiplies in float64,
+# below 2^62 in int64, and past that in Python integers
+@pytest.mark.parametrize("edge, dtype_below, dtype_above", [
+    (53, np.float64, np.int64),
+    (62, np.int64, object),
+], ids=["float64-int64", "int64-python"])
 @pytest.mark.parametrize("orders", [[7], [9]])
-def test_fourier_kernel_at_its_int64_bound(orders):
+def test_fourier_kernel_at_its_tier_edges(monkeypatch, orders, edge, dtype_below, dtype_above):
     # zeta_7^6 and zeta_9^6..8 reduce to rows with several nonzero entries,
-    # so the kernels' column sums exceed m
-    g = make_group(orders)
-    N, M = g.order, g.exponent
-    col_sum = 1
-    for step in (-1, 1):  # the output leg, then the input leg
-        col_sum *= _twist_kernel(N, step, M)[1]
-    below = (2**63 - 1) // col_sum
-    # the trivial characters sum all N^2 numerators: 0.34 (Z_7) and 0.56
-    # (Z_9) of 2^63
-    for top in (below, below + 1):
-        cells = itertools.product(range(N), repeat=2)
-        t = SparseTensor((N, N), 1, {(i, j): top - (i * j) % 3 for i, j in cells})
-        got = fourier_transform_legs(g, t)
-        expected = _legwise_fourier(g, t)
-        assert got == expected
-        assert got.to_json() == expected.to_json()
-
-
-@pytest.mark.parametrize("orders", [[7], [9]])
-def test_fourier_kernel_at_its_float64_bound(orders):
-    # below 2^53 the kernel multiplies in float64; one above it and at the
-    # top of the int64 range, where results pass 2^53, it must not
+    # so the kernels' column sums exceed m; the trivial characters sum all
+    # N^2 numerators, so results pass 2^53 in the int64 tier
     g = make_group(orders)
     N, M = g.order, g.exponent
     col_sum = _twist_kernel(N, -1, M)[1] * _twist_kernel(N, 1, M)[1]
-    below = (2**53 - 1) // col_sum
-    for top in (below, below + 1, (2**62 - 1) // col_sum):
+    below = (2**edge - 1) // col_sum  # the largest top whose bound stays below the edge
+    matmul, seen = np.matmul, []
+
+    def spy(a, *rest, **kwargs):  # the dtype the kernel multiplies in
+        seen.append(a.dtype)
+        return matmul(a, *rest, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    for top, dtype in ((below, dtype_below), (below + 1, dtype_above)):
         cells = itertools.product(range(N), repeat=2)
         t = SparseTensor((N, N), 1, {(i, j): top - (i * j) % 3 for i, j in cells})
-        got = fourier_transform_legs(g, t)
         expected = _legwise_fourier(g, t)
+        seen.clear()
+        got = fourier_transform_legs(g, t)
+        assert seen and set(seen) == {np.dtype(dtype)}, (top, seen)
         assert got == expected
         assert got.to_json() == expected.to_json()
 

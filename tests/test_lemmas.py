@@ -2,9 +2,16 @@ from fractions import Fraction
 
 from qsym.dsl import load_fixture_file
 from qsym.functors import partlin_evaluates_to_zero
-from qsym.lemmas import FIXTURE_FILES, fixture_text, lemma_suite, load_all_fixtures
+from qsym.lemmas import (
+    FIXTURE_FILES,
+    check_identities,
+    fixture_text,
+    lemma_suite,
+    load_all_fixtures,
+)
 from qsym.partitions import Partition, PartLin, antisymmetrize
 from qsym.polyq import N_POLY
+from qsym.report import VerificationReport
 
 
 def test_all_fixture_checks_hold_formally():
@@ -78,3 +85,13 @@ def test_fixture_files_all_present():
         "square_expansion.pcalc",
         "five_cycle_chain.pcalc",
     }
+
+
+def test_flagged_identity_that_holds_passes():
+    checks = load_fixture_file("flag loop: cap * cup == scale(poly(n), P(0,0){})\n"
+                               "flag drawn: cap * cup == P(0,0){}")
+    rep = check_identities(VerificationReport("f"), checks)
+    assert [(r.check_id, r.subject, r.verdict) for r in rep.results] == [
+        ("loop", "flagged identity holds after all", "pass"),
+        ("drawn", "identity as drawn does not hold", "finding"),
+    ]

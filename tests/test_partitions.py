@@ -211,6 +211,21 @@ def test_two_point_swap_exchanges_tensor_factors():
     assert two_point_swap(two_point_swap(e, 2), 2) == e
 
 
+@pytest.mark.parametrize("text", [
+    "asym(id(4))",
+    "asym(P(4,2){1 2 1' | 3 4 2'})",
+    "asym(id(6))",
+    "asym(P(6,0){1 4 | 2 6 | 3 5})",
+])
+def test_two_point_swap_upper_is_the_adjoint_of_lower(text):
+    # the crossing element is self-adjoint, so swapping on the upper row is
+    # swapping on the lower row of the adjoint
+    e = eval_text(text)
+    for i in range(1, e.k // 2):
+        expected = two_point_swap(e.adjoint(), i, "lower").adjoint()
+        assert two_point_swap(e, i, "upper") == expected, i
+
+
 def test_identity_difference_is_exact():
     half = Fraction(1, 2)
     lhs = PartLin.of(Partition.identity(2), half) - PartLin.of(Partition.crossing(), half)
