@@ -131,6 +131,7 @@ class SpectralDecomposition:
         M = g.exponent
         neg_gens = g.index_neg(graph.gens.positions)
         guard_dense(g.order * len(neg_gens), "character sums")
+        guard_dense(g.order * euler_phi(M), "eigenvalue rows")
         # lambda_mu = sum_theta zeta_M^e(mu, -theta), one generator at a time,
         # as integer coefficient rows in the power basis of Q(zeta_M); the
         # rows are unique, so equal rows are exactly equal eigenvalues
@@ -188,11 +189,11 @@ def fourier_matrix(group: AbelianGroup, labels=None) -> SparseTensor:
     all N characters in enumeration order, the full F with F F* = N I."""
     g = group
     N = g.order
+    M = g.exponent
     cols = np.arange(N) if labels is None else np.asarray(labels, dtype=np.int64)
-    guard_dense(N * len(cols), "Fourier matrix")
+    guard_dense(N * len(cols) * euler_phi(M), "Fourier matrix")
     if ((cols < 0) | (cols >= N)).any():
         raise InvalidInputError(f"character positions must lie in 0..{N - 1}")
-    M = g.exponent
     zeta = np.array(power_rows(M, 1, M), dtype=np.int64)  # (M,) or (M, phi)
     exps = g.char_exponents(cols[None, :], np.arange(N)[:, None]).ravel()
     keys = np.indices((N, len(cols))).reshape(2, -1)

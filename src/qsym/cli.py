@@ -115,8 +115,9 @@ def _text(value) -> str:
 
 def cmd_partition(args) -> int:
     if args.action == "eval":
+        # nothing is printed until the evaluation has passed its guards
         result = eval_text(args.expr)
-        print(_text(result))
+        lines = [_text(result)]
         if args.at is not None:
             t = evaluate_partlin(result, args.at, deformed=args.deformed)
             stats = {
@@ -128,7 +129,8 @@ def cmd_partition(args) -> int:
             if t.out_shape == t.in_shape and not t.is_zero():
                 tr = t.trace()
                 stats["trace"] = _text(tr.as_fraction() if tr.is_rational() else tr)
-            print(json.dumps(stats, sort_keys=True))
+            lines.append(json.dumps(stats, sort_keys=True))
+        print("\n".join(lines))
         return EXIT_OK
     # action == check: the checker of `qsym verify lemmas`
     try:

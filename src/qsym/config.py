@@ -49,28 +49,31 @@ def max_sparse():
     return _cap("QSYM_MAX_SPARSE", DEFAULT_MAX_SPARSE)
 
 
+def _refuse(what, needs, count, cap, var):
+    """The refusal of ``count`` over ``cap``; ``needs`` places the count.  A
+    count too long for Python's int-to-text limit is written as the power of
+    two at or below it."""
+    try:
+        amount = str(count)
+    except ValueError:
+        amount = f"at least 2^{count.bit_length() - 1}"
+    return SizeGuardError(
+        f"{what} needs {needs.format(amount)}, over the cap {cap} (raise {var} to override)")
+
+
 def guard_dense(count, what):
     if count > max_dense():
-        raise SizeGuardError(
-            f"{what} needs {count} dense entries, over the cap {max_dense()} "
-            f"(raise QSYM_MAX_DENSE to override)"
-        )
+        raise _refuse(what, "{} dense entries", count, max_dense(), "QSYM_MAX_DENSE")
 
 
 def guard_sparse(count, what):
     if count > max_sparse():
-        raise SizeGuardError(
-            f"{what} needs {count} stored entries, over the cap {max_sparse()} "
-            f"(raise QSYM_MAX_SPARSE to override)"
-        )
+        raise _refuse(what, "{} stored entries", count, max_sparse(), "QSYM_MAX_SPARSE")
 
 
 def guard_n(n, what):
     if n > max_n():
-        raise SizeGuardError(
-            f"{what} needs a space of dimension {n}, over the cap {max_n()} "
-            f"(raise QSYM_MAX_N to override)"
-        )
+        raise _refuse(what, "a space of dimension {}", n, max_n(), "QSYM_MAX_N")
 
 
 def int_dtype(top: int):

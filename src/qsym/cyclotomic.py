@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_M).
+"""Elements of cyclotomic fields Q(zeta_M) as exact boundary values.
 
 An element is stored as a rational coefficient vector over the power basis
 1, z, ..., z^(phi(M)-1) of Q(zeta_M), z = exp(2*pi*i/M), reduced modulo the
@@ -8,10 +8,12 @@ of the two, as ``SparseTensor`` entries are compared.  A value hashes as its
 normalised trace Tr(x)/phi(M), a rational that does not depend on the level
 the value is written at.
 
-``SparseTensor`` does not store ``Cyclotomic`` values: it keeps a matrix of
-integer power-basis numerators over one shared denominator at one level, and
-lifts, conjugates and reduces its rows by matrix products with
-``power_rows`` below.
+``Cyclotomic`` has no arithmetic: it labels, compares, prints and serialises
+results.  The field arithmetic of the package runs on integer power-basis
+arrays: ``SparseTensor`` keeps a matrix of numerators over one shared
+denominator at one level, and lifts, conjugates and reduces its rows by
+matrix products with ``power_rows`` below, as the spectrum and the Fourier
+kernel do.
 
 Floating point only ever appears as a display/diagnostic channel
 (:meth:`Cyclotomic.to_complex`); all arithmetic is exact.
@@ -181,89 +183,6 @@ class Cyclotomic:
             return list(self.coeffs)
         return _combine(self.coeffs, level // self.level, level)
 
-    def lift(self, level: int) -> "Cyclotomic":
-        """Re-express in Q(zeta_level); self.level must divide level.
-
-        Note the result re-canonicalizes, so a rational stays at level 1.
-        """
-        if level == self.level:
-            return self
-        return Cyclotomic(level, self._coeffs_at(level))
-
-    # -- arithmetic --------------------------------------------------------
-
-    @staticmethod
-    def _coerce(x) -> "Cyclotomic":
-        if isinstance(x, Cyclotomic):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Cyclotomic.from_rational(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to Cyclotomic")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        lvl = lcm(self.level, other.level)
-        a, b = self._coeffs_at(lvl), other._coeffs_at(lvl)
-        return Cyclotomic(lvl, tuple(x + y for x, y in zip(a, b)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.level, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        # common fast path: rational scalar times anything
-        if other.level == 1:
-            q = other.coeffs[0]
-            if q == 1:
-                return self
-            return Cyclotomic(self.level, tuple(c * q for c in self.coeffs))
-        if self.level == 1:
-            return other * self
-        lvl = lcm(self.level, other.level)
-        a, b = self._coeffs_at(lvl), other._coeffs_at(lvl)
-        phi = len(a)
-        conv = [_ZERO] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return Cyclotomic(lvl, _combine(conv, 1, lvl))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        # division by rationals only; full field inversion is never needed here
-        if isinstance(other, Cyclotomic):
-            if other.level != 1:
-                raise InvalidInputError("division only supported by rational values")
-            other = other.coeffs[0]
-        q = Fraction(other)
-        if q == 0:
-            raise ZeroDivisionError("division by zero")
-        return Cyclotomic(self.level, tuple(c / q for c in self.coeffs))
-
-    def galois(self, a: int) -> "Cyclotomic":
-        """Apply zeta -> zeta^a (a must be coprime to the level)."""
-        m = self.level
-        if gcd(a % m if a % m else m, m) != 1:
-            raise InvalidInputError(f"galois exponent {a} not coprime to level {m}")
-        return Cyclotomic(m, _combine(self.coeffs, a, m))
-
-    def conj(self) -> "Cyclotomic":
-        """Complex conjugation, zeta -> zeta^(level-1)."""
-        if self.level == 1:
-            return self
-        return self.galois(self.level - 1)
-
     # -- predicates / conversions ------------------------------------------
 
     def is_zero(self) -> bool:
@@ -299,9 +218,11 @@ class Cyclotomic:
     def __hash__(self):
         # Tr(x)/phi(level), the mean of x's Galois conjugates, is one rational
         # at every level x is written at, and x itself (its Fraction) if rational.
+        # The conjugates' other coordinates cancel, so Tr(x) is the sum of
+        # their constant coordinates.
         m = self.level
-        trace = sum(self.galois(a) for a in range(m) if gcd(a, m) == 1)
-        return hash(trace.as_fraction() / euler_phi(m))
+        trace = sum(_combine(self.coeffs, a, m)[0] for a in range(m) if gcd(a, m) == 1)
+        return hash(trace / euler_phi(m))
 
     # -- presentation --------------------------------------------------------
 
@@ -346,6 +267,4 @@ class Cyclotomic:
         return cls(data["level"], [Fraction(s) for s in data["coeffs"]])
 
 
-#: Convenience constants
 ZERO = Cyclotomic.from_rational(0)
-ONE = Cyclotomic.from_rational(1)

@@ -22,9 +22,11 @@ arrays and denominators are.
 ``compose``, ``tensor``, ``scale`` and the leg transforms are one
 sort-merge join, ``_join``.  It pairs the rows that agree on the contracted
 columns, convolves their numerator rows, sums equal indices and reduces the
-sums once into Q(zeta_L).  Dicts, tuple keys and ``Cyclotomic`` values exist
-only at the boundary: the dict constructor, ``from_json``, ``t[idx]``,
-``entries``, ``numerators``, ``rational_entries``, ``trace`` and ``to_json``.
+sums once into Q(zeta_L).  These arrays are the package's only field
+arithmetic: ``Cyclotomic`` has none.  Dicts, tuple keys and ``Cyclotomic``
+values exist only at the boundary: the dict constructor, ``from_json``,
+``t[idx]``, ``entries``, ``numerators``, ``rational_entries``, ``trace`` and
+``to_json``.
 """
 
 from __future__ import annotations
@@ -508,6 +510,8 @@ class SparseTensor:
 def _matrix_tensor(matrix) -> SparseTensor:
     """A {(x, y): scalar} dict as a two-axis tensor (negative keys rejected)."""
     keys = list(matrix)
+    if not all(isinstance(key, tuple) and len(key) == 2 for key in keys):
+        raise InvalidInputError("a leg transform needs a two-index matrix")
     shape = (
         1 + max((key[0] for key in keys), default=0),
         1 + max((key[1] for key in keys), default=0),

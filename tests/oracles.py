@@ -1,5 +1,9 @@
 """Slow reference routes that the production code is checked against.
 
+``Cyc`` is field arithmetic in Q(zeta_M) on ``Cyclotomic`` values, one
+Fraction coefficient vector per value, against which the package's integer
+power-basis arrays (``SparseTensor``, the Fourier twist kernel, the
+spectrum's rows) are checked; sympy's cyclotomic polynomials check ``Cyc``.
 ``compose_partitions`` glues one pair of partitions by union-find over
 their blocks; it shares no code with ``partitions.compose``, which glues
 all term pairs of a product at once in numpy.  ``RefLin`` is the formal
@@ -11,12 +15,82 @@ check a size guard refuses before it allocates.
 
 import tracemalloc
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
+from qsym.cyclotomic import Cyclotomic, _combine
 from qsym.errors import InvalidInputError, SizeGuardError
 from qsym.partitions import Partition, PartLin
 from qsym.polyq import N_POLY, PolyQ
+
+
+class Cyc(Cyclotomic):
+    """A ``Cyclotomic`` with the field operations.  Results are ``Cyc``; an
+    int, Fraction or plain ``Cyclotomic`` operand is taken as it is."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, x) -> "Cyc":
+        if isinstance(x, Cyclotomic):
+            return x if isinstance(x, Cyc) else cls(x.level, x.coeffs)
+        if isinstance(x, (int, Fraction)):
+            return cls.from_rational(x)
+        raise TypeError(f"cannot coerce {type(x).__name__} to Cyclotomic")
+
+    def lift(self, level: int) -> "Cyc":
+        """Re-express in Q(zeta_level); self.level must divide level.  The
+        result is canonical, so a rational stays at level 1."""
+        return Cyc(level, self._coeffs_at(level))
+
+    def __add__(self, other):
+        other = Cyc.of(other)
+        lvl = lcm(self.level, other.level)
+        return Cyc(lvl, [x + y for x, y in zip(self._coeffs_at(lvl), other._coeffs_at(lvl))])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Cyc(self.level, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -Cyc.of(other)
+
+    def __rsub__(self, other):
+        return Cyc.of(other) - self
+
+    def __mul__(self, other):
+        other = Cyc.of(other)
+        lvl = lcm(self.level, other.level)
+        a, b = self._coeffs_at(lvl), other._coeffs_at(lvl)
+        conv = [Fraction(0)] * (2 * len(a) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                conv[i + j] += ai * bj
+        return Cyc(lvl, _combine(conv, 1, lvl))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """Division by a nonzero rational; the tests need no field inverse."""
+        other = Cyc.of(other)
+        if not other.is_rational():
+            raise InvalidInputError("division only supported by rational values")
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero")
+        return Cyc(self.level, [c / other.as_fraction() for c in self.coeffs])
+
+    def galois(self, a: int) -> "Cyc":
+        """Apply zeta -> zeta^a (a must be coprime to the level)."""
+        m = self.level
+        if gcd(a, m) != 1:
+            raise InvalidInputError(f"galois exponent {a} not coprime to level {m}")
+        return Cyc(m, _combine(self.coeffs, a, m))
+
+    def conj(self) -> "Cyc":
+        """Complex conjugation, zeta -> zeta^(level-1)."""
+        return self.galois(self.level - 1)
 
 
 def compose_partitions(q: Partition, p: Partition) -> tuple[Partition, int]:

@@ -268,12 +268,18 @@ _DIGITS = "7" * 5_000
     ("scale(poly(n^100000), cap)", "polynomial power needs"),
     # a row of 2^18 terms on each side: refused before either is built
     ("asym(id(36))", "partition composition needs at least 2^36 "),
+    # 3^10000 and 5^7000 index rows, counts past the int-to-text limit
+    (("id(10000)", "--at", "3"), "needs at least 2^15849 stored entries"),
+    (("id(7000)", "--at", "5"), "needs at least 2^16253 stored entries"),
 ], ids=["id-digits", "literal-digits", "poly-digits", "label-digits", "pk-points",
-        "id-points", "literal-points", "poly-power", "asym-rows"])
+        "id-points", "literal-points", "poly-power", "asym-rows", "eval-3-pow-10000",
+        "eval-5-pow-7000"])
 def test_partition_eval_oversized_input_is_bad_input(capsys, text, message):
-    # each is refused before a point list, a polynomial or a product is built
+    # each is refused before a point list, a polynomial, a product or an
+    # evaluation is built; a row may carry options after its expression
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "partition", "eval", text)
+    argv = (text,) if isinstance(text, str) else text
+    code, out, err = run_cli(capsys, "partition", "eval", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
     assert time.perf_counter() - start < 1

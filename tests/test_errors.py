@@ -9,6 +9,7 @@ from qsym.cayley import (
     conjugate_by_fourier,
     coordinate_perm,
     family_graph,
+    fourier_matrix,
     make_generating_set,
     perm_matrix,
     wreath_rep,
@@ -16,7 +17,7 @@ from qsym.cayley import (
 from qsym.cli import main
 from qsym.cyclotomic import Cyclotomic, euler_phi
 from qsym.dsl import eval_text, load_fixture_file
-from qsym.errors import InvalidInputError, ParseError
+from qsym.errors import InvalidInputError, ParseError, SizeGuardError
 from qsym.functors import antisymmetrizer, evaluate_partlin, functor_T, permanent_via_wedge
 from qsym.groups import make_group
 from qsym.intertwiners import EigenprojectionBasis, hat_block_intertwiner, project
@@ -24,6 +25,8 @@ from qsym.partitions import Partition, PartLin, compose, two_point_swap
 from qsym.polyq import N_POLY
 from qsym.report import VerificationReport
 from qsym.sparse import SparseTensor
+
+from oracles import Cyc
 
 Z3, Z4, Z22 = make_group([3]), make_group([4]), make_group([2, 2])
 CROSS, MERGE = PartLin.of(Partition.crossing()), PartLin.of(Partition.merge())
@@ -51,6 +54,15 @@ ROWS = [
      InvalidInputError, "all factors must be square matrices of equal size"),
     ("cayley-wreath-w", lambda: wreath_rep([MATRIX, MATRIX], [1, 1]),
      InvalidInputError, "w must be a permutation of 0..n-1"),
+    # N * phi(M) eigenvalue coordinates and N * labels * phi(M) numerators,
+    # refused although N * |S| and N * labels are under the default cap
+    ("cayley-spectrum-phi",
+     lambda: SpectralDecomposition(family_graph("circulant:4096,(1;4095)")),
+     SizeGuardError, "eigenvalue rows needs 8388608 dense entries, over the cap 1000000 "
+     "(raise QSYM_MAX_DENSE to override)"),
+    ("cayley-fourier-matrix-phi", lambda: fourier_matrix(make_group([4096]), range(244)),
+     SizeGuardError, "Fourier matrix needs 2046820352 dense entries, over the cap 1000000 "
+     "(raise QSYM_MAX_DENSE to override)"),
     # cli
     ("cli-block", ["intertwiner", "--family", "hypercube:2", "--block", "1"],
      CLI, "--block needs 'k,l', got '1'"),
@@ -62,15 +74,16 @@ ROWS = [
      InvalidInputError, "euler_phi needs m >= 1, got 0"),
     ("cyclotomic-level-0", lambda: Cyclotomic(0, []),
      InvalidInputError, "cyclotomic level must be >= 1, got 0"),
-    ("cyclotomic-lift", lambda: Cyclotomic.zeta(4).lift(6),
+    # the field arithmetic of the test oracle, oracles.Cyc
+    ("cyclotomic-lift", lambda: Cyc.zeta(4).lift(6),
      InvalidInputError, "cannot lift level 4 into non-multiple level 6"),
-    ("cyclotomic-galois", lambda: Cyclotomic.zeta(4).galois(2),
+    ("cyclotomic-galois", lambda: Cyc.zeta(4).galois(2),
      InvalidInputError, "galois exponent 2 not coprime to level 4"),
     ("cyclotomic-as-fraction", lambda: Cyclotomic.zeta(3).as_fraction(),
      InvalidInputError, "value of level 3 is not rational"),
-    ("cyclotomic-divide-by-zero", lambda: Cyclotomic.zeta(3) / 0,
+    ("cyclotomic-divide-by-zero", lambda: Cyc.zeta(3) / 0,
      ZeroDivisionError, "division by zero"),
-    ("cyclotomic-add-string", lambda: Cyclotomic.zeta(3) + "1",
+    ("cyclotomic-add-string", lambda: Cyc.zeta(3) + "1",
      TypeError, "cannot coerce str to Cyclotomic"),
     # functors
     ("functors-functor-T-0", lambda: functor_T(Partition.cap(), 0),
@@ -147,6 +160,8 @@ ROWS = [
     # the entries view of a one-leg tensor as the matrix
     ("sparse-leg-transform",
      lambda: MATRIX.transform_in_leg(0, SparseTensor((2,), 0, {(0,): 1}).entries, 2),
+     InvalidInputError, "a leg transform needs a two-index matrix"),
+    ("sparse-leg-matrix-key", lambda: MATRIX.transform_in_leg(0, {(0,): 1}, 2),
      InvalidInputError, "a leg transform needs a two-index matrix"),
     ("sparse-trace", lambda: SparseTensor((2, 3), 1).trace(),
      InvalidInputError, "trace needs matching input/output shapes"),

@@ -34,7 +34,7 @@ from qsym.partitions import Partition
 from qsym.sparse import SparseTensor
 from qsym.verify import suite_hamming
 
-from oracles import peak_bytes
+from oracles import Cyc, peak_bytes
 
 ALL_GROUPS_UP_TO_9 = [
     [1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [4, 2], [2, 2, 2], [9], [3, 3],
@@ -137,11 +137,11 @@ def test_fourier_matrix_checks_its_labels(monkeypatch):
     for labels in ([9], [0, -1]):
         with pytest.raises(InvalidInputError, match="0..8"):
             fourier_matrix(g, labels)
-    # N * len(labels) entries, not N^2
-    monkeypatch.setenv("QSYM_MAX_DENSE", "17")
+    # N * len(labels) * phi(M) numerators, not N^2 * phi(M)
+    monkeypatch.setenv("QSYM_MAX_DENSE", "107")
     with pytest.raises(SizeGuardError, match="Fourier matrix"):
         fourier_matrix(g, [4, 1])
-    monkeypatch.setenv("QSYM_MAX_DENSE", "18")
+    monkeypatch.setenv("QSYM_MAX_DENSE", "108")
     assert fourier_matrix(g, [4, 1]).shape == (9, 2)
 
 
@@ -271,7 +271,8 @@ def _legs_of_block(orders, k, l):
      lambda: functor_T(Partition.crossing(), 200)),
     ("QSYM_MAX_SPARSE", 100**2, "hat block intertwiner",
      lambda: hat_block_intertwiner(make_group([100]), 2, 1)),
-    ("QSYM_MAX_DENSE", 64**2, "Fourier matrix", lambda: fourier_matrix(make_group([64]))),
+    # N^2 characters of phi(M) = 32 power-basis numerators each
+    ("QSYM_MAX_DENSE", 64**2 * 32, "Fourier matrix", lambda: fourier_matrix(make_group([64]))),
     # N^legs * phi(M) power-basis coordinates
     ("QSYM_MAX_DENSE", 25**3 * 4, "group-algebra Fourier transform",
      lambda: _legs_of_block([5, 5], 2, 1)),
@@ -314,9 +315,9 @@ def test_twist_kernel_multiplies_by_roots_of_unity(M):
             assert kernel.shape == (m, m, phi, phi)
             assert col_sum == int(np.abs(kernel).sum(axis=(0, 2)).max())
             for a, b in itertools.product(range(m), repeat=2):
-                root = Cyclotomic.zeta(M, step * a * b)
+                root = Cyc.zeta(M, step * a * b)
                 # row i is zeta_M^i * root in the power basis
-                expected = [(Cyclotomic.zeta(M, i) * root)._coeffs_at(M) for i in range(phi)]
+                expected = [(Cyc.zeta(M, i) * root)._coeffs_at(M) for i in range(phi)]
                 assert kernel[a, b].tolist() == expected
 
 

@@ -1,7 +1,7 @@
 """Differential tests of SparseTensor against an entrywise reference.
 
-The reference stores a tensor as {index: Cyclotomic} and does every
-operation entry by entry with Cyclotomic arithmetic; the tensor under test
+The reference stores a tensor as {index: Cyc} and does every operation
+entry by entry with the oracle's field arithmetic; the tensor under test
 stores integer numerators over one denominator at one level.  Values are
 drawn at levels 1, 3, 4, 8 and 12, mixed within one tensor.
 """
@@ -16,11 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsym.cyclotomic import ZERO, Cyclotomic, euler_phi
+from qsym.cyclotomic import euler_phi
 from qsym.errors import InvalidInputError
 from qsym.sparse import SparseTensor
 
-from oracles import peak_bytes
+from oracles import Cyc, peak_bytes
+
+ZERO = Cyc.from_rational(0)
 
 LEVELS = (1, 3, 4, 8, 12)
 
@@ -31,12 +33,12 @@ small_rats = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 def scalars(draw, levels=LEVELS):
     level = draw(st.sampled_from(levels))
     phi = euler_phi(level)
-    return Cyclotomic(level, draw(st.lists(small_rats, min_size=phi, max_size=phi)))
+    return Cyc(level, draw(st.lists(small_rats, min_size=phi, max_size=phi)))
 
 
 @st.composite
 def references(draw, shape, levels=LEVELS):
-    """{index: Cyclotomic} on a random subset of the index tuples of shape."""
+    """{index: Cyc} on a random subset of the index tuples of shape."""
     cells = list(itertools.product(*(range(d) for d in shape)))
     keys = draw(st.lists(st.sampled_from(cells), unique=True, max_size=min(len(cells), 8)))
     return {k: draw(scalars(levels)) for k in keys}
@@ -87,9 +89,9 @@ def operand_pair(draw):
 def _past_int64_pair():
     """Numerators past 2^63 (Python integers): negation and subtraction
     act on the object matrix, and one entry cancels in the sum."""
-    big = Cyclotomic(1, [2**64 + 1])
-    a = {(0,): big, (1,): Cyclotomic(1, [-(2**63)]), (2,): Cyclotomic(4, [3, -(2**70)])}
-    b = {(1,): Cyclotomic(1, [2**63]), (2,): big}
+    big = Cyc(1, [2**64 + 1])
+    a = {(0,): big, (1,): Cyc(1, [-(2**63)]), (2,): Cyc(4, [3, -(2**70)])}
+    b = {(1,): Cyc(1, [2**63]), (2,): big}
     return SparseTensor((3,), 1, a), a, SparseTensor((3,), 1, b), b
 
 
@@ -155,7 +157,7 @@ def test_rational_scale(data):
     if c.denominator == 1:
         assert_matches(ta.scale(int(c)), expected)
     # a rational factor on a level-4 tensor takes the same denominator route
-    i = Cyclotomic.zeta(4)
+    i = Cyc.zeta(4)
     assert_matches(ta.scale(i).scale(c), {k: v * i * c for k, v in a.items()})
 
 
@@ -310,7 +312,7 @@ big_rats = st.builds(Fraction, st.integers(2**63, 2**70) | st.integers(-(2**70),
 
 @st.composite
 def wide_references(draw, shape):
-    """{index: Cyclotomic} at up to 5 indices of ``shape``, each index near
+    """{index: Cyc} at up to 5 indices of ``shape``, each index near
     a leg's ends or anywhere; coefficients are small or past int64."""
     leg = [st.sampled_from(sorted({0, d // 2, d - 1})) | st.integers(0, d - 1) for d in shape]
     keys = draw(st.lists(st.tuples(*leg), unique=True, max_size=5))
@@ -319,7 +321,7 @@ def wide_references(draw, shape):
     for key in keys:
         level = draw(st.sampled_from((1, 4, 8)))
         phi = euler_phi(level)
-        out[key] = Cyclotomic(level, draw(st.lists(coeffs, min_size=phi, max_size=phi)))
+        out[key] = Cyc(level, draw(st.lists(coeffs, min_size=phi, max_size=phi)))
     return out
 
 
@@ -380,12 +382,12 @@ def test_wide_legs_big_numerators_and_no_legs(data):
 
 
 def test_zeta4_at_level_8_equals_zeta4():
-    z8 = Cyclotomic(8, (0, 0, 1, 0))  # zeta8^2, written at level 8
+    z8 = Cyc(8, (0, 0, 1, 0))  # zeta8^2, written at level 8
     at8 = SparseTensor((2,), 1, {(0,): z8, (1,): 1})
-    at4 = SparseTensor((2,), 1, {(0,): Cyclotomic.zeta(4), (1,): 1})
+    at4 = SparseTensor((2,), 1, {(0,): Cyc.zeta(4), (1,): 1})
     assert (at8.level, at4.level) == (8, 4)
     assert at8 == at4 and at4 == at8
-    assert at8 != SparseTensor((2,), 1, {(0,): Cyclotomic.zeta(4).conj(), (1,): 1})
+    assert at8 != SparseTensor((2,), 1, {(0,): Cyc.zeta(4).conj(), (1,): 1})
     assert at8 != at4.scale(Fraction(1, 2))
     assert (at8 - at4).is_zero()
 
@@ -394,7 +396,7 @@ def test_layout_is_normalised():
     t = SparseTensor((3,), 1, {(0,): Fraction(2, 6), (1,): Fraction(1, 2), (2,): 0})
     assert (t.level, t.den, dict(t.numerators)) == (1, 6, {(0,): 2, (1,): 3})
     assert t.scale(6).den == 1 and t.scale(6).nnz() == 2
-    i = Cyclotomic.zeta(4)
+    i = Cyc.zeta(4)
     squared = SparseTensor((1,), 1, {(0,): i}).scale(i)
     assert (squared.level, dict(squared.numerators)) == (1, {(0,): -1})
 
@@ -426,7 +428,7 @@ def test_public_construction_checks_indices():
 
 
 def test_irrational_tensor_has_no_rational_entries():
-    t = SparseTensor((1,), 1, {(0,): Cyclotomic.zeta(3)})
+    t = SparseTensor((1,), 1, {(0,): Cyc.zeta(3)})
     with pytest.raises(InvalidInputError):
         t.rational_entries()
 
@@ -482,7 +484,7 @@ def test_from_columns_matches_entrywise_construction(case):
             row = tuple(int(c) for c in num[j])
         else:
             row = (int(num[j]),)
-        reference[key] = Cyclotomic(level, [Fraction(c, den) for c in row])
+        reference[key] = Cyc(level, [Fraction(c, den) for c in row])
     expected = SparseTensor(shape, out_axes, reference)
     t = SparseTensor._from_columns(shape, out_axes, cols, num, den, level)
     assert (t.shape, t.out_axes, t.level, t.den) == (
