@@ -30,11 +30,10 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
-from .config import guard_dense, guard_n, int_dtype, max_abs
+from .config import guard_dense, int_dtype, max_abs
 from .cyclotomic import Cyclotomic, euler_phi, power_rows
 from .errors import InvalidInputError
 from .groups import AbelianGroup, GroupElement, as_int, make_group
@@ -63,6 +62,11 @@ class GeneratingSet:
 
 
 def make_generating_set(group: AbelianGroup, elems) -> GeneratingSet:
+    """The distinct elements of ``elems`` (group elements or coordinate
+    tuples).  N * |S| bounds the closure's work and is the count the
+    adjacency and the character sums guard; it is checked against the dense
+    cap as each element arrives, so an oversized iterable is refused before
+    the rest of it or any length-N array is built."""
     seen = {}
     for e in elems:
         e = e if isinstance(e, GroupElement) else group.element(e)
@@ -70,6 +74,7 @@ def make_generating_set(group: AbelianGroup, elems) -> GeneratingSet:
         if pos == 0:
             raise InvalidInputError("generating set may not contain 0 (loop-free graphs)")
         seen[pos] = e
+        guard_dense(group.order * len(seen), "generating-set closure")
     if not seen:
         raise InvalidInputError("generating set may not be empty")
     positions = np.array(sorted(seen), dtype=np.int64)
@@ -80,18 +85,23 @@ def make_generating_set(group: AbelianGroup, elems) -> GeneratingSet:
 
 
 def _generated_order(group: AbelianGroup, gens: np.ndarray) -> int:
-    """Order of the subgroup generated by the positions ``gens``: breadth-first
-    closure of {0} under adding each generator."""
-    reached = np.zeros(group.order, dtype=bool)
-    reached[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        step = np.zeros(group.order, dtype=bool)
-        for theta in gens.tolist():
-            step[group.index_sum(frontier, theta)] = True
-        frontier = np.flatnonzero(step & ~reached)
-        reached[frontier] = True
-    return int(reached.sum())
+    """Order of the subgroup H generated by the positions ``gens``, grown from
+    {0} one generator theta at a time.  With t the least j > 0 such that
+    j theta lies in H (j = M, the group exponent, always does), the cosets
+    H + j theta for j < t are disjoint and make up the subgroup generated by
+    H and theta, so each generator costs work linear in that subgroup."""
+    in_h = np.zeros(group.order, dtype=bool)
+    members = np.zeros(1, dtype=np.int64)  # H, as positions
+    steps = np.arange(group.exponent + 1)
+    for theta in gens.tolist():
+        in_h[members] = True
+        multiples = group.position(
+            [steps * d % m for d, m in zip(group.digits(theta), group.orders)])
+        inside = in_h[multiples]
+        inside[0] = False
+        t = int(np.argmax(inside))
+        members = group.index_sum(members[None, :], multiples[:t, None]).ravel()
+    return members.size
 
 
 class CayleyGraph:
@@ -331,26 +341,27 @@ def parse_spec(spec: str) -> tuple[str, tuple]:
 
 
 def _cube(g, n):
-    return [g.epsilon(i) for i in range(n)]
+    return (g.epsilon(i) for i in range(n))
 
 
 # family -> ({parameter: least value}, its cyclic orders, its generators); a
 # least value of None marks a list of integer shifts.  folded needs n >= 2
 # (at n = 1 the all-ones generator is epsilon_1), and circulant m >= 2 (Z_1
-# has no nonzero shift).
+# has no nonzero shift).  The generators are yielded one at a time, so
+# make_generating_set refuses an oversized set before it is built.
 FAMILIES = {
     "hypercube": ({"n": 1}, lambda n: [2] * n, _cube),
-    "halved": ({"n": 1}, lambda n: [2] * n, lambda g, n: _cube(g, n) + [
+    "halved": ({"n": 1}, lambda n: [2] * n, lambda g, n: itertools.chain(_cube(g, n), (
         g.element([int(i in pair) for i in range(n)])
-        for pair in itertools.combinations(range(n), 2)]),
+        for pair in itertools.combinations(range(n), 2)))),
     "folded": ({"n": 2}, lambda n: [2] * n,
-               lambda g, n: _cube(g, n) + [g.element([1] * n)]),
+               lambda g, n: itertools.chain(_cube(g, n), [g.element([1] * n)])),
     "hamming": ({"n": 1, "m": 2}, lambda n, m: [m] * n,
-                lambda g, n, m: [g.epsilon(i, a) for i in range(n) for a in range(1, m)]),
+                lambda g, n, m: (g.epsilon(i, a) for i in range(n) for a in range(1, m))),
     "complete": ({"m": 2}, lambda m: [m],
-                 lambda g, m: [g.element([a]) for a in range(1, m)]),
+                 lambda g, m: (g.element([a]) for a in range(1, m))),
     "circulant": ({"m": 2, "shifts": None}, lambda m, shifts: [m],
-                  lambda g, m, shifts: [g.element([s]) for s in shifts]),
+                  lambda g, m, shifts: (g.element([s]) for s in shifts)),
 }
 
 
@@ -379,9 +390,7 @@ def family_graph(spec: str, *params) -> CayleyGraph:
         if value < least:
             raise InvalidInputError(f"family {name!r} needs {param} >= {least}, got {value}")
         values.append(value)
-    sizes = orders(*values)
-    guard_n(prod(sizes), f"family {name}")
-    g = make_group(sizes)
+    g = make_group(orders(*values))
     return CayleyGraph(g, make_generating_set(g, gens(g, *values)))
 
 

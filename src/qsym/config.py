@@ -1,8 +1,11 @@
 """Configurable size guards, and the one rule for exact integer arrays.
 
-All caps can be overridden through environment variables so that the command
-line tools stay usable on small machines; library callers may also pass
-explicit limits where an operation takes one.  ``int_dtype`` decides for
+There are two caps: ``QSYM_MAX_DENSE`` on the entries a dense enumeration
+or array may touch and ``QSYM_MAX_SPARSE`` on the stored nonzeros of a
+sparse tensor.  Each builder checks its own count against one of them
+before it allocates; no cap limits the group order by itself.  Both are
+read from environment variables at each check, so the command line tools
+stay usable on small machines.  ``int_dtype`` decides for
 every integer array of the package whether it holds int64 or Python
 integers.  The one exception is the Fourier kernel
 (``cayley.fourier_transform_legs``), which holds its integers in float64
@@ -15,8 +18,6 @@ import numpy as np
 
 from .errors import InvalidInputError, SizeGuardError
 
-#: Largest group order accepted for dense matrix work (QSYM_MAX_N).
-DEFAULT_MAX_N = 4096
 #: Largest number of entries a dense enumeration may touch (QSYM_MAX_DENSE).
 DEFAULT_MAX_DENSE = 10**6
 #: Largest number of stored nonzeros in a sparse tensor (QSYM_MAX_SPARSE).
@@ -35,10 +36,6 @@ def _cap(name, default):
     if value < 0:
         raise InvalidInputError(f"{name} must be a non-negative integer, got {raw!r}")
     return value
-
-
-def max_n():
-    return _cap("QSYM_MAX_N", DEFAULT_MAX_N)
 
 
 def max_dense():
@@ -69,11 +66,6 @@ def guard_dense(count, what):
 def guard_sparse(count, what):
     if count > max_sparse():
         raise _refuse(what, "{} stored entries", count, max_sparse(), "QSYM_MAX_SPARSE")
-
-
-def guard_n(n, what):
-    if n > max_n():
-        raise _refuse(what, "a space of dimension {}", n, max_n(), "QSYM_MAX_N")
 
 
 def int_dtype(top: int):

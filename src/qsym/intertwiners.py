@@ -24,7 +24,7 @@ from math import prod
 import numpy as np
 
 from .cayley import SpectralDecomposition, fourier_matrix, fourier_transform_legs
-from .config import guard_sparse
+from .config import guard_dense, guard_sparse
 from .errors import InvalidInputError
 from .groups import AbelianGroup, GroupElement
 from .sparse import SparseTensor
@@ -89,6 +89,7 @@ def hat_block_intertwiner(group: AbelianGroup, k: int, l: int,
     free = k + l - 1
     count = prod(dims[:free])
     guard_sparse(count, f"hat block intertwiner k={k}, l={l}, N={N}")
+    guard_dense(N * g.rank, f"hat block digit table N={N}")
     # the value N^(1-l) as numerator / denominator
     value, den = (1, N ** (l - 1)) if l >= 1 else (N, 1)
     positions = [np.arange(N) if b is None else b.positions for b in bases]

@@ -68,11 +68,7 @@ def suite_hypercube(n: int) -> VerificationReport:
     rep = VerificationReport(f"hypercube:{n}")
     gr = family_graph("hypercube", n)
     g = gr.group
-    d = conjugate_by_fourier(g, gr.adjacency())
-    off_diag = [idx for idx in d.entries if idx[0] != idx[1]]
-    rep.add("diagonal", "Fourier conjugation is exactly diagonal",
-            "pass" if not off_diag else "fail",
-            "" if not off_diag else f"nonzero off-diagonal at {off_diag[:3]}")
+    d = _fourier_diagonal(rep, gr, "Fourier conjugation is exactly diagonal")
     ok = True
     counts = {}
     for i, mu in enumerate(g.elements()):
@@ -88,6 +84,16 @@ def suite_hypercube(n: int) -> VerificationReport:
                 "pass" if diag == [3, 1, 1, 1, -1, -1, -1, -3] else "fail", str(diag))
     _check_eigenbasis(rep, gr)
     return rep
+
+
+def _fourier_diagonal(rep: VerificationReport, gr: CayleyGraph, subject: str) -> SparseTensor:
+    """Conjugate the adjacency by F, check that the result is diagonal and
+    return it."""
+    d = conjugate_by_fourier(gr.group, gr.adjacency())
+    off = [idx for idx in d.entries if idx[0] != idx[1]]
+    rep.add("diagonal", subject, "pass" if not off else "fail",
+            "" if not off else f"nonzero off-diagonal at {off[:3]}")
+    return d
 
 
 def _check_eigenbasis(rep: VerificationReport, gr: CayleyGraph, sample=32):
@@ -491,30 +497,23 @@ def suite_eigenspace_invariance(seed: int = 11) -> VerificationReport:
 
 def suite_antisymmetrizers(n_max: int = 6, seed: int = 99) -> VerificationReport:
     rep = VerificationReport("antisymmetrizers")
-    ok = True
-    detail = ""
-    for n in range(1, n_max + 1):
-        for k in range(0, n + 1):
-            for deformed in (False, True):
-                a = antisymmetrizer(k, n, deformed)
-                w = antisym_coisometry(k, n, deformed)
-                kf = factorial(k)
-                if (w.adjoint() @ w).scale(Fraction(kf)) != a:
-                    ok, detail = False, f"factorization fails at n={n}, k={k}"
-                    break
-                eye = SparseTensor.identity((comb(n, k),)).scale(Fraction(1, kf))
-                if w @ w.adjoint() != eye:
-                    ok, detail = False, f"coisometry fails at n={n}, k={k}"
-                    break
-                if a.trace() != comb(n, k):
-                    ok, detail = False, f"trace fails at n={n}, k={k}"
-                    break
-            if not ok:
-                break
-        if not ok:
+    failed = ""
+    for n, k, deformed in ((n, k, deformed) for n in range(1, n_max + 1)
+                           for k in range(n + 1) for deformed in (False, True)):
+        a = antisymmetrizer(k, n, deformed)
+        w = antisym_coisometry(k, n, deformed)
+        kf = factorial(k)
+        if (w.adjoint() @ w).scale(Fraction(kf)) != a:
+            failed = "factorization"
+        elif w @ w.adjoint() != SparseTensor.identity((comb(n, k),)).scale(Fraction(1, kf)):
+            failed = "coisometry"
+        elif a.trace() != comb(n, k):
+            failed = "trace"
+        if failed:
             break
     rep.add("rank", f"rank A_k = rank A'_k = C(n,k) for n <= {n_max} (certified "
-            f"by A = k! W*W, W W* = I/k!)", "pass" if ok else "fail", detail)
+            f"by A = k! W*W, W W* = I/k!)", "fail" if failed else "pass",
+            f"{failed} fails at n={n}, k={k}" if failed else "")
     rng = random.Random(seed)
     perm_ok = True
     for _ in range(20):
@@ -536,10 +535,7 @@ def suite_fourier_check(name: str, *params) -> VerificationReport:
     rep = VerificationReport(f"fourier-check:{name}")
     gr = family_graph(name, *parsed, *params)
     g = gr.group
-    d = conjugate_by_fourier(g, gr.adjacency())
-    off = [idx for idx in d.entries if idx[0] != idx[1]]
-    rep.add("diagonal", "conjugated adjacency is diagonal",
-            "pass" if not off else "fail")
+    d = _fourier_diagonal(rep, gr, "conjugated adjacency is diagonal")
     ok = all(
         d[(g.index(mu), g.index(mu))] == lam
         for lam, labels in SpectralDecomposition(gr).items for mu in labels
@@ -553,24 +549,16 @@ def suite_fourier_check(name: str, *params) -> VerificationReport:
 
 # -- suite selection ---------------------------------------------------------------------
 
+# ``qsym verify all`` runs these suites in this order
+_ALL = ("hypercube:3", "hypercube:6", "halved:4", "halved:5", "folded:4", "hamming:2,3",
+        "complete:4", "eqthat", "functoriality", "wreath:2,3", "eigenspace", "antisym",
+        "lemmas")
+
+
 def _suite_all() -> VerificationReport:
     total = VerificationReport("all")
-    for sub in (
-        suite_hypercube(3),
-        suite_hypercube(6),
-        suite_halved(4),
-        suite_halved(5),
-        suite_folded(4),
-        suite_hamming(2, 3),
-        suite_complete(4),
-        suite_eqthat(),
-        suite_functoriality(),
-        suite_wreath(2, 3),
-        suite_eigenspace_invariance(),
-        suite_antisymmetrizers(),
-        lemma_suite(),
-    ):
-        total.extend(sub)
+    for spec in _ALL:
+        total.extend(run_suite(spec))
     return total
 
 

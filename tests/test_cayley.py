@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qsym.cayley import (
     CayleyGraph,
     SpectralDecomposition,
+    _generated_order,
     conjugate_by_fourier,
     coordinate_perm,
     family_graph,
@@ -367,7 +368,9 @@ def test_graph_routes_match_element_definitions(case):
     elems = [e.coords for e in g.elements()]
     pos = {e: i for i, e in enumerate(elems)}
     assert gr.gens.symmetric == all(ref_neg(orders, e) in set(gens) for e in gens)
-    assert gr.gens.generates == (len(ref_closure(orders, gens)) == g.order)
+    closure = len(ref_closure(orders, gens))
+    assert _generated_order(g, gr.gens.positions) == closure
+    assert gr.gens.generates == (closure == g.order)
     adj = {(pos[ref_add(orders, a, t)], pos[a]): 1 for a in elems for t in gens}
     assert gr.adjacency().to_json() == SparseTensor((g.order,) * 2, 1, adj).to_json()
     for beta in g.elements():

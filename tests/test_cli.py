@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from pathlib import Path
 
@@ -391,27 +392,33 @@ def test_partition_products_are_size_guarded(capsys, monkeypatch, cap, product):
 
 
 def test_size_guard_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("QSYM_MAX_N", "4")
+    # the generating-set closure of hypercube:3 counts 8 entries per generator, 24 in all
+    monkeypatch.setenv("QSYM_MAX_DENSE", "4")
     code, _, err = run_cli(capsys, "spectrum", "--family", "hypercube:3")
     assert code == 2
-    assert "QSYM_MAX_N" in err
+    assert "QSYM_MAX_DENSE" in err
 
 
 def test_size_guard_covers_explicit_orders(capsys, monkeypatch):
-    monkeypatch.setenv("QSYM_MAX_N", "8")
+    # two generators: a closure of 16 * 2 entries on Z_4^2, of 8 * 2 on Z_2 x Z_4
+    monkeypatch.setenv("QSYM_MAX_DENSE", "16")
     code, _, err = run_cli(capsys, "spectrum", "--orders", "4", "4", "--gens", "1,0;0,1")
     assert code == 2
-    assert "QSYM_MAX_N" in err
+    assert "QSYM_MAX_DENSE" in err
     code, _, _ = run_cli(capsys, "spectrum", "--orders", "2", "4", "--gens", "1,0;0,1")
     assert code == 0
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
 def test_malformed_size_guard_env_exit_code(capsys, monkeypatch, value):
-    monkeypatch.setenv("QSYM_MAX_N", value)
-    code, _, err = run_cli(capsys, "spectrum", "--family", "hypercube:3")
-    assert code == 2
-    assert "QSYM_MAX_N must be a non-negative integer" in err
+    # the intertwiner reads both caps: the closure's and its sparse count
+    for var in ("QSYM_MAX_DENSE", "QSYM_MAX_SPARSE"):
+        with monkeypatch.context() as env:
+            env.setenv(var, value)
+            code, _, err = run_cli(capsys, "intertwiner", "--family", "hypercube:3",
+                                   "--block", "1,1")
+        assert code == 2
+        assert f"{var} must be a non-negative integer" in err
 
 
 @pytest.mark.parametrize("suite", ["hypercube", "hamming:2", "hypercube:3,4",
@@ -426,8 +433,7 @@ def test_help_names_every_size_guard(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     out = capsys.readouterr().out
-    for var in ("QSYM_MAX_N", "QSYM_MAX_DENSE", "QSYM_MAX_SPARSE"):
-        assert var in out
+    assert set(re.findall(r"QSYM_\w+", out)) == {"QSYM_MAX_DENSE", "QSYM_MAX_SPARSE"}
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):
@@ -516,7 +522,6 @@ _argv = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_random_command_lines_keep_the_exit_code_contract(capsys, monkeypatch, tmp_path,
                                                           argv, pcalc):
-    monkeypatch.setenv("QSYM_MAX_N", "8")
     monkeypatch.setenv("QSYM_MAX_DENSE", "512")
     monkeypatch.setenv("QSYM_MAX_SPARSE", "512")
     argv = [x for part in argv for x in part]

@@ -284,8 +284,15 @@ def _legs_of_block(orders, k, l):
      lambda: antisymmetrizer(3, 6)),
     ("QSYM_MAX_SPARSE", 120 * 6, "coisometry k=3, n=10",
      lambda: antisym_coisometry(3, 10, deformed=True)),
+    # the (N, rank) digit table of Z_2^10, for a block of one free tuple
+    ("QSYM_MAX_DENSE", 2**10 * 10, "hat block digit table",
+     lambda: hat_block_intertwiner(make_group([2] * 10), 1, 0)),
+    # N * |S| entries: refused before the closure, built by the adjacency
+    ("QSYM_MAX_DENSE", 2**10 * 10, "generating-set closure",
+     lambda: family_graph("hypercube", 10).adjacency()),
 ], ids=["functor_T", "hat_block_intertwiner", "fourier_matrix", "fourier_transform_legs",
-        "twist_kernel", "antisymmetrizer", "antisym_coisometry"])
+        "twist_kernel", "antisymmetrizer", "antisym_coisometry", "hat_block_digit_table",
+        "generating_set_closure"])
 def test_builders_guard_before_they_allocate(monkeypatch, cap, count, what, build):
     """One below its guard's count a builder refuses with a small peak and
     caches no kernel; at the count it builds at most that many entries."""
