@@ -19,7 +19,6 @@ from qsym import (
     HammingOperators,
     hat_block_intertwiner,
     make_group,
-    project,
 )
 
 # ---------------------------------------------------------------------------
@@ -41,7 +40,7 @@ n = 4
 cube = family_graph("hypercube", n)
 spec = SpectralDecomposition(cube)
 v1 = EigenprojectionBasis.from_spectrum(spec, [1])
-proj = project(functor_T(Partition.block(2, 2), cube.group.order), v1, v1)
+proj = hat_block_intertwiner(cube.group, 2, 2, v1, v1)
 scaled = proj.scale(Fraction(2**n))
 print(f"2^{n} x projected block on Q_{n}: {scaled.nnz()} entries, "
       f"values {sorted({str(v) for v in scaled.entries.values()})}")
@@ -57,9 +56,7 @@ for n in (4, 5):
     basis = EigenprojectionBasis(
         gh, sorted(labs, key=lambda mu: (mu.degree, gh.index(mu)))
     )
-    proj = project(functor_T(Partition.block(n + 1, 0), gh.order), None, basis)
-    from itertools import permutations
-
+    proj = hat_block_intertwiner(gh, n + 1, 0, basis_in=basis)
     perm_count = sum(1 for idx in proj.entries if tuple(sorted(idx)) == tuple(range(n + 1)))
     print(f"  n={n}: support {proj.nnz()}, permutation tuples {perm_count}")
 print("At even n the support is exactly the permutations (an exact")

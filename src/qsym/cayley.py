@@ -6,6 +6,8 @@ eigenvalue sum_{theta in S} tau_mu(-theta).  Spectra are therefore computed by
 character sums on integer exponents, reduced exactly into Q(zeta_M) and
 grouped by their unique coefficient vectors, never by floating point.  Graphs,
 spectra and permutations do their group arithmetic on enumeration positions.
+Every character value is the row of its exponent in the one table of roots
+of unity, ``cyclotomic.power_rows(M, 1, M)``.
 The Fourier matrix F (columns = characters) satisfies F F* = N I;
 ``fourier_matrix`` is the one builder of character-value tensors, for all
 characters or for a chosen list of labels.  ``fourier_transform_legs`` is the
@@ -65,8 +67,10 @@ def make_generating_set(group: AbelianGroup, elems) -> GeneratingSet:
     """The distinct elements of ``elems`` (group elements or coordinate
     tuples).  N * |S| bounds the closure's work and is the count the
     adjacency and the character sums guard; it is checked against the dense
-    cap as each element arrives, so an oversized iterable is refused before
-    the rest of it or any length-N array is built."""
+    cap before the first element is located and as each element arrives, so
+    a huge group or an oversized iterable is refused before a position is
+    computed, the rest of the iterable read or any length-N array built."""
+    guard_dense(group.order, "generating-set closure")
     seen = {}
     for e in elems:
         e = e if isinstance(e, GroupElement) else group.element(e)
@@ -146,7 +150,7 @@ class SpectralDecomposition:
         # as integer coefficient rows in the power basis of Q(zeta_M); the
         # rows are unique, so equal rows are exactly equal eigenvalues
         exps = g.char_exponents(np.arange(g.order)[:, None], neg_gens[None, :])
-        zeta = np.array(power_rows(M, 1, M), dtype=np.int64).reshape(M, -1)
+        zeta = power_rows(M, 1, M)[0]
         rows = sum(zeta[e] for e in exps.T)
         distinct, which = np.unique(rows, axis=0, return_inverse=True)
         buckets: list[list[GroupElement]] = [[] for _ in distinct]
@@ -204,7 +208,7 @@ def fourier_matrix(group: AbelianGroup, labels=None) -> SparseTensor:
     guard_dense(N * len(cols) * euler_phi(M), "Fourier matrix")
     if ((cols < 0) | (cols >= N)).any():
         raise InvalidInputError(f"character positions must lie in 0..{N - 1}")
-    zeta = np.array(power_rows(M, 1, M), dtype=np.int64)  # (M,) or (M, phi)
+    zeta = power_rows(M, 1, M)[0]
     exps = g.char_exponents(cols[None, :], np.arange(N)[:, None]).ravel()
     keys = np.indices((N, len(cols))).reshape(2, -1)
     return SparseTensor._from_columns((N, len(cols)), 1, keys, zeta[exps], 1, M)
@@ -281,7 +285,7 @@ def _twist_kernel(m: int, step: int, M: int) -> tuple[np.ndarray, int]:
     (m, phi, m, phi), so it reads as an (m*phi, m*phi) matrix without a
     copy, and K.transpose(0, 2, 1, 3)[a, b] is the phi x phi matrix of
     multiplication by zeta_M^(step*a*b)."""
-    rows = np.array(power_rows(M, 1, M), dtype=np.int64).reshape(M, -1)
+    rows = power_rows(M, 1, M)[0]
     a, i, b = np.ogrid[:m, :rows.shape[1], :m]
     kernel = rows[(i + step * a * b) % M]
     kernel.flags.writeable = False

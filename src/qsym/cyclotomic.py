@@ -10,10 +10,11 @@ the value is written at.
 
 ``Cyclotomic`` has no arithmetic: it labels, compares, prints and serialises
 results.  The field arithmetic of the package runs on integer power-basis
-arrays: ``SparseTensor`` keeps a matrix of numerators over one shared
-denominator at one level, and lifts, conjugates and reduces its rows by
-matrix products with ``power_rows`` below, as the spectrum and the Fourier
-kernel do.
+arrays, and ``power_rows`` below is their one table of roots of unity.
+``SparseTensor`` keeps a matrix of numerators over one shared denominator at
+one level, and lifts, conjugates and reduces its rows by matrix products
+with it; the spectrum and the Fourier matrix and kernel index it by
+exponent, and ``Cyclotomic`` lifts through it to compare across levels.
 
 Floating point only ever appears as a display/diagnostic channel
 (:meth:`Cyclotomic.to_complex`); all arithmetic is exact.
@@ -26,12 +27,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+import numpy as np
+
 from .errors import InvalidInputError
 
-_ZERO = Fraction(0)
 
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one int per level or order met
 def euler_phi(m: int) -> int:
     if m < 1:
         raise InvalidInputError(f"euler_phi needs m >= 1, got {m}")
@@ -71,7 +72,7 @@ def _poly_div_exact(num, den):
     return q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one tuple per level met and per divisor of one
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of the m-th cyclotomic polynomial, low to high."""
     if m == 1:
@@ -85,54 +86,34 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(_poly_div_exact(num, den))
 
 
-@lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """Row j is the basis expansion of z^j in Q(zeta_m), for j < max(m, 2*phi-1)."""
+@lru_cache(maxsize=None)  # one table per level met: a group exponent or a value's level
+def _reduction_rows(m: int) -> np.ndarray:
+    """Row j is the power-basis expansion of z^j in Q(zeta_m), for j < m: a
+    read-only (m, phi(m)) int64 matrix."""
     phi = euler_phi(m)
     poly = cyclotomic_polynomial(m)  # monic of degree phi
-    rows = []
-    for j in range(phi):
-        row = [0] * phi
-        row[j] = 1
-        rows.append(tuple(row))
-    top = max(m, 2 * phi - 1)
-    for _ in range(phi, top):
-        prev = rows[-1]
+    rows = [[int(i == j) for i in range(phi)] for j in range(phi)]
+    for _ in range(phi, m):
         # multiply by z: shift, then reduce z^phi = -(poly[:-1])
-        carry = prev[phi - 1]
-        row = [0] + list(prev[: phi - 1])
-        if carry:
-            for i in range(phi):
-                row[i] -= carry * poly[i]
-        rows.append(tuple(row))
-    return tuple(rows)
+        carry = rows[-1][-1]
+        rows.append([r - carry * c for r, c in zip([0, *rows[-1][:-1]], poly)])
+    table = np.array(rows, dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
-def _combine(coeffs, step: int, level: int) -> list:
-    """sum_j coeffs[j] * zeta_level^(step*j) as a Fraction vector in the power
-    basis of Q(zeta_level)."""
-    rows = _reduction_rows(level)
-    out = [_ZERO] * euler_phi(level)
-    for j, c in enumerate(coeffs):
-        if c:
-            for i, r in enumerate(rows[(j * step) % level]):
-                if r:
-                    out[i] += c * r
-    return out
-
-
-@lru_cache(maxsize=None)
-def power_rows(level: int, step: int, count: int) -> tuple:
-    """Numerators of zeta_level^(step*j) at ``level``, for j < count.
-
-    Row j is an int when phi(level) = 1 and a tuple of phi(level) ints
-    otherwise.  ``power_rows(L, 1, n)`` reduces a power series of length n
-    into Q(zeta_L); ``power_rows(L, L // K, phi(K))`` lifts level K into L;
+@lru_cache(maxsize=None)  # per level: step 1, level - 1 or level // K for a level K it divides
+def power_rows(level: int, step: int, count: int) -> tuple[np.ndarray, int]:
+    """(rows, colsum): row j of the read-only (count, phi(level)) int64
+    matrix ``rows`` holds the numerators of zeta_level^(step*j) in the power
+    basis of Q(zeta_level), and ``colsum`` is its largest absolute column sum.
+    ``power_rows(L, 1, n)`` reduces a power series of length n into
+    Q(zeta_L), ``power_rows(L, L // K, phi(K))`` lifts level K into L and
     ``power_rows(L, L - 1, phi(L))`` is complex conjugation.
     """
-    rows = _reduction_rows(level)
-    out = tuple(rows[(step * j) % level] for j in range(count))
-    return tuple(r[0] for r in out) if euler_phi(level) == 1 else out
+    rows = _reduction_rows(level)[np.arange(count) * step % level]
+    rows.flags.writeable = False
+    return rows, int(np.abs(rows).sum(axis=0).max())
 
 
 class Cyclotomic:
@@ -168,8 +149,7 @@ class Cyclotomic:
         """zeta_m^k, reduced to the canonical basis."""
         if m < 1:
             raise InvalidInputError(f"zeta level must be >= 1, got {m}")
-        row = _reduction_rows(m)[k % m]
-        return cls(m, row)
+        return cls(m, _reduction_rows(m)[k % m].tolist())
 
     # -- level handling ----------------------------------------------------
 
@@ -181,7 +161,16 @@ class Cyclotomic:
             )
         if level == self.level:
             return list(self.coeffs)
-        return _combine(self.coeffs, level // self.level, level)
+        den, num = self._numerators()
+        rows, _ = power_rows(level, level // self.level, len(num))
+        return [Fraction(c, den) for c in (num @ rows).tolist()]
+
+    def _numerators(self) -> tuple[int, np.ndarray]:
+        """(den, num): the coefficients as the integers ``num`` over one
+        denominator, ``num`` an array of Python integers."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return den, np.array([c.numerator * (den // c.denominator) for c in self.coeffs],
+                             dtype=object)
 
     # -- predicates / conversions ------------------------------------------
 
@@ -219,10 +208,13 @@ class Cyclotomic:
         # Tr(x)/phi(level), the mean of x's Galois conjugates, is one rational
         # at every level x is written at, and x itself (its Fraction) if rational.
         # The conjugates' other coordinates cancel, so Tr(x) is the sum of
-        # their constant coordinates.
+        # their constant coordinates: Tr(z^j) sums column 0 of the table at
+        # the rows a*j for the units a.
         m = self.level
-        trace = sum(_combine(self.coeffs, a, m)[0] for a in range(m) if gcd(a, m) == 1)
-        return hash(trace / euler_phi(m))
+        den, num = self._numerators()
+        units = np.array([a for a in range(m) if gcd(a, m) == 1])
+        traces = _reduction_rows(m)[np.outer(np.arange(len(num)), units) % m, 0].sum(axis=1)
+        return hash(Fraction(int(num @ traces), den * len(units)))
 
     # -- presentation --------------------------------------------------------
 

@@ -34,7 +34,7 @@ from math import comb, factorial, lcm
 
 import numpy as np
 
-from .config import guard_sparse, int_dtype
+from .config import guard_sparse, int_dtype, max_abs
 from .errors import InvalidInputError
 from .partitions import Partition, PartLin
 from .sparse import SparseTensor
@@ -259,28 +259,26 @@ def permanent_via_wedge(rows) -> Fraction:
     normalization W W* = (1/n!) I the permanent equals n! squared times that
     single entry divided by n!, i.e. n! * (W M^(x n) W*)[0,0].  The entries
     of the deformed coisometry W are contracted against products of M's
-    entries on integer numerators, without building M^(x n).
+    entries on integer numerators, without building M^(x n): the product
+    over the n legs of M at every (out, in) pair of W's index tuples,
+    weighted by the pair's two numerators.
     """
     n = len(rows)
     if n > 6:
         raise InvalidInputError("permanent_via_wedge is guarded to n <= 6")
     if any(len(r) != n for r in rows):
         raise InvalidInputError("matrix must be square")
-    M = [[Fraction(v) for v in r] for r in rows]
-    d = lcm(1, *(v.denominator for r in M for v in r))
-    M = [[v.numerator * (d // v.denominator) for v in r] for r in M]
+    M = [Fraction(v) for r in rows for v in r]
+    d = lcm(1, *(v.denominator for v in M))
+    M = np.array([v.numerator * (d // v.denominator) for v in M], dtype=object).reshape(n, n)
     w = antisym_coisometry(n, n, deformed=True)
-    legs = [(idx[1:], c) for idx, c in w.numerators.items()]
-    total = 0
-    for out, c_out in legs:
-        for inn, c_in in legs:
-            prod = c_out * c_in
-            for a in range(n):
-                prod *= M[out[a]][inn[a]]
-                if not prod:
-                    break
-            total += prod
-    return Fraction(factorial(n) * total, w.den**2 * d**n)
+    c = w._num[:, 0]
+    dtype = int_dtype(max_abs(M) ** n * max_abs(c) ** 2 * len(c) ** 2)
+    M, c = M.astype(dtype), c.astype(dtype)
+    prods = np.ones((len(c), len(c)), dtype=dtype)
+    for leg in w._idx[1:].astype(np.intp):
+        prods *= M[leg[:, None], leg[None, :]]
+    return Fraction(factorial(n) * int(c @ prods @ c), w.den**2 * d**n)
 
 
 def random_partition(rng, k: int, l: int) -> Partition:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
-from math import gcd, prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -83,11 +84,9 @@ class AbelianGroup:
             raise InvalidInputError(f"cyclic orders must be >= 1, got {orders}")
         self.orders = orders
         self.rank = len(orders)
-        self.order = prod(orders)  # N
-        exponent = 1
-        for m in orders:
-            exponent = exponent * m // gcd(exponent, m)
-        self.exponent = exponent  # M
+        # one power per distinct order, so a rank of 10^5 costs no long product
+        self.order = prod(m**c for m, c in Counter(orders).items())  # N
+        self.exponent = lcm(*orders)  # M
 
     # -- elements ------------------------------------------------------------
 

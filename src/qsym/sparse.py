@@ -22,8 +22,10 @@ arrays and denominators are.
 ``compose``, ``tensor``, ``scale`` and the leg transforms are one
 sort-merge join, ``_join``.  It pairs the rows that agree on the contracted
 columns, convolves their numerator rows, sums equal indices and reduces the
-sums once into Q(zeta_L).  These arrays are the package's only field
-arithmetic: ``Cyclotomic`` has none.  Dicts, tuple keys and ``Cyclotomic``
+sums once into Q(zeta_L).  That reduction, lifts to a common level and
+conjugation are each one matrix product with ``cyclotomic.power_rows``, the
+package's one table of roots of unity.  These arrays are the package's only
+field arithmetic: ``Cyclotomic`` has none.  Dicts, tuple keys and ``Cyclotomic``
 values exist only at the boundary: the dict constructor, ``from_json``,
 ``t[idx]``, ``entries``, ``numerators``, ``rational_entries``, ``trace`` and
 ``to_json``.
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, prod
 from types import MappingProxyType
 
@@ -49,21 +50,12 @@ def _index_type(shape):
     return np.min_scalar_type(max((1, *shape)) - 1)
 
 
-@lru_cache(maxsize=None)  # like power_rows': a level, a step and a short row count
-def _powers(level: int, step: int, count: int):
-    """(rows, colsum): ``power_rows(level, step, count)`` as a read-only
-    (count, phi(level)) int64 matrix, and its largest absolute column sum."""
-    rows = np.array(power_rows(level, step, count), dtype=np.int64).reshape(count, -1)
-    rows.flags.writeable = False
-    return rows, int(np.abs(rows).sum(axis=0).max())
-
-
 def _apply(num, level: int, step: int, factor: int = 1):
     """``factor`` times the rows of ``num`` with coefficient j moved to
     zeta_level^(step*j): one matrix product with ``power_rows``, in a dtype
     that holds it.  The step level // L lifts rows of level L to ``level``;
     the step level - 1 conjugates."""
-    rows, colsum = _powers(level, step, num.shape[1])
+    rows, colsum = power_rows(level, step, num.shape[1])
     dtype = int_dtype(max(1, max_abs(num)) * colsum * factor)
     return num.astype(dtype, copy=False) @ (rows.astype(dtype) * factor)
 
@@ -192,7 +184,7 @@ def _join(a, b, keys_a, keys_b, order, shape, what: str) -> _Layout:
 
     level = lcm(a.level, b.level)
     (pa, sa), (pb, sb) = (a._num.shape[1], level // a.level), (b._num.shape[1], level // b.level)
-    rows, colsum = _powers(level, 1, sa * (pa - 1) + sb * (pb - 1) + 1)
+    rows, colsum = power_rows(level, 1, sa * (pa - 1) + sb * (pb - 1) + 1)
     # a sum of one index has at most min(na, nb) pairs of min(pa, pb) products
     dtype = int_dtype(max_abs(a._num) * max_abs(b._num) * min(pa, pb) * min(na, nb) * colsum)
     parts, la = [], len(a._idx)

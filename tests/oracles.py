@@ -4,6 +4,9 @@
 Fraction coefficient vector per value, against which the package's integer
 power-basis arrays (``SparseTensor``, the Fourier twist kernel, the
 spectrum's rows) are checked; sympy's cyclotomic polynomials check ``Cyc``.
+``Cyc`` lifts and reduces by ``_combine``, a long division by the cyclotomic
+polynomial on Fractions, and so shares no lift with the table
+``power_rows`` that the package and ``Cyclotomic`` read.
 ``compose_partitions`` glues one pair of partitions by union-find over
 their blocks; it shares no code with ``partitions.compose``, which glues
 all term pairs of a product at once in numpy.  ``RefLin`` is the formal
@@ -19,10 +22,27 @@ from math import gcd, lcm
 
 import pytest
 
-from qsym.cyclotomic import Cyclotomic, _combine
+from qsym.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from qsym.errors import InvalidInputError, SizeGuardError
 from qsym.partitions import Partition, PartLin
 from qsym.polyq import N_POLY, PolyQ
+
+
+def _combine(coeffs, step: int, level: int) -> list:
+    """sum_j coeffs[j] * zeta_level^(step*j) as a Fraction vector in the power
+    basis of Q(zeta_level): the polynomial sum_j coeffs[j] x^(step*j mod level),
+    reduced modulo the level-th cyclotomic polynomial by long division."""
+    poly = cyclotomic_polynomial(level)
+    phi = len(poly) - 1
+    out = [Fraction(0)] * level
+    for j, c in enumerate(coeffs):
+        out[j * step % level] += c
+    for top in range(len(out) - 1, phi - 1, -1):
+        c = out[top]
+        if c:
+            for i, p in enumerate(poly):
+                out[top - phi + i] -= c * p
+    return out[:phi]
 
 
 class Cyc(Cyclotomic):
@@ -38,6 +58,12 @@ class Cyc(Cyclotomic):
         if isinstance(x, (int, Fraction)):
             return cls.from_rational(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to Cyclotomic")
+
+    def _coeffs_at(self, level: int) -> list:
+        if level % self.level:
+            raise InvalidInputError(
+                f"cannot lift level {self.level} into non-multiple level {level}")
+        return _combine(self.coeffs, level // self.level, level)
 
     def lift(self, level: int) -> "Cyc":
         """Re-express in Q(zeta_level); self.level must divide level.  The

@@ -409,6 +409,21 @@ def test_size_guard_covers_explicit_orders(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("family,count", [
+    ("hypercube:40", "1099511627776"),
+    ("hypercube:200000", "at least 2^200000"),
+])
+def test_huge_rank_family_refuses_at_once(capsys, family, count):
+    # the group order is one power per distinct order and the closure guard
+    # reads it before any element's position: no product of 200,000 factors
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "spectrum", "--family", family)
+    assert code == 2 and out == ""
+    assert err == (f"error: generating-set closure needs {count} dense entries, over the "
+                   "cap 1000000 (raise QSYM_MAX_DENSE to override)\n")
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
 def test_malformed_size_guard_env_exit_code(capsys, monkeypatch, value):
     # the intertwiner reads both caps: the closure's and its sparse count

@@ -1,15 +1,17 @@
 import cmath
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsym.cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi
+from qsym.cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi, power_rows
 from qsym.errors import InvalidInputError
 from qsym.polyq import PolyQ
 
-from oracles import Cyc
+from oracles import Cyc, _combine
 
 
 def test_cyclotomic_polynomials_known():
@@ -153,8 +155,37 @@ def test_equality_across_levels_matches_sympy(case, q, j):
                            for c in reversed(diff)], z)
         expected = poly.rem(phi_big).is_zero
         assert (x == y) == (y == x) == expected
+        # plain values compare through the package's table, not the oracle's lift
+        px, py = Cyclotomic(x.level, x.coeffs), Cyclotomic(y.level, y.coeffs)
+        assert (px == py) == (py == px) == expected
         if x == y:
             assert hash(x) == hash(y)
+
+
+def test_power_rows_match_the_oracle_lift():
+    # every level <= 60, the phi = 1 levels 1 and 2 among them; row j is
+    # zeta_L^(step*j) reduced by the oracle's long division
+    rng = random.Random(28)
+    for level in range(1, 61):
+        phi = euler_phi(level)
+        for step in (1, level - 1, rng.randrange(3 * level)):
+            count = rng.randint(1, 2 * phi)
+            rows, colsum = power_rows(level, step, count)
+            assert rows.dtype == np.int64 and rows.shape == (count, phi)
+            assert not rows.flags.writeable
+            expected = [_combine([0] * j + [1], step, level) for j in range(count)]
+            assert rows.tolist() == expected, (level, step, count)
+            assert colsum == max(sum(abs(r[i]) for r in expected) for i in range(phi))
+
+
+def test_one_table_of_roots_of_unity():
+    # the Fraction lift lives in the test oracle only, and sparse keeps no
+    # second cache of the table
+    import qsym.cyclotomic
+    import qsym.sparse
+
+    assert not hasattr(qsym.cyclotomic, "_combine")
+    assert not hasattr(qsym.sparse, "_powers")
 
 
 def test_zeta_float_value():

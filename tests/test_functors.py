@@ -413,14 +413,18 @@ def test_permanent_random_matches_direct():
 
 
 def test_permanent_contracts_the_wedge(monkeypatch):
-    # scaling W by 2 scales n! (W M^(x n) W*)[0,0] by 4: the permanent is read
-    # off the coisometry, not recomputed beside it
+    # scaling W by c scales n! (W M^(x n) W*)[0,0] by c^2: the permanent is read
+    # off the coisometry, not recomputed beside it.  W's entries are 1/2 at
+    # n = 2, so c = 2 leaves numerators 1 over 1, and c = 3, coprime to 2!,
+    # leaves numerators 3 over 2 that the contraction must weight each pair by
     import qsym.functors
 
     m = [[1, 2], [3, 4]]
-    monkeypatch.setattr(qsym.functors, "antisym_coisometry",
-                        lambda k, n, deformed: antisym_coisometry(k, n, deformed).scale(2))
-    assert permanent_via_wedge(m) == 4 * permanent_direct(m)
+    for c in (2, 3):
+        monkeypatch.setattr(qsym.functors, "antisym_coisometry",
+                            lambda k, n, deformed, c=c:
+                            antisym_coisometry(k, n, deformed).scale(c))
+        assert permanent_via_wedge(m) == c * c * permanent_direct(m)
 
 
 def test_permanent_guard():
