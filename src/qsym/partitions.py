@@ -11,8 +11,8 @@ with polynomial coefficients in n.  Every operation reads and writes the
 arrays in numpy; ``Partition`` and ``PolyQ`` are boundary types, built for
 parsing, printing, JSON and the ``terms`` view.  ``compose`` glues all term
 pairs of a product at once, and ``verify functoriality`` checks it against
-the tensor functor.  Two-point antisymmetrizer rows are written down
-directly.
+the tensor functor.  Two-point antisymmetrization composes with nothing: a
+crossing only swaps two points, so it is a signed average of column swaps.
 
 Points are written 1..k for the upper row and 1'..l' for the lower row, as in
 the text format ``P(2,2){1 2' | 2 1'}``.
@@ -25,8 +25,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .config import guard_dense, int_dtype, max_abs, max_dense
-from .errors import InvalidInputError, SizeGuardError
+from .config import guard_dense, int_dtype, max_abs
+from .errors import InvalidInputError
 from .polyq import PolyQ, _lowest
 
 
@@ -573,91 +573,78 @@ def _pair_products(q_num, p_num):
     return _sum_products(np.arange(pairs), pairs, np.zeros(pairs, dtype=np.intp), q_num, p_num)
 
 
-def antisym_row(r: int) -> PartLin:
-    """The two-point antisymmetrizer 1/2 (id - crossing) tensored r times,
-    acting on a row of r two-points (2r actual points).
-
-    Written down directly: the term of a subset S of the two-points crosses
-    each two-point in S and has coefficient (-1)^|S| / 2^r.  Terms come in
-    the tensor product's order, the last two-point varying fastest.
-    """
-    terms = np.arange(2**r)
-    assign = np.empty((2**r, 4 * r), dtype=_label_type(4 * r))
-    assign[:, :2 * r] = np.arange(2 * r)
-    odd = np.zeros(2**r, dtype=np.int64)
-    for j in range(r):  # term t crosses two-point j when bit r-1-j of t is set
-        crossed = (terms >> (r - 1 - j)) & 1
-        # crossing two-point j joins lower point 2j to upper 2j+1 and back
-        assign[:, 2 * r + 2 * j] = 2 * j + crossed
-        assign[:, 2 * r + 2 * j + 1] = 2 * j + 1 - crossed
-        odd ^= crossed
-    return PartLin._raw(2 * r, 2 * r, assign, (1 - 2 * odd)[:, None], 2**r)
-
-
 def antisymmetrize(x) -> PartLin:
-    """Two-point antisymmetrization A^(x l/2) . x . A^(x k/2).
+    """Two-point antisymmetrization A^(x l/2) . x . A^(x k/2), where A is
+    1/2 (id - crossing) on one two-point.
 
     Both rows must have an even number of points; each adjacent pair
-    (2i-1, 2i) is treated as one two-point.
+    (2i-1, 2i) is treated as one two-point.  The upper row goes first, then
+    the lower row: one sum over both rows could order the terms otherwise
+    when a term of the first stage cancels.
     """
     x = PartLin.coerce(x)
     if x.k % 2 or x.l % 2:
         raise InvalidInputError(
-            f"antisymmetrize needs even rows, got shape ({x.k},{x.l})"
-        )
-    if x.is_zero():
+            f"antisymmetrize needs even rows, got shape ({x.k},{x.l})")
+    # both stages together form at most len(x) * 2^(k/2) * 2^(l/2) rows
+    guard_dense(len(x.assign) << (x.k + x.l) // 2, "antisymmetrization")
+    return _antisymmetrize_row(_antisymmetrize_row(x, "upper"), "lower")
+
+
+def _antisymmetrize_row(x: PartLin, row: str) -> PartLin:
+    """x after A^(x r) on its upper row, or A^(x r) after x on its lower row,
+    r the row's two-points.  A crossing closes no loop and only swaps two
+    points, so this sums (-1)^|S| / 2^r times x's terms with the two columns
+    of every two-point in S swapped, over the subsets S of the two-points
+    (index s swaps two-point j when bit r-1-j of s is set).  The rows are
+    formed a block at a time and summed as ``compose`` sums its pairs, in its
+    pair order: x's terms outer on the upper row, the subsets outer on the
+    lower.
+    """
+    first, r = (0, x.k // 2) if row == "upper" else (x.k, x.l // 2)
+    terms, C = len(x.assign), x.k + x.l
+    if not r or not terms:
         return x
-    # Guard before a row of 2^(k/2) or 2^(l/2) terms is built: the larger
-    # row, counted as the tensor product of two-point antisymmetrizers it
-    # equals, then both compositions, the second pairing at most
-    # len(x.assign) * 2^(k/2) terms of the first result with 2^(l/2).
-    if max(x.k, x.l) > 2:
-        _guard_power_of_two(max(x.k, x.l) // 2, "partition tensor product")
-    if x.k or x.l:
-        _guard_power_of_two((x.k + x.l) // 2, "partition composition", len(x.assign))
-    out = x
-    if x.k:
-        out = compose(out, antisym_row(x.k // 2))
-    if x.l:
-        out = compose(antisym_row(x.l // 2), out)
-    return out
-
-
-def _guard_power_of_two(e: int, what: str, factor: int = 1):
-    """guard_dense(factor * 2^e, what) for factor >= 1, without forming 2^e
-    when it alone is over the cap: it may have too many digits to print."""
-    if e >= max_dense().bit_length():
-        raise SizeGuardError(
-            f"{what} needs at least 2^{e} dense entries, over the cap {max_dense()} "
-            f"(raise QSYM_MAX_DENSE to override)")
-    guard_dense(factor << e, what)
-
-
-def _twopoint_swap_element(r: int, i: int) -> PartLin:
-    """Antisymmetrized crossing of adjacent two-points i, i+1 (1-based) in a
-    row of r two-points: the permutation partition that trades the two
-    two-points and fixes every other point, antisymmetrized."""
-    if not 1 <= i < r:
-        raise InvalidInputError(f"two-point position {i} out of range 1..{r - 1}")
-    assign = np.arange(4 * r, dtype=_label_type(4 * r)) % (2 * r)
-    j = 2 * r + 2 * i - 2
-    assign[j:j + 4] = assign[j + 2:j + 4].tolist() + assign[j:j + 2].tolist()
-    return antisymmetrize(PartLin._raw(2 * r, 2 * r, assign[None], _ONE, 1))
+    pairs, shifts, signs = terms << r, np.arange(r - 1, -1, -1), _ONE
+    for _ in range(r):  # (-1)^|S| for the subset of each index
+        signs = np.concatenate((signs, -signs))
+    rows = np.empty((pairs, C), dtype=x.assign.dtype)
+    step = max(1, _BLOCK_ENTRIES // C)
+    for start in range(0, pairs, step):
+        at = np.arange(start, min(start + step, pairs))
+        a, s = np.divmod(at, 1 << r) if row == "upper" else np.divmod(at, terms)[::-1]
+        crossed = (s[:, None] >> shifts) & 1
+        source = np.tile(np.arange(C), (len(at), 1))
+        source[:, first:first + 2 * r:2] += crossed
+        source[:, first + 1:first + 2 * r:2] -= crossed
+        rows[start:start + len(at)] = _canonical_rows(
+            np.take_along_axis(x.assign[a], source, axis=1))
+    gid, firsts = _group_rows(rows)
+    factors = (x.num, signs) if row == "upper" else (signs, x.num)
+    sums = _sum_products(gid, len(firsts), np.zeros(pairs, dtype=np.intp), *factors)
+    return PartLin._raw(x.k, x.l, *_normal(rows[firsts], sums, x.den << r))
 
 
 def two_point_swap(e: PartLin, i: int, row: str = "lower") -> PartLin:
     """Compose e with the antisymmetrized crossing of two-points i and i+1.
 
     ``row='lower'`` acts on the output row (e must have l = 2r points there);
-    ``row='upper'`` acts on the input row.
+    ``row='upper'`` acts on the input row.  The crossing moves two-points
+    whole, so it commutes with A^(x r): the result is e with the two
+    two-points traded on that row, then antisymmetrized on it.
     """
     e = PartLin.coerce(e)
-    if row == "lower":
-        if e.l % 2:
-            raise InvalidInputError("lower row is not two-point structured")
-        return compose(_twopoint_swap_element(e.l // 2, i), e)
-    if row == "upper":
-        if e.k % 2:
-            raise InvalidInputError("upper row is not two-point structured")
-        return compose(e, _twopoint_swap_element(e.k // 2, i))
-    raise InvalidInputError(f"unknown row {row!r}")
+    if row not in ("lower", "upper"):
+        raise InvalidInputError(f"unknown row {row!r}")
+    width, first = (e.l, e.k) if row == "lower" else (e.k, 0)
+    if width % 2:
+        raise InvalidInputError(f"{row} row is not two-point structured")
+    r = width // 2
+    if not 1 <= i < r:
+        raise InvalidInputError(f"two-point position {i} out of range 1..{r - 1}")
+    guard_dense(len(e.assign) << r, "antisymmetrization")
+    j = first + 2 * i - 2
+    order = np.arange(e.k + e.l)
+    order[j:j + 4] = np.roll(order[j:j + 4], 2)
+    swapped = PartLin._raw(e.k, e.l, _canonical_rows(e.assign[:, order]), e.num, e.den)
+    return _antisymmetrize_row(swapped, row)

@@ -268,7 +268,7 @@ _DIGITS = "7" * 5_000
     ("P(1000000000,0){}", "partition P(1000000000,0) needs"),
     ("scale(poly(n^100000), cap)", "polynomial power needs"),
     # a row of 2^18 terms on each side: refused before either is built
-    ("asym(id(36))", "partition composition needs at least 2^36 "),
+    ("asym(id(36))", "antisymmetrization needs 68719476736 "),
     # 3^10000 and 5^7000 index rows, counts past the int-to-text limit
     (("id(10000)", "--at", "3"), "needs at least 2^15849 stored entries"),
     (("id(7000)", "--at", "5"), "needs at least 2^16253 stored entries"),
@@ -378,16 +378,15 @@ def test_family_domain_bounds(capsys, at_bound, below):
     assert err.startswith("error: family ") and ">=" in err
 
 
-@pytest.mark.parametrize("cap,product", [("1000", "partition tensor product"),
-                                         ("2048", "partition composition")])
-def test_partition_products_are_size_guarded(capsys, monkeypatch, cap, product):
-    # asym(id(20)) tensors 2^10 terms together, then composes 4^10 pairs of
-    # terms; each guard fires before its pairs are formed
+@pytest.mark.parametrize("cap", ["1000", "2048"])
+def test_partition_products_are_size_guarded(capsys, monkeypatch, cap):
+    # asym(id(20)) forms up to 2^10 rows on its upper row, then 2^10 per
+    # term on its lower row; the one guard counts 2^20 before any row exists
     monkeypatch.setenv("QSYM_MAX_DENSE", cap)
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "partition", "eval", "asym(id(20))")
     assert code == 2
-    assert err.startswith(f"error: {product} needs") and "QSYM_MAX_DENSE" in err
+    assert err.startswith("error: antisymmetrization needs 1048576 ") and "QSYM_MAX_DENSE" in err
     assert time.perf_counter() - start < 5
 
 

@@ -7,10 +7,10 @@ import pytest
 from qsym.dsl import eval_text, load_fixture_file
 from qsym.errors import ParseError
 from qsym.lemmas import load_all_fixtures
-from qsym.partitions import Partition, PartLin, antisym_row, antisymmetrize, compose
+from qsym.partitions import Partition, PartLin, antisymmetrize, compose
 from qsym.polyq import N_POLY
 
-from oracles import partition_rotate
+from oracles import partition_rotate, ref_antisym_row
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -39,7 +39,7 @@ def test_eval_loop():
 
 
 def test_eval_asym_id2():
-    assert eval_text("asym(id(2))") == antisym_row(1)
+    assert eval_text("asym(id(2))") == PartLin(2, 2, ref_antisym_row(1).terms)
 
 
 def test_eval_pk2():

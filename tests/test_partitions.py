@@ -14,15 +14,20 @@ from qsym.functors import evaluate_partlin, partlin_evaluates_to_zero
 from qsym.partitions import (
     Partition,
     PartLin,
-    _twopoint_swap_element,
-    antisym_row,
     antisymmetrize,
     compose,
     two_point_swap,
 )
 from qsym.polyq import N_POLY, PolyQ
 
-from oracles import RefLin, compose_partitions, partition_adjoint, peak_bytes, reference_compose
+from oracles import (
+    RefLin,
+    compose_partitions,
+    partition_adjoint,
+    peak_bytes,
+    ref_antisym_row,
+    reference_compose,
+)
 
 
 def test_make_partition_examples():
@@ -126,7 +131,7 @@ def test_compose_distributes():
 
 
 def test_antisym2_form():
-    a = antisym_row(1)
+    a = antisymmetrize(Partition.identity(2))
     expected = PartLin(
         2,
         2,
@@ -139,7 +144,7 @@ def test_antisym2_form():
 
 
 def test_antisym2_idempotent_selfadjoint():
-    a = antisym_row(1)
+    a = antisymmetrize(Partition.identity(2))
     assert compose(a, a) == a
     assert a.adjoint() == a
 
@@ -155,12 +160,13 @@ def tensor_chain(factors) -> PartLin:
 
 @pytest.mark.parametrize("r", range(9))
 def test_closed_form_rows_match_tensor_chain(r):
-    """``antisym_row(r)`` is 1/2 (id - crossing) tensored r times, term order
-    and all, and the swap element antisymmetrizes the tensor product of
-    identities with one four-point swap."""
+    """The antisymmetrized identity on r two-points is 1/2 (id - crossing)
+    tensored r times, term order and all, and swapping two of its two-points
+    antisymmetrizes the tensor product of identities with one four-point
+    swap."""
     half = PartLin(2, 2, {Partition.identity(2): Fraction(1, 2),
                           Partition.crossing(): Fraction(-1, 2)})
-    row, chain = antisym_row(r), tensor_chain([half] * r)
+    row, chain = antisymmetrize(Partition.identity(2 * r)), tensor_chain([half] * r)
     assert row == chain
     assert list(row.terms) == list(chain.terms)
     assert row.to_json() == chain.to_json()
@@ -168,12 +174,17 @@ def test_closed_form_rows_match_tensor_chain(r):
     for i in range(1, r):
         factors = [PartLin.of(Partition.identity(2))] * (r - 1)
         factors[i - 1] = swap
-        assert _twopoint_swap_element(r, i) == antisymmetrize(tensor_chain(factors))
+        assert two_point_swap(row, i) == antisymmetrize(tensor_chain(factors))
+
+
+def ref_row(r: int) -> PartLin:
+    """The oracle's 1/2 (id - crossing) tensored r times."""
+    return PartLin(2 * r, 2 * r, ref_antisym_row(r).terms)
 
 
 def test_antisymmetrize_identity_and_crossing():
-    assert antisymmetrize(Partition.identity(2)) == antisym_row(1)
-    assert antisymmetrize(Partition.crossing()) == -antisym_row(1)
+    assert antisymmetrize(Partition.identity(2)) == ref_row(1)
+    assert antisymmetrize(Partition.crossing()) == -ref_row(1)
 
 
 def test_antisymmetrize_idempotent():
@@ -364,7 +375,7 @@ def test_compose_with_loops_and_permutations_matches_reference():
     # two loops, a crossing on either side, and fractional weights
     cup_cup = PartLin.of(Partition.parse("P(0,4){1' 2' | 3' 4'}"), Fraction(1, 3))
     cap_cap = PartLin.of(Partition.parse("P(4,0){1 4 | 2 3}"), N_POLY + Fraction(1, 2))
-    swaps = antisym_row(2)
+    swaps = antisymmetrize(Partition.identity(4))
     for q, p in [(cap_cap, cup_cup), (cap_cap, compose(swaps, cup_cup)),
                  (compose(cap_cap, swaps), cup_cup)]:
         assert compose(q, p) == reference_compose(q, p)
@@ -534,9 +545,8 @@ def test_compose_guard_fires_before_allocating(monkeypatch):
 @pytest.mark.parametrize("count, what, build", [
     (20 * 15, "partition tensor product needs 300 ",
      lambda a, b: a.tensor(b)),
-    # a row of 2^6 terms on each side, the second product pairing at most
-    # 2^6 x 2^6 terms
-    (2**12, r"partition composition needs at least 2\^12 ",
+    # a row of 2^6 terms on each side: at most 2^6 x 2^6 rows in all
+    (2**12, "antisymmetrization needs 4096 ",
      lambda a, b: antisymmetrize(PartLin.of(Partition.identity(12)))),
 ], ids=["tensor", "antisymmetrize"])
 def test_products_guard_before_they_allocate(monkeypatch, count, what, build):
@@ -644,7 +654,7 @@ def test_array_calculus_edge_inputs():
     zero = PartLin.zero(2, 2)
     big = PartLin.of(Partition.crossing(), BIG) + PartLin.of(
         Partition.identity(2), N_POLY * Fraction(1, 3))
-    frac = antisym_row(1).scale(N_POLY**2 - Fraction(2, 3))
+    frac = ref_row(1).scale(N_POLY**2 - Fraction(2, 3))
     assert big.num.dtype == object and id0 == empty.scale(0) + id0
     for op, *args in [
         ("add", id0, empty), ("sub", empty, empty), ("add", zero, big), ("sub", big, big),
@@ -661,11 +671,49 @@ def test_array_calculus_edge_inputs():
         check_against_reference(op, *args)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_two_point_swap_matches_reference(data):
+    """The column-swap route against the oracle's: the antisymmetrized
+    partition that trades two-points i and i+1, composed with e through
+    ``RefLin``.  Row order is not observable, so it is not compared."""
+    row = data.draw(st.sampled_from(["lower", "upper"]))
+    r, other = data.draw(st.integers(2, 3)), data.draw(st.integers(0, 3))
+    e = data.draw(combos(2 * r, other) if row == "upper" else combos(other, 2 * r))
+    i = data.draw(st.integers(1, r - 1))
+    assign = list(range(2 * r)) * 2
+    j = 2 * r + 2 * i - 2
+    assign[j:j + 4] = assign[j + 2:j + 4] + assign[j:j + 2]
+    swap = RefLin.of(PartLin.of(Partition(2 * r, 2 * r, assign))).antisymmetrize()
+    ref = swap.compose_after(RefLin.of(e)) if row == "lower" else RefLin.of(e).compose_after(swap)
+    out, expected = two_point_swap(e, i, row), PartLin(ref.k, ref.l, ref.terms)
+    assert_normal(out)
+    assert out == expected
+    assert out.to_json() == expected.to_json()
+
+
+def test_two_point_swap_guard_counts_its_rows(monkeypatch):
+    """A swap on a row of r two-points forms len(e) * 2^r rows: refused with
+    a small peak one below that count, built at it.  Here that is 2^10
+    rows; antisymmetrizing the swap partition of 10 two-points on both of
+    its rows would count 2^20, past the default cap."""
+    e = PartLin.of(Partition.cycle(10))
+    monkeypatch.setenv("QSYM_MAX_DENSE", str(2**10 - 1))
+    refusal = "antisymmetrization needs 1024 dense entries"
+    assert peak_bytes(lambda: two_point_swap(e, 1), refusal) < 16 * 1024
+    assert peak_bytes(lambda: two_point_swap(e.adjoint(), 1, "upper"), refusal) < 16 * 1024
+    monkeypatch.setenv("QSYM_MAX_DENSE", str(2**10))
+    out = two_point_swap(e, 1)
+    assert 0 < len(out.assign) <= 2**10
+    assert two_point_swap(e.adjoint(), 1, "upper") == out.adjoint()
+
+
 def test_calculus_builds_no_partition_objects(monkeypatch):
     """Partition is a boundary type: the operations read and write arrays."""
     x = eval_text("scale(poly(n - 2), merge) + P(2,1){1 | 2 1'} - scale(poly(3), merge * cross)")
     y = eval_text("scale(poly(n^2), fork) + P(1,2){1 1' | 2'}")
     ring = eval_text("pk(2) + P(0,4){1' 2' | 3' 4'}")
+    ident = eval_text("id(6)")
     big = x.scale(BIG)
 
     def refuse(*args, **kwargs):
@@ -675,7 +723,8 @@ def test_calculus_builds_no_partition_objects(monkeypatch):
     monkeypatch.setattr(Partition, "_raw", refuse)
     for value in (compose(y, x), compose(x, y), x + big, x - x, x.scale(N_POLY - 1),
                   x.tensor(y), x.adjoint(), x.rotate("left"), y.rotate("right"),
-                  antisym_row(3), antisymmetrize(ring), antisymmetrize(x.tensor(x))):
+                  antisymmetrize(ident), antisymmetrize(ring), antisymmetrize(x.tensor(x)),
+                  two_point_swap(ring, 1), two_point_swap(ident, 2, "upper")):
         assert isinstance(value, PartLin)
     with pytest.raises(AssertionError, match="a Partition was built"):
         x.terms
