@@ -3,16 +3,19 @@
 A ``Partition`` divides k upper and l lower points into blocks; it is the
 combinatorial shadow of a tensor mapping k legs to l legs.  ``PartLin`` is a
 formal Q[n]-linear combination of partitions of a common shape, held as
-arrays: one canonical block assignment per term and an integer coefficient
-matrix over one denominator.  Composition glues the lower row of the first
-factor to the upper row of the second and replaces each closed middle
-component ("loop") by a factor n, so identities between combinations hold
-with polynomial coefficients in n.  Every operation reads and writes the
-arrays in numpy; ``Partition`` and ``PolyQ`` are boundary types, built for
-parsing, printing, JSON and the ``terms`` view.  ``compose`` glues all term
-pairs of a product at once, and ``verify functoriality`` checks it against
-the tensor functor.  Two-point antisymmetrization composes with nothing: a
-crossing only swaps two points, so it is a signed average of column swaps.
+arrays in the normal form of ``SparseTensor``: one canonical block
+assignment per term in lexicographic order, and an integer coefficient
+matrix over one denominator.  Every operation reads and writes the arrays
+in numpy and ends in the tensors' kernel (``sparse._convolve``,
+``_sum_equal`` and ``_normal_rows``), so equal combinations hold equal
+arrays.  Composition glues the lower row of the first factor to the upper
+row of the second, in numpy blocks of term pairs, and replaces each closed
+middle component ("loop") by a factor n, so identities between combinations
+hold with polynomial coefficients in n; ``verify functoriality`` checks it
+against the tensor functor.  ``Partition`` and ``PolyQ`` are boundary
+types, built for parsing, printing, JSON and the ``terms`` view.  Two-point
+antisymmetrization composes with nothing: a crossing only swaps two points,
+so it is a signed average of column swaps.
 
 Points are written 1..k for the upper row and 1'..l' for the lower row, as in
 the text format ``P(2,2){1 2' | 2 1'}``.
@@ -21,13 +24,14 @@ the text format ``P(2,2){1 2' | 2 1'}``.
 from __future__ import annotations
 
 import re
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
 from .config import guard_dense, int_dtype, max_abs
 from .errors import InvalidInputError
 from .polyq import PolyQ, _lowest
+from .sparse import _BLOCK_PAIRS, _convolve, _normal_rows, _sum_equal, _sum_parts
 
 
 class Partition:
@@ -217,9 +221,9 @@ class PartLin:
     occurrence order, int8/int16/int32 by k + l) and the coefficient
     sum_i num[t, i] n^i / den.  ``num`` is int64 when its entries stay below
     2^62 and Python integers (``dtype=object``) otherwise.  The arrays are
-    normal: no row repeats, no coefficient row is zero, the last column of
-    ``num`` is not all zero and gcd(den, num) = 1, so equal combinations
-    hold the same rows up to their order.
+    normal: the rows of ``assign`` strictly increase in lexicographic order,
+    no coefficient row is zero, the last column of ``num`` is not all zero
+    and gcd(den, num) = 1, so equal combinations hold equal arrays.
     """
 
     __slots__ = ("k", "l", "assign", "num", "den")
@@ -289,17 +293,13 @@ class PartLin:
         if (self.k, self.l) != (other.k, other.l):
             raise InvalidInputError(
                 f"shape mismatch: ({self.k},{self.l}) vs ({other.k},{other.l})")
+        if self.is_zero() or other.is_zero():
+            return other if self.is_zero() else self
         den = lcm(self.den, other.den)
-        rows = np.concatenate((self.assign, other.assign))
-        if not len(rows):
-            return self
-        num = np.zeros((len(rows), max(self.num.shape[1], other.num.shape[1])), dtype=object)
-        for x, part in ((self, num[:len(self.assign)]), (other, num[len(self.assign):])):
-            part[:, :x.num.shape[1]] = x.num
-            part *= den // x.den
-        gid, firsts = _group_rows(rows)
-        sums = _sum_products(gid, len(firsts), np.zeros(len(rows), dtype=np.intp), num, _ONE)
-        return PartLin._raw(self.k, self.l, *_normal(rows[firsts], sums, den))
+        dtype = int_dtype(2 * max(max_abs(x.num) * (den // x.den) for x in (self, other)))
+        idx, num = _sum_parts([(x.assign.T, x.num.astype(dtype) * (den // x.den))
+                               for x in (self, other)])
+        return PartLin._raw(self.k, self.l, *_normal(idx.T, num, den))
 
     def __neg__(self):
         return PartLin._raw(self.k, self.l, self.assign, -self.num, self.den)
@@ -311,7 +311,8 @@ class PartLin:
         factor = PolyQ.coerce(factor)
         if factor.is_zero() or self.is_zero():
             return PartLin.zero(self.k, self.l)
-        scaled = _pair_products(self.num, np.array([factor.numerators], dtype=object))
+        f = np.array([factor.numerators], dtype=object)
+        scaled = _convolve(self.num, f, _product_type(self.num, f))
         return PartLin._raw(self.k, self.l, *_normal(self.assign, scaled, self.den * factor.den))
 
     __mul__ = scale
@@ -320,8 +321,7 @@ class PartLin:
     # -- category operations ----------------------------------------------------------
 
     def tensor(self, other) -> "PartLin":
-        """Side by side, self's points left of other's; term pairs in the
-        order (self's terms outer, other's inner)."""
+        """Side by side, self's points left of other's."""
         other = self.coerce(other)
         pairs = len(self.assign) * len(other.assign)
         guard_dense(pairs, "partition tensor product")
@@ -333,14 +333,13 @@ class PartLin:
         y = other.assign[b].astype(np.intp) + self.block_counts()[a, None]
         rows = np.concatenate(
             (x[:, :self.k], y[:, :other.k], x[:, self.k:], y[:, other.k:]), axis=1)
-        return PartLin._raw(k, l, *_normal(_canonical_rows(rows),
-                                           _pair_products(self.num, other.num),
-                                           self.den * other.den))
+        num = _convolve(self.num[a], other.num[b], _product_type(self.num, other.num))
+        return PartLin._raw(k, l, *_normal(_canonical_rows(rows), num, self.den * other.den))
 
     def adjoint(self) -> "PartLin":
         """Vertical reflection: upper and lower rows trade places."""
         rows = np.concatenate((self.assign[:, self.k:], self.assign[:, :self.k]), axis=1)
-        return PartLin._raw(self.l, self.k, _canonical_rows(rows), self.num, self.den)
+        return PartLin._raw(self.l, self.k, *_normal(_canonical_rows(rows), self.num, self.den))
 
     def rotate(self, side: str) -> "PartLin":
         """Move the extreme upper point on one side to that side of the lower row."""
@@ -353,7 +352,8 @@ class PartLin:
             rows = np.concatenate((up[:, :-1], lo, up[:, -1:]), axis=1)
         else:
             raise InvalidInputError(f"unknown side {side!r}")
-        return PartLin._raw(self.k - 1, self.l + 1, _canonical_rows(rows), self.num, self.den)
+        return PartLin._raw(self.k - 1, self.l + 1,
+                            *_normal(_canonical_rows(rows), self.num, self.den))
 
     # -- queries -------------------------------------------------------------------------
 
@@ -365,11 +365,12 @@ class PartLin:
             other = PartLin.of(other)
         if not isinstance(other, PartLin):
             return NotImplemented
-        return (self.k, self.l) == (other.k, other.l) and (self - other).is_zero()
+        return ((self.k, self.l, self.den) == (other.k, other.l, other.den)
+                and np.array_equal(self.assign, other.assign)
+                and np.array_equal(self.num, other.num))
 
     def __hash__(self):
-        return hash((self.k, self.l, self.den, frozenset(
-            zip(map(tuple, self.assign.tolist()), map(tuple, self.num.tolist())))))
+        return hash((self.k, self.l, self.den, self.assign.tobytes(), *self.num.ravel().tolist()))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: str(kv[0]))
@@ -397,37 +398,29 @@ def _label_type(labels: int):
 
 
 def _normal(assign, num, den: int):
-    """(assign, num, den) made normal from distinct canonical rows and integer
-    coefficient rows over den > 0: zero rows and trailing zero columns go,
-    gcd(den, num) is divided out and num is int64 where it fits."""
-    nonzero = num != 0
-    keep = nonzero.any(axis=1)
-    if not keep.all():
-        assign, num, nonzero = assign[keep], num[keep], nonzero[keep]
-    width = num.shape[1]
-    while width and not nonzero[:, width - 1].any():
-        width -= 1
-    g = gcd(den, int(np.gcd.reduce(num[:, :width], axis=None))) if den != 1 else 1
-    num = num[:, :width] // g
-    if num.dtype == object:
-        num = num.astype(int_dtype(max_abs(num)))
-    return assign.astype(_label_type(assign.shape[1]), copy=False), num, den // g
+    """(assign, num, den) made normal from canonical rows in any order and
+    integer coefficient rows over den > 0: ``sparse._sum_equal``, then
+    ``sparse._normal_rows``, then trailing zero columns dropped."""
+    idx, num, den, used = _normal_rows(*_sum_equal(assign.T, num), den)
+    return (np.ascontiguousarray(idx.T, dtype=_label_type(len(idx))),
+            num[:, :used.nonzero()[0].max(initial=-1) + 1], den)
 
 
-_ONE = np.ones((1, 1), dtype=np.int64)
+def _product_type(a, b, sums: int = 1):
+    """The dtype of the products of a's and b's coefficient rows, sums of
+    ``sums`` of them included."""
+    return int_dtype(max_abs(a) * max_abs(b) * min(a.shape[1], b.shape[1]) * sums)
 
 
 def compose(q, p) -> PartLin:
     """q after p, bilinearly, with a factor n per closed loop.
 
     The only composition route, on the stored arrays: ``_glue_pairs`` glues
-    all term pairs at once in numpy blocks, and ``verify functoriality``
-    checks its partition and loop count through T_q T_p = N^loops
-    T_(q after p).  ``_group_rows`` numbers the distinct output rows and
-    ``_sum_products`` sums the products of the factors' integer coefficient
-    rows per output and power of n, over the product of the denominators.
-    Output terms keep the order in which the pairs (q's terms outer, p's
-    inner) first reach them.
+    the term pairs, and ``verify functoriality`` checks its partition and
+    loop count through T_q T_p = N^loops T_(q after p).  A pair's coefficient
+    row is the product of its factors' rows and n^loops; equal outputs are
+    summed as ``sparse._join`` sums them, per block of pairs and then across
+    the blocks.
     """
     q, p = PartLin.coerce(q), PartLin.coerce(p)
     if p.l != q.k:
@@ -437,10 +430,15 @@ def compose(q, p) -> PartLin:
     guard_dense(pairs, "partition composition")
     if not pairs:
         return PartLin.zero(p.k, q.l)
-    rows, loops = _glue_pairs(q, p)
-    gid, firsts = _group_rows(rows)
-    sums = _sum_products(gid, len(firsts), loops, q.num, p.num)
-    return PartLin._raw(p.k, q.l, *_normal(rows[firsts], sums, q.den * p.den))
+    dtype = _product_type(q.num, p.num, pairs)
+    qn, pn, parts = q.num.astype(dtype), p.num.astype(dtype), []
+    for start in range(0, pairs, _BLOCK_PAIRS):
+        a, b = np.divmod(np.arange(start, min(start + _BLOCK_PAIRS, pairs)), len(p.assign))
+        rows, loops = _glue_pairs(q, p, a, b)
+        n_loops = loops[:, None] == np.arange(loops.max() + 1)  # n^loops, a row per pair
+        parts.append(_sum_equal(rows.T, _convolve(_convolve(qn[a], pn[b], dtype), n_loops, dtype)))
+    idx, num = _sum_parts(parts)
+    return PartLin._raw(p.k, q.l, *_normal(idx.T, num, q.den * p.den))
 
 
 # Label nodes per block of pairs glued together.  It bounds the temporaries
@@ -449,10 +447,9 @@ def compose(q, p) -> PartLin:
 _BLOCK_ENTRIES = 2**13
 
 
-def _glue_pairs(q: PartLin, p: PartLin):
-    """Canonical outer rows (pairs x (k+m)) and loop counts of q's term a
-    after p's term b for every pair a * len(p.assign) + b, where p has shape
-    (k, l) and q shape (l, m).
+def _glue_pairs(q: PartLin, p: PartLin, a, b):
+    """Canonical outer rows (len(a) x (k+m)) and loop counts of q's term a[i]
+    after p's term b[i], where p has shape (k, l) and q shape (l, m).
 
     A pair has V = k + 2l + m label nodes: p's block b is node b and q's
     block b is node k + l + b, so unused labels are isolated nodes.  Pairs
@@ -462,17 +459,15 @@ def _glue_pairs(q: PartLin, p: PartLin):
     V = k + 2 * l + m
     dtype = _label_type(V)
     qa, pa = q.assign.astype(dtype, copy=False), p.assign.astype(dtype, copy=False)
-    q_blocks, p_blocks = q.block_counts(), p.block_counts()
-    pairs = len(qa) * len(pa)
-    rows = np.empty((pairs, k + m), dtype=dtype)
-    loops = np.empty(pairs, dtype=np.intp)
+    used = q.block_counts()[a] + p.block_counts()[b]
+    rows = np.empty((len(a), k + m), dtype=dtype)
+    loops = np.empty(len(a), dtype=np.intp)
     step = max(1, _BLOCK_ENTRIES // max(V, 1))
-    nodes = np.arange(min(step, pairs) * V)
-    for start in range(0, pairs, step):
-        a, b = np.divmod(np.arange(start, min(start + step, pairs)), len(pa))
-        block = slice(start, start + len(a))
+    nodes = np.arange(min(step, len(a)) * V)
+    for start in range(0, len(a), step):
+        block = slice(start, start + step)
         rows[block], loops[block] = _glue_block(
-            qa[a], pa[b], q_blocks[a] + p_blocks[b], k, l, V, nodes[:len(a) * V])
+            qa[a[block]], pa[b[block]], used[block], k, l, V, nodes[:len(used[block]) * V])
     return rows, loops
 
 
@@ -534,53 +529,12 @@ def _canonical_rows(rows):
     return label.astype(_label_type(C))
 
 
-def _group_rows(rows):
-    """(group of each row, first row of each group), groups numbered in the
-    order of their first rows."""
-    pairs = len(rows)
-    keys = rows[:, (rows != rows[0]).any(axis=0)]  # a column all rows share orders nothing
-    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(pairs)
-    ranked = keys[order]
-    opens = np.ones(pairs, dtype=bool)
-    opens[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    firsts = order[opens]  # lexsort is stable: a run's first row is its least
-    by_first = firsts.argsort()  # group g is the run with the g-th least first row
-    rank = np.empty(len(firsts), dtype=np.intp)
-    rank[by_first] = np.arange(len(firsts))
-    gid = np.empty(pairs, dtype=np.intp)
-    gid[order] = rank[opens.cumsum() - 1]
-    return gid, firsts[by_first]
-
-
-def _sum_products(gid, groups: int, loops, q_num, p_num):
-    """Per group and power of n, the sum over its pairs (a, b) of
-    q_num[a, i] * p_num[b, j] at power i + j + loops; int64 when no sum
-    can reach 2^62, Python integers otherwise."""
-    Dq, Dp = q_num.shape[1], p_num.shape[1]
-    dtype = int_dtype(max_abs(q_num) * max_abs(p_num) * len(gid) * Dq * Dp)
-    Cq, Cp = q_num.astype(dtype), p_num.astype(dtype)
-    sums = np.zeros((groups, Dq + Dp - 1 + int(loops.max())), dtype=dtype)
-    for i in range(Dq):
-        for j in range(Dp):
-            np.add.at(sums, (gid, loops + (i + j)), np.multiply.outer(Cq[:, i], Cp[:, j]).ravel())
-    return sums
-
-
-def _pair_products(q_num, p_num):
-    """The product of the coefficient rows of every pair (a, b), row
-    a * len(p_num) + b."""
-    pairs = len(q_num) * len(p_num)
-    return _sum_products(np.arange(pairs), pairs, np.zeros(pairs, dtype=np.intp), q_num, p_num)
-
-
 def antisymmetrize(x) -> PartLin:
     """Two-point antisymmetrization A^(x l/2) . x . A^(x k/2), where A is
     1/2 (id - crossing) on one two-point.
 
     Both rows must have an even number of points; each adjacent pair
-    (2i-1, 2i) is treated as one two-point.  The upper row goes first, then
-    the lower row: one sum over both rows could order the terms otherwise
-    when a term of the first stage cancels.
+    (2i-1, 2i) is treated as one two-point.
     """
     x = PartLin.coerce(x)
     if x.k % 2 or x.l % 2:
@@ -588,41 +542,32 @@ def antisymmetrize(x) -> PartLin:
             f"antisymmetrize needs even rows, got shape ({x.k},{x.l})")
     # both stages together form at most len(x) * 2^(k/2) * 2^(l/2) rows
     guard_dense(len(x.assign) << (x.k + x.l) // 2, "antisymmetrization")
-    return _antisymmetrize_row(_antisymmetrize_row(x, "upper"), "lower")
+    return _antisymmetrize_row(_antisymmetrize_row(x, 0, x.k // 2), x.k, x.l // 2)
 
 
-def _antisymmetrize_row(x: PartLin, row: str) -> PartLin:
-    """x after A^(x r) on its upper row, or A^(x r) after x on its lower row,
-    r the row's two-points.  A crossing closes no loop and only swaps two
-    points, so this sums (-1)^|S| / 2^r times x's terms with the two columns
-    of every two-point in S swapped, over the subsets S of the two-points
-    (index s swaps two-point j when bit r-1-j of s is set).  The rows are
-    formed a block at a time and summed as ``compose`` sums its pairs, in its
-    pair order: x's terms outer on the upper row, the subsets outer on the
-    lower.
-    """
-    first, r = (0, x.k // 2) if row == "upper" else (x.k, x.l // 2)
-    terms, C = len(x.assign), x.k + x.l
-    if not r or not terms:
+def _antisymmetrize_row(x: PartLin, first: int, r: int) -> PartLin:
+    """x with A^(x r) on the r two-points from column ``first`` on: x after
+    it on the upper row, after x on the lower.  A crossing closes no loop
+    and only swaps two points, so this sums (-1)^|S| / 2^r times x's terms
+    with the two columns of every two-point in S swapped, over the subsets S
+    of the two-points (index s swaps two-point j when bit r-1-j of s is
+    set).  The rows are formed a block at a time."""
+    if not r:
         return x
-    pairs, shifts, signs = terms << r, np.arange(r - 1, -1, -1), _ONE
-    for _ in range(r):  # (-1)^|S| for the subset of each index
-        signs = np.concatenate((signs, -signs))
+    C, pairs, shifts = x.k + x.l, len(x.assign) << r, np.arange(r - 1, -1, -1)
     rows = np.empty((pairs, C), dtype=x.assign.dtype)
+    num = np.repeat(x.num.astype(int_dtype(max_abs(x.num) * pairs)), 1 << r, axis=0)
     step = max(1, _BLOCK_ENTRIES // C)
     for start in range(0, pairs, step):
-        at = np.arange(start, min(start + step, pairs))
-        a, s = np.divmod(at, 1 << r) if row == "upper" else np.divmod(at, terms)[::-1]
+        block = slice(start, start + step)
+        a, s = np.divmod(np.arange(start, min(start + step, pairs)), 1 << r)
         crossed = (s[:, None] >> shifts) & 1
-        source = np.tile(np.arange(C), (len(at), 1))
+        source = np.tile(np.arange(C), (len(a), 1))
         source[:, first:first + 2 * r:2] += crossed
         source[:, first + 1:first + 2 * r:2] -= crossed
-        rows[start:start + len(at)] = _canonical_rows(
-            np.take_along_axis(x.assign[a], source, axis=1))
-    gid, firsts = _group_rows(rows)
-    factors = (x.num, signs) if row == "upper" else (signs, x.num)
-    sums = _sum_products(gid, len(firsts), np.zeros(pairs, dtype=np.intp), *factors)
-    return PartLin._raw(x.k, x.l, *_normal(rows[firsts], sums, x.den << r))
+        rows[block] = _canonical_rows(np.take_along_axis(x.assign[a], source, axis=1))
+        num[block] *= 1 - 2 * (crossed.sum(axis=1, keepdims=True) & 1)  # (-1)^|S|
+    return PartLin._raw(x.k, x.l, *_normal(rows, num, x.den << r))
 
 
 def two_point_swap(e: PartLin, i: int, row: str = "lower") -> PartLin:
@@ -646,5 +591,6 @@ def two_point_swap(e: PartLin, i: int, row: str = "lower") -> PartLin:
     j = first + 2 * i - 2
     order = np.arange(e.k + e.l)
     order[j:j + 4] = np.roll(order[j:j + 4], 2)
+    # the stage sums the swapped rows in any order, so they are not sorted here
     swapped = PartLin._raw(e.k, e.l, _canonical_rows(e.assign[:, order]), e.num, e.den)
-    return _antisymmetrize_row(swapped, row)
+    return _antisymmetrize_row(swapped, first, r)

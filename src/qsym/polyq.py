@@ -109,8 +109,9 @@ class PolyQ:
     def __pow__(self, k: int):
         if k < 0:
             raise InvalidInputError("negative polynomial power")
-        # k multiplications of at most len*k by len coefficients each
-        guard_dense((len(self.numerators) * k) ** 2, "polynomial power")
+        # k multiplications of at most len*k by len coefficients each, the
+        # zero polynomial counted as one coefficient so its loop is bounded too
+        guard_dense((max(1, len(self.numerators)) * k) ** 2, "polynomial power")
         out = PolyQ.const(1)
         for _ in range(k):
             out = out * self

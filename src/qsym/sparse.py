@@ -21,14 +21,16 @@ arrays and denominators are.
 
 ``compose``, ``tensor``, ``scale`` and the leg transforms are one
 sort-merge join, ``_join``.  It pairs the rows that agree on the contracted
-columns, convolves their numerator rows, sums equal indices and reduces the
-sums once into Q(zeta_L).  That reduction, lifts to a common level and
-conjugation are each one matrix product with ``cyclotomic.power_rows``, the
-package's one table of roots of unity.  These arrays are the package's only
-field arithmetic: ``Cyclotomic`` has none.  Dicts, tuple keys and ``Cyclotomic``
-values exist only at the boundary: the dict constructor, ``from_json``,
-``t[idx]``, ``entries``, ``numerators``, ``rational_entries``, ``trace`` and
-``to_json``.
+columns, convolves their numerator rows (``_convolve``), sums equal indices
+(``_sum_equal``) and reduces the sums once into Q(zeta_L).  That reduction,
+lifts to a common level and conjugation are each one matrix product with
+``cyclotomic.power_rows``, the package's one table of roots of unity.  These
+arrays are the package's only field arithmetic: ``Cyclotomic`` has none.
+Dicts, tuple keys and ``Cyclotomic`` values exist only at the boundary: the
+dict constructor, ``from_json``, ``t[idx]``, ``entries``, ``numerators``,
+``rational_entries``, ``trace`` and ``to_json``.  The partition calculus
+``PartLin`` keeps its block assignments in this normal form through the
+same convolution, sum and normaliser (``_normal_rows``).
 """
 
 from __future__ import annotations
@@ -68,18 +70,31 @@ def _lift(t, level: int, factor: int = 1):
 def _sum_equal(idx, num):
     """The columns of ``idx`` in lexicographic order, the ``num`` rows of
     equal columns summed.  A strictly increasing ``idx`` is kept as it is:
-    from the last leg to the first, a neighbouring pair rises where its leg
-    rises, or ties and rose on the later legs."""
-    rising = np.zeros(max(idx.shape[1] - 1, 0), dtype=bool)
-    for row in idx[::-1]:
-        rising = (row[1:] > row[:-1]) | ((row[1:] == row[:-1]) & rising)
-    if rising.all():
+    every neighbouring pair has risen by the last leg and fallen on no leg
+    before the one where it rose."""
+    if idx.shape[1] < 2:
         return idx, num
+    risen = idx[:, 1:] > idx[:, :-1]
+    for leg in range(1, len(risen)):
+        risen[leg] |= risen[leg - 1]  # risen on this leg or an earlier one
+    if len(idx) and risen[-1].all() and not ((idx[:, 1:] < idx[:, :-1]) & ~risen).any():
+        return idx, num
+    del risen  # freed before the sort and its copies
     if len(idx):
         order = np.lexsort(idx[::-1])
         idx, num = idx[:, order], num[order]
     starts = np.concatenate(([True], (idx[:, 1:] != idx[:, :-1]).any(axis=0))).nonzero()[0]
     return idx[:, starts], np.add.reduceat(num, starts, axis=0)
+
+
+def _sum_parts(parts):
+    """``_sum_equal`` across summed (idx, num) parts, num padded with zero columns."""
+    if len(parts) == 1:
+        return parts[0]
+    width = max(num.shape[1] for _, num in parts)
+    return _sum_equal(np.concatenate([idx for idx, _ in parts], axis=1), np.concatenate([
+        np.concatenate((num, np.zeros((len(num), width - num.shape[1]), num.dtype)), axis=1)
+        for _, num in parts]))
 
 
 def _group_ids(cols):
@@ -93,25 +108,44 @@ def _group_ids(cols):
     return ids
 
 
+def _normal_rows(idx, num, den: int):
+    """(idx, num, den, used): the zero rows of ``num`` over den > 0 and their
+    ``idx`` columns dropped, gcd(den, num) divided out, num int64 where it
+    fits, and ``used`` marking the columns of num that hold a nonzero."""
+    nonzero = num != 0
+    keep = nonzero.any(axis=1)
+    if not keep.all():
+        idx, num, nonzero = idx[:, keep], num[keep], nonzero[keep]
+    g = gcd(den, int(np.gcd.reduce(num, axis=None))) if den != 1 else 1
+    if g != 1:
+        den, num = den // g, num // g
+    if num.dtype == object:
+        num = num.astype(int_dtype(max_abs(num)))
+    return idx, num, den, nonzero.any(axis=0)
+
+
+def _convolve(a, b, dtype, sa: int = 1, sb: int = 1):
+    """Row i of a times row i of b (or b's one row) as polynomials in
+    ``dtype``, a's coefficient j at exponent sa * j and b's at sb * j."""
+    pa, pb = a.shape[1], b.shape[1]
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    out = np.zeros((len(a), sa * (pa - 1) + sb * (pb - 1) + 1), dtype=dtype)
+    for i in range(pa):
+        out[:, sa * i: sa * i + sb * (pb - 1) + 1: sb] += a[:, i:i + 1] * b
+    return out
+
+
 class _Layout:
     """Normal (_idx, _num, den, level) from distinct index columns in
     lexicographic order, handed to ``SparseTensor`` without the index checks
-    of public construction."""
+    of public construction: ``_normal_rows``, level 1 if all are rational."""
 
     __slots__ = ("_idx", "_num", "den", "level")
 
     def __init__(self, idx, num, den: int = 1, level: int = 1):
-        nonzero = num != 0
-        keep = nonzero.any(axis=1)
-        if not keep.all():
-            idx, num, nonzero = idx[:, keep], num[keep], nonzero[keep]
-        if not nonzero[:, 1:].any():
+        idx, num, den, used = _normal_rows(idx, num, den)
+        if not used[1:].any():
             level, num = 1, num[:, :1]
-        g = gcd(den, int(np.gcd.reduce(num, axis=None))) if den != 1 else 1
-        if g != 1:
-            den, num = den // g, num // g
-        if num.dtype == object:
-            num = num.astype(int_dtype(max_abs(num)))
         self._idx, self._num, self.den, self.level = idx, num, den, level
 
     def __len__(self):
@@ -192,18 +226,12 @@ def _join(a, b, keys_a, keys_b, order, shape, what: str) -> _Layout:
         p = np.arange(start, min(start + _BLOCK_PAIRS, pairs))
         left = ends.searchsorted(p, "right")
         right = by_group[offset[left] + p]
-        av, bv = a._num[left].astype(dtype, copy=False), b._num[right].astype(dtype, copy=False)
-        conv = np.zeros((len(p), len(rows)), dtype=dtype)
-        for i in range(pa):
-            conv[:, sa * i: sa * i + sb * (pb - 1) + 1: sb] += av[:, i:i + 1] * bv
+        conv = _convolve(a._num[left], b._num[right], dtype, sa, sb)
         idx = np.empty((len(order), len(p)), dtype=_index_type(shape))
         for row, col in zip(idx, order):
             row[:] = a._idx[col].take(left) if col < la else b._idx[col - la].take(right)
         parts.append(_sum_equal(idx, conv))
-    idx, conv = parts[0]
-    if len(parts) > 1:
-        idx, conv = _sum_equal(np.concatenate([i for i, _ in parts], axis=1),
-                               np.concatenate([c for _, c in parts]))
+    idx, conv = _sum_parts(parts)
     return _Layout(idx, conv @ rows.astype(dtype), a.den * b.den, level)
 
 

@@ -198,11 +198,12 @@ def partition_rotate(p: Partition, side: str) -> Partition:
 
 class RefLin:
     """A formal combination as a dict {Partition: PolyQ}, nonzero
-    coefficients only, in the order its terms were first reached."""
+    coefficients only, in lexicographic order of the assignments."""
 
     def __init__(self, k: int, l: int, terms: dict):
         self.k, self.l = k, l
-        self.terms = {p: c for p, c in terms.items() if not c.is_zero()}
+        self.terms = {p: terms[p] for p in sorted(terms, key=lambda p: p.assign)
+                      if not terms[p].is_zero()}
 
     @classmethod
     def of(cls, x: PartLin) -> "RefLin":

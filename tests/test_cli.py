@@ -267,13 +267,15 @@ _DIGITS = "7" * 5_000
     ("id(2000000)", "partition P(2000000,2000000) needs"),
     ("P(1000000000,0){}", "partition P(1000000000,0) needs"),
     ("scale(poly(n^100000), cap)", "polynomial power needs"),
+    # the zero polynomial counts one coefficient: 3,000,000 multiplications
+    ("scale(poly(0^3000000), cap)", "polynomial power needs"),
     # a row of 2^18 terms on each side: refused before either is built
     ("asym(id(36))", "antisymmetrization needs 68719476736 "),
     # 3^10000 and 5^7000 index rows, counts past the int-to-text limit
     (("id(10000)", "--at", "3"), "needs at least 2^15849 stored entries"),
     (("id(7000)", "--at", "5"), "needs at least 2^16253 stored entries"),
 ], ids=["id-digits", "literal-digits", "poly-digits", "label-digits", "pk-points",
-        "id-points", "literal-points", "poly-power", "asym-rows", "eval-3-pow-10000",
+        "id-points", "literal-points", "poly-power", "poly-zero-power", "asym-rows", "eval-3-pow-10000",
         "eval-5-pow-7000"])
 def test_partition_eval_oversized_input_is_bad_input(capsys, text, message):
     # each is refused before a point list, a polynomial, a product or an
