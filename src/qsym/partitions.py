@@ -311,9 +311,12 @@ class PartLin:
         factor = PolyQ.coerce(factor)
         if factor.is_zero() or self.is_zero():
             return PartLin.zero(self.k, self.l)
+        # a nonzero row times a nonzero polynomial is nonzero and of exact
+        # degree, so the rows keep their order and only the gcd is divided out
         f = np.array([factor.numerators], dtype=object)
         scaled = _convolve(self.num, f, _product_type(self.num, f))
-        return PartLin._raw(self.k, self.l, *_normal(self.assign, scaled, self.den * factor.den))
+        _, num, den, _ = _normal_rows(self.assign.T, scaled, self.den * factor.den)
+        return PartLin._raw(self.k, self.l, self.assign, num, den)
 
     __mul__ = scale
     __rmul__ = scale

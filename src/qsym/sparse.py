@@ -19,18 +19,19 @@ gcd(den, numerators) = 1.  Power-basis coordinates are unique at a fixed
 level, so two normal tensors at one level are equal exactly when their
 arrays and denominators are.
 
-``compose``, ``tensor``, ``scale`` and the leg transforms are one
-sort-merge join, ``_join``.  It pairs the rows that agree on the contracted
-columns, convolves their numerator rows (``_convolve``), sums equal indices
-(``_sum_equal``) and reduces the sums once into Q(zeta_L).  That reduction,
-lifts to a common level and conjugation are each one matrix product with
-``cyclotomic.power_rows``, the package's one table of roots of unity.  These
-arrays are the package's only field arithmetic: ``Cyclotomic`` has none.
-Dicts, tuple keys and ``Cyclotomic`` values exist only at the boundary: the
-dict constructor, ``from_json``, ``t[idx]``, ``entries``, ``numerators``,
-``rational_entries``, ``trace`` and ``to_json``.  The partition calculus
-``PartLin`` keeps its block assignments in this normal form through the
-same convolution, sum and normaliser (``_normal_rows``).
+``compose``, ``tensor`` and the leg transforms are one sort-merge join,
+``_join``.  It pairs the rows that agree on the contracted columns, convolves
+their numerator rows (``_convolve``), sums equal indices (``_sum_equal``) and
+reduces the sums once into Q(zeta_L); ``scale`` keeps its index columns and
+only convolves and reduces.  That reduction, lifts to a common level and
+conjugation are each one matrix product with ``cyclotomic.power_rows``, the
+package's one table of roots of unity.  These arrays are the package's only
+field arithmetic: ``Cyclotomic`` has none.  Dicts, tuple keys and
+``Cyclotomic`` values exist only at the boundary: the dict constructor,
+``from_json``, ``t[idx]``, ``entries``, ``numerators``, ``rational_entries``,
+``trace`` and ``to_json``.  The partition calculus ``PartLin`` keeps its
+block assignments in this normal form through the same convolution, sum and
+normaliser (``_normal_rows``).
 """
 
 from __future__ import annotations
@@ -60,11 +61,6 @@ def _apply(num, level: int, step: int, factor: int = 1):
     rows, colsum = power_rows(level, step, num.shape[1])
     dtype = int_dtype(max(1, max_abs(num)) * colsum * factor)
     return num.astype(dtype, copy=False) @ (rows.astype(dtype) * factor)
-
-
-def _lift(t, level: int, factor: int = 1):
-    """``factor`` times t's numerator matrix at ``level``, a multiple of t.level."""
-    return _apply(t._num, level, level // t.level, factor)
 
 
 def _sum_equal(idx, num):
@@ -117,8 +113,8 @@ def _normal_rows(idx, num, den: int):
     if not keep.all():
         idx, num, nonzero = idx[:, keep], num[keep], nonzero[keep]
     g = gcd(den, int(np.gcd.reduce(num, axis=None))) if den != 1 else 1
-    if g != 1:
-        den, num = den // g, num // g
+    if g != 1:  # with no row left g is den, which int64 may not hold
+        den, num = den // g, (num // g if len(num) else num)
     if num.dtype == object:
         num = num.astype(int_dtype(max_abs(num)))
     return idx, num, den, nonzero.any(axis=0)
@@ -133,6 +129,16 @@ def _convolve(a, b, dtype, sa: int = 1, sb: int = 1):
     for i in range(pa):
         out[:, sa * i: sa * i + sb * (pb - 1) + 1: sb] += a[:, i:i + 1] * b
     return out
+
+
+def _product_plan(a, la: int, b, lb: int, sums: int):
+    """(level, sa, sb, rows, dtype): the common level, ``_convolve``'s steps, the
+    ``power_rows`` reduction and a dtype for sums of ``sums`` products of a by b."""
+    level = lcm(la, lb)
+    (pa, sa), (pb, sb) = (a.shape[1], level // la), (b.shape[1], level // lb)
+    rows, colsum = power_rows(level, 1, sa * (pa - 1) + sb * (pb - 1) + 1)
+    dtype = int_dtype(max(1, max_abs(a)) * max(1, max_abs(b)) * min(pa, pb) * sums * colsum)
+    return level, sa, sb, rows.astype(dtype), dtype
 
 
 class _Layout:
@@ -160,11 +166,11 @@ def _layout(shape, idx, num, den: int = 1, level: int = 1) -> _Layout:
 
 
 def _scalar_parts(x):
-    """(level, coefficients) of an int, Fraction or Cyclotomic."""
+    """(level, den, power-basis numerators) of an int, Fraction or Cyclotomic."""
     if isinstance(x, Cyclotomic):
-        return x.level, x.coeffs
+        return (x.level, *x._numerators())
     if isinstance(x, (int, Fraction)):
-        return 1, (x,)
+        return 1, x.denominator, (x.numerator,)
     raise TypeError(f"cannot coerce {type(x).__name__} to Cyclotomic")
 
 
@@ -176,12 +182,12 @@ def _layout_of_values(shape, values) -> _Layout:
         if len(idx) != len(shape) or not all(0 <= i < d for i, d in zip(idx, shape)):
             raise InvalidInputError(f"index {idx} out of bounds for shape {shape}")
     parts = [_scalar_parts(v) for v in values.values()]
-    level = lcm(1, *(lv for lv, _ in parts))
-    den = lcm(1, *(c.denominator for _, cs in parts for c in cs))
+    level = lcm(1, *(lv for lv, _, _ in parts))
+    den = lcm(1, *(d for _, d, _ in parts))
     num = np.zeros((len(parts), euler_phi(level)), dtype=object)
-    for lv in {lv for lv, _ in parts}:
+    for lv in {lv for lv, _, _ in parts}:
         rows = [j for j, part in enumerate(parts) if part[0] == lv]
-        own = np.array([[c.numerator * (den // c.denominator) for c in parts[j][1]]
+        own = np.array([[c * (den // parts[j][1]) for c in parts[j][2]]
                         for j in rows], dtype=object)
         num[rows] = own if lv == level else _apply(own, level, level // lv)
     idx = np.array(keys, dtype=np.int64).reshape(len(keys), len(shape)).T
@@ -190,20 +196,19 @@ def _layout_of_values(shape, values) -> _Layout:
 
 # Pairs a join forms at a time.  A block's temporaries take about 80 bytes a
 # pair, so a product with few outputs and many pairs stays within a few MiB;
-# the certificates of ``verify antisym`` ran fastest at 2**16 among
-# 2**12..2**20 (0.33 s against 0.40 s at 2**14, 2-vCPU Xeon).
+# the certificates of ``verify antisym`` (whose largest join is W*W at n = k =
+# 6) ran fastest at 2**16 among 2**12..2**20 (0.16 s against 0.17-0.20 s).
 _BLOCK_PAIRS = 2**16
 
 
 def _join(a, b, keys_a, keys_b, order, shape, what: str) -> _Layout:
     """The products of the rows of a and b that agree on a's columns
-    ``keys_a`` and b's columns ``keys_b``; with no key columns every row
-    meets every row.  Output column j of a product is column ``order[j]``
-    of a's columns followed by b's.  Its numerator row is the convolution of
-    the two rows, each exponent scaled to the common level; the rows of
-    equal indices are summed, block by block of pairs and then across the
-    blocks, and reduced once through ``power_rows``.  The guard fires before
-    any array of the pairs' size exists."""
+    ``keys_a`` and b's columns ``keys_b`` (every row meets every row when
+    there are none); output column j is column ``order[j]`` of a's columns
+    followed by b's.  The two numerator rows are convolved at the common
+    level, the rows of equal indices summed per block of pairs and across the
+    blocks, and the sums reduced once through ``power_rows``.  The guard
+    fires before any array of the pairs' size exists."""
     na, nb = len(a._num), len(b._num)
     ids = _group_ids(np.concatenate((a._idx[keys_a], b._idx[keys_b]), axis=1))
     ga, gb = ids[:na], ids[na:]
@@ -216,11 +221,7 @@ def _join(a, b, keys_a, keys_b, order, shape, what: str) -> _Layout:
     # the b row at position p - ends[i - 1] of i's group in ``by_group``
     by_group, offset = gb.argsort(kind="stable"), per_group.cumsum()[ga] - ends
 
-    level = lcm(a.level, b.level)
-    (pa, sa), (pb, sb) = (a._num.shape[1], level // a.level), (b._num.shape[1], level // b.level)
-    rows, colsum = power_rows(level, 1, sa * (pa - 1) + sb * (pb - 1) + 1)
-    # a sum of one index has at most min(na, nb) pairs of min(pa, pb) products
-    dtype = int_dtype(max_abs(a._num) * max_abs(b._num) * min(pa, pb) * min(na, nb) * colsum)
+    level, sa, sb, rows, dtype = _product_plan(a._num, a.level, b._num, b.level, min(na, nb))
     parts, la = [], len(a._idx)
     for start in range(0, max(pairs, 1), _BLOCK_PAIRS):
         p = np.arange(start, min(start + _BLOCK_PAIRS, pairs))
@@ -232,7 +233,7 @@ def _join(a, b, keys_a, keys_b, order, shape, what: str) -> _Layout:
             row[:] = a._idx[col].take(left) if col < la else b._idx[col - la].take(right)
         parts.append(_sum_equal(idx, conv))
     idx, conv = _sum_parts(parts)
-    return _Layout(idx, conv @ rows.astype(dtype), a.den * b.den, level)
+    return _Layout(idx, conv @ rows, a.den * b.den, level)
 
 
 class _Entries(Mapping):
@@ -385,8 +386,8 @@ class SparseTensor:
         self._check_same_shape(other)
         guard_sparse(min(self.nnz() + other.nnz(), prod(self.shape)), "tensor sum")
         level, den = lcm(self.level, other.level), lcm(self.den, other.den)
-        num = np.concatenate((_lift(self, level, den // self.den),
-                              _lift(other, level, den // other.den)))
+        num = np.concatenate([_apply(t._num, level, level // t.level, den // t.den)
+                              for t in (self, other)])
         idx = np.concatenate((self._idx, other._idx), axis=1)
         return SparseTensor(self.shape, self.out_axes, _layout(self.shape, idx, num, den, level))
 
@@ -398,10 +399,12 @@ class SparseTensor:
         return self + (-other)
 
     def scale(self, factor) -> "SparseTensor":
-        f = _layout_of_values((), {(): factor})
-        legs = range(len(self.shape))
-        return SparseTensor(self.shape, self.out_axes,
-                            _join(self, f, [], [], legs, self.shape, "scaling"))
+        """factor times every entry: the index columns are kept as they are."""
+        flevel, fden, f = _scalar_parts(factor)
+        f = np.array([f], dtype=object)
+        level, sa, sb, rows, dtype = _product_plan(self._num, self.level, f, flevel, 1)
+        return SparseTensor(self.shape, self.out_axes, _Layout(
+            self._idx, _convolve(self._num, f, dtype, sa, sb) @ rows, self.den * fden, level))
 
     __mul__ = scale
     __rmul__ = scale
@@ -486,7 +489,9 @@ class SparseTensor:
         if self.level == other.level:
             return self.den == other.den and bool((self._num == other._num).all())
         level = lcm(self.level, other.level)
-        return bool((_lift(self, level, other.den) == _lift(other, level, self.den)).all())
+        mine, theirs = (_apply(t._num, level, level // t.level, u.den)
+                        for t, u in ((self, other), (other, self)))
+        return bool((mine == theirs).all())
 
     def __hash__(self):
         raise TypeError("SparseTensor is not hashable")

@@ -385,6 +385,21 @@ def test_rank_certificate(n, deformed):
         assert a.trace() == comb(n, k)
 
 
+def test_certificate_scale_in_bounded_memory():
+    """A = 6! W*W at n = k = 6, the largest certificate of ``verify antisym``
+    (518,400 entries).  Scaling keeps the index columns and convolves only
+    the numerator rows, so its ``tracemalloc`` peak stays within twice the
+    arrays of W*W (about 19.8 MiB); pairing every entry with a one-entry
+    tensor and summing again traced 58.7 MiB."""
+    w = antisym_coisometry(6, 6)
+    p = w.adjoint() @ w
+    assert p.nnz() == 518_400
+    scaled = []
+    peak = peak_bytes(lambda: scaled.append(p.scale(Fraction(720))))
+    assert peak <= 2 * (p._idx.nbytes + p._num.nbytes), peak
+    assert scaled[0] == antisymmetrizer(6, 6)
+
+
 def test_rank_matches_sympy_for_small_cases():
     sympy = pytest.importorskip("sympy")
     for n, k, deformed in [(3, 2, False), (3, 2, True), (4, 2, False), (4, 2, True)]:

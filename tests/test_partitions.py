@@ -598,6 +598,13 @@ def coefficients(draw):
         [PolyQ.const(BIG), PolyQ([Fraction(-BIG, 3), 0, 1]), PolyQ()])))
 
 
+# scale factors at the edges: zero as an int, a Fraction and a PolyQ, and
+# past 2^63 as an int, a Fraction's numerator or denominator, or a coefficient
+scale_factors = st.one_of(coefficients(), st.sampled_from(
+    [0, Fraction(0), PolyQ(), BIG, -BIG, Fraction(-BIG, 3), Fraction(2, BIG),
+     PolyQ([1, Fraction(1, BIG), -BIG])]))
+
+
 @st.composite
 def combos(draw, k, l, max_terms=3):
     """Combinations of shape (k,l), the zero one and k + l = 0 included."""
@@ -624,7 +631,7 @@ def calculus_args(draw, op):
     if op in ("add", "sub"):
         return draw(combos(k, l)), draw(combos(k, l))
     if op == "scale":
-        return draw(combos(k, l)), draw(coefficients())
+        return draw(combos(k, l)), draw(scale_factors)
     if op == "compose":
         return draw(combos(l, draw(st.integers(0, 3)))), draw(combos(k, l))
     if op == "tensor":
@@ -644,6 +651,8 @@ def check_against_reference(op, *args):
     assert (out.k, out.l) == (ref.k, ref.l)
     assert list(out.terms.items()) == list(ref.terms.items())
     assert out == PartLin(ref.k, ref.l, ref.terms)
+    if op == "scale":  # a nonzero result keeps the rows, neither summed nor sorted again
+        assert (out.assign is args[0].assign) == (not out.is_zero())
 
 
 @pytest.mark.parametrize("op", CALCULUS)
@@ -655,16 +664,20 @@ def test_array_calculus_matches_dict_reference(op, data):
 
 def test_array_calculus_edge_inputs():
     """Empty shapes, the zero combination, fractional and non-constant
-    coefficients and one past 2^63, through every operation."""
+    coefficients, one past 2^63, and int64 numerators over a denominator
+    past 2^63 that all cancel, through every operation."""
     id0 = PartLin.of(Partition.identity(0), 3)
     empty = PartLin.of(Partition.parse("P(0,0){}"), N_POLY - Fraction(1, 2))
     zero = PartLin.zero(2, 2)
     big = PartLin.of(Partition.crossing(), BIG) + PartLin.of(
         Partition.identity(2), N_POLY * Fraction(1, 3))
     frac = ref_row(1).scale(N_POLY**2 - Fraction(2, 3))
+    tiny = PartLin.of(Partition.cap(), Fraction(1, BIG))
     assert big.num.dtype == object and id0 == empty.scale(0) + id0
+    assert tiny.num.dtype == np.int64 and tiny.den == BIG
     for op, *args in [
         ("add", id0, empty), ("sub", empty, empty), ("add", zero, big), ("sub", big, big),
+        ("sub", tiny, tiny), ("scale", tiny, 0),
         ("scale", big, PolyQ()), ("scale", frac, PolyQ.const(BIG)), ("scale", zero, N_POLY),
         ("scale", PartLin.of(Partition.cap(), BIG), PolyQ.const(Fraction(1, BIG))),
         ("compose", big, frac), ("compose", id0, empty), ("compose", zero, big),

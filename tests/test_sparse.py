@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsym.cyclotomic import euler_phi
+from qsym.cyclotomic import Cyclotomic, euler_phi
 from qsym.errors import InvalidInputError
 from qsym.sparse import SparseTensor
 
@@ -27,21 +27,23 @@ ZERO = Cyc.from_rational(0)
 LEVELS = (1, 3, 4, 8, 12)
 
 small_rats = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+huge_ints = st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63))
+big_rats = st.builds(Fraction, huge_ints, st.integers(1, 5))
 
 
 @st.composite
-def scalars(draw, levels=LEVELS):
+def scalars(draw, levels=LEVELS, coeffs=small_rats):
     level = draw(st.sampled_from(levels))
     phi = euler_phi(level)
-    return Cyc(level, draw(st.lists(small_rats, min_size=phi, max_size=phi)))
+    return Cyc(level, draw(st.lists(coeffs, min_size=phi, max_size=phi)))
 
 
 @st.composite
-def references(draw, shape, levels=LEVELS):
+def references(draw, shape, levels=LEVELS, coeffs=small_rats):
     """{index: Cyc} on a random subset of the index tuples of shape."""
     cells = list(itertools.product(*(range(d) for d in shape)))
     keys = draw(st.lists(st.sampled_from(cells), unique=True, max_size=min(len(cells), 8)))
-    return {k: draw(scalars(levels)) for k in keys}
+    return {k: draw(scalars(levels, coeffs)) for k in keys}
 
 
 dims = st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple)
@@ -77,11 +79,11 @@ def assert_matches(t, ref):
 
 
 @st.composite
-def operand_pair(draw):
+def operand_pair(draw, coeffs=small_rats):
     """Two tensors of one shape with their references."""
     out_d, in_d = draw(dims), draw(dims)
     shape = out_d + in_d
-    a, b = draw(references(shape)), draw(references(shape))
+    a, b = draw(references(shape, coeffs=coeffs)), draw(references(shape, coeffs=coeffs))
     return (SparseTensor(shape, len(out_d), a), a,
             SparseTensor(shape, len(out_d), b), b)
 
@@ -109,13 +111,40 @@ def test_construction_add_sub_neg(pair):
     assert (ta + tb == tb + ta) and (ta - tb == -(tb - ta))
 
 
-@settings(max_examples=60, deadline=None)
-@given(operand_pair(), scalars())
+# factors at the edges of ``scale``: zero as an int, a Fraction and a plain
+# Cyclotomic; past 2^63 as an int, a Fraction's numerator or denominator, or
+# cyclotomic coefficients; and levels 5 and 7, coprime to every operand level
+edge_factors = st.one_of(
+    st.sampled_from([0, Fraction(0), Cyclotomic(1, [0])]),
+    huge_ints,
+    big_rats,
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), huge_ints.map(abs)),
+    scalars((4, 5, 8), small_rats | big_rats),
+    scalars((5, 7)),
+)
+
+
+def _empty(shape=(2,)):
+    return SparseTensor(shape, len(shape), {}), {}, None, None
+
+
+@settings(max_examples=120, deadline=None)
+@given(operand_pair(small_rats | big_rats), scalars() | edge_factors)
+@example(_empty(), 2**64)  # an empty int64 tensor and a factor past int64
+@example(_empty(()), Fraction(-1, 2**64))
+@example(_empty(), Cyclotomic(1, [0]))
+@example(_past_int64_pair(), 0)
+@example(_past_int64_pair(), Cyc(5, [2**64, 0, -1, 3]))
 def test_scale(pair, c):
+    """Every entry times c; the index columns are kept, not rebuilt."""
     ta, a, _, _ = pair
-    assert_matches(ta.scale(c), {k: v * c for k, v in a.items()})
-    if c.is_rational():
-        assert_matches(ta.scale(c.as_fraction()), {k: v * c for k, v in a.items()})
+    expected = {k: v * c for k, v in a.items()}
+    got = ta.scale(c)
+    assert_matches(got, expected)
+    if got.nnz():
+        assert got._idx is ta._idx
+    if isinstance(c, Cyclotomic) and c.is_rational():
+        assert_matches(ta.scale(c.as_fraction()), expected)
 
 
 # -- the rational routes: level-1 operands, factors sharing primes with den ----------
@@ -136,15 +165,16 @@ def rational_operand(draw):
 
 @st.composite
 def den_sharing_factor(draw, t):
-    """+-k!, +-1/k!, +-den, 0, or p/q with q dividing the gcd of t's
-    numerators."""
+    """+-k!, +-1/k!, +-den, 0, p/q with q dividing the gcd of t's
+    numerators, or one of these times or over a number past 2^63."""
     kf = factorial(draw(st.integers(1, 4)))
     sign = draw(st.sampled_from((1, -1)))
     g = gcd(*t.numerators.values()) or 1
     q = draw(st.sampled_from([d for d in range(1, g + 1) if g % d == 0]))
     p = draw(st.integers(-12, 12))
-    return draw(st.sampled_from((Fraction(sign * kf), Fraction(sign, kf),
-                                 Fraction(sign * t.den), Fraction(0), Fraction(p, q))))
+    c = draw(st.sampled_from((Fraction(sign * kf), Fraction(sign, kf),
+                              Fraction(sign * t.den), Fraction(0), Fraction(p, q))))
+    return c * draw(st.sampled_from((1, 1, 1, 2**64 * kf, Fraction(1, 2**64 * kf))))
 
 
 @settings(max_examples=120, deadline=None)
@@ -154,6 +184,7 @@ def test_rational_scale(data):
     c = data.draw(den_sharing_factor(ta))
     expected = {k: v * c for k, v in a.items()}
     assert_matches(ta.scale(c), expected)
+    assert ta.scale(c)._idx is ta._idx or not c or ta.is_zero()
     if c.denominator == 1:
         assert_matches(ta.scale(int(c)), expected)
     # a rational factor on a level-4 tensor takes the same denominator route
@@ -306,8 +337,6 @@ def test_equality_across_levels_and_json(pair):
 
 # legs of 256 and 257 hold their last index in uint8 and uint16
 WIDE = (1, 2, 256, 257)
-big_rats = st.builds(Fraction, st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63)),
-                     st.integers(1, 5))
 
 
 @st.composite
@@ -399,6 +428,11 @@ def test_layout_is_normalised():
     i = Cyc.zeta(4)
     squared = SparseTensor((1,), 1, {(0,): i}).scale(i)
     assert (squared.level, dict(squared.numerators)) == (1, {(0,): -1})
+    # entries that all cancel over a denominator past 2^63 leave den 1
+    tiny = SparseTensor((1,), 1, {(0,): Fraction(1, 2**64)})
+    assert tiny._num.dtype == np.int64 and tiny.den == 2**64
+    for zero in (tiny - tiny, tiny.scale(0)):
+        assert zero == SparseTensor.zeros((1,), 1) and zero.den == 1
 
 
 def test_entries_view_is_read_only_and_boxes_on_access():
