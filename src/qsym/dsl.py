@@ -18,7 +18,9 @@ Every chain is left-deep.  ``a * b`` composes with b applied first; ``ox`` is
 the horizontal tensor and binds more loosely than ``*``.  Constants: cap,
 cup, cross, sing, merge, fork.  Literals use the partition text format
 ``P(2,2){1 2' | 2 1'}``.  Polynomial literals ``poly(n^2 - 2*n + 1)`` have
-integer coefficients in the loop parameter n.
+integer coefficients in the loop parameter n: their rules compute on tuples
+of integer coefficients, multiplying with ``cyclotomic._poly_mul``, the
+package's one polynomial product, and each literal becomes one ``PolyQ``.
 
 Fixture files hold one identity per ``check`` line::
 
@@ -37,11 +39,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .config import guard_dense
+from .cyclotomic import _poly_mul
 from .errors import InvalidInputError, ParseError
 from .partitions import Partition, PartLin, antisymmetrize, compose
-from .polyq import PolyQ, N_POLY
+from .polyq import PolyQ, _strip
 
 _TOKEN_RE = re.compile(
     r"""
@@ -204,16 +208,17 @@ class Parser:
             raise ParseError(f"expected an integer, found {t.text!r}", t.line, t.col)
         return _int(t.text, t)
 
-    # polynomial sub-grammar --------------------------------------------------------
+    # polynomial sub-grammar: each rule returns the integer coefficients of its
+    # text, constant term first, trailing zeros stripped --------------------------
 
     def parse_poly_literal(self) -> PolyQ:
         self.expect("poly")
         self.expect("(")
-        poly = self.parse_poly_sum()
+        coeffs = self.parse_poly_sum()
         self.expect(")")
-        return poly
+        return PolyQ._raw(coeffs, 1)
 
-    def parse_poly_sum(self) -> PolyQ:
+    def parse_poly_sum(self) -> tuple:
         depth = self.deeper(self.peek())
         neg = False
         if self.peek().text == "-":
@@ -221,42 +226,53 @@ class Parser:
             neg = True
         node = self.parse_poly_prod()
         if neg:
-            node = -node
+            node = _poly_add((), node, -1)
         while self.peek().text in ("+", "-"):
             t = self.next()
-            rhs = self.parse_poly_prod()
-            node = node + rhs if t.text == "+" else node - rhs
+            node = _poly_add(node, self.parse_poly_prod(), 1 if t.text == "+" else -1)
         self.depth = depth
         return node
 
-    def parse_poly_prod(self) -> PolyQ:
+    def parse_poly_prod(self) -> tuple:
         node = self.parse_poly_factor()
         while self.peek().text == "*":
             self.next()
-            node = node * self.parse_poly_factor()
+            node = _strip(_poly_mul(node, self.parse_poly_factor()))
         return node
 
-    def parse_poly_factor(self) -> PolyQ:
+    def parse_poly_factor(self) -> tuple:
         base = self.parse_poly_atom()
-        if self.peek().text == "^":
-            self.next()
-            return base ** self.next_int()
-        return base
+        if self.peek().text != "^":
+            return base
+        self.next()
+        k = self.next_int()
+        # k products of at most len*k by len coefficients each, the zero
+        # polynomial counted as one coefficient so its loop is bounded too
+        guard_dense((max(1, len(base)) * k) ** 2, "polynomial power")
+        out = (1,)
+        for _ in range(k):
+            out = _strip(_poly_mul(out, base))
+        return out
 
-    def parse_poly_atom(self) -> PolyQ:
+    def parse_poly_atom(self) -> tuple:
         t = self.next()
         if t.kind == "int":
-            return PolyQ.const(_int(t.text, t))
+            return _strip((_int(t.text, t),))
         if t.text == "n":
-            return N_POLY
+            return (0, 1)
         if t.text == "(":
             node = self.parse_poly_sum()
             self.expect(")")
             return node
         if t.text == "-":
             self.deeper(t)
-            return -self.parse_poly_atom()
+            return _poly_add((), self.parse_poly_atom(), -1)
         raise ParseError(f"bad polynomial token {t.text!r}", t.line, t.col)
+
+
+def _poly_add(a: tuple, b: tuple, sign: int) -> tuple:
+    """a + sign * b on integer coefficient tuples."""
+    return _strip([x + sign * y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _int(digits: str, t: Token) -> int:

@@ -13,7 +13,8 @@ row of the second, in numpy blocks of term pairs, and replaces each closed
 middle component ("loop") by a factor n, so identities between combinations
 hold with polynomial coefficients in n; ``verify functoriality`` checks it
 against the tensor functor.  ``Partition`` and ``PolyQ`` are boundary
-types, built for parsing, printing, JSON and the ``terms`` view.  Two-point
+types with no algebra of their own, built for parsing, printing, JSON and
+the ``terms`` view, and a ``PartLin`` equals only a ``PartLin``.  Two-point
 antisymmetrization composes with nothing: a crossing only swaps two points,
 so it is a signed average of column swaps.
 
@@ -318,9 +319,6 @@ class PartLin:
         _, num, den, _ = _normal_rows(self.assign.T, scaled, self.den * factor.den)
         return PartLin._raw(self.k, self.l, self.assign, num, den)
 
-    __mul__ = scale
-    __rmul__ = scale
-
     # -- category operations ----------------------------------------------------------
 
     def tensor(self, other) -> "PartLin":
@@ -364,8 +362,6 @@ class PartLin:
         return not len(self.assign)
 
     def __eq__(self, other):
-        if isinstance(other, Partition):
-            other = PartLin.of(other)
         if not isinstance(other, PartLin):
             return NotImplemented
         return ((self.k, self.l, self.den) == (other.k, other.l, other.den)
@@ -554,23 +550,28 @@ def _antisymmetrize_row(x: PartLin, first: int, r: int) -> PartLin:
     and only swaps two points, so this sums (-1)^|S| / 2^r times x's terms
     with the two columns of every two-point in S swapped, over the subsets S
     of the two-points (index s swaps two-point j when bit r-1-j of s is
-    set).  The rows are formed a block at a time."""
-    if not r:
+    set).  The rows are formed and summed per block of rows, as ``compose``
+    sums its pairs, and then summed across the blocks."""
+    if not r or x.is_zero():
         return x
     C, pairs, shifts = x.k + x.l, len(x.assign) << r, np.arange(r - 1, -1, -1)
-    rows = np.empty((pairs, C), dtype=x.assign.dtype)
-    num = np.repeat(x.num.astype(int_dtype(max_abs(x.num) * pairs)), 1 << r, axis=0)
-    step = max(1, _BLOCK_ENTRIES // C)
-    for start in range(0, pairs, step):
-        block = slice(start, start + step)
-        a, s = np.divmod(np.arange(start, min(start + step, pairs)), 1 << r)
-        crossed = (s[:, None] >> shifts) & 1
-        source = np.tile(np.arange(C), (len(a), 1))
-        source[:, first:first + 2 * r:2] += crossed
-        source[:, first + 1:first + 2 * r:2] -= crossed
-        rows[block] = _canonical_rows(np.take_along_axis(x.assign[a], source, axis=1))
-        num[block] *= 1 - 2 * (crossed.sum(axis=1, keepdims=True) & 1)  # (-1)^|S|
-    return PartLin._raw(x.k, x.l, *_normal(rows, num, x.den << r))
+    num = x.num.astype(int_dtype(max_abs(x.num) * pairs))
+    step, parts = max(1, _BLOCK_ENTRIES // C), []
+    for start in range(0, pairs, _BLOCK_PAIRS):
+        a, s = np.divmod(np.arange(start, min(start + _BLOCK_PAIRS, pairs)), 1 << r)
+        rows, signed = np.empty((len(a), C), dtype=x.assign.dtype), num[a]
+        for sub in range(0, len(a), step):
+            block = slice(sub, sub + step)
+            crossed = (s[block, None] >> shifts) & 1
+            source = np.tile(np.arange(C), (len(crossed), 1))
+            source[:, first:first + 2 * r:2] += crossed
+            source[:, first + 1:first + 2 * r:2] -= crossed
+            rows[block] = _canonical_rows(np.take_along_axis(x.assign[a[block]], source, axis=1))
+            signed[block] *= 1 - 2 * (crossed.sum(axis=1, keepdims=True) & 1)  # (-1)^|S|
+        # one block is left to the sum in _normal, which would check it again
+        parts.append(_sum_equal(rows.T, signed) if pairs > _BLOCK_PAIRS else (rows.T, signed))
+    idx, num = _sum_parts(parts)
+    return PartLin._raw(x.k, x.l, *_normal(idx.T, num, x.den << r))
 
 
 def two_point_swap(e: PartLin, i: int, row: str = "lower") -> PartLin:

@@ -4,21 +4,20 @@ Closing a loop while composing diagrams multiplies the coefficient by n, so
 coefficients of diagram combinations live in Q[n].  A ``PolyQ`` stores a
 tuple of int numerators (constant term first) over one positive int
 denominator, in lowest terms (gcd of the denominator and every numerator
-is 1) with trailing zeros stripped, so each value has one representation
-and arithmetic runs on Python ints.  ``coeffs`` is a read-only Fraction view
-for printing; a constant equals and hashes as its Fraction.
+is 1) with trailing zeros stripped, so each value has one representation.
+``coeffs`` is a read-only Fraction view for printing; a constant equals and
+hashes as its Fraction.
 
-A boundary type: polynomial literals, ``PartLin.scale`` factors and the
-``PartLin.terms`` view use it; a ``PartLin`` itself keeps an integer matrix.
+A boundary type with no arithmetic: ``poly(...)`` literals, ``PartLin.scale``
+factors and the ``PartLin.terms`` view use it, and a ``PartLin`` keeps an
+integer matrix and multiplies its rows itself.  The ring operations on Q[n]
+live in the test oracle ``tests/oracles.py::Poly``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-from .config import guard_dense
-from .errors import InvalidInputError
 
 
 class PolyQ:
@@ -50,11 +49,6 @@ class PolyQ:
         q = Fraction(q)
         return cls._raw((q.numerator,) if q else (), q.denominator)
 
-    @classmethod
-    def n(cls, power: int = 1) -> "PolyQ":
-        """The monomial n^power."""
-        return cls._raw((0,) * power + (1,), 1)
-
     @staticmethod
     def coerce(x) -> "PolyQ":
         if isinstance(x, PolyQ):
@@ -67,55 +61,6 @@ class PolyQ:
     def coeffs(self) -> tuple:
         """The coefficients as Fractions, constant term first."""
         return tuple(Fraction(c, self.den) for c in self.numerators)
-
-    # -- ring operations --------------------------------------------------------
-
-    def __add__(self, other):
-        other = self.coerce(other)
-        a, b, den = self.numerators, other.numerators, self.den
-        if other.den != den:
-            den = lcm(den, other.den)
-            a = [c * (den // self.den) for c in a]
-            b = [c * (den // other.den) for c in b]
-        if len(a) < len(b):
-            a, b = b, a
-        return PolyQ._raw(*_lowest([x + y for x, y in zip(a, b)] + list(a[len(b):]), den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyQ._raw(tuple(-c for c in self.numerators), self.den)
-
-    def __sub__(self, other):
-        return self + (-self.coerce(other))
-
-    def __rsub__(self, other):
-        return self.coerce(other) - self
-
-    def __mul__(self, other):
-        other = self.coerce(other)
-        a, b = self.numerators, other.numerators
-        if not a or not b:
-            return PolyQ._raw((), 1)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return PolyQ._raw(*_lowest(out, self.den * other.den))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise InvalidInputError("negative polynomial power")
-        # k multiplications of at most len*k by len coefficients each, the
-        # zero polynomial counted as one coefficient so its loop is bounded too
-        guard_dense((max(1, len(self.numerators)) * k) ** 2, "polynomial power")
-        out = PolyQ.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- queries ----------------------------------------------------------------
 
@@ -178,10 +123,7 @@ class PolyQ:
 def _lowest(nums, den: int) -> tuple[tuple, int]:
     """Numerators and denominator of sum_i nums[i] n^i / den (den > 0) in
     lowest terms, trailing zeros stripped."""
-    end = len(nums)
-    while end and not nums[end - 1]:
-        end -= 1
-    nums = tuple(nums[:end])
+    nums = _strip(nums)
     if den != 1:
         g = gcd(den, *nums)
         if g != 1:
@@ -189,4 +131,10 @@ def _lowest(nums, den: int) -> tuple[tuple, int]:
     return nums, den
 
 
-N_POLY = PolyQ.n()
+
+def _strip(nums) -> tuple:
+    """The coefficients ``nums`` with trailing zeros stripped, as a tuple."""
+    end = len(nums)
+    while end and not nums[end - 1]:
+        end -= 1
+    return tuple(nums[:end])

@@ -10,8 +10,10 @@ polynomial on Fractions, and so shares no lift with the table
 ``compose_partitions`` glues one pair of partitions by union-find over
 their blocks; it shares no code with ``partitions.compose``, which glues
 all term pairs of a product at once in numpy.  ``RefLin`` is the formal
-calculus on a dict of ``Partition`` keys and ``PolyQ`` coefficients, one
-object per term, against which the array ``PartLin`` is checked.
+calculus on a dict of ``Partition`` keys and ``Poly`` coefficients, one
+object per term, against which the array ``PartLin`` is checked; ``Poly`` is
+``PolyQ`` with the ring operations of Q[n], which the package leaves out, and
+the DSL's integer polynomial rules are checked against it.
 ``peak_bytes`` is the one ``tracemalloc`` measurement of the tests that
 check a size guard refuses before it allocates.
 """
@@ -25,7 +27,7 @@ import pytest
 from qsym.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from qsym.errors import InvalidInputError, SizeGuardError
 from qsym.partitions import Partition, PartLin
-from qsym.polyq import N_POLY, PolyQ
+from qsym.polyq import PolyQ, _lowest
 
 
 def _combine(coeffs, step: int, level: int) -> list:
@@ -119,6 +121,68 @@ class Cyc(Cyclotomic):
         return self.galois(self.level - 1)
 
 
+class Poly(PolyQ):
+    """A ``PolyQ`` with the ring operations of Q[n], on int numerators over
+    one denominator.  Results are ``Poly``; an int, Fraction or plain
+    ``PolyQ`` operand is taken as it is."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, x) -> "Poly":
+        if isinstance(x, Poly):
+            return x
+        x = PolyQ.coerce(x)
+        return cls._raw(x.numerators, x.den)
+
+    def __add__(self, other):
+        other = Poly.of(other)
+        a, b, den = self.numerators, other.numerators, self.den
+        if other.den != den:
+            den = lcm(den, other.den)
+            a = [c * (den // self.den) for c in a]
+            b = [c * (den // other.den) for c in b]
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly._raw(*_lowest([x + y for x, y in zip(a, b)] + list(a[len(b):]), den))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly._raw(tuple(-c for c in self.numerators), self.den)
+
+    def __sub__(self, other):
+        return self + -Poly.of(other)
+
+    def __rsub__(self, other):
+        return Poly.of(other) - self
+
+    def __mul__(self, other):
+        other = Poly.of(other)
+        a, b = self.numerators, other.numerators
+        if not a or not b:
+            return Poly._raw((), 1)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return Poly._raw(*_lowest(out, self.den * other.den))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise InvalidInputError("negative polynomial power")
+        out = Poly.const(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+
+N_POLY = Poly._raw((0, 1), 1)
+
+
 def compose_partitions(q: Partition, p: Partition) -> tuple[Partition, int]:
     """q after p: glue p's lower row to q's upper row.
 
@@ -197,12 +261,12 @@ def partition_rotate(p: Partition, side: str) -> Partition:
 
 
 class RefLin:
-    """A formal combination as a dict {Partition: PolyQ}, nonzero
+    """A formal combination as a dict {Partition: Poly}, nonzero
     coefficients only, in lexicographic order of the assignments."""
 
     def __init__(self, k: int, l: int, terms: dict):
         self.k, self.l = k, l
-        self.terms = {p: terms[p] for p in sorted(terms, key=lambda p: p.assign)
+        self.terms = {p: Poly.of(terms[p]) for p in sorted(terms, key=lambda p: p.assign)
                       if not terms[p].is_zero()}
 
     @classmethod
@@ -212,7 +276,7 @@ class RefLin:
     def __add__(self, other: "RefLin") -> "RefLin":
         terms = dict(self.terms)
         for part, c in other.terms.items():
-            terms[part] = terms.get(part, PolyQ()) + c
+            terms[part] = terms.get(part, Poly()) + c
         return RefLin(self.k, self.l, terms)
 
     def __neg__(self) -> "RefLin":
@@ -222,7 +286,7 @@ class RefLin:
         return self + (-other)
 
     def scale(self, factor) -> "RefLin":
-        factor = PolyQ.coerce(factor)
+        factor = Poly.of(factor)
         return RefLin(self.k, self.l, {p: c * factor for p, c in self.terms.items()})
 
     def tensor(self, other: "RefLin") -> "RefLin":
@@ -230,7 +294,7 @@ class RefLin:
         for p, cp in self.terms.items():
             for q, cq in other.terms.items():
                 r = partition_tensor(p, q)
-                terms[r] = terms.get(r, PolyQ()) + cp * cq
+                terms[r] = terms.get(r, Poly()) + cp * cq
         return RefLin(self.k + other.k, self.l + other.l, terms)
 
     def adjoint(self) -> "RefLin":
@@ -243,13 +307,13 @@ class RefLin:
                       {partition_rotate(p, side): c for p, c in self.terms.items()})
 
     def compose_after(self, p: "RefLin") -> "RefLin":
-        """self after p: term-by-term PolyQ products with a factor n per
+        """self after p: term-by-term Poly products with a factor n per
         loop, glued by union-find."""
         terms = {}
         for qp, qc in self.terms.items():
             for pp, pc in p.terms.items():
                 r, loops = compose_partitions(qp, pp)
-                terms[r] = terms.get(r, PolyQ()) + qc * pc * N_POLY**loops
+                terms[r] = terms.get(r, Poly()) + qc * pc * N_POLY**loops
         return RefLin(p.k, self.l, terms)
 
     def antisymmetrize(self) -> "RefLin":
@@ -264,9 +328,9 @@ class RefLin:
 
 
 def ref_antisym_row(r: int) -> RefLin:
-    half = RefLin(2, 2, {Partition.identity(2): PolyQ.const(Fraction(1, 2)),
-                         Partition.crossing(): PolyQ.const(Fraction(-1, 2))})
-    out = RefLin(0, 0, {Partition.identity(0): PolyQ.const(1)})
+    half = RefLin(2, 2, {Partition.identity(2): Poly.const(Fraction(1, 2)),
+                         Partition.crossing(): Poly.const(Fraction(-1, 2))})
+    out = RefLin(0, 0, {Partition.identity(0): Poly.const(1)})
     for _ in range(r):
         out = out.tensor(half)
     return out

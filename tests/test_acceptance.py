@@ -30,7 +30,6 @@ from qsym.functors import functor_T
 from qsym.intertwiners import EigenprojectionBasis, HammingOperators, project
 from qsym.lemmas import lemma_suite, load_all_fixtures
 from qsym.partitions import Partition, PartLin, antisymmetrize
-from qsym.polyq import N_POLY
 from qsym.sparse import SparseTensor
 from qsym.verify import (
     halved_top_block,
@@ -45,6 +44,8 @@ from qsym.verify import (
     suite_hypercube,
     suite_wreath,
 )
+
+from oracles import N_POLY
 
 
 def ok(name):

@@ -3,14 +3,16 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qsym.dsl import eval_text, load_fixture_file
+from qsym.dsl import Parser, _tokenize, eval_text, load_fixture_file
 from qsym.errors import ParseError
 from qsym.lemmas import load_all_fixtures
 from qsym.partitions import Partition, PartLin, antisymmetrize, compose
-from qsym.polyq import N_POLY
+from qsym.polyq import PolyQ
 
-from oracles import partition_rotate, ref_antisym_row
+from oracles import N_POLY, Poly, partition_rotate, ref_antisym_row
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -86,8 +88,8 @@ def test_roundtrip_texts_evaluate_to_their_algebra():
 
 def test_eval_rotations_match_algebra():
     m = Partition.merge()
-    assert eval_text("rotl(merge)") == partition_rotate(m, "left")
-    assert eval_text("rotr(merge)") == partition_rotate(m, "right")
+    assert eval_text("rotl(merge)") == PartLin.of(partition_rotate(m, "left"))
+    assert eval_text("rotr(merge)") == PartLin.of(partition_rotate(m, "right"))
     assert eval_text("adj(cap)") == PartLin.of(Partition.cup())
 
 
@@ -95,6 +97,58 @@ def test_poly_literals():
     e = eval_text("scale(poly((n-4)*(n-6)*(n-8)), id(1))")
     expected = (N_POLY - 4) * (N_POLY - 6) * (N_POLY - 8)
     assert e.terms[Partition.identity(1)] == expected
+
+
+# A polynomial tree as (text, value, level): level 0 is a sum, 1 a product,
+# 2 a power or a negation, 3 an atom.  An operand below the level its place
+# needs is bracketed, so a negated base of a power is bracketed: -a^k reads
+# as -(a^k) at the start of a sum and as (-a)^k after an operator.
+def _bracket(tree, level):
+    text, value, at = tree
+    return (text if at >= level else f"({text})"), value
+
+
+poly_leaves = st.one_of(
+    st.integers(0, 12).map(lambda c: (str(c), Poly.const(c), 3)),
+    st.just(("n", N_POLY, 3)))
+
+
+def _poly_node(children):
+    def binary(op, a, b):
+        if op == "*":
+            (ta, va), (tb, vb) = _bracket(a, 1), _bracket(b, 2)
+            return f"{ta} * {tb}", va * vb, 1
+        (ta, va), (tb, vb) = _bracket(a, 0), _bracket(b, 1)
+        return f"{ta} {op} {tb}", (va + vb if op == "+" else va - vb), 0
+
+    def negate(a):
+        ta, va = _bracket(a, 3)
+        return f"-{ta}", -va, 2
+
+    def power(a, k):
+        ta, va = _bracket(a, 3)
+        return f"{ta}^{k}", va**k, 2
+
+    return st.one_of(
+        st.builds(binary, st.sampled_from("+-*"), children, children),
+        st.builds(negate, children),
+        st.builds(power, children, st.integers(0, 4)))
+
+
+@given(st.recursive(poly_leaves, _poly_node, max_leaves=8))
+@example(("0 * n", Poly(), 1))
+@example(("n - n", Poly(), 0))
+@example(("0^3", Poly(), 2))
+@example(("(n - 2)^0 - 1", Poly(), 0))
+@settings(max_examples=300, deadline=None)
+def test_poly_literals_match_oracle(tree):
+    """A poly(...) literal is one PolyQ in normal form, equal to its tree
+    computed with the oracle's Q[n] arithmetic."""
+    text, value, _ = tree
+    literal = Parser(_tokenize(f"poly({text})"), {}).parse_poly_literal()
+    assert type(literal) is PolyQ and literal == value
+    assert literal.numerators == value.numerators and literal.den == 1
+    assert eval_text(f"scale(poly({text}), id(1))") == PartLin.of(Partition.identity(1), value)
 
 
 def test_arity_error_positions():

@@ -22,7 +22,6 @@ from qsym.functors import antisymmetrizer, evaluate_partlin, functor_T, permanen
 from qsym.groups import make_group
 from qsym.intertwiners import EigenprojectionBasis, hat_block_intertwiner, project
 from qsym.partitions import Partition, PartLin, compose, two_point_swap
-from qsym.polyq import N_POLY
 from qsym.report import VerificationReport
 from qsym.sparse import SparseTensor
 
@@ -144,9 +143,6 @@ ROWS = [
      InvalidInputError, "two-point position 1 out of range 1..0"),
     ("partitions-swap-row", lambda: two_point_swap(CROSS, 1, "middle"),
      InvalidInputError, "unknown row 'middle'"),
-    # polyq
-    ("polyq-negative-power", lambda: N_POLY ** -1,
-     InvalidInputError, "negative polynomial power"),
     # report
     ("report-verdict", lambda: VerificationReport("s").add("c", "subject", "maybe"),
      ValueError, "bad verdict 'maybe'"),

@@ -21,11 +21,11 @@ from qsym.functors import (
 from qsym.dsl import eval_text
 from qsym.errors import InvalidInputError, SizeGuardError
 from qsym.partitions import Partition, PartLin, compose
-from qsym.polyq import N_POLY, PolyQ
+from qsym.polyq import PolyQ
 from qsym.sparse import SparseTensor
 from qsym.verify import suite_functoriality
 
-from oracles import has_odd_block, peak_bytes
+from oracles import N_POLY, has_odd_block, peak_bytes
 
 
 def test_functor_identity_strand():

@@ -10,8 +10,9 @@ from qsym.lemmas import (
     load_all_fixtures,
 )
 from qsym.partitions import Partition, PartLin, antisymmetrize
-from qsym.polyq import N_POLY
 from qsym.report import VerificationReport
+
+from oracles import N_POLY
 
 
 def test_all_fixture_checks_hold_formally():

@@ -18,9 +18,10 @@ from qsym.partitions import (
     compose,
     two_point_swap,
 )
-from qsym.polyq import N_POLY, PolyQ
+from qsym.polyq import PolyQ
 
 from oracles import (
+    N_POLY,
     RefLin,
     compose_partitions,
     partition_adjoint,
@@ -91,11 +92,11 @@ def test_compose_arity_mismatch():
 
 def test_tensor_adjoint_rotate():
     idp = PartLin.of(Partition.identity(1))
-    assert idp.tensor(idp) == Partition.identity(2)
-    assert PartLin.of(Partition.cap()).adjoint() == Partition.cup()
+    assert idp.tensor(idp) == PartLin.of(Partition.identity(2))
+    assert PartLin.of(Partition.cap()).adjoint() == PartLin.of(Partition.cup())
     # rotating the one-block P(2,1) down on the right gives P(1,2)
     b21 = PartLin.of(Partition.block(2, 1))
-    assert b21.rotate("right") == Partition.block(1, 2)
+    assert b21.rotate("right") == PartLin.of(Partition.block(1, 2))
     with pytest.raises(InvalidInputError, match="upper row is empty"):
         PartLin.of(Partition.cup()).rotate("left")
     with pytest.raises(InvalidInputError, match="upper row is empty"):
@@ -286,7 +287,10 @@ def test_compose_associative_with_loops(r, q, p):
 @given(partitions_kl(3, 2))
 @settings(max_examples=60, deadline=None)
 def test_adjoint_involution(p):
-    assert PartLin.of(p).adjoint().adjoint() == p
+    twice = PartLin.of(p).adjoint().adjoint()
+    assert twice == PartLin.of(p) and hash(twice) == hash(PartLin.of(p))
+    # a combination equals only a combination, as their hashes differ
+    assert twice != p and p != twice
 
 
 @given(partitions_kl(2, 2), partitions_kl(1, 3))
@@ -712,6 +716,19 @@ def test_two_point_swap_matches_reference(data):
     assert out.assign.tolist() == expected.assign.tolist()
     assert out.num.tolist() == expected.num.tolist()
     assert out.to_json() == expected.to_json()
+
+
+@given(st.data(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_antisymmetrize_is_blind_to_block_boundaries(data, rows):
+    """Blocks of one to three rows cut each stage's signed rows at every
+    boundary before the blocks are summed."""
+    x = data.draw(combos(2 * data.draw(st.integers(0, 2)), 2 * data.draw(st.integers(0, 2))))
+    with mock.patch.object(partitions, "_BLOCK_PAIRS", rows):
+        out = antisymmetrize(x)
+    ref = RefLin.of(x).antisymmetrize()
+    assert_normal(out)
+    assert out == PartLin(ref.k, ref.l, ref.terms)
 
 
 @given(st.data())

@@ -1,17 +1,22 @@
-"""PolyQ's integer representation against a tuple-of-Fractions oracle.
+"""PolyQ and the oracle's Poly against a tuple-of-Fractions reference.
 
-PolyQ keeps int numerators over one positive denominator; the reference
-below is the plain dense tuple of Fractions with trailing zeros stripped,
-which is what ``PolyQ.coeffs`` must read back as.
+PolyQ keeps int numerators over one positive denominator and has no
+arithmetic; the oracle's ``Poly`` adds the ring operations of Q[n].  The
+reference below is the plain dense tuple of Fractions with trailing zeros
+stripped, which is what ``coeffs`` must read back as.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsym.polyq import N_POLY, PolyQ
+from qsym.errors import InvalidInputError
+from qsym.polyq import PolyQ
+
+from oracles import N_POLY, Poly
 
 
 def ref(coeffs) -> tuple:
@@ -39,9 +44,10 @@ def ref_eval(a, x):
     return sum((c * x**i for i, c in enumerate(a)), Fraction(0))
 
 
-def assert_canonical(p: PolyQ, expected: tuple):
-    """Ints only, den > 0, lowest terms, no trailing zero, and the Fraction
-    view equal to the reference."""
+def assert_canonical(p: PolyQ, expected: tuple, kind=PolyQ):
+    """Of type ``kind``, ints only, den > 0, lowest terms, no trailing zero,
+    and the Fraction view equal to the reference."""
+    assert type(p) is kind
     assert type(p.numerators) is tuple
     assert type(p.den) is int and p.den > 0
     assert all(type(c) is int for c in p.numerators)
@@ -59,21 +65,27 @@ constants = st.one_of(st.integers(-6, 6), rationals)
 @given(coeff_lists, coeff_lists, constants)
 @settings(max_examples=300, deadline=None)
 def test_ring_operations_match_fraction_reference(xs, ys, c):
-    a, b = PolyQ(xs), PolyQ(ys)
+    a, b = Poly(xs), PolyQ(ys)
     ra, rb, rc = ref(xs), ref(ys), ref([c])
-    assert_canonical(a, ra)
+    assert_canonical(a, ra, Poly)
     assert_canonical(b, rb)
-    assert_canonical(a + b, ref_add(ra, rb))
-    assert_canonical(a - b, ref_add(ra, ref(-x for x in rb)))
-    assert_canonical(-a, ref(-x for x in ra))
-    assert_canonical(a * b, ref_mul(ra, rb))
+    assert_canonical(Poly.of(b), rb, Poly)
+    # a plain PolyQ operand on either side
+    for result in (a + b, b + a):
+        assert_canonical(result, ref_add(ra, rb), Poly)
+    assert_canonical(a - b, ref_add(ra, ref(-x for x in rb)), Poly)
+    assert_canonical(b - a, ref_add(rb, ref(-x for x in ra)), Poly)
+    assert_canonical(-a, ref(-x for x in ra), Poly)
+    for result in (a * b, b * a):
+        assert_canonical(result, ref_mul(ra, rb), Poly)
     for result in (a + c, c + a):
-        assert_canonical(result, ref_add(ra, rc))
-    assert_canonical(a - c, ref_add(ra, ref([-c])))
-    assert_canonical(c - a, ref_add(rc, ref(-x for x in ra)))
+        assert_canonical(result, ref_add(ra, rc), Poly)
+    assert_canonical(a - c, ref_add(ra, ref([-c])), Poly)
+    assert_canonical(c - a, ref_add(rc, ref(-x for x in ra)), Poly)
     for result in (a * c, c * a):
-        assert_canonical(result, ref_mul(ra, rc))
+        assert_canonical(result, ref_mul(ra, rc), Poly)
     assert_canonical(PolyQ.const(c), rc)
+    assert_canonical(Poly.const(c), rc, Poly)
 
 
 @given(coeff_lists, st.integers(0, 3))
@@ -82,7 +94,13 @@ def test_powers_match_fraction_reference(xs, k):
     expected = (Fraction(1),)
     for _ in range(k):
         expected = ref_mul(expected, ref(xs))
-    assert_canonical(PolyQ(xs) ** k, expected)
+    assert_canonical(Poly(xs) ** k, expected, Poly)
+
+
+def test_negative_power_is_refused():
+    with pytest.raises(InvalidInputError) as e:
+        N_POLY ** -1
+    assert str(e.value) == "negative polynomial power"
 
 
 @given(coeff_lists, st.one_of(st.integers(-5, 5), rationals))
@@ -111,8 +129,11 @@ def test_equality_and_hash_match_fraction_reference(xs, ys, c):
 
 def test_monomials_and_zero():
     assert_canonical(PolyQ(), ())
-    assert_canonical(PolyQ.n(3), (0, 0, 0, 1))
-    assert_canonical(N_POLY * Fraction(2, 4) - Fraction(1, 2), (Fraction(-1, 2), Fraction(1, 2)))
+    assert_canonical(N_POLY**3, (0, 0, 0, 1), Poly)
+    assert_canonical(N_POLY * Fraction(2, 4) - Fraction(1, 2),
+                     (Fraction(-1, 2), Fraction(1, 2)), Poly)
     assert_canonical(PolyQ([Fraction(2, 6), 0, 0]), (Fraction(1, 3),))
     assert PolyQ()(Fraction(1, 3)) == 0
     assert str(PolyQ([Fraction(-1, 2), 0, 3])) == "3*n^2 - 1/2"
+    with pytest.raises(TypeError):  # the ring operations are the oracle's
+        PolyQ.const(1) + 1
