@@ -9,9 +9,11 @@ matrix over one denominator.  Every operation reads and writes the arrays
 in numpy and ends in the tensors' kernel (``sparse._convolve``,
 ``_sum_equal`` and ``_normal_rows``), so equal combinations hold equal
 arrays.  Composition glues the lower row of the first factor to the upper
-row of the second, in numpy blocks of term pairs, and replaces each closed
-middle component ("loop") by a factor n, so identities between combinations
-hold with polynomial coefficients in n; ``verify functoriality`` checks it
+row of the second, in numpy blocks of term pairs (one term of the first
+per orbit of the middle crossings when both factors are antisymmetric on
+that row), and replaces each closed middle component ("loop") by a factor
+n, so identities between combinations hold with polynomial coefficients in
+n; ``verify functoriality`` checks it
 against the tensor functor.  ``Partition`` and ``PolyQ`` are boundary
 types with no algebra of their own, built for parsing, printing, JSON and
 the ``terms`` view, and a ``PartLin`` equals only a ``PartLin``.  Two-point
@@ -32,7 +34,7 @@ import numpy as np
 from .config import guard_dense, int_dtype, max_abs
 from .errors import InvalidInputError
 from .polyq import PolyQ, _lowest
-from .sparse import _BLOCK_PAIRS, _convolve, _normal_rows, _sum_equal, _sum_parts
+from .sparse import _BLOCK_PAIRS, _convolve, _group_ids, _normal_rows, _sum_equal, _sum_parts
 
 
 class Partition:
@@ -420,6 +422,15 @@ def compose(q, p) -> PartLin:
     row is the product of its factors' rows and n^loops; equal outputs are
     summed as ``sparse._join`` sums them, per block of pairs and then across
     the blocks.
+
+    Fewer pairs are glued when both factors are antisymmetric on the middle
+    row of l = 2r points: with sigma ranging over the group G = (Z/2)^r that
+    the crossings of its r two-points generate, sigma.p = sgn(sigma) p and
+    q.sigma = sgn(sigma) q.  Then p's term sigma.p_b has coefficient
+    sgn(sigma) c_b and q after it is (q.sigma).p_b = sgn(sigma) q.p_b, so each
+    G-orbit of p's terms adds |orbit| c_b (q.p_b), and only one term per orbit
+    is glued, its row times the orbit's size (``_glued_terms``).  Otherwise
+    every pair is glued.
     """
     q, p = PartLin.coerce(q), PartLin.coerce(p)
     if p.l != q.k:
@@ -429,15 +440,65 @@ def compose(q, p) -> PartLin:
     guard_dense(pairs, "partition composition")
     if not pairs:
         return PartLin.zero(p.k, q.l)
-    dtype = _product_type(q.num, p.num, pairs)
-    qn, pn, parts = q.num.astype(dtype), p.num.astype(dtype), []
+    terms, pn = _glued_terms(q, p)
+    pairs = len(q.assign) * len(terms)
+    dtype = _product_type(q.num, pn, pairs)
+    qn, pn, parts = q.num.astype(dtype), pn.astype(dtype), []
     for start in range(0, pairs, _BLOCK_PAIRS):
-        a, b = np.divmod(np.arange(start, min(start + _BLOCK_PAIRS, pairs)), len(p.assign))
-        rows, loops = _glue_pairs(q, p, a, b)
+        a, j = np.divmod(np.arange(start, min(start + _BLOCK_PAIRS, pairs)), len(terms))
+        rows, loops = _glue_pairs(q, p, a, terms[j])
         n_loops = loops[:, None] == np.arange(loops.max() + 1)  # n^loops, a row per pair
-        parts.append(_sum_equal(rows.T, _convolve(_convolve(qn[a], pn[b], dtype), n_loops, dtype)))
+        num = _convolve(_convolve(qn[a], pn[j], dtype), n_loops, dtype)
+        # one block is left to the sum in _normal, which would check it again
+        parts.append(_sum_equal(rows.T, num) if pairs > _BLOCK_PAIRS else (rows.T, num))
     idx, num = _sum_parts(parts)
     return PartLin._raw(p.k, q.l, *_normal(idx.T, num, q.den * p.den))
+
+
+def _glued_terms(q: PartLin, p: PartLin):
+    """(terms, num): the indices of the terms of p that ``compose`` glues
+    to every term of q, and their coefficient rows.
+
+    When q is antisymmetric on its input row and p on its output row under
+    the crossing of each of the r middle two-points, that is one term per
+    orbit of the crossings on p's terms, the orbit's smallest index, with
+    its row times the orbit's size; otherwise every term with its own row.
+    The check forms r (len(q) + len(p)) rows, so it is only made when that
+    is below the len(q) len(p) pairs it would save.
+    """
+    n, r = len(p.assign), p.l // 2
+    every = np.arange(n), p.num
+    if p.l % 2 or not r or len(q.assign) * n <= (r + 1) * (len(q.assign) + n):
+        return every
+    images = _crossing_images(p, p.k, r)
+    if images is None or _crossing_images(q, 0, r) is None:
+        return every
+    # the crossings are commuting involutions, so one sweep over them gives
+    # each term the smallest index in its orbit
+    label = np.arange(n)
+    for image in images:
+        label = np.minimum(label, label[image])
+    terms = (label == np.arange(n)).nonzero()[0]
+    size = np.bincount(label)[terms]
+    weighted = p.num[terms].astype(int_dtype(max_abs(p.num) * int(size.max())))
+    return terms, weighted * size[:, None]
+
+
+def _crossing_images(x: PartLin, first: int, r: int):
+    """An (r, len(x)) array whose row i holds, for each term of x, the term
+    with its two columns of two-point i from column ``first`` on swapped;
+    None unless every such term exists with the negated coefficient row.
+    A term that a crossing fixes fails, as its row would equal its negation."""
+    n, C = x.assign.shape
+    crossings = _crossing_source(C, first, np.eye(r, dtype=np.intp))
+    rows = _moved(x.assign[None], crossings[:, None])  # crossing-major
+    ids = _group_ids(np.concatenate((x.assign, rows)).T)
+    term = np.full(ids.max() + 1, -1)
+    term[ids[:n]] = np.arange(n)
+    images = term[ids[n:]].reshape(r, n)
+    if (images < 0).any() or not (x.num[images] == -x.num).all():
+        return None
+    return images
 
 
 # Label nodes per block of pairs glued together.  It bounds the temporaries
@@ -528,6 +589,25 @@ def _canonical_rows(rows):
     return label.astype(_label_type(C))
 
 
+def _moved(rows, source):
+    """Canonical rows: ``rows`` with column j taken from column
+    source[..., j], the two broadcast against each other and their leading
+    axes flattened."""
+    moved = np.take_along_axis(rows, source, axis=-1)
+    return _canonical_rows(moved.reshape(-1, moved.shape[-1]))
+
+
+def _crossing_source(C: int, first: int, crossed):
+    """Column orders for ``_moved`` on rows of C columns: row i swaps the two
+    columns of the j-th two-point from column ``first`` on where
+    crossed[i, j] is 1."""
+    r = crossed.shape[1]
+    source = np.tile(np.arange(C), (len(crossed), 1))
+    source[:, first:first + 2 * r:2] += crossed
+    source[:, first + 1:first + 2 * r:2] -= crossed
+    return source
+
+
 def antisymmetrize(x) -> PartLin:
     """Two-point antisymmetrization A^(x l/2) . x . A^(x k/2), where A is
     1/2 (id - crossing) on one two-point.
@@ -563,10 +643,7 @@ def _antisymmetrize_row(x: PartLin, first: int, r: int) -> PartLin:
         for sub in range(0, len(a), step):
             block = slice(sub, sub + step)
             crossed = (s[block, None] >> shifts) & 1
-            source = np.tile(np.arange(C), (len(crossed), 1))
-            source[:, first:first + 2 * r:2] += crossed
-            source[:, first + 1:first + 2 * r:2] -= crossed
-            rows[block] = _canonical_rows(np.take_along_axis(x.assign[a[block]], source, axis=1))
+            rows[block] = _moved(x.assign[a[block]], _crossing_source(C, first, crossed))
             signed[block] *= 1 - 2 * (crossed.sum(axis=1, keepdims=True) & 1)  # (-1)^|S|
         # one block is left to the sum in _normal, which would check it again
         parts.append(_sum_equal(rows.T, signed) if pairs > _BLOCK_PAIRS else (rows.T, signed))
@@ -596,5 +673,5 @@ def two_point_swap(e: PartLin, i: int, row: str = "lower") -> PartLin:
     order = np.arange(e.k + e.l)
     order[j:j + 4] = np.roll(order[j:j + 4], 2)
     # the stage sums the swapped rows in any order, so they are not sorted here
-    swapped = PartLin._raw(e.k, e.l, _canonical_rows(e.assign[:, order]), e.num, e.den)
+    swapped = PartLin._raw(e.k, e.l, _moved(e.assign, order[None]), e.num, e.den)
     return _antisymmetrize_row(swapped, first, r)

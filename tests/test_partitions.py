@@ -11,6 +11,7 @@ from qsym import partitions
 from qsym.dsl import eval_text
 from qsym.errors import InvalidInputError
 from qsym.functors import evaluate_partlin, partlin_evaluates_to_zero
+from qsym.lemmas import lemma_suite
 from qsym.partitions import (
     Partition,
     PartLin,
@@ -443,15 +444,37 @@ def spread(parts, coeffs=(1, -2, Fraction(1, 3), N_POLY)):
 CHAIN_INSERT = "asym(id(2) ox P(4,4){1 3 | 2 1' | 4 3' | 2' 4'} ox id(2) ox id(2))"
 
 
+def glued_pairs(call):
+    """(call(), the number of term pairs ``_glue_pairs`` glued meanwhile)."""
+    seen, glue = [], partitions._glue_pairs
+
+    def spy(q, p, a, b):
+        seen.append(len(a))
+        return glue(q, p, a, b)
+
+    with mock.patch.object(partitions, "_glue_pairs", spy):
+        out = call()
+    return out, sum(seen)
+
+
 @pytest.mark.parametrize("after", [
     "asym(pk(5)) - asym(P(0,10){2' 3' | 6' 7' | 5' 9' | 4' 8' | 1' 10'})",
     "asym(P(4,4){1 3' | 2 4' | 3 1' | 4 2'} ox id(6))",
 ])
 def test_fixture_products_span_several_blocks(after):
+    """Both factors are antisymmetric on the middle row, so the product
+    glues one term of p per orbit; with that reduction patched out it
+    glues every pair, more than ten blocks of label nodes."""
     q, p = eval_text(CHAIN_INSERT), eval_text(after)
     V = p.k + 2 * p.l + q.l
-    assert len(q.terms) * len(p.terms) * V > 10 * partitions._BLOCK_ENTRIES
-    assert compose(q, p) == reference_compose(q, p)
+    expected = reference_compose(q, p)
+    out, pairs = glued_pairs(lambda: compose(q, p))
+    assert out == expected and pairs < len(q.assign) * len(p.assign)
+    with mock.patch.object(partitions, "_crossing_images", return_value=None):
+        out, pairs = glued_pairs(lambda: compose(q, p))
+    assert out == expected
+    assert pairs == len(q.assign) * len(p.assign)
+    assert pairs * V > 10 * partitions._BLOCK_ENTRIES
 
 
 @given(composable_partlins(), st.integers(1, 3))
@@ -508,6 +531,144 @@ def test_large_coefficients_stay_exact(size):
     cup = PartLin.of(Partition.cup(), size) + PartLin.of(Partition.parse("P(0,2){1' | 2'}"), -size)
     assert compose(big, cup) == reference_compose(big, cup)
     assert compose(big, big) == reference_compose(big, big)
+
+
+# -- the orbit route: factors antisymmetric on the middle row -------------------------
+#
+# When p is antisymmetric on its output row and q on its input row under the
+# crossing of each middle two-point, ``compose`` glues one term of p per
+# orbit of the crossings, weighted by the orbit's size.
+
+# the generators s1 and s4 of five_cycle_chain.pcalc, 32 terms each
+S1 = "asym(P(4,4){1 3' | 2 4' | 3 1' | 4 2'} ox id(6))"
+S4 = "asym(id(6) ox P(4,4){1 3' | 2 4' | 3 1' | 4 2'})"
+
+
+def crossing_orbits(x: PartLin) -> int:
+    """The number of orbits of the crossings of x's lower two-points on
+    x's terms, by a search over ``Partition`` values."""
+    seen, orbits = set(), 0
+    for part in x.terms:
+        if part in seen:
+            continue
+        orbits, todo = orbits + 1, [part]
+        seen.add(part)
+        while todo:
+            assign = todo.pop().assign
+            for c in range(x.k, x.k + x.l, 2):
+                swapped = list(assign)
+                swapped[c:c + 2] = assign[c + 1], assign[c]
+                image = Partition(x.k, x.l, swapped)
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(image)
+    return orbits
+
+
+def test_s1_s4_glues_one_term_per_orbit():
+    q, p = eval_text(S1), eval_text(S4)
+    out, pairs = glued_pairs(lambda: compose(q, p))
+    assert pairs == len(q.assign) * crossing_orbits(p) == 32
+    assert out == reference_compose(q, p)
+
+
+def test_orbit_with_a_stabilizer_weighs_its_own_size():
+    """Crossing both two-points fixes {1' 3' | 2' 4'}, so its orbit has two
+    terms, not four; the other orbit has four."""
+    p = eval_text("asym(P(0,4){1' 3' | 2' 4'}) + asym(P(0,4){1' 3' | 2' | 4'})")
+    q = eval_text("asym(P(4,2){1 1' | 2 | 3 2' | 4})")
+    assert (len(q.assign), len(p.assign), crossing_orbits(p)) == (8, 6, 2)
+    out, pairs = glued_pairs(lambda: compose(q, p))
+    assert pairs == 8 * 2
+    assert out == reference_compose(q, p)
+
+
+def test_lemma_suite_glues_few_pairs():
+    """Every product of the fixtures has factors antisymmetric on the
+    middle row; gluing all pairs took 39,485."""
+    report, pairs = glued_pairs(lemma_suite)
+    assert report.passed and report.counts["fail"] == 0
+    assert pairs <= 2000
+
+
+def test_orbit_weight_past_int64():
+    """The orbit weight 32 times a numerator near 2^61 passes 2^62, so the
+    weighted rows and the result are Python integers."""
+    q, p = eval_text(S1).scale(160), eval_text(S4).scale(32 * (2**61 + 1))
+    assert p.num.dtype == np.int64 and max(abs(v) for v in p.num.ravel().tolist()) > 2**61
+    out, pairs = glued_pairs(lambda: compose(q, p))
+    expected = reference_compose(q, p)
+    assert pairs == 32 and out == expected
+    assert out.num.dtype == expected.num.dtype == object
+
+
+@st.composite
+def two_point_free_partitions(draw, k, l):
+    """Partitions of P(k,l), k and l even, that keep the two points of each
+    two-point in different blocks, so that their asym is rarely zero."""
+    assign = []
+    for pos in range(k + l):
+        labels = range(max(assign, default=-1) + 2)
+        assign.append(draw(st.sampled_from([b for b in labels if not pos % 2 or b != assign[-1]])))
+    return Partition(k, l, assign)
+
+
+@st.composite
+def antisymmetric_partlins(draw, k, l, depth=1):
+    """Combinations of shape (k,l), both rows even, antisymmetric on both:
+    asym of random partitions, their sums, differences and scales, and
+    products of these, whose terms may be fixed by some crossings."""
+    def one():
+        if depth and draw(st.integers(0, 3)) == 0:
+            j = draw(st.sampled_from([2, 4]))
+            return compose(draw(antisymmetric_partlins(j, l, depth - 1)),
+                           draw(antisymmetric_partlins(k, j, depth - 1)))
+        kind = draw(st.sampled_from([two_point_free_partitions, partitions_kl]))
+        return antisymmetrize(draw(kind(k, l)))
+    x = one()
+    for _ in range(draw(st.integers(0, 3))):
+        x = x + one() if draw(st.booleans()) else x - one()
+    return x.scale(draw(st.sampled_from([1, -3, Fraction(2, 5), N_POLY - 1])))
+
+
+@st.composite
+def nudged(draw, x):
+    """x with one coefficient changed or one term added, so that some
+    crossing's image of a term is missing or not negated."""
+    parts = sorted(x.terms, key=str)
+    part = draw(st.sampled_from(parts) if parts and draw(st.booleans())
+                else partitions_kl(x.k, x.l))
+    return x + PartLin.of(part, draw(st.sampled_from([1, -1, Fraction(1, 7), N_POLY])))
+
+
+@st.composite
+def middle_antisymmetric_pairs(draw):
+    """(q, p, exact): q of shape (l, m) and p of shape (k, l), each
+    antisymmetric or, unless ``exact``, one of them nudged off it."""
+    k, l, m = (draw(st.sampled_from(sizes)) for sizes in ([4, 2, 0], [2, 4], [4, 2, 0]))
+    q, p = draw(antisymmetric_partlins(l, m)), draw(antisymmetric_partlins(k, l))
+    nudge = draw(st.sampled_from(["none", "q", "p"]))
+    if nudge == "q":
+        q = draw(nudged(q))
+    elif nudge == "p":
+        p = draw(nudged(p))
+    return q, p, nudge == "none"
+
+
+@given(middle_antisymmetric_pairs())
+@settings(max_examples=200, deadline=None)
+def test_orbit_route_matches_reference(pair):
+    """Antisymmetric factors glue at most half of p's terms whenever their
+    check (r (|q| + |p|) rows) costs less than the pairs it saves; a nudged
+    factor falls back to every term.  Either way the product is exact."""
+    q, p, exact = pair
+    terms, _ = partitions._glued_terms(q, p)
+    nq, n_p, r = len(q.assign), len(p.assign), p.l // 2
+    if exact and nq * n_p > (r + 1) * (nq + n_p):
+        assert len(terms) <= n_p // 2
+    else:
+        assert len(terms) == n_p
+    assert compose(q, p) == reference_compose(q, p)
 
 
 class _FullShapeAt:
