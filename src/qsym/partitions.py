@@ -18,7 +18,7 @@ against the tensor functor.  ``Partition`` and ``PolyQ`` are boundary
 types with no algebra of their own, built for parsing, printing, JSON and
 the ``terms`` view, and a ``PartLin`` equals only a ``PartLin``.  Two-point
 antisymmetrization composes with nothing: a crossing only swaps two points,
-so it is a signed average of column swaps.
+so each two-point's A in turn halves x minus x with two columns swapped.
 
 Points are written 1..k for the upper row and 1'..l' for the lower row, as in
 the text format ``P(2,2){1 2' | 2 1'}``.
@@ -489,10 +489,9 @@ def _crossing_images(x: PartLin, first: int, r: int):
     with its two columns of two-point i from column ``first`` on swapped;
     None unless every such term exists with the negated coefficient row.
     A term that a crossing fixes fails, as its row would equal its negation."""
-    n, C = x.assign.shape
-    crossings = _crossing_source(C, first, np.eye(r, dtype=np.intp))
-    rows = _moved(x.assign[None], crossings[:, None])  # crossing-major
-    ids = _group_ids(np.concatenate((x.assign, rows)).T)
+    n = len(x.assign)
+    rows = [x.assign] + [_swapped(x.assign, first + 2 * i) for i in range(r)]
+    ids = _group_ids(np.concatenate(rows).T)
     term = np.full(ids.max() + 1, -1)
     term[ids[:n]] = np.arange(n)
     images = term[ids[n:]].reshape(r, n)
@@ -589,23 +588,19 @@ def _canonical_rows(rows):
     return label.astype(_label_type(C))
 
 
-def _moved(rows, source):
-    """Canonical rows: ``rows`` with column j taken from column
-    source[..., j], the two broadcast against each other and their leading
-    axes flattened."""
-    moved = np.take_along_axis(rows, source, axis=-1)
-    return _canonical_rows(moved.reshape(-1, moved.shape[-1]))
-
-
-def _crossing_source(C: int, first: int, crossed):
-    """Column orders for ``_moved`` on rows of C columns: row i swaps the two
-    columns of the j-th two-point from column ``first`` on where
-    crossed[i, j] is 1."""
-    r = crossed.shape[1]
-    source = np.tile(np.arange(C), (len(crossed), 1))
-    source[:, first:first + 2 * r:2] += crossed
-    source[:, first + 1:first + 2 * r:2] -= crossed
-    return source
+def _swapped(rows, c: int):
+    """Canonical rows: the canonical ``rows`` with columns c and c+1
+    exchanged.  The labels before column c keep their order, and the two
+    columns change the order of first occurrences only where both open new
+    blocks, labels j and j+1, which then trade places in the rest of the row."""
+    out = rows.copy()
+    out[:, [c, c + 1]] = rows[:, [c + 1, c]]
+    j = rows[:, :c].max(axis=1, initial=-1) + 1
+    both = (rows[:, c] == j) & (rows[:, c + 1] == j + 1)
+    if both.any():
+        tail, j = out[both, c:], j[both, None]
+        out[both, c:] = np.where(tail == j, j + 1, np.where(tail == j + 1, j, tail))
+    return out
 
 
 def antisymmetrize(x) -> PartLin:
@@ -613,42 +608,33 @@ def antisymmetrize(x) -> PartLin:
     1/2 (id - crossing) on one two-point.
 
     Both rows must have an even number of points; each adjacent pair
-    (2i-1, 2i) is treated as one two-point.
+    (2i-1, 2i) is treated as one two-point, so with k even the two-points
+    of both rows are the (k+l)/2 consecutive column pairs.
     """
     x = PartLin.coerce(x)
     if x.k % 2 or x.l % 2:
         raise InvalidInputError(
             f"antisymmetrize needs even rows, got shape ({x.k},{x.l})")
-    # both stages together form at most len(x) * 2^(k/2) * 2^(l/2) rows
+    # each two-point at most doubles the terms, so none forms over len(x) * 2^((k+l)/2) rows
     guard_dense(len(x.assign) << (x.k + x.l) // 2, "antisymmetrization")
-    return _antisymmetrize_row(_antisymmetrize_row(x, 0, x.k // 2), x.k, x.l // 2)
+    return _antisymmetrize_row(x, 0, (x.k + x.l) // 2)
 
 
 def _antisymmetrize_row(x: PartLin, first: int, r: int) -> PartLin:
-    """x with A^(x r) on the r two-points from column ``first`` on: x after
-    it on the upper row, after x on the lower.  A crossing closes no loop
-    and only swaps two points, so this sums (-1)^|S| / 2^r times x's terms
-    with the two columns of every two-point in S swapped, over the subsets S
-    of the two-points (index s swaps two-point j when bit r-1-j of s is
-    set).  The rows are formed and summed per block of rows, as ``compose``
-    sums its pairs, and then summed across the blocks."""
-    if not r or x.is_zero():
-        return x
-    C, pairs, shifts = x.k + x.l, len(x.assign) << r, np.arange(r - 1, -1, -1)
-    num = x.num.astype(int_dtype(max_abs(x.num) * pairs))
-    step, parts = max(1, _BLOCK_ENTRIES // C), []
-    for start in range(0, pairs, _BLOCK_PAIRS):
-        a, s = np.divmod(np.arange(start, min(start + _BLOCK_PAIRS, pairs)), 1 << r)
-        rows, signed = np.empty((len(a), C), dtype=x.assign.dtype), num[a]
-        for sub in range(0, len(a), step):
-            block = slice(sub, sub + step)
-            crossed = (s[block, None] >> shifts) & 1
-            rows[block] = _moved(x.assign[a[block]], _crossing_source(C, first, crossed))
-            signed[block] *= 1 - 2 * (crossed.sum(axis=1, keepdims=True) & 1)  # (-1)^|S|
-        # one block is left to the sum in _normal, which would check it again
-        parts.append(_sum_equal(rows.T, signed) if pairs > _BLOCK_PAIRS else (rows.T, signed))
-    idx, num = _sum_parts(parts)
-    return PartLin._raw(x.k, x.l, *_normal(idx.T, num, x.den << r))
+    """x with A on each of the r two-points from column ``first`` on, on
+    either row.  A crossing closes no loop and only swaps two points, and
+    the r antisymmetrizers commute, so they are applied one at a time:
+    x <- 1/2 (x - x.sigma), where x.sigma swaps the two-point's columns in
+    every term (``_swapped``).  A term whose two columns share a block is
+    fixed by sigma and dropped; any other term sigma fixes (two singletons)
+    cancels in the sum of equal rows made after each two-point."""
+    assign, num, den = x.assign, x.num, x.den
+    for c in range(first, first + 2 * r, 2):
+        moved = assign[:, c] != assign[:, c + 1]
+        assign, num = assign[moved], num[moved].astype(int_dtype(2 * max_abs(num)))
+        assign, num, den = _normal(np.concatenate((assign, _swapped(assign, c))),
+                                   np.concatenate((num, -num)), den * 2)
+    return PartLin._raw(x.k, x.l, assign, num, den)
 
 
 def two_point_swap(e: PartLin, i: int, row: str = "lower") -> PartLin:
@@ -669,9 +655,7 @@ def two_point_swap(e: PartLin, i: int, row: str = "lower") -> PartLin:
     if not 1 <= i < r:
         raise InvalidInputError(f"two-point position {i} out of range 1..{r - 1}")
     guard_dense(len(e.assign) << r, "antisymmetrization")
-    j = first + 2 * i - 2
-    order = np.arange(e.k + e.l)
-    order[j:j + 4] = np.roll(order[j:j + 4], 2)
-    # the stage sums the swapped rows in any order, so they are not sorted here
-    swapped = PartLin._raw(e.k, e.l, _moved(e.assign, order[None]), e.num, e.den)
-    return _antisymmetrize_row(swapped, first, r)
+    j, rows = first + 2 * i - 2, e.assign
+    for c in (j + 1, j, j + 2, j + 1):  # abcd -> acbd -> cabd -> cadb -> cdab
+        rows = _swapped(rows, c)
+    return _antisymmetrize_row(PartLin._raw(e.k, e.l, rows, e.num, e.den), first, r)

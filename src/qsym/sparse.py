@@ -406,9 +406,6 @@ class SparseTensor:
         return SparseTensor(self.shape, self.out_axes, _Layout(
             self._idx, _convolve(self._num, f, dtype, sa, sb) @ rows, self.den * fden, level))
 
-    __mul__ = scale
-    __rmul__ = scale
-
     # -- multiplicative structure -----------------------------------------------------------
 
     def compose(self, other: "SparseTensor") -> "SparseTensor":
